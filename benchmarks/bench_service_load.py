@@ -79,8 +79,6 @@ for raw in spec["keys"]:
         "cache_tier": r.cache_tier,
         "farm_dedup": r.farm_dedup,
         "farm_wait_s": r.farm_wait_s,
-        "daemon_used": r.daemon_used,
-        "daemon_fallback": r.daemon_fallback,
         "value": float(code.invoke().value),
     })
 out["stats"] = service.stats()
@@ -88,17 +86,24 @@ print(json.dumps(out))
 """
 
 
-def _spawn_workers(n_procs: int, keys: list, cache_dir: str,
-                   backend: str, opt: str, cap_mb: float,
-                   extra_env: "dict | None" = None) -> list[dict]:
-    """Launch ``n_procs`` workers at once against one cache dir; returns
-    each worker's parsed report (raises on any worker failure)."""
+def _child_env(cache_dir: str) -> dict:
+    """Environment for a child process working against ``cache_dir``."""
     env = dict(os.environ)
     env["REPRO_CACHE_DIR"] = cache_dir
+    # the cc object cache is machine-wide by default: left alone, it serves
+    # every "cold" C pass after the first one ever run on this machine
+    env["REPRO_CC_CACHE"] = str(Path(cache_dir) / "cc")
     env["PYTHONPATH"] = f"{SRC_ROOT}{os.pathsep}{env.get('PYTHONPATH', '')}"
+    return env
+
+
+def _spawn_workers(n_procs: int, keys: list, cache_dir: str,
+                   backend: str, opt: str, cap_mb: float) -> list[dict]:
+    """Launch ``n_procs`` workers at once against one cache dir; returns
+    each worker's parsed report (raises on any worker failure)."""
+    env = _child_env(cache_dir)
     if cap_mb > 0:
         env["REPRO_DISK_CACHE_MAX_MB"] = str(cap_mb)
-    env.update(extra_env or {})
     payload = json.dumps({
         "keys": [dict(k, backend=backend, opt=opt) for k in keys],
     })
@@ -160,10 +165,6 @@ def _pass_summary(reports: list[dict], reg, hist_name: str) -> dict:
                                for r in reports),
         "farm_lock_wait_s": sum(r["stats"]["farm_lock_wait_s"]
                                 for r in reports),
-        "daemon_served": sum(bool(k["daemon_used"])
-                             for r in reports for k in r["keys"]),
-        "daemon_fallbacks": sum(r["stats"].get("daemon_fallbacks", 0)
-                                for r in reports),
     }
 
 
@@ -202,14 +203,11 @@ def run_load(n_procs: int = 4, n_keys: int = 2, backend: str = "py",
                 ManifestEntry.from_dict(dict(k, backend=backend, opt=opt))
                 for k in keys
             ])
-            env = dict(os.environ)
-            env["REPRO_CACHE_DIR"] = cache_dir
-            env["PYTHONPATH"] = (f"{SRC_ROOT}{os.pathsep}"
-                                 f"{env.get('PYTHONPATH', '')}")
             proc = subprocess.run(
                 [sys.executable, "-m", "repro", "cache", "warm",
                  str(man_path), "--json"],
-                capture_output=True, text=True, env=env, timeout=600)
+                capture_output=True, text=True, env=_child_env(cache_dir),
+                timeout=600)
             if proc.returncode != 0:
                 raise RuntimeError(f"cache warm failed:\n{proc.stderr[-2000:]}")
             warmed = json.loads(proc.stdout)
@@ -257,159 +255,6 @@ def run_load(n_procs: int = 4, n_keys: int = 2, backend: str = "py",
                               + "\n")
     report["out_path"] = str(out_path)
     return report
-
-
-def run_daemon_load(n_procs: int = 4, n_keys: int = 2, backend: str = "py",
-                    opt: str = "full", cap_mb: float = 64.0,
-                    out_path: "str | Path | None" = None) -> dict:
-    """The resident-daemon load scenario (``--daemon``), three passes:
-
-    1. **farm baseline** — a cold pass on its own cache dir with the
-       daemon off: the lock-file coordination numbers to beat;
-    2. **daemon cold** — a pre-started ``repro jitd`` daemon owns a
-       second cache dir; workers run with ``REPRO_JITD=1`` and must
-       compile *nothing* themselves (the daemon compiles each key exactly
-       once, clients hydrate its stored entries);
-    3. **kill fallback** — the daemon is SIGKILLed, then workers hit a
-       never-compiled key: every request must complete through the
-       file-lock farm path (zero client errors, ``daemon_fallbacks``
-       counted).
-
-    Gates: daemon-mode cold compiles-per-key == 1 (clients 0 + daemon 1),
-    daemon p99 first-result within slack of the farm baseline, and a
-    fully clean post-kill pass.  See docs/COMPILE_DAEMON.md.
-    """
-    import signal
-    import tempfile
-
-    from repro.jit import daemon as jitd
-    from repro.obs.metrics import registry
-
-    keys = KEY_SPECS[:max(1, min(n_keys, len(KEY_SPECS) - 1))]
-    fallback_keys = [KEY_SPECS[len(keys)]]  # never compiled in pass 2
-    reg = registry()
-    reg.reset("bench.service")
-    with tempfile.TemporaryDirectory(prefix="repro-jitd-bench-") as base:
-        farm_dir = str(Path(base) / "farm")
-        daemon_dir = str(Path(base) / "daemon")
-
-        baseline = _pass_summary(
-            _spawn_workers(n_procs, keys, farm_dir, backend, opt, cap_mb),
-            reg, "bench.service.farm_baseline_first_result_s")
-
-        os.environ["REPRO_DISK_CACHE_MAX_MB"] = str(cap_mb)  # daemon env
-        try:
-            info = jitd.start(daemon_dir, idle_timeout_s=120.0)
-        finally:
-            os.environ.pop("REPRO_DISK_CACHE_MAX_MB", None)
-        daemon_env = {"REPRO_JITD": "1", "REPRO_JITD_AUTOSPAWN": "0"}
-        try:
-            cold = _pass_summary(
-                _spawn_workers(n_procs, keys, daemon_dir, backend, opt,
-                               cap_mb, extra_env=daemon_env),
-                reg, "bench.service.daemon_cold_first_result_s")
-            from repro.jit import dclient
-
-            daemon_stats = dclient.stats(daemon_dir)
-            daemon_compiles = daemon_stats["service"]["compiles"]
-        finally:
-            os.kill(info["pid"], signal.SIGKILL)
-        deadline = time.perf_counter() + 10.0
-        while jitd.status(daemon_dir) is not None:
-            if time.perf_counter() > deadline:
-                raise RuntimeError("daemon survived SIGKILL?")
-            time.sleep(0.05)
-
-        fallback = _pass_summary(
-            _spawn_workers(n_procs, fallback_keys, daemon_dir, backend, opt,
-                           cap_mb, extra_env={
-                               **daemon_env,
-                               "REPRO_JITD_RETRIES": "0",
-                               "REPRO_JITD_CONNECT_TIMEOUT_S": "0.2",
-                           }),
-            reg, "bench.service.daemon_fallback_first_result_s")
-
-    gates = {}
-    client_compiles = cold["total_compiles"]
-    per_key = (client_compiles + daemon_compiles) / max(1, len(keys))
-    if client_compiles > 0:
-        gates["daemon_client_compiles"] = (
-            f"clients compiled {client_compiles}x with the daemon up "
-            f"(every compile belongs to the daemon)")
-    if per_key != 1.0:
-        gates["daemon_single_flight"] = (
-            f"{per_key:.2f} compiles per key cold (daemon-side "
-            f"single-flight broken: expected exactly 1)")
-    # one daemon-served request per key is the floor: the first client to
-    # reach a cold key rides the daemon RPC; everyone later legitimately
-    # hits the daemon-stored disk entry without talking to the daemon
-    if cold["daemon_served"] < len(keys):
-        gates["daemon_served"] = (
-            f"only {cold['daemon_served']} daemon-served requests for "
-            f"{len(keys)} cold keys (the daemon compiled nothing?)")
-    p99_base, p99_daemon = (baseline["p99_first_result_s"],
-                            cold["p99_first_result_s"])
-    slack = max(1.5 * p99_base, p99_base + 0.25)
-    if p99_daemon > slack:
-        gates["daemon_p99"] = (
-            f"daemon-mode p99 {p99_daemon * 1e3:.0f} ms exceeds the "
-            f"farm baseline {p99_base * 1e3:.0f} ms beyond slack")
-    if fallback["daemon_fallbacks"] < 1:
-        gates["fallback_counted"] = (
-            "no daemon_fallbacks recorded after the daemon was killed")
-    if fallback["max_compiles_one_key"] > 1:
-        gates["fallback_single_flight"] = (
-            f"post-kill pass compiled a key "
-            f"{fallback['max_compiles_one_key']}x (farm degradation "
-            f"lost single-flight)")
-
-    report = {
-        "mode": "daemon",
-        "config": {"processes": n_procs,
-                   "keys": [k["factory"] for k in keys],
-                   "fallback_keys": [k["factory"] for k in fallback_keys],
-                   "backend": backend, "opt": opt, "cap_mb": cap_mb},
-        "farm_baseline": baseline,
-        "daemon_cold": {**cold, "daemon_compiles": daemon_compiles,
-                        "client_compiles": client_compiles,
-                        "daemon_requests": daemon_stats["requests"]},
-        "daemon_killed_fallback": fallback,
-        "p99_daemon_vs_farm": (p99_daemon / p99_base if p99_base else None),
-        "gates": gates,
-        "metrics": reg.snapshot("bench.service"),
-    }
-    if out_path is None:
-        RESULTS.mkdir(exist_ok=True)
-        out_path = RESULTS / "BENCH_service.json"
-    Path(out_path).write_text(json.dumps(report, indent=2, sort_keys=True)
-                              + "\n")
-    report["out_path"] = str(out_path)
-    return report
-
-
-def _render_daemon(report: dict) -> str:
-    lines = [f"compile-daemon load test "
-             f"({report['config']['processes']} procs, "
-             f"{len(report['config']['keys'])} keys, "
-             f"backend={report['config']['backend']})"]
-    rows = (("farm", report["farm_baseline"]),
-            ("jitd", report["daemon_cold"]),
-            ("kill", report["daemon_killed_fallback"]))
-    for name, s in rows:
-        lines.append(
-            f"  {name:4s}: p50 {s['p50_first_result_s'] * 1e3:8.1f} ms   "
-            f"p99 {s['p99_first_result_s'] * 1e3:8.1f} ms   "
-            f"client compiles {s['total_compiles']}   "
-            f"daemon served {s['daemon_served']}   "
-            f"fallbacks {s['daemon_fallbacks']}")
-    lines.append(
-        f"  daemon compiled {report['daemon_cold']['daemon_compiles']} "
-        f"key(s); p99 daemon/farm = "
-        f"{report['p99_daemon_vs_farm']:.2f}x")
-    for gate, msg in report["gates"].items():
-        lines.append(f"  GATE FAILED [{gate}]: {msg}")
-    lines.append(f"  [saved to {report['out_path']}]")
-    return "\n".join(lines)
 
 
 def _render(report: dict) -> str:
@@ -463,22 +308,12 @@ def main(argv=None) -> int:
     ap.add_argument("--manifest", action="store_true",
                     help="re-warm via a generated warmup manifest between "
                          "the passes (exercises `repro cache warm`)")
-    ap.add_argument("--daemon", action="store_true",
-                    help="resident-daemon scenario: farm baseline, daemon "
-                         "cold pass, then kill -9 + fallback pass "
-                         "(docs/COMPILE_DAEMON.md)")
     ap.add_argument("--cache-dir", default=None,
                     help="shared cache dir (default: fresh temp dir)")
     ap.add_argument("-o", "--out", default=None,
                     help="output JSON path (default "
                          "benchmarks/results/BENCH_service.json)")
     args = ap.parse_args(argv)
-    if args.daemon:
-        report = run_daemon_load(n_procs=args.procs, n_keys=args.keys,
-                                 backend=args.backend, opt=args.opt,
-                                 cap_mb=args.cap_mb, out_path=args.out)
-        print(_render_daemon(report))
-        return 1 if report["gates"] else 0
     report = run_load(n_procs=args.procs, n_keys=args.keys,
                       backend=args.backend, opt=args.opt, cap_mb=args.cap_mb,
                       cache_dir=args.cache_dir, manifest=args.manifest,

@@ -10,8 +10,6 @@
     python -m repro cache evict                # enforce the LRU byte cap
     python -m repro cache warm MANIFEST        # precompile a deployment's
                                                # hot keys (compile farm)
-    python -m repro jitd start|stop|status     # resident compile daemon
-                                               # (docs/COMPILE_DAEMON.md)
     python -m repro jit stats [--json]         # JIT service counters/config
     python -m repro opt report [--json]        # mid-end pass before/after
     python -m repro trace summarize [FILE]     # per-phase span breakdown
@@ -154,8 +152,7 @@ def cmd_cache(args) -> int:
             return 2
         try:
             report = warmup.warm(args.manifest,
-                                 progress=None if args.json else print,
-                                 daemon=args.daemon)
+                                 progress=None if args.json else print)
         except warmup.ManifestError as exc:
             print(f"bad manifest: {exc}", file=sys.stderr)
             return 2
@@ -196,73 +193,6 @@ def cmd_cache(args) -> int:
     return 0
 
 
-def cmd_jitd(args) -> int:
-    """Control the resident compile daemon for a cache directory."""
-    import json
-    import os
-
-    if args.dir:
-        os.environ["REPRO_CACHE_DIR"] = args.dir
-    from repro.jit import cache as code_cache
-    from repro.jit import daemon
-
-    root = code_cache.cache_dir()
-
-    if args.action == "serve":  # foreground (what `start` spawns)
-        return daemon.serve(root, idle_timeout_s=args.idle,
-                            announce=None if args.json else print)
-
-    if args.action == "start":
-        try:
-            info = daemon.start(root, idle_timeout_s=args.idle)
-        except (OSError, TimeoutError) as exc:
-            print(f"jitd: failed to start: {exc}", file=sys.stderr)
-            return 1
-        if args.json:
-            print(json.dumps({"root": str(root), **info}, sort_keys=True))
-        else:
-            print(f"jitd: pid {info['pid']} serving {root}")
-        return 0
-
-    if args.action == "stop":
-        stopped = daemon.stop(root)
-        if args.json:
-            print(json.dumps({"root": str(root), "stopped": stopped}))
-        else:
-            print(f"jitd: {'stopped' if stopped else 'still running'}")
-        return 0 if stopped else 1
-
-    # action == "status": ping, then enrich with the stats RPC
-    info = daemon.status(root)
-    if info is None:
-        if args.json:
-            print(json.dumps({"root": str(root), "running": False}))
-        else:
-            print(f"jitd: not running for {root}")
-        return 1
-    from repro.jit import dclient
-
-    try:
-        st = dclient.stats(root)
-    except dclient.DaemonError:
-        st = {}
-    if args.json:
-        print(json.dumps({"root": str(root), "running": True, **st},
-                         indent=2, sort_keys=True))
-        return 0
-    print(f"jitd: pid {info['pid']} serving {root} "
-          f"(up {info['uptime_s']:.0f} s, protocol v{info['v']})")
-    if st:
-        reqs = ", ".join(f"{k}: {v}" for k, v in sorted(st["requests"].items()))
-        print(f"  requests : {reqs or 'none'}")
-        print(f"  cache    : {st['cache']['memory_entries']} memory / "
-              f"{st['cache']['disk_entries']} disk entries "
-              f"({st['cache']['disk_bytes'] / 1024:.1f} KiB)")
-        print(f"  service  : {st['service']['compiles']} compiles, "
-              f"{st['service']['dedup_hits']} dedup hits")
-    return 0
-
-
 def cmd_jit(args) -> int:
     """Show the JIT service configuration and per-phase counters."""
     import json
@@ -285,15 +215,10 @@ def cmd_jit(args) -> int:
           f"(failures: {st['tier_failures']})")
     print(f"build queue      : depth {st['queue_depth']}, "
           f"high-water {st['max_queue_depth']}")
-    print(f"farm (x-process) : {'on' if st['farm_enabled'] else 'off (REPRO_FARM=0)'}; "
-          f"lock waits {st['farm_lock_waits']} "
+    print(f"farm (x-process) : lock waits {st['farm_lock_waits']} "
           f"({st['farm_lock_wait_s']:.3f} s blocked, "
           f"{st['farm_lock_timeouts']} timeouts), "
           f"dedup hits {st['farm_dedup_hits']}")
-    print(f"daemon (jitd)    : {'on' if st['daemon_enabled'] else 'off (REPRO_JITD=1 to enable)'}; "
-          f"requests {st['daemon_requests']}, "
-          f"dedup hits {st['daemon_dedup_hits']}, "
-          f"fallbacks {st['daemon_fallbacks']}")
     return 0
 
 
@@ -520,24 +445,9 @@ def main(argv=None) -> int:
     p_cache.add_argument("--cap-mb", type=float, default=None,
                          help="evict: cap override in MiB (default: "
                               "REPRO_DISK_CACHE_MAX_MB)")
-    p_cache.add_argument("--daemon", action="store_true",
-                         help="warm: route compiles through the resident "
-                              "compile daemon (docs/COMPILE_DAEMON.md)")
     p_cache.add_argument("--json", action="store_true",
                          help="machine-readable output (scripts)")
     p_cache.set_defaults(fn=cmd_cache)
-
-    p_jitd = sub.add_parser("jitd", help="resident compile daemon control")
-    p_jitd.add_argument("action", choices=["start", "stop", "status", "serve"])
-    p_jitd.add_argument("--dir", default=None,
-                        help="cache directory to serve (default: "
-                             "REPRO_CACHE_DIR or ~/.cache/repro-wootinj)")
-    p_jitd.add_argument("--idle", type=float, default=None,
-                        help="idle self-shutdown seconds (default: "
-                             "REPRO_JITD_IDLE_S or 300; 0 disables)")
-    p_jitd.add_argument("--json", action="store_true",
-                        help="machine-readable output (scripts)")
-    p_jitd.set_defaults(fn=cmd_jitd)
 
     p_jit = sub.add_parser("jit", help="JIT service counters and config")
     p_jit.add_argument("action", choices=["stats"])

@@ -41,9 +41,7 @@ Environment:
   ``$XDG_CACHE_HOME/repro-wootinj`` or ``~/.cache/repro-wootinj``);
 * ``REPRO_DISK_CACHE=0`` — disable the disk tier (memory tier stays on);
 * ``REPRO_DISK_CACHE_MAX_MB`` — byte cap for the disk tier (0/unset =
-  unbounded); exceeding it evicts least-recently-*used* entries on store;
-* ``REPRO_CACHE_TMP_MAX_AGE_S`` — age after which orphaned ``*.tmp<pid>``
-  files from crashed writers are swept (default 3600).
+  unbounded); exceeding it evicts least-recently-*used* entries on store.
 """
 
 from __future__ import annotations
@@ -320,12 +318,6 @@ def disk_cap_bytes() -> int:
 
     mb = env_float("REPRO_DISK_CACHE_MAX_MB", 0.0)
     return int(mb * 1024 * 1024) if mb > 0 else 0
-
-
-def _tmp_max_age_s() -> float:
-    from repro.env import env_float
-
-    return env_float("REPRO_CACHE_TMP_MAX_AGE_S", 3600.0)
 
 
 def _sha256_file(path: Path) -> str:
@@ -616,13 +608,16 @@ def store(key: CacheKey, program: Program, compiled, report) -> None:
 _ENTRY_FILE_RE = re.compile(r"^[0-9a-f]{32,}\.(json|src|so)$")
 _LOCK_FILE_RE = re.compile(r"^[0-9a-f]{32,}\.lock$")
 
+#: age past which an orphaned ``*.tmp<pid>`` file is a crashed writer's
+#: debris rather than a live writer mid-copy
+_TMP_MAX_AGE_S = 3600.0
 
-def _sweep_stale_tmp(root: Path, max_age_s: Optional[float] = None) -> int:
-    """Remove ``*.tmp<pid>`` orphans older than ``max_age_s`` — the debris
-    of writers that died between ``write`` and ``os.replace``.  Young tmp
-    files are left alone (their writer may still be alive mid-copy)."""
-    if max_age_s is None:
-        max_age_s = _tmp_max_age_s()
+
+def _sweep_stale_tmp(root: Path) -> int:
+    """Remove ``*.tmp<pid>`` orphans older than ``_TMP_MAX_AGE_S`` — the
+    debris of writers that died between ``write`` and ``os.replace``.
+    Young tmp files are left alone (their writer may still be alive
+    mid-copy)."""
     swept = 0
     now = time.time()
     if not root.is_dir():
@@ -631,7 +626,7 @@ def _sweep_stale_tmp(root: Path, max_age_s: Optional[float] = None) -> int:
         if ".tmp" not in p.name:
             continue
         try:
-            if (now - p.stat().st_mtime) < max_age_s:
+            if (now - p.stat().st_mtime) < _TMP_MAX_AGE_S:
                 continue
             p.unlink()
         except OSError:  # vanished or unreadable: another sweeper got it
@@ -751,10 +746,7 @@ def clear() -> int:
     The count is exact under concurrency: an entry only counts when *this*
     process unlinked its ``.json`` commit marker, so two workers clearing
     at once report counts that sum to the number of entries that existed.
-    Lock files and ``*.tmp`` orphans (any age) are removed as well, and so
-    is a *dead* compile daemon's debris (``jitd.sock``/``jitd.pid``/
-    ``jitd.lock``) — a live daemon holds ``jitd.lock``, which protects its
-    files from the sweep."""
+    Lock files and ``*.tmp`` orphans (any age) are removed as well."""
     clear_memory()
     removed = 0
     root = cache_dir()
@@ -770,40 +762,7 @@ def clear() -> int:
                 continue
             if entry and p.suffix == ".json":
                 removed += 1
-        _sweep_dead_daemon(root)
     return removed
-
-
-def _sweep_dead_daemon(root: Path) -> None:
-    """Remove a crashed compile daemon's leftovers.  The daemon holds its
-    pidfile lock for life (kernel-released on any death), so winning a
-    zero-timeout acquisition proves no daemon is serving this directory;
-    a live daemon keeps the lock and its files stay untouched."""
-    from repro.jit.locks import FileLock
-
-    from repro.jit import locks as _locks
-
-    guard = FileLock(root / "jitd.lock")
-    if not guard.acquire(timeout=0):
-        return
-    try:
-        for name in ("jitd.sock", "jitd.pid"):
-            try:
-                (root / name).unlink()
-            except OSError:
-                pass
-        if _locks._fcntl is not None:
-            # flock mode: release() only closes the fd, so drop the file
-            # while still holding — a daemon starting in this window makes
-            # itself a fresh lock file and never collides with ours.  (In
-            # O_EXCL mode release() itself unlinks, and doing it here too
-            # could destroy that fresh file.)
-            try:
-                guard.path.unlink()
-            except OSError:
-                pass
-    finally:
-        guard.release()
 
 
 def stats() -> dict:

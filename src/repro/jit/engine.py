@@ -74,14 +74,6 @@ class JitReport:
     farm_dedup: bool = False
     #: seconds spent blocked on the cross-process entry lock
     farm_wait_s: float = 0.0
-    #: the compile ran in the resident compile daemon and this request
-    #: hydrated the entry the daemon stored (docs/COMPILE_DAEMON.md)
-    daemon_used: bool = False
-    #: seconds spent waiting on the daemon's compile RPC
-    daemon_wait_s: float = 0.0
-    #: why a daemon request degraded to the file-lock farm path
-    #: ("" when the daemon was not asked, or served the request)
-    daemon_fallback: str = ""
     #: the cache-key digest this request resolved to ("" when uncached)
     key_digest: str = ""
     #: compiled through the tiered service (py tier first, native later)

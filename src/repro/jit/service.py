@@ -53,16 +53,10 @@ Environment:
 * ``REPRO_TIERED=1``      — make tiered mode the default for ``jit*()``;
 * ``REPRO_JIT_WORKERS=N`` — background native-build pool width
   (default ``min(4, cpu_count)``);
-* ``REPRO_FARM=0``        — disable cross-process single-flight (the
-  in-process protocol is unaffected);
 * ``REPRO_FARM_LOCK_TIMEOUT_S`` — max seconds a worker blocks on another
-  process's compile before giving up and compiling itself (default 600);
-* ``REPRO_JITD=1``        — route leader compiles through the resident
-  compile daemon (:mod:`repro.jit.dclient`); every daemon failure falls
-  back to the farm path, counted in ``jit.daemon_fallbacks``.
+  process's compile before giving up and compiling itself (default 600).
 
-See docs/JIT_SERVICE.md, docs/COMPILE_FARM.md and docs/COMPILE_DAEMON.md
-for the full protocol.
+See docs/JIT_SERVICE.md and docs/COMPILE_FARM.md for the full protocol.
 """
 
 from __future__ import annotations
@@ -82,8 +76,6 @@ from repro.obs.trace import span as _span
 
 __all__ = [
     "compile_program",
-    "daemon_enabled",
-    "farm_enabled",
     "farm_lock_timeout_s",
     "jit_workers",
     "phase_metrics",
@@ -131,10 +123,6 @@ _COUNTERS = {
         "farm_lock_wait_s",   # total seconds spent in those waits
         "farm_lock_timeouts", # gave up waiting and compiled uncoordinated
         "farm_dedup_hits",    # served by another process's compile
-        "daemon_requests",    # leader compiles routed to the jit daemon
-        "daemon_dedup_hits",  # requests served by a daemon-stored entry
-        "daemon_fallbacks",   # daemon failures degraded to the farm path
-        "daemon_wait_s",      # total seconds spent in daemon compile RPCs
     )
 }
 
@@ -145,7 +133,7 @@ _QUEUE_DEPTH = _M.gauge("jit.queue_depth")
 _PHASE_HIST = {
     name: _M.histogram(f"jit.phase.{name}")
     for name in ("translate_s", "backend_compile_s", "cached_lookup_s",
-                 "inflight_wait_s", "farm_wait_s", "daemon_wait_s")
+                 "inflight_wait_s", "farm_wait_s")
 }
 
 _POOL = None  # lazily-created ThreadPoolExecutor for background builds
@@ -167,14 +155,6 @@ def tiered_default() -> bool:
     return env_flag("REPRO_TIERED", default=False)
 
 
-def farm_enabled() -> bool:
-    """Whether cross-process single-flight is active (``REPRO_FARM=0``
-    disables it; the in-process protocol always runs)."""
-    from repro.env import env_flag
-
-    return env_flag("REPRO_FARM", default=True)
-
-
 def farm_lock_timeout_s() -> float:
     """Max seconds to block on another process's compile
     (``REPRO_FARM_LOCK_TIMEOUT_S``); past it the worker compiles
@@ -184,58 +164,12 @@ def farm_lock_timeout_s() -> float:
     return env_float("REPRO_FARM_LOCK_TIMEOUT_S", 600.0)
 
 
-def daemon_enabled() -> bool:
-    """Whether leader compiles route through the resident compile daemon
-    (``REPRO_JITD=1``; see docs/COMPILE_DAEMON.md)."""
-    from repro.jit.dclient import daemon_enabled as _enabled
-
-    return _enabled()
-
-
-def _try_daemon(key, daemon_job, backend_obj, opt, snapshot, recv_shape,
-                arg_shapes):
-    """Ask the resident daemon to compile ``key``, then hydrate the entry
-    it stored from the shared disk tier.
-
-    Returns ``(hit, wait_s, fallback_reason)``: a non-None ``hit`` means
-    the daemon compiled (or already held) this key and the local re-probe
-    found the entry; ``hit is None`` means the daemon could not serve us
-    — ``fallback_reason`` says why — and the caller proceeds down the
-    file-lock farm path exactly as if no daemon existed."""
-    from repro.jit import dclient
-
-    receiver, method, args = daemon_job
-    _bump("daemon_requests")
-    t0 = time.perf_counter()
-    try:
-        with _span("jit.daemon_compile", key=key.digest[:12]):
-            dclient.compile_job(
-                code_cache.cache_dir(), receiver, method, args,
-                backend=backend_obj.name, opt=opt.value,
-                expect_digest=key.digest,
-            )
-    except dclient.DaemonError as exc:
-        _bump("daemon_fallbacks")
-        return None, time.perf_counter() - t0, exc.reason
-    wait_s = time.perf_counter() - t0
-    _bump("daemon_wait_s", wait_s)
-    _PHASE_HIST["daemon_wait_s"].observe(wait_s)
-    with _LOCK:
-        hit = code_cache.lookup(key, snapshot=snapshot,
-                                recv_shape=recv_shape, arg_shapes=arg_shapes)
-    if hit is None:  # daemon claimed success but the entry is not visible
-        _bump("daemon_fallbacks")
-        return None, wait_s, "no-entry"
-    _bump("daemon_dedup_hits")
-    return hit, wait_s, ""
-
-
 def _acquire_farm_lock(key):
     """Acquire the key's cross-process entry lock, or None when the farm
-    does not apply (disabled, non-persistable key, disk tier off) or the
-    wait timed out.  Contended acquisitions feed the ``jit.farm_*``
-    counters and the ``farm_wait_s`` phase histogram."""
-    if not (farm_enabled() and key.persistable and code_cache.disk_enabled()):
+    does not apply (non-persistable key, disk tier off) or the wait timed
+    out.  Contended acquisitions feed the ``jit.farm_*`` counters and the
+    ``farm_wait_s`` phase histogram."""
+    if not (key.persistable and code_cache.disk_enabled()):
         return None
     lock = code_cache.entry_lock(key.digest)
     with _span("jit.farm_lock", key=key.digest[:12]):
@@ -279,8 +213,6 @@ def stats() -> dict:
         out["max_queue_depth"] = _QUEUE_DEPTH.max
         out["workers"] = jit_workers()
         out["tiered_default"] = tiered_default()
-        out["farm_enabled"] = farm_enabled()
-        out["daemon_enabled"] = daemon_enabled()
     return out
 
 
@@ -324,27 +256,63 @@ def compile_program(minfo, receiver, args, *, backend: str = "auto",
     with _span("jit.snapshot"):
         snapshot, recv_shape, arg_shapes = snapshot_args(receiver, args)
     snap_s = time.perf_counter() - t0
-    # what the daemon client would need to replay this compile remotely
-    # (shipped as a pickle; only used when REPRO_JITD routes the leader)
-    daemon_job = (receiver, minfo.name, args)
-    if tiered and backend_obj.native:
-        return _compile_tiered(minfo, snapshot, recv_shape, arg_shapes,
-                               backend_obj, opt, use_cache,
-                               snap_s=snap_s, t_start=t0,
-                               daemon_job=daemon_job)
-    return _compile_sync(minfo, snapshot, recv_shape, arg_shapes,
-                         backend_obj, opt, use_cache,
-                         snap_s=snap_s, t_start=t0, daemon_job=daemon_job)
+    run = _compile_tiered if tiered and backend_obj.native else _compile_sync
+    return run(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt,
+               use_cache, snap_s=snap_s, t_start=t0)
 
 
-def _hit_report(hit, *, opt, elapsed_s: float, deduped: bool,
-                wait_s: float, tiered: bool) -> "_engine.JitReport":
-    """A warm-path JitReport, field-for-field comparable with a cold one
+def _program_key(minfo, recv_shape, arg_shapes, backend_obj, opt):
+    """The request's cache key, digested under a ``cache.key`` span."""
+    with _span("cache.key"):
+        return code_cache.program_key(
+            minfo, recv_shape, arg_shapes,
+            backend=backend_obj.name, opt=opt,
+            bounds_checks=getattr(backend_obj, "bounds_checks", False),
+        )
+
+
+def _probe(key, snapshot, recv_shape, arg_shapes, *, join: bool = False):
+    """One lock-protected probe of the cache tiers.
+
+    Returns ``(hit, flight, leader)``.  With ``join``, a miss atomically
+    (same ``_LOCK`` hold as the lookup) joins the key's in-flight compile,
+    or registers a new flight and makes the caller its leader."""
+    flight, leader = None, False
+    with _span("cache.probe") as sp:
+        with _LOCK:
+            hit = code_cache.lookup(key, snapshot=snapshot,
+                                    recv_shape=recv_shape,
+                                    arg_shapes=arg_shapes)
+            if hit is None and join:
+                flight = _FLIGHTS.get(key.digest)
+                leader = flight is None
+                if leader:
+                    flight = _FLIGHTS[key.digest] = _Flight()
+                else:
+                    _bump("inflight_waits")
+        sp.set(hit=hit is not None,
+               tier=hit.tier if hit is not None else "miss")
+    return hit, flight, leader
+
+
+def _served(hit, key, *, opt, t_start: float, deduped: bool = False,
+            wait_s: float = 0.0, tiered: bool = False,
+            farm_lock=None) -> "_engine.JitCode":
+    """The one place a cached artifact is returned.
+
+    The warm-path JitReport is field-for-field comparable with a cold one
     (``opt_stats`` *and* ``build_stats`` are restored from the entry meta,
-    whichever tier served it)."""
-    meta = hit.meta
+    whichever tier served it).  ``farm_lock`` is the entry lock the caller
+    won before this probe hit: another process compiled the key while we
+    waited on it."""
+    elapsed_s = time.perf_counter() - t_start
     _PHASE_HIST["cached_lookup_s"].observe(elapsed_s)
-    return _engine.JitReport(
+    if deduped:
+        _bump("dedup_hits")
+    if farm_lock is not None:
+        _bump("farm_dedup_hits")
+    meta = hit.meta
+    report = _engine.JitReport(
         translate_s=0.0,
         backend_compile_s=0.0,
         cached_lookup_s=elapsed_s,
@@ -356,14 +324,18 @@ def _hit_report(hit, *, opt, elapsed_s: float, deduped: bool,
         cache_tier=hit.tier,
         dedup_hit=deduped,
         inflight_wait_s=wait_s,
+        farm_dedup=farm_lock is not None,
+        farm_wait_s=farm_lock.waited_s if farm_lock is not None else 0.0,
+        key_digest=key.digest,
         tiered=tiered,
         opt_stats=dict(meta.get("opt_stats", {})),
         build_stats=dict(meta.get("build_stats", {})),
     )
+    return _engine.JitCode(hit.program, hit.compiled, report)
 
 
 def _build(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt, *,
-           snap_s: float, probe_s: float) -> "_engine.JitCode":
+           snap_s: float) -> "_engine.JitCode":
     """Translate + backend-compile, uncached (the leader's cold path)."""
     _bump("compiles")
     t1 = time.perf_counter()
@@ -378,7 +350,6 @@ def _build(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt, *,
     backend_s = time.perf_counter() - t2
     _PHASE_HIST["translate_s"].observe(translate_s)
     _PHASE_HIST["backend_compile_s"].observe(backend_s)
-    _PHASE_HIST["cached_lookup_s"].observe(probe_s)
 
     bstats = dict(getattr(compiled, "build_stats", None) or {})
     if "parallel" in bstats:
@@ -390,7 +361,6 @@ def _build(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt, *,
     report = _engine.JitReport(
         translate_s=translate_s,
         backend_compile_s=backend_s,
-        cached_lookup_s=probe_s,
         n_specializations=len(program.specializations),
         n_call_sites=program.n_sites,
         backend=backend_obj.name,
@@ -402,75 +372,24 @@ def _build(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt, *,
 
 
 def _compile_sync(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt,
-                  use_cache: bool, *, snap_s: float, t_start: float,
-                  daemon_job=None) -> "_engine.JitCode":
+                  use_cache: bool, *, snap_s: float,
+                  t_start: float) -> "_engine.JitCode":
     """The lock-protected probe / single-flight / store protocol."""
     if not use_cache:
         return _build(minfo, snapshot, recv_shape, arg_shapes, backend_obj,
-                      opt, snap_s=snap_s, probe_s=0.0)
+                      opt, snap_s=snap_s)
 
     p0 = time.perf_counter()
-    with _span("cache.key"):
-        key = code_cache.program_key(
-            minfo, recv_shape, arg_shapes,
-            backend=backend_obj.name, opt=opt,
-            bounds_checks=getattr(backend_obj, "bounds_checks", False),
-        )
+    key = _program_key(minfo, recv_shape, arg_shapes, backend_obj, opt)
     deduped = False
     wait_s = 0.0
     for _ in range(1000):  # re-probe loop; each pass waits on one flight
-        with _span("cache.probe") as probe_sp:
-            with _LOCK:
-                hit = code_cache.lookup(
-                    key, snapshot=snapshot, recv_shape=recv_shape,
-                    arg_shapes=arg_shapes,
-                )
-                if hit is None:
-                    flight = _FLIGHTS.get(key.digest)
-                    leader = flight is None
-                    if leader:
-                        flight = _Flight()
-                        _FLIGHTS[key.digest] = flight
-                    else:
-                        _COUNTERS["inflight_waits"].inc()
-            probe_sp.set(hit=hit is not None,
-                         tier=hit.tier if hit is not None else "miss")
-        if hit is not None:
-            if deduped:
-                _bump("dedup_hits")
-            report = _hit_report(hit, opt=opt,
-                                 elapsed_s=time.perf_counter() - t_start,
-                                 deduped=deduped, wait_s=wait_s, tiered=False)
-            report.key_digest = key.digest
-            return _engine.JitCode(hit.program, hit.compiled, report)
+        hit, flight, leader = _probe(key, snapshot, recv_shape, arg_shapes,
+                                     join=True)
+        farm_lock = None
         if leader:
             probe_s = time.perf_counter() - p0
-            farm_lock = None
-            daemon_fb = ""
             try:
-                # resident-daemon path: hand the compile to the per-dir
-                # daemon and hydrate whatever it stored.  Any failure
-                # (down, skewed, killed mid-compile) degrades to the
-                # lock-file farm protocol below — the daemon is an
-                # accelerator, never a dependency.
-                if (daemon_job is not None and daemon_enabled()
-                        and key.persistable and code_cache.disk_enabled()):
-                    d_hit, d_wait, daemon_fb = _try_daemon(
-                        key, daemon_job, backend_obj, opt, snapshot,
-                        recv_shape, arg_shapes)
-                    if d_hit is not None:
-                        with _LOCK:
-                            _FLIGHTS.pop(key.digest, None)
-                        flight.done.set()
-                        report = _hit_report(
-                            d_hit, opt=opt,
-                            elapsed_s=time.perf_counter() - t_start,
-                            deduped=deduped, wait_s=wait_s, tiered=False)
-                        report.daemon_used = True
-                        report.daemon_wait_s = d_wait
-                        report.key_digest = key.digest
-                        return _engine.JitCode(d_hit.program, d_hit.compiled,
-                                               report)
                 # cross-process single-flight: win the on-disk entry lock
                 # before building.  If another process held it, it was
                 # compiling this very key — so on acquisition re-probe the
@@ -478,54 +397,41 @@ def _compile_sync(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt,
                 # compiling a second time.
                 farm_lock = _acquire_farm_lock(key)
                 if farm_lock is not None:
-                    with _span("cache.probe") as farm_sp:
-                        with _LOCK:
-                            hit = code_cache.lookup(
-                                key, snapshot=snapshot,
-                                recv_shape=recv_shape, arg_shapes=arg_shapes,
-                            )
-                        farm_sp.set(hit=hit is not None, farm=True)
-                    if hit is not None:
-                        _bump("farm_dedup_hits")
-                        with _LOCK:
-                            _FLIGHTS.pop(key.digest, None)
-                        flight.done.set()
-                        report = _hit_report(
-                            hit, opt=opt,
-                            elapsed_s=time.perf_counter() - t_start,
-                            deduped=deduped, wait_s=wait_s, tiered=False)
-                        report.farm_dedup = True
-                        report.farm_wait_s = farm_lock.waited_s
-                        report.daemon_fallback = daemon_fb
-                        report.key_digest = key.digest
-                        return _engine.JitCode(hit.program, hit.compiled,
-                                               report)
-                code = _build(minfo, snapshot, recv_shape, arg_shapes,
-                              backend_obj, opt, snap_s=snap_s, probe_s=probe_s)
-                code.report.dedup_hit = deduped
-                code.report.inflight_wait_s = wait_s
-                code.report.daemon_fallback = daemon_fb
-                code.report.key_digest = key.digest
-                if farm_lock is not None:
-                    code.report.farm_wait_s = farm_lock.waited_s
-                with _span("cache.store"), _LOCK:
+                    hit = _probe(key, snapshot, recv_shape, arg_shapes)[0]
+                if hit is None:
+                    code = _build(minfo, snapshot, recv_shape, arg_shapes,
+                                  backend_obj, opt, snap_s=snap_s)
+                    _PHASE_HIST["cached_lookup_s"].observe(probe_s)
+                    code.report.cached_lookup_s = probe_s
+                    code.report.dedup_hit = deduped
+                    code.report.inflight_wait_s = wait_s
+                    code.report.key_digest = key.digest
+                    if farm_lock is not None:
+                        code.report.farm_wait_s = farm_lock.waited_s
+                with _LOCK:
                     # store-then-retire under one lock: a joiner re-probing
                     # after this flight vanishes is guaranteed to hit.
                     # The farm lock is still held here, so a cross-process
                     # waiter can only re-probe after the entry is complete.
-                    code_cache.store(key, code.program, code.compiled,
-                                     code.report)
+                    if hit is None:
+                        with _span("cache.store"):
+                            code_cache.store(key, code.program, code.compiled,
+                                             code.report)
                     _FLIGHTS.pop(key.digest, None)
             except BaseException as exc:
                 with _LOCK:
                     flight.exc = exc
                     _FLIGHTS.pop(key.digest, None)
-                flight.done.set()
                 raise
             finally:
+                flight.done.set()
                 if farm_lock is not None:
                     farm_lock.release()
-            flight.done.set()
+        if hit is not None:
+            return _served(hit, key, opt=opt, t_start=t_start,
+                           deduped=deduped, wait_s=wait_s,
+                           farm_lock=farm_lock)
+        if leader:
             return code
         # joiner: wait for the leader, then re-probe (served from memory)
         w0 = time.perf_counter()
@@ -546,33 +452,17 @@ def _compile_sync(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt,
 # ---------------------------------------------------------------------------
 
 def _compile_tiered(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt,
-                    use_cache: bool, *, snap_s: float, t_start: float,
-                    daemon_job=None) -> "_engine.JitCode":
+                    use_cache: bool, *, snap_s: float,
+                    t_start: float) -> "_engine.JitCode":
     """Answer on the py tier now; promote to ``backend_obj`` when its
     background build lands (or degrade gracefully if it fails)."""
     _bump("tiered_requests")
     if use_cache:
         # fast path: the native artifact may already be cached — no tiers
-        with _span("cache.key"):
-            key = code_cache.program_key(
-                minfo, recv_shape, arg_shapes,
-                backend=backend_obj.name, opt=opt,
-                bounds_checks=getattr(backend_obj, "bounds_checks", False),
-            )
-        with _span("cache.probe") as probe_sp:
-            with _LOCK:
-                hit = code_cache.lookup(
-                    key, snapshot=snapshot, recv_shape=recv_shape,
-                    arg_shapes=arg_shapes,
-                )
-            probe_sp.set(hit=hit is not None,
-                         tier=hit.tier if hit is not None else "miss")
+        key = _program_key(minfo, recv_shape, arg_shapes, backend_obj, opt)
+        hit = _probe(key, snapshot, recv_shape, arg_shapes)[0]
         if hit is not None:
-            report = _hit_report(hit, opt=opt,
-                                 elapsed_s=time.perf_counter() - t_start,
-                                 deduped=False, wait_s=0.0, tiered=True)
-            report.key_digest = key.digest
-            return _engine.JitCode(hit.program, hit.compiled, report)
+            return _served(hit, key, opt=opt, t_start=t_start, tiered=True)
 
     from repro.backends.pybackend import PyBackend
 
@@ -587,7 +477,6 @@ def _compile_tiered(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt,
                 native = _compile_sync(
                     minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt,
                     use_cache, snap_s=0.0, t_start=time.perf_counter(),
-                    daemon_job=daemon_job,
                 )
             except BaseException as exc:  # noqa: BLE001 - degrade, never raise
                 _bump("tier_failures")

@@ -148,31 +148,14 @@ def write_manifest(path, entries) -> Path:
     return path
 
 
-def _warm_via_daemon(entry: "ManifestEntry") -> dict:
-    """Route one entry through the resident compile daemon; the recipe is
-    JSON all the way down, so it crosses the socket as-is.  Raises
-    ``DaemonError`` (caller falls back to a local compile)."""
-    from repro.jit import cache as code_cache
-    from repro.jit import dclient
-
-    resp = dclient.compile_entry(code_cache.cache_dir(), entry.to_dict())
-    return {"cache_hit": bool(resp.get("cache_hit")),
-            "tier": str(resp.get("tier", "")),
-            "backend": entry.backend}
-
-
-def warm(manifest, *, progress: Optional[Callable[[str], None]] = None,
-         daemon: bool = False) -> dict:
+def warm(manifest, *,
+         progress: Optional[Callable[[str], None]] = None) -> dict:
     """Precompile every manifest entry through the JIT service.
 
     ``manifest`` is a path or a list of :class:`ManifestEntry`.  Each
     entry is compiled independently: already-cached keys count as hits,
     failures are collected (not raised) so one bad entry cannot abort a
-    deployment warmup.  ``daemon=True`` routes each entry through the
-    resident compile daemon (``repro cache warm --daemon``) so the warmed
-    keys also populate the daemon's in-memory hot tier; every daemon
-    failure degrades to a local compile for that entry.  Returns a
-    report dict::
+    deployment warmup.  Returns a report dict::
 
         {"entries": N, "compiled": n, "hits": n, "errors": [...],
          "elapsed_s": ..., "results": [{target, outcome, tier, ...}]}
@@ -189,47 +172,31 @@ def warm(manifest, *, progress: Optional[Callable[[str], None]] = None,
     for entry in entries:
         say = progress or (lambda _msg: None)
         e0 = time.perf_counter()
-        r = None
-        via = "local"
-        if daemon:
-            from repro.jit.dclient import DaemonError
-
-            try:
-                r = _warm_via_daemon(entry)
-                via = "daemon"
-            except DaemonError as exc:
-                say(f"warm {entry.target}: daemon unavailable "
-                    f"({exc.reason}), compiling locally")
-        if r is None:
-            try:
-                receiver = entry.build_receiver()
-                code = jit(receiver, entry.method, *entry.args,
-                           backend=entry.backend, opt=OptLevel(entry.opt))
-            except Exception as exc:  # noqa: BLE001 - collect, keep warming
-                errors.append(f"{entry.target}: {exc}")
-                results.append({"target": entry.target, "outcome": "error",
-                                "error": str(exc)})
-                say(f"warm {entry.target}: ERROR {exc}")
-                continue
-            r = {"cache_hit": code.report.cache_hit,
-                 "tier": code.report.cache_tier,
-                 "backend": code.report.backend}
-        if r["cache_hit"]:
+        try:
+            receiver = entry.build_receiver()
+            code = jit(receiver, entry.method, *entry.args,
+                       backend=entry.backend, opt=OptLevel(entry.opt))
+        except Exception as exc:  # noqa: BLE001 - collect, keep warming
+            errors.append(f"{entry.target}: {exc}")
+            results.append({"target": entry.target, "outcome": "error",
+                            "error": str(exc)})
+            say(f"warm {entry.target}: ERROR {exc}")
+            continue
+        r = code.report
+        if r.cache_hit:
             hits += 1
         else:
             compiled += 1
         results.append({
             "target": entry.target,
-            "outcome": "hit" if r["cache_hit"] else "compiled",
-            "tier": r["tier"],
-            "backend": r["backend"],
-            "via": via,
+            "outcome": "hit" if r.cache_hit else "compiled",
+            "tier": r.cache_tier,
+            "backend": r.backend,
             "elapsed_s": time.perf_counter() - e0,
         })
         say(f"warm {entry.target}: "
-            f"{'hit (' + r['tier'] + ')' if r['cache_hit'] else 'compiled'} "
-            f"[{r['backend']}]"
-            + (" via daemon" if via == "daemon" else ""))
+            f"{'hit (' + r.cache_tier + ')' if r.cache_hit else 'compiled'} "
+            f"[{r.backend}]")
     return {
         "entries": len(entries),
         "compiled": compiled,

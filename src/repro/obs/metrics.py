@@ -267,16 +267,6 @@ class MetricsRegistry:
             items = sorted(self._metrics.items())
         return {n: m.as_dict() for n, m in items if n.startswith(prefix)}
 
-    def values(self, prefix: str = "") -> dict:
-        """Flat ``{name: value}`` view under ``prefix`` — counter counts,
-        gauge levels, histogram sample counts.  This is the wire-friendly
-        shape the compile daemon's ``stats`` RPC ships to clients
-        (docs/COMPILE_DAEMON.md); :meth:`snapshot` keeps full detail."""
-        with self._lock:
-            items = sorted(self._metrics.items())
-        return {n: (m.count if isinstance(m, Histogram) else m.value)
-                for n, m in items if n.startswith(prefix)}
-
     def reset(self, prefix: str = "") -> None:
         """Zero every metric under ``prefix`` in place (instances and
         registrations survive, so held references stay valid)."""

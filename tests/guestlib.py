@@ -316,9 +316,3 @@ class FoldEdge:
 
     def pow_neg(self) -> f64:
         return 2 ** -1
-
-
-def make_sweeper(factor: float = 0.75, n: int = 9) -> Sweeper:
-    """Manifest-friendly factory (``tests.guestlib:make_sweeper``) for the
-    warmup/daemon tests that ship recipes instead of live objects."""
-    return Sweeper(ScaleAddSolver(factor), n)

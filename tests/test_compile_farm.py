@@ -128,12 +128,16 @@ class TestCrossProcessSingleFlight:
         assert meta["hits"] >= 1
 
     def test_farm_disabled_still_correct(self, tmp_path):
-        """REPRO_FARM=0: workers may duplicate work but results agree and
-        the disk tier still converges to one complete entry."""
+        """REPRO_FARM_LOCK_TIMEOUT_S=0: every loser of the entry lock
+        times out at once and compiles uncoordinated — workers duplicate
+        work but results agree and the disk tier still converges to one
+        complete entry."""
         cache_root = tmp_path / "cache"
-        results = _race_workers(4, cache_root, {"REPRO_FARM": "0"})
+        results = _race_workers(4, cache_root,
+                                {"REPRO_FARM_LOCK_TIMEOUT_S": "0"})
         assert len({r["value"] for r in results}) == 1
         assert sum(r["stats"]["compiles"] for r in results) >= 1
+        assert sum(r["stats"]["farm_lock_timeouts"] for r in results) >= 1
         assert len(list(cache_root.glob("*.json"))) == 1
 
     def test_waiter_reads_finished_entry_not_recompiles(self, farm_dir):

@@ -4,6 +4,7 @@ and the repository ships the promised artifacts."""
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,18 @@ class TestExports:
                 assert hasattr(mod, name), f"{mod.__name__}.{name}"
 
 
+class TestKnobInventory:
+    def test_every_env_knob_is_documented(self):
+        """Every ``REPRO_*`` variable the source names appears in README.md
+        or docs/*.md — an undocumented knob is an untested configuration."""
+        knob = re.compile(r"REPRO_[A-Z0-9_]+")
+        used = {k for p in ROOT.rglob("*.py")
+                for k in knob.findall(p.read_text())}
+        docs = [REPO / "README.md", *(REPO / "docs").glob("*.md")]
+        documented = {k for p in docs for k in knob.findall(p.read_text())}
+        assert not used - documented, sorted(used - documented)
+
+
 class TestShippedArtifacts:
     @pytest.mark.parametrize(
         "path",
@@ -64,7 +77,6 @@ class TestShippedArtifacts:
             "EXPERIMENTS.md",
             "docs/CACHING.md",
             "docs/CFG.md",
-            "docs/COMPILE_DAEMON.md",
             "docs/COMPILE_FARM.md",
             "docs/FUZZING.md",
             "docs/GUEST_LANGUAGE.md",

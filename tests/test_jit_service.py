@@ -294,10 +294,18 @@ class TestSatelliteBugfixes:
         assert cold.report.total_s >= delay + cold.report.translate_s
 
     def test_uncached_compile_reports_zero_probe(self):
+        def probes():
+            return service.phase_metrics()["jit.phase.cached_lookup_s"]["count"]
+
+        jit(Sweeper(ScaleAddSolver(0.5), 15), "run", 2, backend="py")
+        before = probes()
+        assert before == 1
         code = jit(Sweeper(ScaleAddSolver(0.5), 15), "run", 2, backend="py",
                    use_cache=False)
         assert code.report.cached_lookup_s == 0.0
         assert code.report.translate_s > 0
+        # no probe ran, so no 0.0 sample may drag the histogram's p50 down
+        assert probes() == before
 
     def test_clear_code_cache_returns_entry_count(self, backend):
         jit(Sweeper(ScaleAddSolver(0.5), 17), "run", 2, backend=backend)

@@ -354,13 +354,10 @@ class TestServiceIntegration:
             "tier_failures", "queue_depth", "max_queue_depth",
             "workers", "tiered_default",
             "farm_lock_waits", "farm_lock_wait_s", "farm_lock_timeouts",
-            "farm_dedup_hits", "farm_enabled",
-            "daemon_requests", "daemon_dedup_hits", "daemon_fallbacks",
-            "daemon_wait_s", "daemon_enabled",
+            "farm_dedup_hits",
         }
         assert all(st[k] == 0 for k in st
-                   if k not in ("workers", "tiered_default", "farm_enabled",
-                                "daemon_enabled"))
+                   if k not in ("workers", "tiered_default"))
 
     def test_compile_feeds_counters_and_phase_histograms(self):
         service.reset()
