@@ -1,12 +1,18 @@
 """ctypes bridge: load the compiled .so and run it.
 
 The translated program sees the host only through the ``WjEnv`` callback
-table (layout mirroring ``prelude.PRELUDE``'s ``WjEnv``).  Per rank and per
-invocation the bridge builds fresh callback thunks bound to that rank's
-:class:`~repro.jit.runtime.RuntimeEnv`, fills the flattened array-slot
-pointer/length vectors from the rank's deep copies, hands the generated code
-an opaque snapshot buffer to materialize into, and reads the typed return
-value back out.
+table (layout mirroring ``prelude.PRELUDE``'s ``WjEnv``).  What a native
+call needs and no call changes lives in a **call frame** (:class:`_Frame`):
+the callback table and its thunks, the flattened array-slot pointer/length
+vectors, the opaque snapshot buffer the generated code materializes into,
+the typed return cell, and the ``wj_entry`` argument tuple pointing at all
+of them.  Each :class:`CCompiled` keeps its idle frames on a free list;
+``run`` takes one (building it on a miss), binds the rank's
+:class:`~repro.jit.runtime.RuntimeEnv` to it, fills the vectors from the
+rank's deep copies, zeroes the snapshot buffer, calls, reads the return
+value back out and puts the frame back — so a warm call builds none of
+these.  A frame serves one call at a time; rank threads and concurrent
+invokes each hold their own.
 
 MPI payloads cross as zero-copy NumPy views over the C memory, so the
 simulated communicator exchanges the *actual translated data* — this is what
@@ -23,8 +29,9 @@ import numpy as np
 
 from repro.backends.base import CompiledProgram
 from repro.backends.cbackend.emit import EmitResult
-from repro.errors import BackendError
+from repro.errors import BackendError, GuestRuntimeError
 from repro.lang import types as _t
+from repro.obs import trace as _trace
 
 __all__ = ["CCompiled", "WjEnvStruct"]
 
@@ -94,65 +101,80 @@ def _view(p, count, dt) -> np.ndarray:
     return np.frombuffer(buf, dtype=np_dt)
 
 
-def _make_env(env) -> tuple[WjEnvStruct, list]:
-    """Build the callback table for one rank (refs returned to keep the
-    thunks alive during the native call).
+def _make_env(frame: "_Frame") -> tuple[WjEnvStruct, list]:
+    """Build the callback table for one call frame, once.
 
-    Every callback first notes the native→host transition so the calibrated
-    instrumentation cost is deducted from the rank's compute segment (see
-    repro.mpi.calibrate).
+    The thunks are bound to ``frame``, not to an environment: each callback
+    reads the frame's current ``env`` (rebound by every ``run``), so one
+    table serves every call that uses the frame.  The thunk list is
+    returned so that the frame itself holds every callback native code may
+    call, for as long as it may call it.
+
+    Every callback goes through the one ``metered`` wrapper, which first
+    notes the native→host transition so the calibrated instrumentation cost
+    is deducted from the rank's compute segment (see repro.mpi.calibrate),
+    and which records the first exception a callback raises: ctypes cannot
+    unwind through C, so ``run`` re-raises it once ``wj_entry`` has
+    returned, and the callbacks in between do nothing.
     """
 
     def metered(fn):
-        def wrapped(*args):
-            env.note_native_entry()
-            return fn(*args)
+        def wrapped(h, *args):
+            if frame.error is not None:
+                return 0
+            env = frame.env
+            try:
+                env.note_native_entry()
+                return fn(env, *args)
+            except BaseException as exc:
+                frame.error = exc
+                return 0
 
         return wrapped
 
-    def mpi_rank(h):
+    def mpi_rank(env):
         return env.mpi_rank()
 
-    def mpi_size(h):
+    def mpi_size(env):
         return env.mpi_size()
 
-    def mpi_send(h, p, count, dt, dest, tag):
+    def mpi_send(env, p, count, dt, dest, tag):
         env.mpi_send(_view(p, count, dt), dest, tag)
 
-    def mpi_recv(h, p, count, dt, src, tag):
+    def mpi_recv(env, p, count, dt, src, tag):
         env.mpi_recv(_view(p, count, dt), src, tag)
 
-    def mpi_sendrecv(h, sp, sc, dest, rp, rc, src, dt, tag):
+    def mpi_sendrecv(env, sp, sc, dest, rp, rc, src, dt, tag):
         env.mpi_sendrecv(_view(sp, sc, dt), dest, _view(rp, rc, dt), src, tag)
 
-    def mpi_barrier(h):
+    def mpi_barrier(env):
         env.mpi_barrier()
 
-    def mpi_allreduce_sum(h, v):
+    def mpi_allreduce_sum(env, v):
         return env.mpi_allreduce_sum(v)
 
-    def mpi_allreduce_sum_arr(h, p, count, dt):
+    def mpi_allreduce_sum_arr(env, p, count, dt):
         env.mpi_allreduce_sum_array(_view(p, count, dt))
 
-    def mpi_bcast(h, p, count, dt, root):
+    def mpi_bcast(env, p, count, dt, root):
         env.mpi_bcast(_view(p, count, dt), root)
 
-    def mpi_gather(h, p, count, out, outcount, dt, root):
+    def mpi_gather(env, p, count, out, outcount, dt, root):
         env.mpi_gather(_view(p, count, dt), _view(out, outcount, dt), root)
 
-    def mpi_wtime(h):
+    def mpi_wtime(env):
         return env.mpi_wtime()
 
-    def kernel_begin(h):
+    def kernel_begin(env):
         env.kernel_begin()
 
-    def kernel_end(h):
+    def kernel_end(env):
         env.kernel_end()
 
-    def gpu_transfer(h, nbytes):
+    def gpu_transfer(env, nbytes):
         env.gpu_transfer(nbytes)
 
-    def output(h, label, p, count, dt):
+    def output(env, label, p, count, dt):
         env.output(label.decode(), _view(p, count, dt))
 
     thunks = [
@@ -174,6 +196,49 @@ def _make_env(env) -> tuple[WjEnvStruct, list]:
     ]
     struct = WjEnvStruct(None, *thunks)
     return struct, thunks
+
+
+class _Frame:
+    """What one native call needs and no call changes: the callback table,
+    the slot pointer/length vectors, the snapshot buffer, the return cell
+    and the ``wj_entry`` argument tuple that points at all of them.
+
+    A frame serves one call at a time.  Between calls it sits on its
+    artifact's free list holding neither an environment nor an error."""
+
+    __slots__ = ("env", "error", "struct", "thunks", "ptrs", "lens", "snap",
+                 "ret", "args")
+
+    def __init__(self, n_slots: int, snap_size: int, ret_ctype, iv, dv):
+        self.env = None      # the RuntimeEnv of the call in flight
+        self.error = None    # first exception raised by a callback
+        self.struct, self.thunks = _make_env(self)
+        n = max(1, n_slots)
+        self.ptrs = (ct.c_void_p * n)()
+        self.lens = (ct.c_int64 * n)()
+        self.snap = ct.create_string_buffer(max(1, snap_size))
+        self.ret = ret_ctype()
+        self.args = (
+            ct.byref(self.struct),
+            ct.c_void_p(ct.addressof(self.snap)),
+            self.ptrs,
+            self.lens,
+            iv,
+            dv,
+            ct.c_void_p(ct.addressof(self.ret)),
+        )
+
+
+# the C type of the cell wj_entry writes its return value to (VOID entries
+# get a cell too, so the argument tuple has one shape)
+_RET_CTYPE = {
+    _t.VOID: ct.c_int64,
+    _t.F64: ct.c_double,
+    _t.F32: ct.c_float,
+    _t.I64: ct.c_int64,
+    _t.I32: ct.c_int32,
+    _t.BOOL: ct.c_int32,
+}
 
 
 class CCompiled(CompiledProgram):
@@ -205,8 +270,9 @@ class CCompiled(CompiledProgram):
             _metrics.registry().gauge("parallel.threads_available").set(
                 self.omp_max_threads
             )
-        self._lib.wj_entry.restype = None
-        self._lib.wj_entry.argtypes = [
+        self._entry = self._lib.wj_entry
+        self._entry.restype = None
+        self._entry.argtypes = [
             ct.POINTER(WjEnvStruct),
             ct.c_void_p,
             ct.POINTER(ct.c_void_p),
@@ -219,61 +285,69 @@ class CCompiled(CompiledProgram):
         n_d = max(1, len(emit.dvals))
         self._iv = (ct.c_int64 * n_i)(*(emit.ivals or [0]))
         self._dv = (ct.c_double * n_d)(*(emit.dvals or [0.0]))
+        #: idle call frames; list.pop/append are atomic, so rank threads and
+        #: concurrent invokes share it without a lock
+        self._frames: list[_Frame] = []
+
+    def _new_frame(self) -> _Frame:
+        ret_ty = self.emit_result.entry_ret
+        ret_ctype = _RET_CTYPE.get(ret_ty)
+        if ret_ctype is None:
+            raise BackendError(
+                f"entry return type {ret_ty!r} cannot cross the C boundary"
+            )
+        return _Frame(self.emit_result.n_slots, self._snap_size, ret_ctype,
+                      self._iv, self._dv)
 
     def run(self, env, arrays: Sequence[np.ndarray]):
         if len(arrays) != self.emit_result.n_slots:
             raise BackendError(
                 f"expected {self.emit_result.n_slots} array slots, got {len(arrays)}"
             )
-        n = max(1, len(arrays))
-        sp = (ct.c_void_p * n)()
-        sl = (ct.c_int64 * n)()
-        for i, arr in enumerate(arrays):
-            if not arr.flags.c_contiguous:
-                raise BackendError(f"array slot {i} must be C-contiguous")
-            sp[i] = arr.ctypes.data
-            sl[i] = arr.shape[0]
-        snap = ct.create_string_buffer(max(1, self._snap_size))
-        ret_ty = self.emit_result.entry_ret
-        if ret_ty is _t.VOID:
-            ret_buf = ct.c_int64(0)
-        elif ret_ty is _t.F64:
-            ret_buf = ct.c_double(0.0)
-        elif ret_ty is _t.F32:
-            ret_buf = ct.c_float(0.0)
-        elif ret_ty is _t.I64:
-            ret_buf = ct.c_int64(0)
-        elif ret_ty is _t.I32:
-            ret_buf = ct.c_int32(0)
-        elif ret_ty is _t.BOOL:
-            ret_buf = ct.c_int32(0)
-        else:
-            raise BackendError(
-                f"entry return type {ret_ty!r} cannot cross the C boundary"
-            )
-        env_struct, thunks = _make_env(env)
-        self._lib.wj_entry(
-            ct.byref(env_struct),
-            ct.cast(snap, ct.c_void_p),
-            sp,
-            sl,
-            self._iv,
-            self._dv,
-            ct.cast(ct.byref(ret_buf), ct.c_void_p),
-        )
-        del thunks  # keep alive until after the call
-        if self.bounds_checks:
-            oob = int(self._lib.wj_oob_count_take())
+        try:
+            frame = self._frames.pop()
+        except IndexError:
+            frame = self._new_frame()
+        phase = _trace.phases("invoke.marshal") if _trace.enabled() else None
+        try:
+            frame.env = env
+            ptrs, lens = frame.ptrs, frame.lens
+            for i, arr in enumerate(arrays):
+                flags = arr.flags
+                if not flags.c_contiguous:
+                    raise BackendError(f"array slot {i} must be C-contiguous")
+                # the address of a one-byte view costs a third of
+                # ``arr.ctypes``, but needs a writable, non-empty buffer
+                if flags.writeable and arr.size:
+                    ptrs[i] = ct.addressof(ct.c_char.from_buffer(arr))
+                else:
+                    ptrs[i] = arr.ctypes.data
+                lens[i] = arr.shape[0]
+            # generated code materializes into a zeroed snapshot buffer
+            ct.memset(frame.snap, 0, len(frame.snap))
+            frame.ret.value = 0
+            if phase:
+                phase.next("invoke.native")
+            self._entry(*frame.args)
+            if phase:
+                phase.next("invoke.unmarshal")
+            oob = int(self._lib.wj_oob_count_take()) if self.bounds_checks else 0
+            if frame.error is not None:
+                raise frame.error
             if oob:
-                from repro.errors import GuestRuntimeError
-
                 raise GuestRuntimeError(
                     f"{oob} out-of-bounds array access(es) in translated "
                     f"code (debug bounds checking)"
                 )
-        if ret_ty is _t.VOID:
-            return None
-        value = ret_buf.value
-        if ret_ty is _t.BOOL:
-            return bool(value)
-        return value
+            ret_ty = self.emit_result.entry_ret
+            if ret_ty is _t.VOID:
+                return None
+            value = frame.ret.value
+            return bool(value) if ret_ty is _t.BOOL else value
+        finally:
+            # an idle frame pins neither the rank's environment (and through
+            # it the RankContext and outputs) nor a callback's exception
+            frame.env = frame.error = None
+            self._frames.append(frame)
+            if phase:
+                phase.end()

@@ -34,7 +34,7 @@ from repro.jit.specialize import Specializer
 from repro.lang import types as _t
 from repro.mpi.launcher import mpirun
 from repro.mpi.netmodel import NetworkModel, TSUBAME_NET
-from repro.obs.trace import span as _obs_span
+from repro.obs import trace as _trace
 
 __all__ = ["jit", "jit4mpi", "jit4gpu", "JitCode", "JitReport", "InvokeResult"]
 
@@ -152,8 +152,9 @@ class JitCode:
     """
 
     def __init__(self, program: Program, compiled: CompiledProgram, report: JitReport):
-        self.program = program
-        self.compiled = compiled
+        #: the pair ``invoke`` runs, replaced in one store: a promotion can
+        #: never tear an invocation across tiers, and ``invoke`` takes no lock
+        self._artifact = (program, compiled)
         self.report = report
         self.nranks: Optional[int] = None
         self.net: NetworkModel = TSUBAME_NET
@@ -166,6 +167,14 @@ class JitCode:
         self._swap_lock = threading.Lock()
         self._tier_event = threading.Event()
         self._tier_event.set()  # non-tiered handles are final immediately
+
+    @property
+    def program(self) -> Program:
+        return self._artifact[0]
+
+    @property
+    def compiled(self) -> CompiledProgram:
+        return self._artifact[1]
 
     # -- tiered execution ---------------------------------------------------
 
@@ -186,8 +195,7 @@ class JitCode:
         """Hot-swap to the promoted artifact (service calls this)."""
         promoted = code.report
         with self._swap_lock:
-            self.program = code.program
-            self.compiled = code.compiled
+            self._artifact = (code.program, code.compiled)
             self._tier = promoted.backend
             self.report.promotion = {
                 "backend": promoted.backend,
@@ -230,8 +238,7 @@ class JitCode:
     @property
     def source(self) -> str:
         """The generated C (or Python) source — the paper's Listing 5."""
-        with self._swap_lock:
-            return self.compiled.source
+        return self.compiled.source
 
     # -- execution ------------------------------------------------------------
 
@@ -240,24 +247,33 @@ class JitCode:
         # without set4mpi the program runs as a 1-rank world (collectives
         # degrade to no-ops, exactly like a single-node mpirun)
         nranks = self.nranks or 1
-        # snapshot the (program, compiled) pair under the swap lock so a
-        # concurrent tier promotion cannot tear one invocation across tiers
-        with self._swap_lock:
-            program, compiled = self.program, self.compiled
+        program, compiled = self._artifact
         slots = program.snapshot.array_slots
+        gpu_model = self.gpu_model
+        # a warm invoke is too short for ``with`` blocks that do nothing:
+        # with tracing off, its spans cost this one check
+        tracing = _trace.enabled()
 
         def body(ctx):
-            env = RuntimeEnv(ctx, gpu_model=self.gpu_model)
+            env = RuntimeEnv(ctx, gpu_model=gpu_model)
+            phase = _trace.phases("invoke.copy") if tracing else None
             # deep copy into this rank's translated memory space
             arrays = [np.array(s.array, copy=True) for s in slots]
+            if phase:
+                phase.end()
             value = compiled.run(env, arrays)
             if ctx is not None:
                 ctx.outputs.update(env.outputs)
             return value
 
+        span = _trace.phases("jit.invoke", backend=self._tier,
+                             nranks=nranks) if tracing else None
         t0 = time.perf_counter()
-        with _obs_span("jit.invoke", backend=self._tier, nranks=nranks):
-            res = mpirun(nranks, body, net=self.net, gpu_model=self.gpu_model)
+        try:
+            res = mpirun(nranks, body, net=self.net, gpu_model=gpu_model)
+        finally:
+            if span:
+                span.end()
         wall = time.perf_counter() - t0
         return InvokeResult(
             value=res.returns[0],
@@ -298,7 +314,7 @@ def _translate(minfo, snapshot, recv_shape, arg_shapes, opt=None):
 
     pipeline = pipeline_for(opt) if opt is not None else None
     program = Program(snapshot=snapshot, recv_shape=recv_shape, arg_shapes=arg_shapes)
-    with _obs_span("frontend.lower") as sp:
+    with _trace.span("frontend.lower") as sp:
         specializer = Specializer(program, pipeline=pipeline)
         entry_spec = specializer.specialize(minfo, recv_shape, arg_shapes,
                                             device=False)

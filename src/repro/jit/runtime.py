@@ -14,12 +14,14 @@ thunks), so platform semantics live here exactly once.
 
 from __future__ import annotations
 
+import time
 from typing import Optional
 
 import numpy as np
 
 from repro.cuda.perf import GpuModel
 from repro.errors import MpiError
+from repro.mpi.calibrate import callback_entry_overhead
 from repro.mpi.comm import RankContext
 
 __all__ = ["RuntimeEnv"]
@@ -38,8 +40,6 @@ class RuntimeEnv:
         time since the last runtime event to compute, minus the calibrated
         callback-transition cost (see repro.mpi.calibrate)."""
         if self.ctx is not None:
-            from repro.mpi.calibrate import callback_entry_overhead
-
             self.ctx.clock.sync_cpu(deduct=callback_entry_overhead())
 
     # -- results ----------------------------------------------------------
@@ -109,8 +109,6 @@ class RuntimeEnv:
 
     def mpi_wtime(self) -> float:
         if self.ctx is None:
-            import time
-
             return time.perf_counter()
         self.ctx.clock.sync_cpu()
         return self.ctx.clock.t

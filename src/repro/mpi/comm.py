@@ -42,6 +42,8 @@ class VirtualClock:
     """Per-rank simulated clock fed by measured CPU segments and modeled
     communication/device events."""
 
+    __slots__ = ("t", "_mark", "comm_time", "device_time")
+
     def __init__(self):
         self.t = 0.0
         self._mark = time.thread_time()
@@ -111,6 +113,11 @@ class _CollectiveSlot:
         self.done = False
 
 
+#: every 1-rank communicator's condition: never waited on, held only for
+#: the few statements of a collective that completes on arrival
+_LONE_RANK_LOCK = threading.Condition()
+
+
 class Communicator:
     """A simulated MPI communicator over ``size`` rank threads."""
 
@@ -119,7 +126,8 @@ class Communicator:
             raise MpiError(f"communicator size must be >= 1, got {size}")
         self.size = size
         self.net = net
-        self._lock = threading.Condition()
+        # a lone rank has no peer to wait for or to wake
+        self._lock = threading.Condition() if size > 1 else _LONE_RANK_LOCK
         self._queues: dict[tuple[int, int, int], deque] = {}
         self._coll: dict[int, _CollectiveSlot] = {}
         self.aborted: Optional[BaseException] = None
@@ -190,7 +198,6 @@ class Communicator:
             )
         out[...] = msg.payload.astype(out.dtype, copy=False)
         ctx.clock.to_at_least(msg.send_t + self.net.ptp_time(msg.nbytes))
-        ctx.clock.advance(0.0)  # no extra cost; keep accounting explicit
         ctx.clock.exclude()
 
     def sendrecv(

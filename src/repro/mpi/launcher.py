@@ -18,6 +18,7 @@ from repro.errors import MpiError
 from repro.mpi.comm import Communicator, RankContext
 from repro.mpi.netmodel import NetworkModel, TSUBAME_NET
 from repro.obs.trace import span as _span
+from repro.rt import current as _rt
 
 __all__ = ["mpirun", "MpiRunResult"]
 
@@ -62,11 +63,9 @@ def mpirun(
     errors: list[tuple[int, BaseException]] = []
 
     def run_rank(ctx: RankContext):
-        from repro import rt
-
         with _span("mpi.rank", rank=ctx.rank):
-            rt.current.mpi_ctx = ctx
-            rt.current.outputs = None
+            _rt.mpi_ctx = ctx
+            _rt.outputs = None
             ctx.acquire_token()
             ctx.clock.start()
             try:
@@ -77,8 +76,8 @@ def mpirun(
                 comm.abort(exc)
             finally:
                 ctx.release_token()
-                ctx.outputs.update(rt.current.take_outputs())
-                rt.current.mpi_ctx = None
+                ctx.outputs.update(_rt.take_outputs())
+                _rt.mpi_ctx = None
 
     with _span("mpi.run", nranks=nranks):
         if nranks == 1:
@@ -102,11 +101,11 @@ def mpirun(
     if errors:
         rank, exc = errors[0]
         raise MpiError(f"rank {rank} failed: {exc!r}") from exc
-    return MpiRunResult(
-        nranks=nranks,
-        returns=returns,
-        outputs=[ctx.outputs for ctx in ctxs],
-        clocks=[ctx.clock.t for ctx in ctxs],
-        comm_times=[ctx.clock.comm_time for ctx in ctxs],
-        device_times=[ctx.clock.device_time for ctx in ctxs],
-    )
+    result = MpiRunResult(nranks=nranks, returns=returns)
+    for ctx in ctxs:
+        clock = ctx.clock
+        result.outputs.append(ctx.outputs)
+        result.clocks.append(clock.t)
+        result.comm_times.append(clock.comm_time)
+        result.device_times.append(clock.device_time)
+    return result

@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import sys
 import threading
 import time
 from collections import deque
@@ -47,6 +48,7 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
+    "phases",
     "ring_capacity",
     "set_attr",
     "span",
@@ -193,6 +195,38 @@ def span(name: str, **attrs):
     if not _ENABLED:
         return _NOOP
     return _LiveSpan(name, attrs)
+
+
+class phases:
+    """Spans for a path too warm for ``with`` blocks: it checks
+    :func:`enabled` once and carries ``None`` when tracing is off.  One
+    phase at a time is open; ``next`` closes it and opens its sibling::
+
+        ph = phases("invoke.marshal") if enabled() else None
+        try:
+            ...
+            if ph:
+                ph.next("invoke.native")
+            ...
+        finally:
+            if ph:
+                ph.end()
+    """
+
+    __slots__ = ("_live",)
+
+    def __init__(self, name: str, **attrs):
+        self._live = _LiveSpan(name, attrs).__enter__()
+
+    def next(self, name: str, **attrs) -> None:
+        """Close the open phase and open the one that follows it."""
+        self.end()
+        self._live = _LiveSpan(name, attrs).__enter__()
+
+    def end(self) -> None:
+        """Close the open phase; called while an exception propagates (from
+        a ``finally``), the span records it like a ``with`` block would."""
+        self._live.__exit__(*sys.exc_info())
 
 
 def current_span() -> Optional[Span]:

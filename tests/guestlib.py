@@ -300,6 +300,45 @@ class SwapReader:
 
 
 @wootin
+class SwapPeek:
+    """Reads ``buf.front[0]``, then swaps: were the swapped snapshot to
+    outlive its call, successive invokes would alternate."""
+
+    buf: SwapBuf
+
+    def __init__(self, buf: SwapBuf):
+        self.buf = buf
+
+    def run(self) -> f64:
+        first = 0.0
+        first = first + self.buf.front[0]
+        self.buf.swap()
+        return first
+
+
+@wootin
+class ShortRecv:
+    """Rank 0 sends ``n`` elements that rank 1 receives into ``n + 1``: the
+    communicator refuses the mismatch from inside a host callback."""
+
+    n: i64
+
+    def __init__(self, n: i64):
+        self.n = n
+
+    def run(self) -> f64:
+        rank = MPI.rank()
+        data = wj.zeros(f64, self.n)
+        room = wj.zeros(f64, self.n + 1)
+        if rank == 0:
+            MPI.send(data, 1, 3)
+        if rank == 1:
+            MPI.recv(room, 0, 3)
+        wj.output("room", room)
+        return room[0]
+
+
+@wootin
 class FoldEdge:
     """Constant-folding edge cases (``_fold_binop`` regression guests)."""
 

@@ -132,13 +132,28 @@ class TestCrossProcessSingleFlight:
         times out at once and compiles uncoordinated — workers duplicate
         work but results agree and the disk tier still converges to one
         complete entry."""
+        from repro.library.cgsolve.config import make_solver
+
         cache_root = tmp_path / "cache"
-        results = _race_workers(4, cache_root,
-                                {"REPRO_FARM_LOCK_TIMEOUT_S": "0"})
+        cache_root.mkdir()
+        # this process plays a compiler in mid-build and holds the key's
+        # entry lock for the whole race: left to themselves the racers
+        # only overlap when none of them finishes its 50 ms compile before
+        # the next one reaches the lock, which on a loaded 2-CPU box is a
+        # coin toss
+        digest = jit(make_solver(5, 5, precond="jacobi"), "solve", 20,
+                     backend="py").report.key_digest
+        held = code_cache.entry_lock(digest, cache_root)
+        assert held.acquire(timeout=0)
+        try:
+            results = _race_workers(4, cache_root,
+                                    {"REPRO_FARM_LOCK_TIMEOUT_S": "0"})
+        finally:
+            held.release()
         assert len({r["value"] for r in results}) == 1
         assert sum(r["stats"]["compiles"] for r in results) >= 1
         assert sum(r["stats"]["farm_lock_timeouts"] for r in results) >= 1
-        assert len(list(cache_root.glob("*.json"))) == 1
+        assert [p.name for p in cache_root.glob("*.json")] == [f"{digest}.json"]
 
     def test_waiter_reads_finished_entry_not_recompiles(self, farm_dir):
         """A process blocked on the entry lock serves the finished entry:

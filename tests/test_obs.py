@@ -27,6 +27,7 @@ from repro.jit import service
 from repro.jit.engine import clear_code_cache
 from repro.obs import export, metrics, trace
 
+from tests.conftest import requires_cc
 from tests.guestlib import ScaleAddSolver, Sweeper
 
 
@@ -199,6 +200,58 @@ class TestPipelineSpans:
         assert by_id[run.parent_id].name == "jit.invoke"
         rank = next(r for r in recs if r.name == "mpi.rank")
         assert rank.attrs == {"rank": 0}
+
+    @requires_cc
+    def test_invoke_splits_into_the_ledgers_layers(self):
+        """copy / marshal / native / unmarshal: consecutive children of the
+        rank's span, in that order, that fit inside ``jit.invoke``."""
+        trace.enable()
+        code = jit(Sweeper(ScaleAddSolver(0.5), 8), "run", 2, backend="c")
+        trace.clear()
+        code.invoke()
+        recs = trace.spans()
+        rank = next(r for r in recs if r.name == "mpi.rank")
+        layers = [r for r in recs if r.name.startswith("invoke.")]
+        assert [r.name for r in layers] == [
+            "invoke.copy", "invoke.marshal", "invoke.native",
+            "invoke.unmarshal"]
+        assert {r.parent_id for r in layers} == {rank.span_id}
+        for before, after in zip(layers, layers[1:]):
+            assert before.t_start + before.dur_s <= after.t_start
+        invoke = next(r for r in recs if r.name == "jit.invoke")
+        assert sum(r.dur_s for r in layers) <= invoke.dur_s
+        assert trace.current_span() is None
+
+    @requires_cc
+    def test_failed_native_call_closes_its_phase(self):
+        from repro.jit.runtime import RuntimeEnv
+
+        class Refusing(RuntimeEnv):
+            def output(self, label, arr):
+                raise KeyError(label)
+
+        trace.enable()
+        code = jit(Sweeper(ScaleAddSolver(0.5), 8), "run", 2, backend="c")
+        trace.clear()
+        with pytest.raises(KeyError, match="arr"):
+            code.compiled.run(Refusing(None), [])
+        assert trace.current_span() is None
+        recs = trace.spans()
+        assert [r.name for r in recs] == [
+            "invoke.marshal", "invoke.native", "invoke.unmarshal"]
+        # closed from a ``finally``, the phase records what passed through
+        assert [r.attrs.get("error") for r in recs] == [None, None, "KeyError"]
+
+    def test_phases_are_siblings(self):
+        trace.enable()
+        with trace.span("outer"):
+            ph = trace.phases("a", n=1)
+            ph.next("b")
+            ph.end()
+        a, b, outer = trace.spans()
+        assert (a.name, b.name, outer.name) == ("a", "b", "outer")
+        assert a.parent_id == b.parent_id == outer.span_id
+        assert a.attrs == {"n": 1}
 
 
 class TestExports:
