@@ -54,7 +54,7 @@ class CBackend(Backend):
             parallel_plan=plan,
         ).emit()
         so_path, stats = build_shared_object(
-            result.source, opt, units=result.units,
+            result.source, opt,
             openmp=result.uses_omp
             or (result.uses_dgemm and _par.omp_enabled()),
             blas=result.uses_dgemm and _par.blas_enabled(),

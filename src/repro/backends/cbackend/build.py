@@ -6,13 +6,11 @@ variant): each :class:`~repro.backends.base.OptLevel` maps to a flag set in
 Artifacts are cached by content hash, so re-JITting an identical program is
 free while first-time compilations are honestly measured (paper Table 3).
 
-Programs with enough specializations are split into per-specialization
-translation units and compiled concurrently (``build_shared_object`` with
-``units``): each unit becomes an object file built in a thread pool, then
-the objects are linked into the shared library.  ``REPRO_CC_JOBS`` caps the
-pool (default: the CPU count), ``REPRO_PARALLEL_CC=0`` forces the
-single-unit path.  Both paths produce the same cache digest — keyed on the
-canonical single-unit source — so warm lookups never depend on build mode.
+Every program is one translation unit and one compiler process: the
+specializations are ``static``, so the C compiler inlines them and only the
+``wj_*`` entry points are exported.  Each build works in a directory of its
+own inside the cache and publishes the ``.so`` with ``os.replace``, so
+concurrent builds of one source never share a temporary.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import shutil
 import subprocess
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -37,7 +34,6 @@ __all__ = [
     "blas_flags",
     "build_shared_object",
     "cc_version",
-    "compile_shared_object",
     "compiler_available",
     "openmp_flag",
 ]
@@ -88,35 +84,14 @@ def _cache_dir() -> Path:
 class BuildStats:
     """How one shared object was produced (surfaced in ``JitReport``)."""
 
-    mode: str = "single"        # "single" | "parallel" | "cached"
-    units: int = 1              # translation units compiled
-    jobs: int = 1               # thread-pool width actually used
-    compile_s: float = 0.0      # summed per-unit compiler time
-    link_s: float = 0.0         # final link (parallel mode only)
+    mode: str = "single"        # "single" | "cached"
+    units: int = 1              # always 1; read only by the benchmarks/ledger replay
+    compile_s: float = 0.0      # compiler process time
     wall_s: float = 0.0         # end-to-end build wall clock
     cached: bool = False        # artifact served from the content-hash cache
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-_MIN_PARALLEL_UNITS = 4
-
-
-def _build_jobs() -> int:
-    env = os.environ.get("REPRO_CC_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
-
-
-def _parallel_enabled() -> bool:
-    from repro.env import env_flag
-
-    return env_flag("REPRO_PARALLEL_CC", default=True)
 
 
 def _run_cc(cmd: list[str]) -> None:
@@ -191,34 +166,25 @@ def blas_flags(cc: str | None = None) -> tuple[str, ...] | None:
 
 
 def build_shared_object(
-    source: str, opt: OptLevel, *, units: "list[str] | None" = None,
+    source: str, opt: OptLevel, *, units: None = None,
     bounds_checks: bool = False, openmp: bool = False, blas: bool = False,
 ) -> tuple[Path, BuildStats]:
     """Compile C source to a cached .so; returns ``(path, BuildStats)``.
 
-    ``units`` optionally carries per-specialization translation units (from
-    :class:`~repro.backends.cbackend.emit.EmitResult`); when there are at
-    least ``_MIN_PARALLEL_UNITS`` of them and more than one build job is
-    available, they are compiled concurrently and linked.  The artifact
-    digest is always computed from the canonical ``source``, so both build
-    modes hit the same cache entry.
-
-    The whole build runs under a ``cc.build`` tracing span; parallel mode
-    adds one ``cc.compile`` span per translation unit (on its pool thread)
-    and a ``cc.link`` span.
+    ``units`` is accepted and unused; the benchmarks/ledger replay is its
+    only caller.  The build runs under a ``cc.build`` tracing span with one
+    ``cc.compile`` child around the compiler process.
     """
     with _span("cc.build") as sp:
-        path, stats = _build_impl(source, opt, units=units,
-                                  bounds_checks=bounds_checks,
+        path, stats = _build_impl(source, opt, bounds_checks=bounds_checks,
                                   openmp=openmp, blas=blas)
-        sp.set(mode=stats.mode, units=stats.units, jobs=stats.jobs,
-               cached=stats.cached)
+        sp.set(mode=stats.mode, cached=stats.cached)
         return path, stats
 
 
 def _build_impl(
-    source: str, opt: OptLevel, *, units: "list[str] | None",
-    bounds_checks: bool, openmp: bool = False, blas: bool = False,
+    source: str, opt: OptLevel, *, bounds_checks: bool, openmp: bool,
+    blas: bool,
 ) -> tuple[Path, BuildStats]:
     cc = _find_cc()
     if cc is None:
@@ -250,73 +216,16 @@ def _build_impl(
         return so_path, BuildStats(mode="cached", cached=True,
                                    wall_s=time.perf_counter() - t0)
 
-    jobs = _build_jobs()
-    use_parallel = (
-        units is not None
-        and len(units) >= _MIN_PARALLEL_UNITS
-        and jobs > 1
-        and _parallel_enabled()
-    )
-    tmp_out = cache / f"wj_{digest}.so.tmp{os.getpid()}"
-    if use_parallel:
-        # per-unit flags: the opt set minus the link-only options, plus -c
-        unit_flags = [f for f in flags
-                      if f != "-shared" and not f.startswith("-l")]
-        link_extra = [f for f in flags
-                      if f.startswith("-l") and f != "-lm"]
-        if openmp and openmp_flag(cc):
-            link_extra.append(openmp_flag(cc))
-        obj_paths: list[Path] = []
-        for i, unit in enumerate(units):
-            c_path = cache / f"wj_{digest}_u{i}.c"
-            c_path.write_text(unit)
-            obj_paths.append(cache / f"wj_{digest}_u{i}.o.tmp{os.getpid()}")
+    # a directory per build: threads and processes compiling the same
+    # source must not write each other's .c or half-linked .so
+    with tempfile.TemporaryDirectory(dir=cache, prefix="build-") as td:
+        c_path = Path(td, f"wj_{digest}.c")
+        c_path.write_text(source)
+        tmp_out = Path(td, so_path.name)
         t_compile = time.perf_counter()
-        workers = min(jobs, len(units))
-
-        def compile_unit(i: int) -> None:
-            with _span("cc.compile", unit=i):
-                _run_cc([cc, "-c", str(cache / f"wj_{digest}_u{i}.c"),
-                         "-o", str(obj_paths[i]), *unit_flags])
-
-        try:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                # materialize to propagate the first failure
-                list(pool.map(compile_unit, range(len(units))))
-            compile_s = time.perf_counter() - t_compile
-            t_link = time.perf_counter()
-            with _span("cc.link", units=len(units)):
-                _run_cc([cc, "-shared", "-fPIC",
-                         *[str(p) for p in obj_paths], "-o", str(tmp_out),
-                         "-lm", *link_extra])
-            link_s = time.perf_counter() - t_link
-        finally:
-            for p in obj_paths:
-                try:
-                    p.unlink()
-                except OSError:
-                    pass
+        with _span("cc.compile"):
+            _run_cc([cc, str(c_path), "-o", str(tmp_out), *flags])
+        compile_s = time.perf_counter() - t_compile
         os.replace(tmp_out, so_path)
-        return so_path, BuildStats(
-            mode="parallel", units=len(units), jobs=workers,
-            compile_s=compile_s, link_s=link_s,
-            wall_s=time.perf_counter() - t0,
-        )
-
-    c_path = cache / f"wj_{digest}.c"
-    c_path.write_text(source)
-    t_compile = time.perf_counter()
-    with _span("cc.compile", unit=0):
-        _run_cc([cc, str(c_path), "-o", str(tmp_out), *flags])
-    compile_s = time.perf_counter() - t_compile
-    os.replace(tmp_out, so_path)
     return so_path, BuildStats(mode="single", compile_s=compile_s,
                                wall_s=time.perf_counter() - t0)
-
-
-def compile_shared_object(source: str, opt: OptLevel, *, bounds_checks: bool = False) -> tuple[Path, bool]:
-    """Compile C source to a cached .so.  Returns (path, was_cached).
-
-    Compatibility wrapper over :func:`build_shared_object` (single-unit)."""
-    path, stats = build_shared_object(source, opt, bounds_checks=bounds_checks)
-    return path, stats.cached

@@ -70,18 +70,15 @@ class EmitResult:
     (scalar tables, entry return type, array-slot count)."""
 
     def __init__(self, source: str, ivals: list[int], dvals: list[float],
-                 entry_ret: _t.Type, n_slots: int,
-                 units: "list[str] | None" = None, uses_omp: bool = False,
+                 entry_ret: _t.Type, n_slots: int, uses_omp: bool = False,
                  uses_dgemm: bool = False):
         self.source = source
         self.ivals = ivals
         self.dvals = dvals
         self.entry_ret = entry_ret
         self.n_slots = n_slots
-        #: per-specialization translation units (shared header + one function
-        #: each, entry/bind unit last) for parallel builds; None when the
-        #: program is too small to split
-        self.units = units
+        #: always None; read only by the benchmarks/ledger replay
+        self.units = None
         #: the source contains `#pragma omp` loops / a wj_dgemm call site —
         #: the build adds -fopenmp / BLAS flags accordingly
         self.uses_omp = uses_omp
@@ -311,16 +308,15 @@ class CProgramEmitter:
 
     def emit(self) -> EmitResult:
         protos: list[str] = []
-        spec_bodies: list[_Writer] = []
+        bodies = _Writer()
         for spec in self.program.specializations:
             self.local_shapes[spec.symbol] = compute_local_shapes(spec.func_ir)
         for spec in self.program.specializations:
             ret, decls, _ = self.csig(spec)
-            # non-static: in multi-TU builds callers live in other units
-            protos.append(f"{ret} {spec.symbol}({', '.join(decls)});")
-            bw = _Writer()
-            _CFunc(self, spec).emit(bw)
-            spec_bodies.append(bw)
+            # static: only the wj_* entry points below leave the unit, so
+            # the C compiler may inline specializations and drop the bodies
+            protos.append(f"static {ret} {spec.symbol}({', '.join(decls)});")
+            _CFunc(self, spec).emit_function(bodies)
 
         entry = self.program.entry
         # emit the entry wrapper first: it interns entry-argument snapshot
@@ -328,23 +324,22 @@ class CProgramEmitter:
         entry_w = _Writer()
         self._emit_entry(entry_w, entry)
 
-        # shared header: everything every translation unit needs
-        head = _Writer()
-        head.line("/* generated by repro.backends.cbackend — do not edit */")
-        head.line(PRELUDE)
+        out = _Writer()
+        out.line("/* generated by repro.backends.cbackend — do not edit */")
+        out.line(PRELUDE)
         if self.parallel_plan is not None and self.parallel_plan.n_parallel > 0:
-            head.line(OMP_BLOCK)
+            out.line(OMP_BLOCK)
         if self._uses_dgemm:
-            head.line(DGEMM_BLOCK)
+            out.line(DGEMM_BLOCK)
         for inc in sorted({i for ff in self._ffi.values() for i in ff.includes}):
-            head.line(f"#include <{inc}>")
+            out.line(f"#include <{inc}>")
         for ff in self._ffi.values():
             if ff.csource:
-                head.line(ff.csource)
-        head.line()
+                out.line(ff.csource)
+        out.line()
         for sd in self.struct_defs:
-            head.line(sd)
-            head.line()
+            out.line(sd)
+            out.line()
         # WjSnap: per-rank translated-memory-space state
         members = list(self.snap_members)
         for sid, _ in self._site_members:
@@ -353,48 +348,33 @@ class CProgramEmitter:
             )
         if not members:
             members = ["int _empty;"]
-        head.line("typedef struct WjSnap {")
+        out.line("typedef struct WjSnap {")
         for m in members:
-            head.line(f"    {m}")
-        head.line("} WjSnap;")
-        head.line()
+            out.line(f"    {m}")
+        out.line("} WjSnap;")
+        out.line()
         for p in protos:
-            head.line(p)
-        head.line()
+            out.line(p)
+        out.line()
+        out.lines.extend(bodies.lines)
 
-        # primary tail: dispatch-table binding + the entry wrapper
-        tail = _Writer()
-        tail.line("static void wj_bind(WjSnap* snap) {")
+        # dispatch-table binding + the entry wrapper
+        out.line("static void wj_bind(WjSnap* snap) {")
         for line in self._bind_lines:
-            tail.line(f"    {line}")
-        tail.line("    (void)snap;")
-        tail.line("}")
-        tail.line()
-        tail.line("int64_t wj_snap_size(void) { return (int64_t)sizeof(WjSnap); }")
-        tail.line()
-        tail.lines.extend(entry_w.lines)
+            out.line(f"    {line}")
+        out.line("    (void)snap;")
+        out.line("}")
+        out.line()
+        out.line("int64_t wj_snap_size(void) { return (int64_t)sizeof(WjSnap); }")
+        out.line()
+        out.lines.extend(entry_w.lines)
 
-        out = _Writer()
-        out.lines.extend(head.lines)
-        for bw in spec_bodies:
-            out.lines.extend(bw.lines)
-        out.lines.extend(tail.lines)
-
-        units: list[str] | None = None
-        if len(spec_bodies) >= 2:
-            header_src = head.source()
-            units = [
-                "#define WJ_TU_SECONDARY 1\n" + header_src + bw.source()
-                for bw in spec_bodies
-            ]
-            units.append(header_src + tail.source())
         return EmitResult(
             out.source(),
             list(self.ivals),
             list(self.dvals),
             entry.func_ir.ret_type,
             len(self.program.snapshot.array_slots),
-            units=units,
             uses_omp=(
                 self.parallel_plan is not None
                 and self.parallel_plan.n_parallel > 0
@@ -481,11 +461,6 @@ class _CFunc:
         return str(int(value))
 
     # -- expressions --------------------------------------------------------
-
-    def emit(self, out: Optional[_Writer] = None):
-        if out is not None:
-            return self.emit_function(out)
-        raise BackendError("emit() needs a writer")
 
     def e(self, expr: ir.Expr) -> str:
         s = expr.shape
@@ -1034,7 +1009,7 @@ class _CFunc:
 
     def emit_function(self, out: _Writer) -> None:
         ret, decls, _ = self.p.csig(self.spec)
-        out.line(f"{ret} {self.spec.symbol}({', '.join(decls)}) {{")
+        out.line(f"static {ret} {self.spec.symbol}({', '.join(decls)}) {{")
         out.depth += 1
         out.line("(void)env; (void)snap;")
         if self.f.is_device:

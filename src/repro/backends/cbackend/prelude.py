@@ -120,18 +120,12 @@ static inline int32_t wj_abs_i32(int32_t a) { return a < 0 ? -a : a; }
  * routes every access through these helpers; violations are counted and
  * reported by the host bridge after the run (out-of-range loads read
  * element 0, stores are dropped, so the run completes deterministically). */
-/* In multi-TU builds the counter is shared across units: secondary units
- * (compiled with -DWJ_TU_SECONDARY) reference the primary's definition. */
-#ifdef WJ_TU_SECONDARY
-extern int64_t wj_oob_count;
-#else
-int64_t wj_oob_count = 0;
+static int64_t wj_oob_count = 0;
 int64_t wj_oob_count_take(void) {
     int64_t c = wj_oob_count;
     wj_oob_count = 0;
     return c;
 }
-#endif
 
 /* ---- allocation -------------------------------------------------------- */
 #define WJ_DEF_ARR(NAME, T, DT)                                              \
@@ -209,7 +203,7 @@ WJ_DEF_ARR(I32, int32_t, WJ_I32)
 WJ_DEF_ARR(I64, int64_t, WJ_I64)
 """
 
-#: appended to the shared header only when the program contains at least
+#: appended after the prelude only when the program contains at least
 #: one `#pragma omp parallel for` loop.  Compiles unchanged without
 #: -fopenmp (the pragmas are ignored and wj_omp_max_threads reports 1),
 #: which is exactly the sequential-degradation contract of REPRO_OMP.
@@ -217,9 +211,6 @@ OMP_BLOCK = r"""
 #ifdef _OPENMP
 #include <omp.h>
 #endif
-#ifdef WJ_TU_SECONDARY
-int64_t wj_omp_max_threads(void);
-#else
 int64_t wj_omp_max_threads(void) {
 #ifdef _OPENMP
     return (int64_t)omp_get_max_threads();
@@ -227,10 +218,9 @@ int64_t wj_omp_max_threads(void) {
     return 1;
 #endif
 }
-#endif
 """
 
-#: appended to the shared header only when the program calls wj.dgemm.
+#: appended after the prelude only when the program calls wj.dgemm.
 #: With a BLAS detected at build time (-DWJ_HAVE_CBLAS plus the link
 #: flag, see build.py) the call drops into cblas_dgemm; otherwise the
 #: fallback loop nest runs — its accumulation order matches the

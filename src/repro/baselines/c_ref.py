@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.backends.base import OptLevel
-from repro.backends.cbackend.build import compile_shared_object
+from repro.backends.cbackend.build import build_shared_object
 
 __all__ = ["diff3d_sweep", "diff3d_interior_sum", "mm_ikj", "fill_sine"]
 
@@ -75,7 +75,7 @@ void mm_ikj(const double* a, const double* b, double* c, int64_t n) {
 
 @lru_cache(maxsize=1)
 def _lib() -> ct.CDLL:
-    so_path, _ = compile_shared_object(_C_SOURCE, OptLevel.FULL)
+    so_path, _ = build_shared_object(_C_SOURCE, OptLevel.FULL)
     lib = ct.CDLL(str(so_path))
     f32p = np.ctypeslib.ndpointer(np.float32, flags="C_CONTIGUOUS")
     f64p = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")

@@ -1,11 +1,10 @@
 """Shared environment-variable parsing.
 
 Every boolean knob in the framework (``REPRO_BOUNDS``, ``REPRO_TIERED``,
-``REPRO_DISK_CACHE``, ``REPRO_PARALLEL_CC``, ``REPRO_TRACE``,
-``REPRO_PAPER_SIZES``) historically parsed its value with a slightly
-different ad-hoc expression — ``REPRO_BOUNDS`` notoriously treated
-``"false"`` and ``"no"`` as *truthy*.  :func:`env_flag` is the single
-shared parser they all route through now.
+``REPRO_DISK_CACHE``, ``REPRO_TRACE``, ``REPRO_PAPER_SIZES``) historically
+parsed its value with a slightly different ad-hoc expression —
+``REPRO_BOUNDS`` notoriously treated ``"false"`` and ``"no"`` as *truthy*.
+:func:`env_flag` is the single shared parser they all route through now.
 
 Accepted spellings (case-insensitive, surrounding whitespace ignored):
 

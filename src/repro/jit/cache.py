@@ -80,7 +80,7 @@ __all__ = [
     "store",
 ]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 #: entry-return-type name <-> singleton mapping (for disk serialization)
 _RET_BY_NAME = {

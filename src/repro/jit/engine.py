@@ -84,7 +84,7 @@ class JitReport:
     promotion: dict = field(default_factory=dict)
     #: what the translation removed/resolved (see frontend.verify.OptStats)
     opt_stats: dict = field(default_factory=dict)
-    #: native-build breakdown (units, jobs, compile/link seconds) — see
+    #: native-build breakdown (mode, compile and wall seconds) — see
     #: repro.backends.cbackend.build.BuildStats
     build_stats: dict = field(default_factory=dict)
 

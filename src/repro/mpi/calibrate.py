@@ -39,7 +39,7 @@ _cached: float | None = None
 def _measure() -> float:
     from repro.backends.base import OptLevel
     from repro.backends.cbackend.build import (
-        compile_shared_object,
+        build_shared_object,
         compiler_available,
     )
 
@@ -51,7 +51,7 @@ def _measure() -> float:
 
     from repro.backends.cbackend.bridge import _view
 
-    so_path, _ = compile_shared_object(_PROBE_SRC, OptLevel.FULL)
+    so_path, _ = build_shared_object(_PROBE_SRC, OptLevel.FULL)
     lib = ct.CDLL(str(so_path))
     cb_t = ct.CFUNCTYPE(
         None, ct.c_void_p, ct.c_void_p, ct.c_int64, ct.c_int32,

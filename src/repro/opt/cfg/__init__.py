@@ -4,10 +4,10 @@ elimination, and the cross-method guest inliner.
 The pass pipeline in :mod:`repro.opt.pipeline` historically worked on the
 statement *tree* (``FuncIR.body``), which keeps fold/licm/cse block-local
 and conservative.  This package lowers the statement tree into a proper
-control-flow graph (:mod:`repro.opt.cfg.builder`), provides dominators and
-a generic forward/backward dataflow solver with def-use chains
-(:mod:`repro.opt.cfg.dataflow`), and builds the two optimizations the
-ROADMAP calls the biggest speed wins left on the table:
+control-flow graph (:mod:`repro.opt.cfg.builder`), provides a generic
+forward/backward dataflow solver (:mod:`repro.opt.cfg.dataflow`), and
+builds the two optimizations the ROADMAP calls the biggest speed wins left
+on the table:
 
 * :mod:`repro.opt.cfg.ranges` — interval analysis over the CFG that proves
   array accesses in-bounds (array lengths are specialization constants —
@@ -31,22 +31,13 @@ from repro.opt.cfg.builder import (
     build_cfg,
     item_exprs,
 )
-from repro.opt.cfg.dataflow import (
-    DataflowAnalysis,
-    DefSite,
-    UseSite,
-    def_use_chains,
-    dominators,
-    immediate_dominators,
-    solve,
-)
+from repro.opt.cfg.dataflow import DataflowAnalysis, solve
 from repro.opt.cfg.inline import inline_func
 from repro.opt.cfg.ranges import Interval, bce_func
 
 __all__ = [
     "BasicBlock", "CFG", "CondEval", "Edge", "LoopBind", "RangeEval",
     "build_cfg", "item_exprs",
-    "DataflowAnalysis", "DefSite", "UseSite", "def_use_chains",
-    "dominators", "immediate_dominators", "solve",
+    "DataflowAnalysis", "solve",
     "Interval", "bce_func", "inline_func",
 ]

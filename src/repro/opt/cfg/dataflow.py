@@ -1,23 +1,15 @@
-"""Generic dataflow over the CFG: worklist solver, dominators, def-use.
+"""Generic dataflow over the CFG: a worklist solver.
 
 The solver is direction-agnostic (classic iterative fixpoint with an
 optional widening hook for infinite-height lattices such as intervals).
-Two standard clients live here — dominators and reaching definitions
-(surfaced as def-use chains) — and the range analysis in
-:mod:`repro.opt.cfg.ranges` is a third.
+Its client is the range analysis in :mod:`repro.opt.cfg.ranges`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.opt.cfg.builder import CFG
 
-from repro.frontend import ir
-from repro.opt.cfg.builder import CFG, item_exprs
-
-__all__ = [
-    "DataflowAnalysis", "DefSite", "UseSite", "def_use_chains",
-    "dominators", "immediate_dominators", "solve",
-]
+__all__ = ["DataflowAnalysis", "solve"]
 
 
 class DataflowAnalysis:
@@ -110,145 +102,3 @@ def solve(cfg: CFG, analysis: DataflowAnalysis) -> dict:
         return {bid: (in_states[bid], out_states[bid]) for bid in in_states}
     # backward: present results as (in, out) in program order
     return {bid: (out_states[bid], in_states[bid]) for bid in in_states}
-
-
-# ---------------------------------------------------------------------------
-# dominators
-# ---------------------------------------------------------------------------
-
-def dominators(cfg: CFG) -> dict[int, set[int]]:
-    """Dominator sets for every reachable block (entry dominates all)."""
-    reach = cfg.rpo()
-    universe = set(reach)
-    dom = {bid: set(universe) for bid in reach}
-    dom[cfg.entry] = {cfg.entry}
-    changed = True
-    while changed:
-        changed = False
-        for bid in reach:
-            if bid == cfg.entry:
-                continue
-            preds = [p for p in cfg.blocks[bid].preds if p in universe]
-            new = set(universe)
-            for p in preds:
-                new &= dom[p]
-            if not preds:
-                new = set()
-            new.add(bid)
-            if new != dom[bid]:
-                dom[bid] = new
-                changed = True
-    return dom
-
-
-def immediate_dominators(cfg: CFG) -> dict[int, int]:
-    """Immediate dominator of every reachable block except the entry."""
-    dom = dominators(cfg)
-    idom: dict[int, int] = {}
-    for bid, ds in dom.items():
-        if bid == cfg.entry:
-            continue
-        strict = ds - {bid}
-        # the idom is the strict dominator dominated by all the others
-        for cand in strict:
-            if all(cand in dom[other] for other in strict):
-                idom[bid] = cand
-                break
-    return idom
-
-
-# ---------------------------------------------------------------------------
-# def-use chains (reaching definitions)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DefSite:
-    """One definition of ``name``: item ``index`` inside block ``block``."""
-
-    block: int
-    index: int
-    name: str
-
-
-@dataclass(frozen=True)
-class UseSite:
-    """One use of ``name``: item ``index`` inside block ``block``."""
-
-    block: int
-    index: int
-    name: str
-
-
-def _item_defs(item, index: int, bid: int) -> list[DefSite]:
-    from repro.opt.cfg.builder import LoopBind
-
-    if isinstance(item, (ir.LocalDecl, ir.Assign)):
-        return [DefSite(bid, index, item.name)]
-    if isinstance(item, LoopBind):
-        return [DefSite(bid, index, item.loop.var)]
-    return []
-
-
-def _item_uses(item, index: int, bid: int) -> list[UseSite]:
-    out = []
-    for root in item_exprs(item):
-        for e in ir.walk_exprs(root):
-            if isinstance(e, ir.LocalRef):
-                out.append(UseSite(bid, index, e.name))
-    return out
-
-
-class _ReachingDefs(DataflowAnalysis):
-    """Forward may-analysis: which definitions reach each block entry."""
-
-    direction = "forward"
-
-    def __init__(self, cfg: CFG):
-        self.cfg = cfg
-        # parameters (and self) act as definitions at the entry
-        fir = cfg.func_ir
-        names = list(fir.param_names)
-        if fir.self_shape is not None:
-            names.append("self")
-        self.entry_defs = frozenset(
-            DefSite(-1, -1, n) for n in names)
-
-    def boundary(self):
-        return self.entry_defs
-
-    def join(self, a, b):
-        return a | b
-
-    def transfer(self, block, state):
-        cur = set(state)
-        for i, item in enumerate(block.stmts):
-            for d in _item_defs(item, i, block.bid):
-                cur = {x for x in cur if x.name != d.name}
-                cur.add(d)
-        return frozenset(cur)
-
-
-def def_use_chains(cfg: CFG) -> dict[DefSite, list[UseSite]]:
-    """Map every definition site to the use sites it reaches.
-
-    Parameter (and ``self``) bindings appear as synthetic definitions at
-    ``block=-1, index=-1``.  A use is charged to every definition of the
-    same name that reaches it — multiple entries per use mean the value
-    is control-flow dependent (loop-carried, or merged over an ``if``).
-    """
-    states = solve(cfg, _ReachingDefs(cfg))
-    chains: dict[DefSite, list[UseSite]] = {}
-    for block in cfg.blocks:
-        in_state = states[block.bid][0]
-        if in_state is None:
-            continue  # unreachable
-        cur = set(in_state)
-        for i, item in enumerate(block.stmts):
-            for use in _item_uses(item, i, block.bid):
-                for d in cur:
-                    if d.name == use.name:
-                        chains.setdefault(d, []).append(use)
-            for d in _item_defs(item, i, block.bid):
-                cur = {x for x in cur if x.name != d.name}
-                cur.add(d)
-    return chains

@@ -26,16 +26,12 @@ rules, so termination needs no call-graph bookkeeping; repeated
 application collapses whole helper chains (the post-order pipeline means
 a callee's body arrives already inlined itself).
 
-Knobs (all integers):
-
-* ``REPRO_INLINE_MAX_STMTS`` — max callee body size (default 24);
-* ``REPRO_INLINE_MAX_TOTAL`` — caller growth stop (default 768);
-* ``REPRO_INLINE_MAX_CALLS`` — max splices per caller (default 64).
+The size budget is three module constants (``_MAX_STMTS``, ``_MAX_TOTAL``,
+``_MAX_CALLS``): they change the emitted code and are not part of the cache
+key, so they are not settable from outside.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.frontend import ir
 from repro.frontend.shapes import ArrayShape, ObjShape
@@ -47,14 +43,9 @@ __all__ = ["inline_func"]
 _M = _metrics.registry()
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        return int(raw.strip())
-    except ValueError:
-        return default
+_MAX_STMTS = 24    # largest callee body spliced
+_MAX_TOTAL = 768   # caller size at which splicing stops
+_MAX_CALLS = 64    # splices per caller
 
 
 def _stmt_count(stmts) -> int:
@@ -141,17 +132,7 @@ def _prefix_safe(e: ir.Expr, deps: set) -> bool:
 # callee eligibility
 # ---------------------------------------------------------------------------
 
-class _Limits:
-    """Resolved budget knobs for one ``inline_func`` run."""
-
-    def __init__(self):
-        self.max_stmts = _env_int("REPRO_INLINE_MAX_STMTS", 24)
-        self.max_total = _env_int("REPRO_INLINE_MAX_TOTAL", 768)
-        self.max_calls = _env_int("REPRO_INLINE_MAX_CALLS", 64)
-
-
-def _eligible(call: ir.Call, caller: ir.FuncIR, deps: set,
-              limits: _Limits, memo: dict) -> bool:
+def _eligible(call: ir.Call, caller: ir.FuncIR, deps: set, memo: dict) -> bool:
     fir = getattr(call.target, "func_ir", None)
     if fir is None or fir is caller:
         return False
@@ -159,7 +140,7 @@ def _eligible(call: ir.Call, caller: ir.FuncIR, deps: set,
         return False
     if not _returns_final_only(fir.body):
         return False
-    if _stmt_count(fir.body) > limits.max_stmts:
+    if _stmt_count(fir.body) > _MAX_STMTS:
         return False
     if _launches_kernel(fir.body):
         return False
@@ -174,7 +155,7 @@ def _eligible(call: ir.Call, caller: ir.FuncIR, deps: set,
 # site search
 # ---------------------------------------------------------------------------
 
-def _find_call(roots, caller, limits, memo) -> ir.Call | None:
+def _find_call(roots, caller, memo) -> ir.Call | None:
     """First inlinable call across ``roots`` (statement expressions in
     evaluation order), honoring the pure-prefix rule."""
     state = {"pure": True, "deps": set(), "found": None}
@@ -183,7 +164,7 @@ def _find_call(roots, caller, limits, memo) -> ir.Call | None:
         if state["found"] is not None:
             return
         if (selectable and state["pure"] and isinstance(e, ir.Call)
-                and _eligible(e, caller, state["deps"], limits, memo)):
+                and _eligible(e, caller, state["deps"], memo)):
             state["found"] = e
             return
         children = ir.expr_children(e)
@@ -382,9 +363,9 @@ def _stmt_roots(s: ir.Stmt):
 
 
 def _inline_in_list(stmts: list, caller: ir.FuncIR, namer: _Namer,
-                    limits: _Limits, memo: dict) -> bool:
+                    memo: dict) -> bool:
     for i, s in enumerate(stmts):
-        call = _find_call(_stmt_roots(s), caller, limits, memo)
+        call = _find_call(_stmt_roots(s), caller, memo)
         if call is not None:
             pre, ret_ref = _expand(call, namer)
             if ret_ref is None:
@@ -398,7 +379,7 @@ def _inline_in_list(stmts: list, caller: ir.FuncIR, namer: _Namer,
                 stmts[i:i + 1] = pre + [s]
             return True
         for block in ir.stmt_blocks(s):
-            if _inline_in_list(block, caller, namer, limits, memo):
+            if _inline_in_list(block, caller, namer, memo):
                 return True
     return False
 
@@ -408,12 +389,11 @@ def inline_func(f: ir.FuncIR, ctx=None) -> int:
 
     Returns the number of call sites spliced; feeds the
     ``inline.calls_inlined`` counter."""
-    limits = _Limits()
     namer = _Namer(f)
     memo: dict = {}
     n = 0
-    while n < limits.max_calls and _stmt_count(f.body) < limits.max_total:
-        if not _inline_in_list(f.body, f, namer, limits, memo):
+    while n < _MAX_CALLS and _stmt_count(f.body) < _MAX_TOTAL:
+        if not _inline_in_list(f.body, f, namer, memo):
             break
         n += 1
     if n:

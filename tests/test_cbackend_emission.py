@@ -1,5 +1,10 @@
 """Structure of the generated C per optimization level (paper Listing 5)."""
 
+import re
+import shutil
+import subprocess
+import threading
+
 import pytest
 
 from repro import OptLevel, jit, jit4gpu, jit4mpi
@@ -116,22 +121,73 @@ class TestNumericEmission:
         assert "void wj_entry(WjEnv* env" in src
 
 
+_SPEC_SYMBOL = re.compile(r"\bwj_[A-Z]\w*_\w+_\d+\b")
+
+
+class TestOneStaticUnit:
+    def test_specializations_are_static(self):
+        src = source(Sweeper(ScaleAddSolver(0.5), 8), "run", 2)
+        # column-0 lines naming a specialization are its prototype and its
+        # definition; call sites are indented
+        heads = [line for line in src.splitlines()
+                 if _SPEC_SYMBOL.search(line) and not line.startswith(" ")]
+        assert len(heads) >= 4
+        assert all(line.startswith("static ") for line in heads), heads
+
+    @pytest.mark.skipif(shutil.which("nm") is None, reason="nm not found")
+    def test_only_entry_points_are_exported(self):
+        code = jit(Sweeper(ScaleAddSolver(0.5), 8), "run", 2, backend="c",
+                   use_cache=False)
+        out = subprocess.run(
+            ["nm", "-D", "--defined-only", str(code.compiled.so_path)],
+            capture_output=True, text=True, check=True).stdout
+        assert "wj_entry" in out and "wj_snap_size" in out
+        assert not _SPEC_SYMBOL.search(out), out
+        assert "wj_oob_count\n" not in out
+
+    def test_concurrent_same_source_builds(self, tmp_path, monkeypatch):
+        """Four threads compiling one program on a fresh cc cache: every
+        build succeeds with the same value and no temporary is left."""
+        cc_cache = tmp_path / "cc"
+        monkeypatch.setenv("REPRO_CC_CACHE", str(cc_cache))
+        results, errors = [], []
+
+        def work():
+            try:
+                code = jit(Sweeper(ScaleAddSolver(0.5), 64), "run", 3,
+                           backend="c", use_cache=False)
+                results.append(code.invoke().value)
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors, errors
+        assert len(results) == 4 and len(set(results)) == 1
+        left = sorted(p.name for p in cc_cache.iterdir())
+        assert all(n.endswith(".so") and ".tmp" not in n for n in left), left
+
+
 class TestCompileCache:
     def test_so_cache_hit(self):
-        from repro.backends.cbackend.build import compile_shared_object
+        from repro.backends.cbackend.build import build_shared_object
         from repro.backends.base import OptLevel as OL
 
         src = "int wj_cache_probe(void){ return 42; }"
-        p1, cached1 = compile_shared_object(src, OL.FULL)
-        p2, cached2 = compile_shared_object(src, OL.FULL)
+        p1, _ = build_shared_object(src, OL.FULL)
+        p2, stats2 = build_shared_object(src, OL.FULL)
         assert p1 == p2
-        assert cached2 is True
+        assert stats2.cached is True and stats2.mode == "cached"
 
     def test_different_flags_different_artifacts(self):
-        from repro.backends.cbackend.build import compile_shared_object
+        from repro.backends.cbackend.build import build_shared_object
         from repro.backends.base import OptLevel as OL
 
         src = "int wj_cache_probe2(void){ return 43; }"
-        p1, _ = compile_shared_object(src, OL.FULL)
-        p2, _ = compile_shared_object(src, OL.VIRTUAL)
+        p1, _ = build_shared_object(src, OL.FULL)
+        p2, _ = build_shared_object(src, OL.VIRTUAL)
         assert p1 != p2

@@ -1,7 +1,7 @@
-"""The CFG mid-end: construction edge cases, dominator/def-use invariants,
-interval arithmetic, the BCE elide/retain decision table, the cross-method
-inliner (budgets, emitted-C call sites, parallel no-regression), and a
-three-way differential over the fuzzer's nested-loop block kind.
+"""The CFG mid-end: construction edge cases, interval arithmetic, the BCE
+elide/retain decision table, the cross-method inliner (budgets, emitted-C
+call sites, parallel no-regression), and a three-way differential over the
+fuzzer's nested-loop block kind.
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ from repro.lang import types as t
 from repro.obs import metrics
 from repro.opt import bce_func
 from repro.opt.cfg.builder import CondEval, LoopBind, RangeEval, build_cfg
-from repro.opt.cfg.dataflow import (
-    DefSite, def_use_chains, dominators, immediate_dominators,
-)
 from repro.opt.cfg.ranges import Interval
 
 from tests.conftest import requires_cc
@@ -218,117 +215,6 @@ class TestCFGBuild:
         before = reg.counter("cfg.blocks").value
         cfg = build_cfg(func([ir.Return(ci(0))]))
         assert reg.counter("cfg.blocks").value == before + len(cfg.blocks)
-
-
-# ---------------------------------------------------------------------------
-# dominators + def-use
-# ---------------------------------------------------------------------------
-
-class TestDominators:
-    def _diamond(self):
-        f = func([
-            ir.If(ir.Compare("<", ref("x"), ci(0)),
-                  [ir.Assign("x", t.I64, ci(1))],
-                  [ir.Assign("x", t.I64, ci(2))]),
-            ir.Return(ref("x")),
-        ], params=("x",))
-        return build_cfg(f)
-
-    def test_entry_dominates_everything(self):
-        cfg = self._diamond()
-        dom = dominators(cfg)
-        for bid, ds in dom.items():
-            assert cfg.entry in ds
-
-    def test_join_not_dominated_by_either_arm(self):
-        cfg = self._diamond()
-        ek = edges_by_kind(cfg)
-        (_, then_b), = ek["true"]
-        (_, else_b), = ek["false"]
-        join = next(d for (s, d) in ek[""] if s == then_b)
-        dom = dominators(cfg)
-        assert then_b not in dom[join] and else_b not in dom[join]
-        assert immediate_dominators(cfg)[join] == cfg.entry
-
-    def test_arms_idom_is_the_condition_block(self):
-        cfg = self._diamond()
-        ek = edges_by_kind(cfg)
-        idom = immediate_dominators(cfg)
-        (_, then_b), = ek["true"]
-        (_, else_b), = ek["false"]
-        assert idom[then_b] == cfg.entry
-        assert idom[else_b] == cfg.entry
-
-    def test_loop_header_dominates_body_and_after(self):
-        f = func([ir.ForRange("i", ci(0), ci(3), None,
-                              [ir.Assign("x", t.I64, ref("i"))]),
-                  ir.Return(ref("x"))])
-        cfg = build_cfg(f)
-        ek = edges_by_kind(cfg)
-        (header, body), = ek["loop"]
-        (_, after), = ek["exit"]
-        dom = dominators(cfg)
-        assert header in dom[body]
-        assert header in dom[after]
-        # the back edge never makes the body dominate its own header
-        assert body not in dom[header]
-
-
-class TestDefUse:
-    def test_param_gets_synthetic_entry_def(self):
-        f = func([ir.Return(bi("+", ref("p"), ci(1)))], params=("p",))
-        chains = def_use_chains(build_cfg(f))
-        d = DefSite(-1, -1, "p")
-        assert d in chains
-        assert [u.name for u in chains[d]] == ["p"]
-
-    def test_loop_carried_use_sees_two_defs(self):
-        # x = 0; for i in range(3): x = x + 1  -- the use of x inside the
-        # loop is reached by the init def AND the loop's own def
-        f = func([
-            ir.LocalDecl("x", t.I64, ci(0)),
-            ir.ForRange("i", ci(0), ci(3), None,
-                        [ir.Assign("x", t.I64, bi("+", ref("x"), ci(1)))]),
-            ir.Return(ref("x")),
-        ])
-        cfg = build_cfg(f)
-        chains = def_use_chains(cfg)
-        ek = edges_by_kind(cfg)
-        (_, body), = ek["loop"]
-        loop_uses = lambda d: [u for u in chains.get(d, [])
-                               if u.name == "x" and u.block == body]
-        reaching = [d for d in chains
-                    if d.name == "x" and loop_uses(d)]
-        assert len(reaching) == 2
-        # one of them is the definition inside the loop body itself
-        assert any(d.block == body for d in reaching)
-
-    def test_use_before_redef_links_to_old_def(self):
-        # x = 1; x = x + 1 -- the use in the second statement must be
-        # charged to the first def, not to the def the statement creates
-        f = func([
-            ir.LocalDecl("x", t.I64, ci(1)),
-            ir.Assign("x", t.I64, bi("+", ref("x"), ci(1))),
-            ir.Return(ref("x")),
-        ])
-        cfg = build_cfg(f)
-        chains = def_use_chains(cfg)
-        first = DefSite(cfg.entry, 0, "x")
-        second = DefSite(cfg.entry, 1, "x")
-        assert [u.index for u in chains[first]] == [1]
-        assert [u.index for u in chains[second]] == [2]
-
-    def test_branch_merge_yields_two_defs_per_use(self):
-        f = func([
-            ir.LocalDecl("x", t.I64, ci(0)),
-            ir.If(ref("p", t.BOOL), [ir.Assign("x", t.I64, ci(1))], []),
-            ir.Return(ref("x")),
-        ], params=("p",), param_ty=t.BOOL)
-        chains = def_use_chains(build_cfg(f))
-        # both the init def and the then-arm def reach the return's use
-        defs_reaching = [d for d, uses in chains.items()
-                         if d.name == "x" and uses]
-        assert len(defs_reaching) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +446,7 @@ class TestInliner:
         monkeypatch.setenv("REPRO_OPT_PASSES", "1")
         base = jit(_sweeper(), "run", 3, backend="py", use_cache=False)
         base_val = base.invoke().value
-        monkeypatch.setenv("REPRO_INLINE_MAX_STMTS", "0")
+        monkeypatch.setattr("repro.opt.cfg.inline._MAX_STMTS", 0)
         off = jit(_sweeper(), "run", 3, backend="py", use_cache=False)
         assert not (off.report.opt_stats.get("inline") or {})
         assert off.invoke().value == base_val

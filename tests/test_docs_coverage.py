@@ -57,15 +57,28 @@ class TestExports:
 
 
 class TestKnobInventory:
+    _KNOB = re.compile(r"REPRO_[A-Z0-9_]+")
+
+    def _used(self):
+        return {k for p in ROOT.rglob("*.py")
+                for k in self._KNOB.findall(p.read_text())}
+
+    def _documented(self):
+        docs = [REPO / "README.md", *(REPO / "docs").glob("*.md")]
+        return {k for p in docs for k in self._KNOB.findall(p.read_text())}
+
     def test_every_env_knob_is_documented(self):
         """Every ``REPRO_*`` variable the source names appears in README.md
         or docs/*.md — an undocumented knob is an untested configuration."""
-        knob = re.compile(r"REPRO_[A-Z0-9_]+")
-        used = {k for p in ROOT.rglob("*.py")
-                for k in knob.findall(p.read_text())}
-        docs = [REPO / "README.md", *(REPO / "docs").glob("*.md")]
-        documented = {k for p in docs for k in knob.findall(p.read_text())}
-        assert not used - documented, sorted(used - documented)
+        missing = self._used() - self._documented()
+        assert not missing, sorted(missing)
+
+    def test_every_documented_knob_is_read(self):
+        """The other direction: a ``REPRO_*`` name in README.md or
+        docs/*.md that no file under src/ reads documents a knob that
+        does nothing."""
+        stale = self._documented() - self._used()
+        assert not stale, sorted(stale)
 
 
 class TestShippedArtifacts:

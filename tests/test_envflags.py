@@ -71,14 +71,6 @@ class TestRoutedKnobs:
         monkeypatch.setenv("REPRO_TIERED", "YES")
         assert tiered_default() is True
 
-    def test_parallel_cc(self, monkeypatch):
-        from repro.backends.cbackend.build import _parallel_enabled
-
-        monkeypatch.setenv("REPRO_PARALLEL_CC", "no")
-        assert _parallel_enabled() is False
-        monkeypatch.delenv("REPRO_PARALLEL_CC")
-        assert _parallel_enabled() is True
-
     def test_trace(self, monkeypatch):
         from repro.obs.trace import _env_truthy
 
