@@ -197,11 +197,15 @@ def cmd_jit(args) -> int:
     """Show the JIT service configuration and per-phase counters."""
     import json
 
+    from repro.jit import cache as code_cache
     from repro.jit import service
 
     st = service.stats()
+    # per-slot list/ndarray decisions of every py artifact in the disk tier
+    py_slots = code_cache.py_slot_decisions()
     if args.json:
-        print(json.dumps(st, indent=2, sort_keys=True))
+        print(json.dumps({**st, "py_slots": py_slots}, indent=2,
+                         sort_keys=True))
         return 0
     print(f"tiered default   : {'on (REPRO_TIERED)' if st['tiered_default'] else 'off'}")
     print(f"build workers    : {st['workers']}")
@@ -219,6 +223,10 @@ def cmd_jit(args) -> int:
           f"({st['farm_lock_wait_s']:.3f} s blocked, "
           f"{st['farm_lock_timeouts']} timeouts), "
           f"dedup hits {st['farm_dedup_hits']}")
+    for digest, slots in sorted(py_slots.items()):
+        print(f"py slots {digest[:12]}: "
+              + (", ".join(f"{k}={v}" for k, v in slots.items())
+                 or "no array slots"))
     return 0
 
 
@@ -382,9 +390,15 @@ def cmd_fuzz(args) -> int:
     ok = report["guided_beats_random"]
     baseline_arcs = None
     if args.baseline:
-        baseline_arcs = json.load(open(args.baseline))["min_guided_arcs"]
+        with open(args.baseline) as fh:
+            baseline = json.load(fh)
+        baseline_arcs = baseline["min_guided_arcs"]
         report["baseline_min_guided_arcs"] = baseline_arcs
         ok = ok and guided.arcs_total >= baseline_arcs
+        file_floors = baseline.get("min_arcs_by_file", {})
+        report["baseline_min_arcs_by_file"] = file_floors
+        ok = ok and all(guided.arcs_by_file.get(label, 0) >= floor
+                        for label, floor in file_floors.items())
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -394,7 +408,7 @@ def cmd_fuzz(args) -> int:
               f"{guided.arcs_by_file}")
         print(f"  random : {rand.arcs_total:5d} arcs {rand.arcs_by_file}")
         if baseline_arcs is not None:
-            print(f"  baseline floor: {baseline_arcs} arcs")
+            print(f"  baseline floor: {baseline_arcs} arcs {file_floors}")
         print(f"  guided beats random: {report['guided_beats_random']}")
     divergences = guided.findings + rand.findings
     if divergences:

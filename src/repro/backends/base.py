@@ -86,6 +86,10 @@ class CompiledProgram:
     #: native-build breakdown (see cbackend.build.BuildStats), when any
     build_stats: "dict | None" = None
 
+    #: optimizer decisions taken at emit time, merged into
+    #: ``JitReport.opt_stats`` (C: ``parallel``, py: ``py_slots``), when any
+    opt_stats: "dict | None" = None
+
     def run(self, env: "RuntimeEnv", arrays: Sequence[np.ndarray]):
         raise NotImplementedError
 
@@ -169,9 +173,12 @@ def compute_local_shapes(func_ir) -> dict:
                 walk(s.body)
             elif isinstance(s, ir.While):
                 walk(s.body)
-            for e in ir.walk_exprs([s]):
-                if isinstance(e, ir.LocalRef):
-                    note(e.name, e.shape)
+            # this statement's own expressions only: the recursion above
+            # already covered its nested blocks
+            for top in ir.stmt_exprs(s):
+                for e in ir.walk_exprs(top):
+                    if isinstance(e, ir.LocalRef):
+                        note(e.name, e.shape)
 
     walk(func_ir.body)
     return shapes

@@ -63,14 +63,14 @@ class CBackend(Backend):
                              bounds_checks=self.bounds_checks)
         compiled.build_stats = stats.as_dict()
         if plan is not None:
-            # ride build_stats so the parallel decisions persist through
-            # the disk cache meta and surface in JitReport.opt_stats
-            compiled.build_stats["parallel"] = {
+            # the loop-parallelization decisions are an optimizer product:
+            # they surface in JitReport.opt_stats and persist in entry meta
+            compiled.opt_stats = {"parallel": {
                 "loops_seen": plan.stats["loops_seen"],
                 "loops_parallel": plan.stats["loops_parallel"],
                 "loops_guarded": plan.stats["loops_guarded"],
                 "reductions": plan.stats["reductions"],
                 "threads_requested": plan.threads,
                 "functions": plan.stats["functions"],
-            }
+            }}
         return compiled

@@ -9,6 +9,12 @@ i.e. the paper's devirtualization + object inlining, expressed in Python.
 This backend exists for portability (no C compiler needed) and as the
 differential-testing oracle for the C backend; it always emits at full
 optimization.
+
+An ``f64``/``i64`` snapshot array slot that never reaches an
+ndarray-consuming operation runs as a Python ``list`` (converted at entry,
+written back at exit), so indexing and arithmetic stay on unboxed scalars;
+the choice is static, per slot, and recorded in the emitted source — see
+docs/OPTIMIZER.md, "py backend data representation".
 """
 
 from __future__ import annotations
@@ -32,7 +38,9 @@ from repro.frontend import ir
 from repro.frontend.shapes import ArrayShape, ObjShape, PrimShape, Shape
 from repro.jit.program import Program
 from repro.lang import types as _t
-from repro.lang.intrinsics import _dgemm_py, _lcg64_py, _u01_py, intrinsic_registry
+from repro.lang.intrinsics import (
+    _MATH_NAMES, _dgemm_py, _lcg64_py, _u01_py, intrinsic_registry,
+)
 
 __all__ = ["PyBackend"]
 
@@ -48,6 +56,37 @@ _GEO_INDEX = {
     "bdim_x": "[2][0]", "bdim_y": "[2][1]", "bdim_z": "[2][2]",
     "gdim_x": "[3][0]", "gdim_y": "[3][1]", "gdim_z": "[3][2]",
 }
+
+
+#: intrinsics that take an array without needing an ndarray: the output
+#: channel converts (``emit_intrinsic``), the frees are no-ops here
+_LIST_SAFE = ("wj.output", "wj.free", "cuda.free_gpu")
+
+
+def _lit(value, prim: _t.PrimType) -> str:
+    """Source text of one constant, safe in any operand position: negatives
+    are parenthesized (``-2.0 ** k`` parses as ``-(2.0 ** k)``) and
+    non-finite floats name the ``__inf``/``__nan`` globals."""
+    if prim is _t.BOOL:
+        return "True" if value else "False"
+    if not prim.is_float:
+        text = repr(int(value))
+    elif math.isfinite(value):
+        text = repr(float(value))
+    else:
+        text = "__nan" if value != value else ("-" * (value < 0)) + "__inf"
+    return f"({text})" if text.startswith("-") else text
+
+
+def _own_exprs(s: ir.Stmt) -> list:
+    """Every expression of one statement, nested blocks excluded (order is
+    not significant; ``ir.walk_exprs`` pays a generator frame per level)."""
+    out, stack = [], ir.stmt_exprs(s)
+    while stack:
+        e = stack.pop()
+        out.append(e)
+        stack += ir.expr_children(e)
+    return out
 
 
 class _Writer:
@@ -69,20 +108,31 @@ class _FuncEmitter:
         self.p = backend
         self.f = func_ir
         self.w = backend.w
-        self._tmp = 0
+        #: (root_path, field) -> the prologue local bound to that array field
+        self.hoisted: dict[tuple, str] = {}
+        #: copy-propagated local -> the local it reads from
+        self.alias: dict[str, str] = {}
+        # statements numbered in textual order (``_copy_propagated``):
+        # id(stmt) -> (its number, the last number nested in it), and per
+        # local the numbers of the statements reading / assigning it
+        self._span: dict[int, tuple[int, int]] = {}
+        self._reads: dict[str, list[int]] = {}
+        self._writes: dict[str, list[int]] = {}
+        self._number(func_ir.body)
 
-    # -- helpers -----------------------------------------------------------
-
-    def tmp(self) -> str:
-        self._tmp += 1
-        return f"__t{self._tmp}"
-
-    def lit(self, value, prim: _t.PrimType) -> str:
-        if prim is _t.BOOL:
-            return "True" if value else "False"
-        if prim.is_float:
-            return repr(float(value))
-        return repr(int(value))
+    def _number(self, stmts) -> None:
+        for s in stmts:
+            at = len(self._span)
+            self._span[id(s)] = (at, at)
+            for e in _own_exprs(s):
+                if isinstance(e, ir.LocalRef):
+                    self._reads.setdefault(e.name, []).append(at)
+            if isinstance(s, (ir.LocalDecl, ir.Assign, ir.ForRange)):
+                name = s.var if isinstance(s, ir.ForRange) else s.name
+                self._writes.setdefault(name, []).append(at)
+            for block in ir.stmt_blocks(s):
+                self._number(block)
+            self._span[id(s)] = (at, len(self._span) - 1)
 
     # -- expression emission ------------------------------------------------
 
@@ -95,16 +145,16 @@ class _FuncEmitter:
             and not isinstance(e, ir.Const)
             and is_pure(e)
         ):
-            return self.lit(s.const, s.ty)
+            return _lit(s.const, s.ty)
         if isinstance(s, ObjShape) and s.from_snapshot:
             return f"__snap.{snap_attr(s.root_path)}"
         return self._emit_raw(e)
 
     def _emit_raw(self, e: ir.Expr) -> str:
         if isinstance(e, ir.Const):
-            return self.lit(e.value, e.prim)
+            return _lit(e.value, e.prim)
         if isinstance(e, ir.LocalRef):
-            return e.name
+            return self.alias.get(e.name, e.name)
         if isinstance(e, ir.FieldLoad):
             return self.emit_field(e.obj, e.fname, e.shape)
         if isinstance(e, ir.ArrayLoad):
@@ -114,8 +164,7 @@ class _FuncEmitter:
         if isinstance(e, ir.ArrayLen):
             return f"len({self.emit(e.arr)})"
         if isinstance(e, ir.BinOp):
-            op = {"**": "**"}.get(e.op, e.op)
-            return f"({self.emit(e.left)} {op} {self.emit(e.right)})"
+            return f"({self.emit(e.left)} {e.op} {self.emit(e.right)})"
         if isinstance(e, ir.UnaryOp):
             if e.op == "not":
                 return f"(not {self.emit(e.operand)})"
@@ -137,6 +186,15 @@ class _FuncEmitter:
             raise BackendError("kernel launch in expression position")
         raise BackendError(f"unhandled IR node {type(e).__name__}")
 
+    def snap_array(self, path: str, fname: str) -> str:
+        """A snapshot array field: bound to a local in the function prologue,
+        unless some ``FieldStore`` rebinds it (a double-buffer swap must be
+        seen through the namespace)."""
+        if (path, fname) in self.p.rebound:
+            return f"__snap.{snap_attr(path)}.{fname}"
+        return self.hoisted.setdefault(
+            (path, fname), f"__a{len(self.hoisted)}_{fname}")
+
     def emit_field(self, obj: ir.Expr, fname: str, fshape: Shape) -> str:
         oshape = obj.shape
         assert isinstance(oshape, ObjShape)
@@ -144,11 +202,11 @@ class _FuncEmitter:
             # array fields live in the snapshot namespace; scalars folded by
             # emit(); object fields resolve to child namespaces via shape
             if isinstance(fshape, ArrayShape):
-                return f"__snap.{snap_attr(oshape.root_path)}.{fname}"
+                return self.snap_array(oshape.root_path, fname)
             if isinstance(fshape, ObjShape) and fshape.from_snapshot:
                 return f"__snap.{snap_attr(fshape.root_path)}"
             if isinstance(fshape, PrimShape) and fshape.const is not None:
-                return self.lit(fshape.const, fshape.ty)
+                return _lit(fshape.const, fshape.ty)
             raise BackendError(
                 f"snapshot field {fname} has unexpected shape {fshape!r}"
             )
@@ -187,9 +245,9 @@ class _FuncEmitter:
         for fname, wshape in want.fields.items():
             fshape = s.field(fname)
             if isinstance(fshape, PrimShape):
-                parts.append(self.lit(fshape.const, fshape.ty))
+                parts.append(_lit(fshape.const, fshape.ty))
             elif isinstance(fshape, ArrayShape):
-                parts.append(f"__snap.{snap_attr(s.root_path)}.{fname}")
+                parts.append(self.snap_array(s.root_path, fname))
             elif isinstance(fshape, ObjShape):
                 inner_want = wshape if isinstance(wshape, ObjShape) else fshape
                 if isinstance(inner_want, ObjShape) and not inner_want.from_snapshot:
@@ -213,12 +271,20 @@ class _FuncEmitter:
         args = ["__env", "__snap"]
         if e.target.device:
             args.append("__geo")
-        callee_ir = e.target.func_ir
-        for (pname, pshape), expr in zip(
-            _callee_passed(callee_ir), _call_value_exprs(e)
-        ):
-            args.append(self.value_of(expr, pshape))
+        args += self.passed_args(e)
         return f"{e.target.symbol}({', '.join(args)})"
+
+    def passed_args(self, e) -> list[str]:
+        """Caller expressions of a ``Call``/``KernelLaunch`` matching the
+        callee's passed parameters, emitted in the callee's representation."""
+        callee = e.target.func_ir
+        exprs = []
+        if callee.self_shape is not None and not callee.self_shape.from_snapshot:
+            exprs.append(e.recv)
+        exprs += [expr for expr, shape in zip(e.args, callee.param_shapes)
+                  if not (isinstance(shape, ObjShape) and shape.from_snapshot)]
+        return [self.value_of(expr, pshape)
+                for (_, pshape), expr in zip(passed_params(callee), exprs)]
 
     def emit_intrinsic(self, e: ir.IntrinsicCall) -> str:
         key = e.key
@@ -260,6 +326,11 @@ class _FuncEmitter:
             return f"__np.zeros(int({a[0]}), dtype='{elem.np_dtype.str}')"
         if key == "wj.output":
             label = e.const_args[0]
+            shape = e.args[0].shape
+            lists = self.p.list_slots
+            if shape.slot in lists or (lists and shape.slot is None):
+                # a list carries no dtype (and an empty one no type at all)
+                a[0] = f"__np.asarray({a[0]}, {shape.elem.np_dtype.str!r})"
             return f"__env.output({label!r}, {a[0]})"
         if key == "wj.lcg64":
             return f"__wj_lcg64({a[0]})"
@@ -268,7 +339,7 @@ class _FuncEmitter:
         if key == "wj.dgemm":
             return f"__wj_dgemm({', '.join(a)})"
         if key.startswith("math."):
-            return f"__math.{key.split('.')[1]}({', '.join(a)})"
+            return f"__m_{key.split('.')[1]}({', '.join(a)})"
         if key == "builtin.abs":
             return f"abs({a[0]})"
         if key == "builtin.min":
@@ -349,12 +420,36 @@ class _FuncEmitter:
 
     def _block(self, stmts) -> None:
         self.w.depth += 1
-        if not stmts:
-            self.w.line("pass")
-        else:
-            for st in stmts:
+        start = len(self.w.lines)
+        end = self._span[id(stmts[-1])][1] if stmts else 0
+        for st in stmts:
+            if not self._copy_propagated(st, end):
                 self.emit_stmt(st)
+        if len(self.w.lines) == start:
+            self.w.line("pass")
         self.w.depth -= 1
+
+    def _copy_propagated(self, s: ir.Stmt, end: int) -> bool:
+        """Drop ``a = b`` where ``b`` is a scalar/array local or a prologue
+        binding (the inliner's argument temps, licm/cse re-bindings) when
+        every read of ``a`` comes later in the same block — statements
+        ``at + 1 .. end`` — and neither name is assigned there: those reads
+        see ``b``."""
+        v = getattr(s, "value", None)
+        if not (isinstance(s, (ir.LocalDecl, ir.Assign))
+                and isinstance(v, (ir.LocalRef, ir.FieldLoad))
+                and isinstance(v.shape, (PrimShape, ArrayShape))):
+            return False
+        src = self.emit(v)
+        at = self._span[id(s)][0]
+        reads = self._reads.get(s.name, ())
+        if (not src.isidentifier()
+                or (reads and (reads[0] <= at or reads[-1] > end))
+                or any(at < w <= end for name in (s.name, src)
+                       for w in self._writes.get(name, ()))):
+            return False
+        self.alias[s.name] = src
+        return True
 
     def f_local_shape(self, name: str) -> Shape:
         """The local's final (merged) shape — governs its representation."""
@@ -363,12 +458,7 @@ class _FuncEmitter:
     def emit_launch(self, e: ir.KernelLaunch) -> None:
         gdims = [self.dim_expr(e.config, "grid", c) for c in "xyz"]
         bdims = [self.dim_expr(e.config, "block", c) for c in "xyz"]
-        callee_ir = e.target.func_ir
-        call_args = []
-        for (pname, pshape), expr in zip(
-            _callee_passed(callee_ir), _call_value_exprs_kernel(e)
-        ):
-            call_args.append(self.value_of(expr, pshape))
+        call_args = self.passed_args(e)
         coop = "True" if self.p.kernel_uses_sync(e.target) else "False"
         thunk = (
             f"lambda __geo, *__a: {e.target.symbol}(__env, __snap, __geo, *__a)"
@@ -388,7 +478,7 @@ class _FuncEmitter:
         assert isinstance(dshape, ObjShape)
         pshape = dshape.field(comp)
         if isinstance(pshape, PrimShape) and pshape.const is not None:
-            return self.lit(pshape.const, pshape.ty)
+            return _lit(pshape.const, pshape.ty)
         # runtime config: index through the emitted value
         widx = list(cshape.fields).index(which)
         cidx = list(dshape.fields).index(comp)
@@ -403,37 +493,12 @@ class _FuncEmitter:
         for name, shape in passed_params(self.f):
             params.append(name)
         self.w.line(f"def {self.f.symbol}({', '.join(params)}):")
+        at = len(self.w.lines)
         self._block(self.f.body or [ir.Return(None)])
+        self.w.lines[at:at] = [
+            f"    {local} = __snap.{snap_attr(path)}.{fname}"
+            for (path, fname), local in self.hoisted.items()]
         self.w.line("")
-
-
-def _callee_passed(callee_ir: ir.FuncIR):
-    return passed_params(callee_ir)
-
-
-def _call_value_exprs(e: ir.Call):
-    """Caller expressions matching the callee's passed parameters."""
-    callee = e.target.func_ir
-    out = []
-    if callee.self_shape is not None and not callee.self_shape.from_snapshot:
-        out.append(e.recv)
-    for expr, shape in zip(e.args, callee.param_shapes):
-        if isinstance(shape, ObjShape) and shape.from_snapshot:
-            continue
-        out.append(expr)
-    return out
-
-
-def _call_value_exprs_kernel(e: ir.KernelLaunch):
-    callee = e.target.func_ir
-    out = []
-    if callee.self_shape is not None and not callee.self_shape.from_snapshot:
-        out.append(e.recv)
-    for expr, shape in zip(e.args, callee.param_shapes):
-        if isinstance(shape, ObjShape) and shape.from_snapshot:
-            continue
-        out.append(expr)
-    return out
 
 
 class _ProgramEmitter:
@@ -443,6 +508,79 @@ class _ProgramEmitter:
         self.w = _Writer()
         self.local_shapes: dict[str, dict[str, Shape]] = {}
         self._sync_cache: dict[str, bool] = {}
+        #: (root_path, field) of every snapshot array field a FieldStore rebinds
+        self.rebound: set[tuple] = set()
+        self._plan_slots()
+
+    def _plan_slots(self) -> None:
+        """Decide, in one IR walk, each snapshot array slot's representation.
+
+        A slot runs as a Python ``list`` when its elements are ``f64``/``i64``
+        (narrower types round in the NumPy scalar), no array that may be it
+        reaches an ndarray-consuming operation, and some loop indexes it.
+        ``ArrayShape.slot`` names the slot at every use — except behind a
+        field some ``FieldStore`` rebinds, so both sides of such a store stay
+        ndarrays, and an escaping array of unknown slot keeps them all."""
+        why: dict[int, str] = {}   # slot -> why it stays an ndarray
+        looped, stored, hot = set(), set(), set()
+        unknown = False            # an array of unknown slot escaped
+
+        def escape(shape, reason: str) -> None:
+            nonlocal unknown
+            if isinstance(shape, ArrayShape):
+                if shape.slot is None:
+                    unknown = True
+                else:
+                    why.setdefault(shape.slot, reason)
+            elif isinstance(shape, ObjShape) and not shape.from_snapshot:
+                for fshape in shape.fields.values():
+                    escape(fshape, reason)
+
+        def walk(stmts, in_loop: bool) -> None:
+            for s in stmts:
+                if isinstance(s, ir.FieldStore):
+                    self.rebound.add((s.obj.shape.root_path, s.fname))
+                    escape(s.obj.shape.field(s.fname), "unknown-alias")
+                    escape(s.value.shape, "unknown-alias")
+                indexed = []
+                if isinstance(s, ir.ArrayStore):
+                    stored.add(s.arr.shape.slot)
+                    indexed.append(s.arr.shape.slot)
+                for e in _own_exprs(s):
+                    if isinstance(e, ir.ArrayLoad):
+                        indexed.append(e.arr.shape.slot)
+                    elif isinstance(e, ir.KernelLaunch):
+                        hot.add(e.target.symbol)  # one call per thread
+                        for a in filter(None, (e.recv, *e.args)):
+                            escape(a.shape, "escapes:kernel-launch")
+                    elif isinstance(e, ir.Call) and in_loop:
+                        hot.add(e.target.symbol)
+                    elif (isinstance(e, ir.IntrinsicCall)
+                          and e.key not in _LIST_SAFE):
+                        for a in e.args:
+                            escape(a.shape, f"escapes:{e.key}")
+                if in_loop:
+                    looped.update(indexed)
+                nested = in_loop or isinstance(s, (ir.ForRange, ir.While))
+                for block in ir.stmt_blocks(s):
+                    walk(block, nested)
+
+        # callers before callees, so a loop's callees are known to be hot
+        for spec in reversed(self.program.specializations):
+            walk(spec.func_ir.body, spec.symbol in hot)
+
+        self.slot_report = {
+            str(slot.index): (
+                "ndarray:dtype" if slot.elem not in (_t.F64, _t.I64)
+                else "ndarray:unknown-alias" if unknown
+                else f"ndarray:{why[slot.index]}" if slot.index in why
+                else "ndarray:no-loop-access" if slot.index not in looped
+                else "list")
+            for slot in self.program.snapshot.array_slots}
+        #: list slot -> whether the program may store to it (write-back)
+        self.list_slots = {
+            int(k): None in stored or int(k) in stored
+            for k, v in self.slot_report.items() if v == "list"}
 
     def kernel_uses_sync(self, spec) -> bool:
         cached = self._sync_cache.get(spec.symbol)
@@ -459,6 +597,8 @@ class _ProgramEmitter:
     def emit(self) -> str:
         w = self.w
         w.line("# generated by repro.backends.pybackend — do not edit")
+        w.line(f"__py_slots = {self.slot_report!r}")
+        w.line(f"__list_slots = {self.list_slots!r}  # slot: written back")
         w.line("")
         for spec in self.program.specializations:
             self.local_shapes[spec.symbol] = compute_local_shapes(spec.func_ir)
@@ -476,7 +616,7 @@ class _ProgramEmitter:
                     raise BackendError(
                         "entry scalar argument without a recorded value"
                     )
-                args.append(repr(shape.const))
+                args.append(_lit(shape.const, shape.ty))
             elif isinstance(shape, ArrayShape):
                 args.append(f"__arrays[{shape.slot}]")
             else:
@@ -521,7 +661,9 @@ class _PyCompiled(CompiledProgram):
         self.bounds_checks = bounds_checks
         self._globals = {
             "__np": np,
-            "__math": math,
+            "__inf": math.inf,
+            "__nan": math.nan,
+            **{f"__m_{name}": getattr(math, name) for name in _MATH_NAMES},
             "__f32": lambda x: float(np.float32(x)),
             "__i32": lambda x: int(np.int32(int(x))),
             "__noop": lambda *a: None,
@@ -535,16 +677,28 @@ class _PyCompiled(CompiledProgram):
         code = compile(source, "<repro-pybackend>", "exec")
         exec(code, self._globals)  # noqa: S102 - our own generated code
         self._entry = self._globals["__entry"]
+        # the emitted source carries its own slot decisions, so an artifact
+        # hydrated from the disk tier runs exactly as the one that emitted it
+        self.opt_stats = {"py_slots": self._globals["__py_slots"]}
+        self._list_slots = self._globals["__list_slots"]
+        self._snap_layout = [
+            (snap_attr(path),
+             [(fname, fshape.slot) for fname, fshape in oshape.fields.items()
+              if isinstance(fshape, ArrayShape) and fshape.slot is not None])
+            for path, oshape in program.snapshot.objects]
 
     def run(self, env, arrays: Sequence[np.ndarray]):
-        snap = SimpleNamespace()
-        for path, oshape in self.program.snapshot.objects:
-            ns = SimpleNamespace()
-            for fname, fshape in oshape.fields.items():
-                if isinstance(fshape, ArrayShape) and fshape.slot is not None:
-                    setattr(ns, fname, arrays[fshape.slot])
-            setattr(snap, snap_attr(path), ns)
-        return self._entry(env, snap, list(arrays))
+        vals = list(arrays)
+        for k in self._list_slots:
+            vals[k] = arrays[k].tolist()
+        snap = SimpleNamespace(**{
+            attr: SimpleNamespace(**{fname: vals[k] for fname, k in fields})
+            for attr, fields in self._snap_layout})
+        value = self._entry(env, snap, vals)
+        for k, written in self._list_slots.items():
+            if written:
+                arrays[k][:] = vals[k]
+        return value
 
 
 def _ffi_table() -> dict:

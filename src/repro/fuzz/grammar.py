@@ -27,7 +27,13 @@ Numeric safety (the "agree" in *bit-for-bit agreement* means the full 64
 bits, so no program may reach inf/NaN or i64 overflow):
 
 * f64 literals are exact binary fractions; division, ``//`` and ``%`` use
-  nonzero power-of-two literal divisors; ``**`` only ever squares.
+  nonzero power-of-two literal divisors; ``**`` only ever squares, or
+  raises the constant field ``self.a`` (|a| ≤ 3, often negative) to a
+  runtime exponent in {0, 1, 2, 3} — a folded negative base an emitter
+  must parenthesize.
+* the one non-finite value is the constant ``1e308 * 10.0`` (folds to
+  ``inf``, which an emitter must be able to spell); it only ever bounds a
+  ``min``/``max`` whose other operand is finite, so no result is inf/NaN.
 * f64 locals are clamped to ±1000 after every assignment, helper returns
   are clamped to ±1024 inside the helper, so expression leaves stay small
   and a depth-4 tree of squarings tops out near 1e64 — far from overflow.
@@ -172,7 +178,8 @@ def _fexpr(rng: random.Random, ctx: dict[str, Any], depth: int,
         return _fleaf(rng, ctx)
     ops = ["+", "-", "*", "+", "-", "*", "/"]
     if feats.new_ops:
-        ops += ["//", "%", "**", "abs", "min", "max", "cast"]
+        ops += ["//", "%", "**", "abs", "min", "max", "cast", "cpow",
+                "infclamp"]
     if ctx["f_calls"] and rng.random() < 0.3:
         name, nparams = rng.choice(ctx["f_calls"])
         args = ", ".join(_fexpr(rng, ctx, 1, feats) for _ in range(nparams))
@@ -186,7 +193,15 @@ def _fexpr(rng: random.Random, ctx: dict[str, Any], depth: int,
     if op == "cast":
         return f"float({_ileaf(rng, ctx)})" if ctx["i_leaves"] else \
             _fleaf(rng, ctx)
+    if op == "cpow" and ctx["i_leaves"]:
+        return f"(self.a ** float(abs({_ileaf(rng, ctx)}) % 4))"
     left = _fexpr(rng, ctx, depth - 1, feats)
+    if op == "infclamp":
+        if rng.random() < 0.5:
+            return f"min({left}, 1e308 * 10.0)"
+        return f"max({left}, -(1e308 * 10.0))"
+    if op == "cpow":  # no i64 leaf in scope to vary the exponent
+        return f"({left} ** 2.0)"
     if op in ("/", "//", "%"):
         return f"({left} {op} {rng.choice(_DIVISORS)})"
     if op == "**":

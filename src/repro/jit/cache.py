@@ -76,11 +76,14 @@ __all__ = [
     "guest_source_digest",
     "lookup",
     "program_key",
+    "py_slot_decisions",
     "stats",
     "store",
 ]
 
-_FORMAT_VERSION = 2
+#: 3: py artifacts carry their array-slot representation (``__list_slots``)
+#: in the source; an older py entry has none and must never be hydrated
+_FORMAT_VERSION = 3
 
 #: entry-return-type name <-> singleton mapping (for disk serialization)
 _RET_BY_NAME = {
@@ -668,8 +671,18 @@ def _entry_infos(root: Path) -> list[dict]:
             "hits": int(meta.get("hits", 0)),
             "last_used": float(meta.get("last_used", mtime)),
             "compile_count": int(meta.get("compile_count", 1)),
+            "py_slots": meta.get("opt_stats", {}).get("py_slots"),
         })
     return infos
+
+
+def py_slot_decisions() -> dict[str, dict]:
+    """``{digest: {slot: "list" | "ndarray:<reason>"}}`` for every py entry
+    on disk: the py backend's array-slot representation decisions
+    (``JitReport.opt_stats["py_slots"]``), recovered from entry metadata
+    alone — what ``repro jit stats`` prints."""
+    return {i["digest"]: i["py_slots"] for i in _entry_infos(cache_dir())
+            if i["py_slots"] is not None}
 
 
 def evict(cap_bytes: Optional[int] = None) -> dict:

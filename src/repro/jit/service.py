@@ -352,11 +352,9 @@ def _build(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt, *,
     _PHASE_HIST["backend_compile_s"].observe(backend_s)
 
     bstats = dict(getattr(compiled, "build_stats", None) or {})
-    if "parallel" in bstats:
-        # loop-parallelization decisions belong with the optimizer stats
-        # (they are an opt-pipeline product, the build merely honours them)
-        opt_stats = dict(opt_stats)
-        opt_stats["parallel"] = bstats["parallel"]
+    # decisions the backend took while emitting belong with the optimizer
+    # stats (C: loop parallelization, py: array-slot representation)
+    opt_stats = {**opt_stats, **(compiled.opt_stats or {})}
 
     report = _engine.JitReport(
         translate_s=translate_s,

@@ -8,6 +8,9 @@ method.  Python semantics (floor division, modulo sign, true division) must
 hold identically everywhere.
 """
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,3 +132,62 @@ class TestReductions:
                       backend=backend).invoke()
             assert res.value == pytest.approx(max(xs))
             np.testing.assert_allclose(res.outputs[0]["out"], ref)
+
+
+def _bits(v) -> bytes:
+    return struct.pack("<d", float(v))
+
+
+class TestFoldedConstants:
+    """Snapshot scalars fold to literals in the emitted source; the spelling
+    must survive every operand position (tests/guestlib_numeric.py)."""
+
+    @pytest.mark.parametrize("method,want", [
+        ("neg_pow_sum", 3.0),              # (-2)**0 + (-2)**1 + (-2)**2
+        ("overflow", math.inf),            # 1e308 * 10.0 folds to +inf
+        ("not_a_number", math.nan),        # inf - inf folds to nan
+    ])
+    def test_three_way(self, method, want):
+        from tests.guestlib_numeric import FoldedConstants
+
+        def same(a, b):  # the sign bit of a NaN is not part of the contract
+            return _bits(a) == _bits(b) or (a != a and b != b)
+
+        ref = getattr(FoldedConstants(-2.0, 1e308), method)(3)
+        assert same(ref, want)
+        for backend in BACKENDS:
+            got = jit(FoldedConstants(-2.0, 1e308), method, 3,
+                      backend=backend).invoke().value
+            assert same(got, ref), (backend, got)
+
+
+class TestListSlots:
+    """The py backend's list-backed array slots against CPython and C, bit
+    for bit, on the two f64/i64 class libraries."""
+
+    def _three_way(self, make, method, arg, labels):
+        import repro.rt as rt
+
+        rt.current.reset()
+        ref = getattr(make(), method)(arg)
+        ref_outs = rt.current.take_outputs()
+        for backend in BACKENDS:
+            code = jit(make(), method, arg, backend=backend)
+            if backend == "py":
+                slots = code.report.opt_stats["py_slots"]
+                assert slots and set(slots.values()) == {"list"}
+            res = code.invoke()
+            assert _bits(res.value) == _bits(ref), backend
+            for label in labels:
+                assert (res.output(label).tobytes()
+                        == ref_outs[label].tobytes()), (backend, label)
+
+    def test_nbody(self):
+        from repro.library.nbody.config import make_system
+
+        self._three_way(lambda: make_system(8), "run", 6, ("x", "y", "z"))
+
+    def test_cgsolve(self):
+        from repro.library.cgsolve.config import make_solver
+
+        self._three_way(lambda: make_solver(5, 5), "solve", 40, ("x",))

@@ -44,10 +44,15 @@ class TestGrammar:
         assert "while " in full
         assert " and " in full or " or " in full
         assert "m = " in full
+        # folded constants an emitter can misspell: a negative base under
+        # ** with a runtime exponent, and a product that overflows to inf
+        assert "self.a ** float(" in full
+        assert "1e308 * 10.0" in full
         legacy = "".join(render(random_spec(rng, LEGACY_FEATURES))
                          for _ in range(60))
         assert "while " not in legacy
         assert " and " not in legacy and " or " not in legacy
+        assert "1e308" not in legacy and "self.a **" not in legacy
 
     def test_spec_round_trips_through_json_dict(self):
         spec = random_spec(random.Random(5), FULL_FEATURES)
