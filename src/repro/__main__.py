@@ -184,8 +184,7 @@ def cmd_cache(args) -> int:
               f"({st['bytes_evicted'] / 1024:.1f} KiB reclaimed)")
     if st["hit_age_min_s"] is not None:
         print(f"hit age        : {st['hit_age_min_s']:.0f} s (hottest) .. "
-              f"{st['hit_age_max_s']:.0f} s (coldest), "
-              f"{st['disk_hits_recorded']} recorded hits")
+              f"{st['hit_age_max_s']:.0f} s (coldest)")
     print(f"tmp files      : {st['tmp_files']}"
           + (f"  (swept {st['tmp_swept']} this process)" if st['tmp_swept']
              else ""))

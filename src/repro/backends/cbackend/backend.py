@@ -1,14 +1,19 @@
-"""The C backend driver: emit → compile → load."""
+"""The C backend driver: emit → compile → load.
+
+The driver is on the cache-hit path (``jit()`` constructs a backend before
+it probes the cache), so it imports only the build driver and the bridge;
+the emitter and the loop-independence analysis belong to the compile stack
+and are imported by :meth:`CBackend.compile`, i.e. by the first miss.
+"""
 
 from __future__ import annotations
 
+from repro import env as _env
 from repro.backends.base import Backend, CompiledProgram, OptLevel
 from repro.backends.cbackend.build import build_shared_object
 from repro.backends.cbackend.bridge import CCompiled
-from repro.backends.cbackend.emit import CProgramEmitter
 from repro.jit.program import Program
 from repro.obs import metrics as _metrics
-from repro.opt import parallel as _par
 
 __all__ = ["CBackend"]
 
@@ -26,23 +31,25 @@ class CBackend(Backend):
         # "Other issues"); a debug build can turn them on (also via
         # REPRO_BOUNDS=1).  env_flag fixes the old parser, which treated
         # "false"/"no" as truthy.
-        from repro.env import env_flag
-
         if bounds_checks is None:
-            bounds_checks = env_flag("REPRO_BOUNDS", default=False)
+            bounds_checks = _env.env_flag("REPRO_BOUNDS", default=False)
         self.bounds_checks = bounds_checks
 
     def compile(self, program: Program, opt: OptLevel) -> CompiledProgram:
+        from repro.backends.cbackend.emit import CProgramEmitter
+
         # loop parallelization only at FULL (the comparator modes measure
         # abstraction cost) and never under bounds checks (the shared
         # wj_oob_count counter is not thread-safe)
         plan = None
         if (
-            _par.omp_enabled()
+            _env.omp_enabled()
             and opt is OptLevel.FULL
             and not self.bounds_checks
         ):
-            plan = _par.analyze_program(program)
+            from repro.opt.parallel import analyze_program
+
+            plan = analyze_program(program)
             _M.counter("parallel.loops_seen").inc(
                 plan.stats["loops_seen"])
             _M.counter("parallel.loops_parallelized").inc(
@@ -56,8 +63,8 @@ class CBackend(Backend):
         so_path, stats = build_shared_object(
             result.source, opt,
             openmp=result.uses_omp
-            or (result.uses_dgemm and _par.omp_enabled()),
-            blas=result.uses_dgemm and _par.blas_enabled(),
+            or (result.uses_dgemm and _env.omp_enabled()),
+            blas=result.uses_dgemm and _env.blas_enabled(),
         )
         compiled = CCompiled(so_path, result, result.source,
                              bounds_checks=self.bounds_checks)

@@ -28,12 +28,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.backends.base import CompiledProgram
-from repro.backends.cbackend.emit import EmitResult
 from repro.errors import BackendError, GuestRuntimeError
 from repro.lang import types as _t
 from repro.obs import trace as _trace
 
-__all__ = ["CCompiled", "WjEnvStruct"]
+__all__ = ["CCompiled", "EmitResult", "WjEnvStruct"]
 
 _DT_NP = {1: np.float32, 2: np.float64, 3: np.int32, 4: np.int64, 5: np.uint8}
 
@@ -239,6 +238,28 @@ _RET_CTYPE = {
     _t.I32: ct.c_int32,
     _t.BOOL: ct.c_int32,
 }
+
+
+class EmitResult:
+    """Emitted source plus the runtime-initialization data the bridge needs
+    (scalar tables, entry return type, array-slot count).  Built by the
+    emitter on a miss and from entry metadata on a disk hit, which is why
+    it lives here and ``emit.py`` re-exports it."""
+
+    def __init__(self, source: str, ivals: list[int], dvals: list[float],
+                 entry_ret: _t.Type, n_slots: int, uses_omp: bool = False,
+                 uses_dgemm: bool = False):
+        self.source = source
+        self.ivals = ivals
+        self.dvals = dvals
+        self.entry_ret = entry_ret
+        self.n_slots = n_slots
+        #: always None; read only by the benchmarks/ledger replay
+        self.units = None
+        #: the source contains `#pragma omp` loops / a wj_dgemm call site —
+        #: the build adds -fopenmp / BLAS flags accordingly
+        self.uses_omp = uses_omp
+        self.uses_dgemm = uses_dgemm
 
 
 class CCompiled(CompiledProgram):

@@ -31,6 +31,7 @@ from repro.backends.base import (
     is_pure,
     passed_params,
 )
+from repro.backends.cbackend.bridge import EmitResult
 from repro.backends.cbackend.prelude import DGEMM_BLOCK, OMP_BLOCK, PRELUDE
 from repro.errors import BackendError
 from repro.frontend import ir
@@ -63,26 +64,6 @@ def arr_suffix(elem: _t.PrimType) -> str:
         raise BackendError(
             f"array element type {elem!r} is not supported by the C backend"
         ) from None
-
-
-class EmitResult:
-    """Emitted source plus the runtime-initialization data the bridge needs
-    (scalar tables, entry return type, array-slot count)."""
-
-    def __init__(self, source: str, ivals: list[int], dvals: list[float],
-                 entry_ret: _t.Type, n_slots: int, uses_omp: bool = False,
-                 uses_dgemm: bool = False):
-        self.source = source
-        self.ivals = ivals
-        self.dvals = dvals
-        self.entry_ret = entry_ret
-        self.n_slots = n_slots
-        #: always None; read only by the benchmarks/ledger replay
-        self.units = None
-        #: the source contains `#pragma omp` loops / a wj_dgemm call site —
-        #: the build adds -fopenmp / BLAS flags accordingly
-        self.uses_omp = uses_omp
-        self.uses_dgemm = uses_dgemm
 
 
 class _Writer:

@@ -1,5 +1,5 @@
 """Python backend: emit flat specialized Python source and exec it."""
 
-from repro.backends.pybackend.emit import PyBackend
+from repro.backends.pybackend.backend import PyBackend
 
 __all__ = ["PyBackend"]

@@ -20,34 +20,21 @@ docs/OPTIMIZER.md, "py backend data representation".
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
-from typing import Sequence
 
-import numpy as np
-
-from repro.backends.base import (
-    Backend,
-    CompiledProgram,
-    OptLevel,
-    compute_local_shapes,
-    is_pure,
-    passed_params,
+from repro.backends.base import compute_local_shapes, is_pure, passed_params
+# the driver and the loader live on the cache-hit path, apart from this
+# module (DESIGN.md, "Import layers"); their names stay importable from here
+from repro.backends.pybackend.backend import PyBackend
+from repro.backends.pybackend.loader import (  # noqa: F401
+    _ffi_table, _ld_checked, _PyCompiled, _st_checked, snap_attr,
 )
 from repro.errors import BackendError
 from repro.frontend import ir
 from repro.frontend.shapes import ArrayShape, ObjShape, PrimShape, Shape
 from repro.jit.program import Program
 from repro.lang import types as _t
-from repro.lang.intrinsics import (
-    _MATH_NAMES, _dgemm_py, _lcg64_py, _u01_py, intrinsic_registry,
-)
 
 __all__ = ["PyBackend"]
-
-
-def snap_attr(path: str) -> str:
-    """Mangle a snapshot path ('self.solver') to an attribute name."""
-    return path.replace(".", "_")
 
 
 _GEO_INDEX = {
@@ -625,111 +612,3 @@ class _ProgramEmitter:
         w.depth += 1
         w.line(f"return {entry.symbol}({', '.join(args)})")
         w.depth -= 1
-
-
-def _ld_checked(arr, idx):
-    """Bounds-checked array load for the py backend's REPRO_BOUNDS mode."""
-    i = int(idx)
-    if not 0 <= i < len(arr):
-        from repro.errors import GuestRuntimeError
-
-        raise GuestRuntimeError(
-            f"out-of-bounds array access in translated code: index {i} "
-            f"not in [0, {len(arr)}) (debug bounds checking)"
-        )
-    return arr[i]
-
-
-def _st_checked(arr, idx, value):
-    """Bounds-checked array store for the py backend's REPRO_BOUNDS mode."""
-    i = int(idx)
-    if not 0 <= i < len(arr):
-        from repro.errors import GuestRuntimeError
-
-        raise GuestRuntimeError(
-            f"out-of-bounds array access in translated code: index {i} "
-            f"not in [0, {len(arr)}) (debug bounds checking)"
-        )
-    arr[i] = value
-
-
-class _PyCompiled(CompiledProgram):
-    def __init__(self, program: Program, source: str, *,
-                 bounds_checks: bool = False):
-        self.program = program
-        self.source = source
-        self.bounds_checks = bounds_checks
-        self._globals = {
-            "__np": np,
-            "__inf": math.inf,
-            "__nan": math.nan,
-            **{f"__m_{name}": getattr(math, name) for name in _MATH_NAMES},
-            "__f32": lambda x: float(np.float32(x)),
-            "__i32": lambda x: int(np.int32(int(x))),
-            "__noop": lambda *a: None,
-            "__wj_lcg64": _lcg64_py,
-            "__wj_u01": _u01_py,
-            "__wj_dgemm": _dgemm_py,
-            "__wj_ld": _ld_checked,
-            "__wj_st": _st_checked,
-            "__ffi": _ffi_table(),
-        }
-        code = compile(source, "<repro-pybackend>", "exec")
-        exec(code, self._globals)  # noqa: S102 - our own generated code
-        self._entry = self._globals["__entry"]
-        # the emitted source carries its own slot decisions, so an artifact
-        # hydrated from the disk tier runs exactly as the one that emitted it
-        self.opt_stats = {"py_slots": self._globals["__py_slots"]}
-        self._list_slots = self._globals["__list_slots"]
-        self._snap_layout = [
-            (snap_attr(path),
-             [(fname, fshape.slot) for fname, fshape in oshape.fields.items()
-              if isinstance(fshape, ArrayShape) and fshape.slot is not None])
-            for path, oshape in program.snapshot.objects]
-
-    def run(self, env, arrays: Sequence[np.ndarray]):
-        vals = list(arrays)
-        for k in self._list_slots:
-            vals[k] = arrays[k].tolist()
-        snap = SimpleNamespace(**{
-            attr: SimpleNamespace(**{fname: vals[k] for fname, k in fields})
-            for attr, fields in self._snap_layout})
-        value = self._entry(env, snap, vals)
-        for k, written in self._list_slots.items():
-            if written:
-                arrays[k][:] = vals[k]
-        return value
-
-
-def _ffi_table() -> dict:
-    table = {}
-    for root_table in intrinsic_registry._by_root.values():
-        for spec in root_table.values():
-            if spec.foreign is not None:
-                table[spec.foreign.cname] = spec.pyimpl
-    return table
-
-
-class PyBackend(Backend):
-    """Emit flat specialized Python and exec it (portable backend).
-
-    Like the C backend, honors ``REPRO_BOUNDS`` (debug bounds checking):
-    unproven array accesses go through checked helpers that raise
-    :class:`~repro.errors.GuestRuntimeError` on out-of-bounds indices —
-    numpy alone would silently accept negative indices."""
-
-    name = "py"
-
-    def __init__(self, *, bounds_checks: bool | None = None):
-        from repro.env import env_flag
-
-        if bounds_checks is None:
-            bounds_checks = env_flag("REPRO_BOUNDS", default=False)
-        self.bounds_checks = bounds_checks
-
-    def compile(self, program: Program, opt: OptLevel) -> CompiledProgram:
-        # the Python backend always emits at FULL optimization (see base.py)
-        source = _ProgramEmitter(
-            program, bounds_checks=self.bounds_checks).emit()
-        return _PyCompiled(program, source,
-                           bounds_checks=self.bounds_checks)

@@ -1,30 +1,10 @@
-"""Frontend: guest-source capture, typed IR, lowering, and rule checking."""
+"""Frontend: guest-source capture, typed IR, lowering, and rule checking.
 
-from repro.frontend.ir import (  # noqa: F401
-    ArrayLen,
-    ArrayLoad,
-    ArrayStore,
-    Assign,
-    BinOp,
-    BoolOp,
-    Break,
-    Call,
-    Cast,
-    Compare,
-    Const,
-    Continue,
-    ExprStmt,
-    FieldLoad,
-    ForRange,
-    FuncIR,
-    If,
-    IntrinsicCall,
-    KernelLaunch,
-    LocalDecl,
-    LocalRef,
-    NewObj,
-    Return,
-    UnaryOp,
-    While,
-)
+Only the shape vocabulary is re-exported: :mod:`~repro.frontend.shapes` and
+:mod:`~repro.frontend.objectgraph` are what a cache hit needs, while
+``ir`` / ``lower`` / ``rules`` / ``verify`` / ``source`` belong to the
+compile stack and are imported by name, by the first miss (DESIGN.md,
+"Import layers").
+"""
+
 from repro.frontend.shapes import ArrayShape, ObjShape, PrimShape, Shape  # noqa: F401

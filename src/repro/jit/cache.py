@@ -29,11 +29,19 @@ payload files; corrupted or truncated entries are detected at load time,
 dropped, and silently recompiled.
 
 The disk tier is multi-process aware (it is the shared state of the
-compile farm, see docs/COMPILE_FARM.md): every entry carries hit/age
-accounting in its metadata, the tier is size-capped with LRU eviction
-(``REPRO_DISK_CACHE_MAX_MB``), writers can hold a per-entry cross-process
-file lock (:mod:`repro.jit.locks`), and maintenance tolerates concurrent
-workers evicting the same entry.
+compile farm, see docs/COMPILE_FARM.md): the tier is size-capped with LRU
+eviction (``REPRO_DISK_CACHE_MAX_MB``), writers can hold a per-entry
+cross-process file lock (:mod:`repro.jit.locks`), and maintenance tolerates
+concurrent workers evicting the same entry.  A disk *hit* is read-only: it
+verifies the payload hashes and bumps the mtime of the entry's ``.json``
+commit marker (``os.utime`` — that mtime is the entry's recency), but never
+writes file contents, so N ranks hitting one key never race each other or a
+concurrent rebuild of it.
+
+This module is on the cache-hit path of a fresh process: it imports nothing
+of the compile stack (IR, lowering, passes, emitters — DESIGN.md, "Import
+layers"), and the knobs that key the cache are read through
+:mod:`repro.env`.
 
 Environment:
 
@@ -52,7 +60,6 @@ import json
 import os
 import platform
 import re
-import shutil
 import sys
 import threading
 import time
@@ -60,6 +67,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from repro import env as _env
 from repro.frontend.shapes import ObjShape, Shape
 from repro.jit.program import Program
 from repro.lang import types as _t
@@ -264,9 +272,6 @@ def program_key(minfo, recv_shape: ObjShape, arg_shapes, *, backend: str,
     for s in arg_shapes:
         _shape_classes(s, roots)
     guest, persistable = guest_source_digest(roots)
-    from repro.opt import pipeline_token
-    from repro.opt.parallel import blas_token, omp_token
-
     material = {
         "v": _FORMAT_VERSION,
         "repro": repro.__version__,
@@ -281,12 +286,12 @@ def program_key(minfo, recv_shape: ObjShape, arg_shapes, *, backend: str,
         # the mid-end configuration shapes the emitted artifact, so it MUST
         # key the cache: toggling REPRO_OPT_PASSES can never reuse a stale
         # artifact built under a different pass set
-        "opt_passes": pipeline_token(opt),
+        "opt_passes": _env.pipeline_token(opt),
         # likewise the parallel-loop configuration (REPRO_OMP /
         # REPRO_OMP_THREADS change the emitted pragmas) and the BLAS build
         # mode (REPRO_BLAS changes build flags for identical source)
-        "omp": omp_token(opt) if backend == "c" else "",
-        "blas": blas_token() if backend == "c" else "",
+        "omp": _env.omp_token(opt) if backend == "c" else "",
+        "blas": _env.blas_token() if backend == "c" else "",
         "bounds": bool(bounds_checks),
         "cc": _cc_version() if backend == "c" else "",
     }
@@ -310,16 +315,12 @@ def cache_dir() -> Path:
 
 def disk_enabled() -> bool:
     """Whether the persistent tier is active (``REPRO_DISK_CACHE=0`` off)."""
-    from repro.env import env_flag
-
-    return env_flag("REPRO_DISK_CACHE", default=True)
+    return _env.env_flag("REPRO_DISK_CACHE", default=True)
 
 
 def disk_cap_bytes() -> int:
     """The disk-tier byte cap (``REPRO_DISK_CACHE_MAX_MB``; 0 = unbounded)."""
-    from repro.env import env_float
-
-    mb = env_float("REPRO_DISK_CACHE_MAX_MB", 0.0)
+    mb = _env.env_float("REPRO_DISK_CACHE_MAX_MB", 0.0)
     return int(mb * 1024 * 1024) if mb > 0 else 0
 
 
@@ -410,20 +411,14 @@ def _validate_entry(meta: dict, spath: Path, opath: Path) -> tuple[str, str]:
     return source, str(opath)
 
 
-#: meta keys attached at load time, never persisted back to the ``.json``
-_RUNTIME_META_KEYS = ("source", "so_path")
-
-
-def _record_hit(jpath: Path, meta: dict) -> None:
-    """Bump the entry's use accounting (atime-style: ``hits`` count and
-    ``last_used`` stamp drive LRU eviction).  Best-effort — a lost update
-    under concurrent hits only makes the entry look slightly colder."""
-    meta["hits"] = int(meta.get("hits", 0)) + 1
-    meta["last_used"] = time.time()
-    persisted = {k: v for k, v in meta.items() if k not in _RUNTIME_META_KEYS}
+def _record_hit(jpath: Path) -> None:
+    """Mark the entry as just used: bump the commit marker's mtime, which is
+    what LRU eviction orders by.  The read path never writes file
+    *contents* — a reader holding old metadata cannot overwrite the marker
+    a concurrent rebuild just published.  Best-effort: a read-only cache
+    directory still serves, its entries only look colder."""
     try:
-        _atomic_write_bytes(jpath,
-                            json.dumps(persisted, sort_keys=True).encode())
+        os.utime(jpath)
     except OSError:
         pass
 
@@ -445,7 +440,7 @@ def _disk_get(digest: str) -> Optional[dict]:
             with _TIER_LOCK:
                 _COUNTERS["torn_dropped"] += 1
         return None
-    _record_hit(jpath, meta)
+    _record_hit(jpath)
     meta["source"] = source
     meta["so_path"] = so_path
     return meta
@@ -475,13 +470,12 @@ def _disk_put(digest: str, meta: dict, source: str,
         meta = dict(meta)
         meta["v"] = _FORMAT_VERSION
         meta["sha_src"] = hashlib.sha256(source.encode()).hexdigest()
-        now = time.time()
-        meta["created"] = now
-        meta["last_used"] = now
-        meta["hits"] = 0
+        meta["created"] = time.time()
         meta["builder_pid"] = os.getpid()
         meta["compile_count"] = prev_compiles + 1
         if so_path is not None:
+            import shutil  # 3 ms to import, and only a store copies
+
             tmp = opath.with_name(f"{opath.name}.tmp{os.getpid()}")
             shutil.copyfile(so_path, tmp)
             os.replace(tmp, opath)
@@ -536,8 +530,7 @@ def _hydrate(meta: dict, snapshot, recv_shape, arg_shapes):
     """Rebuild (program, compiled) from a verified disk entry."""
     program = _program_from_meta(meta, snapshot, recv_shape, arg_shapes)
     if meta["kind"] == "c":
-        from repro.backends.cbackend.bridge import CCompiled
-        from repro.backends.cbackend.emit import EmitResult
+        from repro.backends.cbackend.bridge import CCompiled, EmitResult
 
         emit = EmitResult(
             meta["source"],
@@ -549,7 +542,7 @@ def _hydrate(meta: dict, snapshot, recv_shape, arg_shapes):
         compiled = CCompiled(meta["so_path"], emit, meta["source"],
                              bounds_checks=meta["bounds_checks"])
     else:
-        from repro.backends.pybackend.emit import _PyCompiled
+        from repro.backends.pybackend.loader import _PyCompiled
 
         compiled = _PyCompiled(program, meta["source"])
     return program, compiled
@@ -642,8 +635,10 @@ def _sweep_stale_tmp(root: Path) -> int:
 
 
 def _entry_infos(root: Path) -> list[dict]:
-    """One dict per complete entry: digest, total bytes, last_used, hits.
+    """One dict per complete entry: digest, total bytes, last_used.
 
+    ``last_used`` is the commit marker's mtime — set by the store that
+    published it and bumped by every disk hit (:func:`_record_hit`).
     Entries whose ``.json`` cannot be read are skipped (a concurrent
     writer/evictor owns them right now)."""
     infos = []
@@ -668,8 +663,7 @@ def _entry_infos(root: Path) -> list[dict]:
             "digest": digest,
             "bytes": n_bytes,
             "kind": meta.get("kind", "?"),
-            "hits": int(meta.get("hits", 0)),
-            "last_used": float(meta.get("last_used", mtime)),
+            "last_used": mtime,
             "compile_count": int(meta.get("compile_count", 1)),
             "py_slots": meta.get("opt_stats", {}).get("py_slots"),
         })
@@ -814,7 +808,6 @@ def stats() -> dict:
             "disk_entries": len(infos),
             "disk_bytes": n_bytes,
             "disk_by_kind": by_kind,
-            "disk_hits_recorded": sum(i["hits"] for i in infos),
             "hit_age_min_s": min(ages) if ages else None,
             "hit_age_max_s": max(ages) if ages else None,
             "tmp_files": n_tmp,

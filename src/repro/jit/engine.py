@@ -30,7 +30,6 @@ from repro.cuda.perf import GpuModel, M2050_MODEL
 from repro.errors import JitError
 from repro.jit.program import Program
 from repro.jit.runtime import RuntimeEnv
-from repro.jit.specialize import Specializer
 from repro.lang import types as _t
 from repro.mpi.launcher import mpirun
 from repro.mpi.netmodel import NetworkModel, TSUBAME_NET
@@ -310,6 +309,10 @@ def _translate(minfo, snapshot, recv_shape, arg_shapes, opt=None):
     (VIRTUAL/DEVIRT/NOVIRT) are left untouched so they keep measuring
     abstraction cost.
     """
+    # the compile stack (lowering, rules, IR, the mid-end passes) is first
+    # imported here, by the first miss; a cache hit never loads it
+    from repro.frontend.verify import verify_program
+    from repro.jit.specialize import Specializer
     from repro.opt import pipeline_for
 
     pipeline = pipeline_for(opt) if opt is not None else None
@@ -320,8 +323,6 @@ def _translate(minfo, snapshot, recv_shape, arg_shapes, opt=None):
                                             device=False)
         program.entry = entry_spec
         sp.set(n_specializations=len(program.specializations))
-    from repro.frontend.verify import verify_program
-
     opt_stats = verify_program(program).as_dict()
     if pipeline is not None:
         opt_stats["pipeline"] = pipeline.stats_dict()

@@ -193,7 +193,7 @@ def make_calculator() -> InnerBody:
     translated code — component selection happens at guest-construction
     time, like the paper's application wiring.
     """
-    from repro.opt.parallel import blas_enabled
+    from repro.env import blas_enabled
 
     if blas_enabled():
         return BlasCalculator()

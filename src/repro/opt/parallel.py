@@ -34,11 +34,20 @@ byte-identical to the sequential backend.  The effective configuration
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.backends.base import is_pure
-from repro.env import env_flag
+# the REPRO_OMP* / REPRO_BLAS readers key the cache, so they live where a
+# cache hit can reach them without importing this analysis (repro.env)
+from repro.env import (
+    ANALYSIS_VERSION,
+    blas_enabled,
+    blas_token,
+    omp_enabled,
+    omp_reductions_enabled,
+    omp_threads,
+    omp_token,
+)
 from repro.frontend import ir
 from repro.frontend.shapes import ArrayShape, ObjShape, PrimShape
 
@@ -55,10 +64,6 @@ __all__ = [
     "omp_token",
 ]
 
-#: bumped whenever the analysis or the emitted parallel code changes, so
-#: cached artifacts from older analysis versions are never reused
-ANALYSIS_VERSION = 1
-
 _PURE_INTRINSIC_PREFIXES = ("math.",)
 _PURE_INTRINSIC_KEYS = frozenset(
     {"builtin.abs", "builtin.min", "builtin.max", "wj.lcg64", "wj.u01"}
@@ -70,65 +75,6 @@ _REDUCTION_INTRINSICS = {"builtin.min": "min", "builtin.max": "max"}
 
 def _pure_intrinsic(key: str) -> bool:
     return key in _PURE_INTRINSIC_KEYS or key.startswith(_PURE_INTRINSIC_PREFIXES)
-
-
-# --------------------------------------------------------------------------
-# configuration
-
-
-def omp_enabled() -> bool:
-    """Whether ``REPRO_OMP`` asks for OpenMP parallel loops."""
-    return env_flag("REPRO_OMP", False)
-
-
-def omp_reductions_enabled() -> bool:
-    """Whether float ``+``/``*`` reductions may be parallelized.
-
-    An OpenMP ``reduction`` clause combines per-thread partials in an
-    unspecified order; for floats that reassociates the sum/product and
-    changes the result by rounding — breaking the repo-wide bit-exactness
-    contract.  Like ``-ffast-math`` this is therefore opt-in
-    (``REPRO_OMP_REDUCTIONS=1``).  Integer reductions and ``min``/``max``
-    are order-independent and always eligible.
-    """
-    return env_flag("REPRO_OMP_REDUCTIONS", False)
-
-
-def omp_threads():
-    """The thread count baked into ``num_threads(...)`` clauses, from
-    ``REPRO_OMP_THREADS``; None leaves the choice to the OpenMP runtime
-    (``OMP_NUM_THREADS``)."""
-    raw = os.environ.get("REPRO_OMP_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        return None
-    return n if n > 0 else None
-
-
-def omp_token(opt) -> str:
-    """The cache-key component for the parallel configuration (empty when
-    the analysis would not run at all, mirroring ``pipeline_token``)."""
-    if getattr(opt, "value", opt) != "full" or not omp_enabled():
-        return ""
-    t = omp_threads()
-    red = "on" if omp_reductions_enabled() else "off"
-    return (f"omp:v{ANALYSIS_VERSION}:threads={'env' if t is None else t}"
-            f":fred={red}")
-
-
-def blas_enabled() -> bool:
-    """Whether ``REPRO_BLAS`` asks for cblas_dgemm-backed ``wj.dgemm``."""
-    return env_flag("REPRO_BLAS", False)
-
-
-def blas_token() -> str:
-    """Cache-key component for the BLAS build configuration: REPRO_BLAS
-    changes build flags (``-DWJ_HAVE_CBLAS`` + link libs) for identical
-    source, so it must key the artifact digest."""
-    return "blas:on" if blas_enabled() else ""
 
 
 # --------------------------------------------------------------------------

@@ -24,9 +24,12 @@ the pass and the function instead of miscompiling silently.
 
 from __future__ import annotations
 
-import os
 import time
 
+# the REPRO_OPT_PASSES readers key the cache, so they live where a cache
+# hit can reach them without importing a pass (repro.env); this module,
+# which acts on them, re-exports them
+from repro.env import PASS_ORDER, config_from_env, pipeline_token
 from repro.errors import BackendError
 from repro.frontend.verify import verify_func
 from repro.obs import metrics as _metrics
@@ -44,14 +47,6 @@ __all__ = [
     "pipeline_token",
 ]
 
-#: canonical pass order — inline first (splices callee bodies so every
-#: later pass sees across former call boundaries), fold (exposes
-#: constants), then licm (hoists before cse can bind block-local temps),
-#: then cse, then dce (cleans up stores the earlier passes made dead),
-#: and bce last (the range analysis profits from folded bounds and can
-#: see through the __licm/__cse temps)
-PASS_ORDER = ("inline", "fold", "licm", "cse", "dce", "bce")
-
 _PASS_FNS = {
     "inline": _cfg_inline.inline_func,
     "fold": _p.fold_func,
@@ -61,44 +56,11 @@ _PASS_FNS = {
     "bce": _cfg_ranges.bce_func,
 }
 
-_ALL_SPELLINGS = frozenset({"", "1", "true", "yes", "on", "all", "default"})
-_NONE_SPELLINGS = frozenset({"0", "false", "no", "off", "none"})
-
 _M = _metrics.registry()
 
 
 class OptPassError(BackendError):
     """An optimizer pass produced IR that fails verification."""
-
-
-def config_from_env() -> tuple:
-    """The enabled passes per ``REPRO_OPT_PASSES``, in canonical order.
-
-    Raises :class:`ValueError` for unknown pass names so a typo disables
-    nothing silently."""
-    raw = os.environ.get("REPRO_OPT_PASSES", "")
-    val = raw.strip().lower()
-    if val in _ALL_SPELLINGS:
-        return PASS_ORDER
-    if val in _NONE_SPELLINGS:
-        return ()
-    names = {n.strip() for n in val.split(",") if n.strip()}
-    unknown = names - set(PASS_ORDER)
-    if unknown:
-        raise ValueError(
-            f"REPRO_OPT_PASSES: unknown pass(es) {sorted(unknown)} "
-            f"(available: {', '.join(PASS_ORDER)})"
-        )
-    return tuple(p for p in PASS_ORDER if p in names)
-
-
-def pipeline_token(opt) -> str:
-    """The cache-key component describing the *effective* mid-end
-    configuration for optimization level ``opt`` (empty when the pipeline
-    would not run at all)."""
-    if getattr(opt, "value", opt) != "full":
-        return ""
-    return ",".join(config_from_env())
 
 
 class Pipeline:

@@ -1,5 +1,7 @@
 """The ``python -m repro`` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.__main__ import main
@@ -47,6 +49,39 @@ class TestCli:
         assert "removed 1 cache entry" in capsys.readouterr().out
         assert main(["cache", "clear"]) == 0
         assert "removed 0 cache entries" in capsys.readouterr().out
+
+    def test_cache_stats_hit_age_is_marker_mtime(self, capsys, tmp_path,
+                                                 monkeypatch):
+        import json
+        import os
+        import time
+
+        from repro import jit
+        from repro.jit import cache as code_cache
+        from repro.jit.engine import clear_code_cache
+        from tests.guestlib import ScaleAddSolver, Sweeper
+
+        root = tmp_path / "cli-cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+        clear_code_cache()
+        jit(Sweeper(ScaleAddSolver(0.5), 21), "run", 2, backend="py")
+        (marker,) = root.glob("*.json")
+        then = time.time() - 500.0
+        os.utime(marker, (then, then))
+        assert main(["cache", "stats"]) == 0
+        out = capsys.readouterr().out
+        age = re.search(r"^hit age        : (\d+) s \(hottest\) \.\. (\d+) s "
+                        r"\(coldest\)$", out, re.M)
+        assert age and 500 <= int(age[1]) == int(age[2]) <= 505, out
+        assert "recorded hits" not in out
+        # a disk hit is what makes the entry young again
+        code_cache.clear_memory()
+        jit(Sweeper(ScaleAddSolver(0.5), 21), "run", 2, backend="py")
+        assert main(["cache", "stats", "--json"]) == 0
+        st = json.loads(capsys.readouterr().out)
+        assert "disk_hits_recorded" not in st
+        assert st["disk_hits"] >= 1
+        assert 0.0 <= st["hit_age_max_s"] < 60.0
 
     def test_jit_stats(self, capsys):
         from repro import jit

@@ -59,7 +59,7 @@ def farm_dir(tmp_path, monkeypatch):
 #: then compiles the shared key and reports its JitReport + counters
 _RACER = r"""
 import json, sys, time
-from repro.jit import service
+from repro.jit import cache, service
 from repro.jit.engine import jit
 from repro.library.cgsolve.config import make_solver
 
@@ -77,6 +77,7 @@ print(json.dumps({
     "farm_wait_s": r.farm_wait_s,
     "value": float(code.invoke().value),
     "stats": service.stats(),
+    "disk_hits": cache.stats()["disk_hits"],
 }))
 """
 
@@ -124,8 +125,10 @@ class TestCrossProcessSingleFlight:
         served = [r for r in results if r["cache_hit"]]
         assert len(served) == 4
         assert len({r["value"] for r in results}) == 1
-        # the entry records the non-leader hits (atime-style accounting)
-        assert meta["hits"] >= 1
+        # ... each by the disk tier, exactly once: hits are counted by the
+        # process that made them, the shared entry is never rewritten
+        assert sum(r["disk_hits"] for r in results) == 4
+        assert json.loads(jpath.read_text()) == meta
 
     def test_farm_disabled_still_correct(self, tmp_path):
         """REPRO_FARM_LOCK_TIMEOUT_S=0: every loser of the entry lock
@@ -334,13 +337,21 @@ class TestLruDiskTier:
         assert _compile_distinct(3).report.cache_tier == "disk"
 
     def test_eviction_is_lru_by_hit_time(self, farm_dir):
-        _compile_distinct(0)
-        time.sleep(0.02)
-        _compile_distinct(1)
-        time.sleep(0.02)
-        # touch program 0 (disk hit bumps hits/last_used in the meta)
+        # recency is the commit marker's mtime: stamp program 0 as the
+        # older of the two, so that untouched it would be the victim
+        now = time.time()
+        markers = []
+        for i, age_s in ((0, 200.0), (1, 100.0)):
+            digest = _compile_distinct(i).report.key_digest
+            markers.append(Path(farm_dir) / f"{digest}.json")
+            os.utime(markers[i], (now - age_s, now - age_s))
+        before = markers[0].read_bytes()
+        # touch program 0: a disk hit bumps the marker's mtime, not a byte
+        # of its contents
         code_cache.clear_memory()
         assert _compile_distinct(0).report.cache_tier == "disk"
+        assert markers[0].stat().st_mtime > markers[1].stat().st_mtime
+        assert markers[0].read_bytes() == before
         one_entry = code_cache.stats()["disk_bytes"] // 2
         report = code_cache.evict(cap_bytes=one_entry + one_entry // 2)
         assert report["evicted"] == 1
@@ -351,6 +362,36 @@ class TestLruDiskTier:
         service.reset()
         assert _compile_distinct(0).report.cache_tier == "disk"
         assert not _compile_distinct(1).report.cache_hit
+
+    @pytest.mark.parametrize("how", [
+        pytest.param("chmod", marks=pytest.mark.skipif(
+            os.geteuid() == 0, reason="root writes through permissions")),
+        "utime-denied",  # what a non-owner of the entry gets from utime
+    ])
+    def test_hit_on_read_only_cache_dir_still_serves(self, farm_dir, how,
+                                                     monkeypatch):
+        """A cache directory this process may not write (a shared,
+        pre-warmed farm) serves hits; the recency bump is best-effort."""
+        cold = _compile_distinct(0)
+        (jpath,) = Path(farm_dir).glob("*.json")
+        before = jpath.read_bytes()
+        if how == "chmod":
+            os.chmod(farm_dir, 0o555)
+            os.chmod(jpath, 0o444)
+        else:
+            def denied(*a, **kw):
+                raise PermissionError("utime")
+            monkeypatch.setattr(code_cache.os, "utime", denied)
+        try:
+            code_cache.clear_memory()
+            again = _compile_distinct(0)
+        finally:
+            if how == "chmod":  # let pytest remove the directory
+                os.chmod(farm_dir, 0o755)
+        assert again.report.cache_tier == "disk"
+        assert again.invoke().value == cold.invoke().value
+        assert code_cache.stats()["torn_dropped"] == 0
+        assert jpath.read_bytes() == before
 
     def test_eviction_skips_entries_being_written(self, farm_dir):
         _compile_distinct(0)

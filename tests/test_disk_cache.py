@@ -131,6 +131,38 @@ class TestCorruptionRecovery:
         assert again.invoke().value == cold.invoke().value
 
 
+def test_hit_accounting_cannot_clobber_a_rebuild(cache_dir, monkeypatch):
+    """A reader validates an entry; before its hit accounting runs,
+    another process republishes the same digest (farm-lock timeout, or
+    a recompile after a torn drop).  The reader used to write its *old*
+    metadata back over the new commit marker, which then named stale
+    hashes: the next reader saw a mismatch, dropped the good entry as
+    torn and recompiled.  A hit no longer writes file contents."""
+    app = lambda: Sweeper(ScaleAddSolver(0.5), 18)  # noqa: E731
+    cold = jit(app(), "run", 2, backend="py")
+    validate = code_cache._validate_entry
+    torn_before = code_cache.stats()["torn_dropped"]
+
+    def validate_then_lose_the_race(meta, spath, opath):
+        source, so_path = validate(meta, spath, opath)
+        monkeypatch.setattr(code_cache, "_validate_entry", validate)
+        code_cache._disk_put(cold.report.key_digest, meta,
+                             source + "\n# rebuilt\n", None)
+        return source, so_path
+
+    monkeypatch.setattr(code_cache, "_validate_entry",
+                        validate_then_lose_the_race)
+    code_cache.clear_memory()
+    assert jit(app(), "run", 2, backend="py").report.cache_tier == "disk"
+
+    code_cache.clear_memory()
+    after = jit(app(), "run", 2, backend="py")
+    assert after.report.cache_tier == "disk"
+    assert code_cache.stats()["torn_dropped"] == torn_before
+    assert after.source.endswith("# rebuilt\n")
+    assert after.invoke().value == cold.invoke().value
+
+
 GUEST_MODULE = """
 from repro import f64, i64, wootin
 
