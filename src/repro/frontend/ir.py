@@ -24,7 +24,7 @@ Representation conventions shared by the backends:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 from repro.lang import types as _t
 from repro.frontend.shapes import ArrayShape, ObjShape, PrimShape, Shape
@@ -37,7 +37,7 @@ __all__ = [
     "LocalDecl", "Assign", "FieldStore", "ArrayStore", "If", "ForRange",
     "While", "Return", "ExprStmt", "Break", "Continue",
     "expr_children", "map_expr", "rewrite_stmt_exprs", "stmt_blocks",
-    "stmt_exprs", "assigned_names", "walk_exprs",
+    "stmt_exprs", "stmt_slots", "assigned_names", "walk_exprs",
 ]
 
 
@@ -49,6 +49,11 @@ __all__ = [
 class Expr:
     ty: _t.Type = field(init=False, default=None)  # set by subclasses
     shape: Optional[Shape] = field(init=False, default=None)
+    #: traversal layout, in evaluation order: the attributes that hold one
+    #: sub-expression each (``None`` = absent receiver), then the attribute
+    #: that holds a list — for ``NewObj`` a dict — of them
+    kids: ClassVar[tuple] = ()
+    kid_seq: ClassVar[Optional[str]] = None
 
 
 @dataclass
@@ -78,6 +83,7 @@ class LocalRef(Expr):
 class FieldLoad(Expr):
     obj: Expr
     fname: str
+    kids = ("obj",)
 
     def __post_init__(self):
         obj_shape = self.obj.shape
@@ -94,6 +100,7 @@ class ArrayLoad(Expr):
     #: the index is provably within [0, len(arr)); emitters may then skip
     #: the REPRO_BOUNDS guard for this access
     bounds_ok: bool = field(init=False, default=False, compare=False)
+    kids = ("arr", "index")
 
     def __post_init__(self):
         assert isinstance(self.arr.ty, _t.ArrayType)
@@ -104,6 +111,7 @@ class ArrayLoad(Expr):
 @dataclass
 class ArrayLen(Expr):
     arr: Expr
+    kids = ("arr",)
 
     def __post_init__(self):
         self.ty = _t.I64
@@ -120,6 +128,7 @@ class BinOp(Expr):
     left: Expr
     right: Expr
     res: _t.PrimType
+    kids = ("left", "right")
 
     def __post_init__(self):
         self.ty = self.res
@@ -131,6 +140,7 @@ class UnaryOp(Expr):
     op: str  # '-' | 'not'
     operand: Expr
     res: _t.PrimType
+    kids = ("operand",)
 
     def __post_init__(self):
         self.ty = self.res
@@ -142,6 +152,7 @@ class Compare(Expr):
     op: str  # '<' '<=' '>' '>=' '==' '!='
     left: Expr
     right: Expr
+    kids = ("left", "right")
 
     def __post_init__(self):
         self.ty = _t.BOOL
@@ -152,6 +163,7 @@ class Compare(Expr):
 class BoolOp(Expr):
     op: str  # 'and' | 'or'  (short-circuit)
     values: list
+    kid_seq = "values"
 
     def __post_init__(self):
         self.ty = _t.BOOL
@@ -162,6 +174,7 @@ class BoolOp(Expr):
 class Cast(Expr):
     value: Expr
     to: _t.PrimType
+    kids = ("value",)
 
     def __post_init__(self):
         self.ty = self.to
@@ -191,6 +204,8 @@ class Call(Expr):
     site_id: int
     static_cls: Optional[_t.ClassInfo]
     method_name: str
+    kids = ("recv",)
+    kid_seq = "args"
 
     def __post_init__(self):
         self.ty = self.target.ret_type
@@ -205,6 +220,7 @@ class IntrinsicCall(Expr):
     args: list
     res_ty: _t.Type
     const_args: tuple = ()  # leading compile-time-constant arguments
+    kid_seq = "args"
 
     def __post_init__(self):
         self.ty = self.res_ty
@@ -230,6 +246,7 @@ class NewObj(Expr):
     cls: _t.ClassInfo
     field_inits: dict
     obj_shape: ObjShape
+    kid_seq = "field_inits"
 
     def __post_init__(self):
         self.ty = self.cls.type
@@ -251,6 +268,8 @@ class KernelLaunch(Expr):
     args: list
     site_id: int
     method_name: str
+    kids = ("recv", "config")
+    kid_seq = "args"
 
     def __post_init__(self):
         self.ty = _t.VOID
@@ -263,7 +282,13 @@ class KernelLaunch(Expr):
 
 @dataclass
 class Stmt:
-    pass
+    #: traversal layout: the attributes holding a top-level expression
+    #: (evaluation order; ``None`` = absent), the attributes holding a
+    #: nested statement list, and the attribute naming the local this
+    #: statement stores to, if it stores to one
+    slots: ClassVar[tuple] = ()
+    blocks: ClassVar[tuple] = ()
+    assigns: ClassVar[Optional[str]] = None
 
 
 @dataclass
@@ -273,6 +298,8 @@ class LocalDecl(Stmt):
     name: str
     decl_ty: _t.Type
     value: Expr
+    slots = ("value",)
+    assigns = "name"
 
 
 @dataclass
@@ -280,6 +307,8 @@ class Assign(Stmt):
     name: str
     decl_ty: _t.Type
     value: Expr
+    slots = ("value",)
+    assigns = "name"
 
 
 @dataclass
@@ -290,6 +319,7 @@ class FieldStore(Stmt):
     obj: Expr
     fname: str
     value: Expr
+    slots = ("obj", "value")
 
 
 @dataclass
@@ -299,6 +329,7 @@ class ArrayStore(Stmt):
     value: Expr
     #: see ArrayLoad.bounds_ok — proven-in-bounds stores skip the guard
     bounds_ok: bool = field(init=False, default=False, compare=False)
+    slots = ("arr", "index", "value")
 
 
 @dataclass
@@ -306,6 +337,8 @@ class If(Stmt):
     cond: Expr
     then: list
     orelse: list
+    slots = ("cond",)
+    blocks = ("then", "orelse")
 
 
 @dataclass
@@ -315,22 +348,29 @@ class ForRange(Stmt):
     stop: Expr
     step: Optional[Expr]  # None means +1
     body: list
+    slots = ("start", "stop", "step")
+    blocks = ("body",)
+    assigns = "var"
 
 
 @dataclass
 class While(Stmt):
     cond: Expr
     body: list
+    slots = ("cond",)
+    blocks = ("body",)
 
 
 @dataclass
 class Return(Stmt):
     value: Optional[Expr]
+    slots = ("value",)
 
 
 @dataclass
 class ExprStmt(Stmt):
     value: Expr
+    slots = ("value",)
 
 
 @dataclass
@@ -365,34 +405,24 @@ class FuncIR:
 
 # ---------------------------------------------------------------------------
 # Traversal / rewrite helpers (used by the backends and the optimizer)
+#
+# Every helper dispatches on the node's class through the ``kids`` /
+# ``kid_seq`` (expressions) and ``slots`` / ``blocks`` (statements) layout
+# tuples declared on the classes above: one attribute lookup per node, no
+# ``isinstance`` ladder, and no recursive generators.
 # ---------------------------------------------------------------------------
 
 def expr_children(node: Expr) -> list:
     """The direct sub-expressions of ``node``, in evaluation order."""
-    if isinstance(node, FieldLoad):
-        return [node.obj]
-    if isinstance(node, ArrayLoad):
-        return [node.arr, node.index]
-    if isinstance(node, ArrayLen):
-        return [node.arr]
-    if isinstance(node, (BinOp, Compare)):
-        return [node.left, node.right]
-    if isinstance(node, UnaryOp):
-        return [node.operand]
-    if isinstance(node, BoolOp):
-        return list(node.values)
-    if isinstance(node, Cast):
-        return [node.value]
-    if isinstance(node, Call):
-        return ([node.recv] if node.recv is not None else []) + list(node.args)
-    if isinstance(node, IntrinsicCall):
-        return list(node.args)
-    if isinstance(node, NewObj):
-        return list(node.field_inits.values())
-    if isinstance(node, KernelLaunch):
-        return (([node.recv] if node.recv is not None else [])
-                + [node.config] + list(node.args))
-    return []
+    out = []
+    for attr in node.kids:
+        child = getattr(node, attr)
+        if child is not None:
+            out.append(child)
+    if node.kid_seq is not None:
+        seq = getattr(node, node.kid_seq)
+        out.extend(seq.values() if type(seq) is dict else seq)
+    return out
 
 
 def map_expr(node: Expr, fn) -> Expr:
@@ -403,89 +433,47 @@ def map_expr(node: Expr, fn) -> Expr:
     tree is mutated (children reattached), and the (possibly new) root is
     returned — callers must store the result back into the parent slot.
     """
-    if isinstance(node, FieldLoad):
-        node.obj = map_expr(node.obj, fn)
-    elif isinstance(node, ArrayLoad):
-        node.arr = map_expr(node.arr, fn)
-        node.index = map_expr(node.index, fn)
-    elif isinstance(node, ArrayLen):
-        node.arr = map_expr(node.arr, fn)
-    elif isinstance(node, (BinOp, Compare)):
-        node.left = map_expr(node.left, fn)
-        node.right = map_expr(node.right, fn)
-    elif isinstance(node, UnaryOp):
-        node.operand = map_expr(node.operand, fn)
-    elif isinstance(node, BoolOp):
-        node.values = [map_expr(v, fn) for v in node.values]
-    elif isinstance(node, Cast):
-        node.value = map_expr(node.value, fn)
-    elif isinstance(node, Call):
-        if node.recv is not None:
-            node.recv = map_expr(node.recv, fn)
-        node.args = [map_expr(a, fn) for a in node.args]
-    elif isinstance(node, IntrinsicCall):
-        node.args = [map_expr(a, fn) for a in node.args]
-    elif isinstance(node, NewObj):
-        node.field_inits = {
-            k: map_expr(v, fn) for k, v in node.field_inits.items()
-        }
-    elif isinstance(node, KernelLaunch):
-        if node.recv is not None:
-            node.recv = map_expr(node.recv, fn)
-        node.config = map_expr(node.config, fn)
-        node.args = [map_expr(a, fn) for a in node.args]
+    for attr in node.kids:
+        child = getattr(node, attr)
+        if child is not None:
+            setattr(node, attr, map_expr(child, fn))
+    if node.kid_seq is not None:
+        seq = getattr(node, node.kid_seq)
+        if type(seq) is dict:
+            seq = {k: map_expr(v, fn) for k, v in seq.items()}
+        else:
+            seq = [map_expr(v, fn) for v in seq]
+        setattr(node, node.kid_seq, seq)
     return fn(node)
+
+
+def stmt_slots(s: Stmt) -> list:
+    """The names of the attributes of ``s`` that hold a top-level
+    expression right now (an absent ``step`` / bare ``return`` has none)."""
+    return [a for a in s.slots if getattr(s, a) is not None]
 
 
 def stmt_exprs(s: Stmt) -> list:
     """The top-level expressions of one statement (no recursion into
     nested statement blocks — see :func:`stmt_blocks` for those)."""
-    if isinstance(s, (LocalDecl, Assign, ExprStmt)):
-        return [s.value]
-    if isinstance(s, FieldStore):
-        return [s.obj, s.value]
-    if isinstance(s, ArrayStore):
-        return [s.arr, s.index, s.value]
-    if isinstance(s, (If, While)):
-        return [s.cond]
-    if isinstance(s, ForRange):
-        return [s.start, s.stop] + ([s.step] if s.step is not None else [])
-    if isinstance(s, Return):
-        return [s.value] if s.value is not None else []
-    return []
+    out = []
+    for attr in s.slots:
+        e = getattr(s, attr)
+        if e is not None:
+            out.append(e)
+    return out
 
 
 def rewrite_stmt_exprs(s: Stmt, fn) -> None:
     """Apply ``map_expr(..., fn)`` to every top-level expression slot of
     one statement, storing the results back (nested blocks untouched)."""
-    if isinstance(s, (LocalDecl, Assign, ExprStmt)):
-        s.value = map_expr(s.value, fn)
-    elif isinstance(s, FieldStore):
-        s.obj = map_expr(s.obj, fn)
-        s.value = map_expr(s.value, fn)
-    elif isinstance(s, ArrayStore):
-        s.arr = map_expr(s.arr, fn)
-        s.index = map_expr(s.index, fn)
-        s.value = map_expr(s.value, fn)
-    elif isinstance(s, (If, While)):
-        s.cond = map_expr(s.cond, fn)
-    elif isinstance(s, ForRange):
-        s.start = map_expr(s.start, fn)
-        s.stop = map_expr(s.stop, fn)
-        if s.step is not None:
-            s.step = map_expr(s.step, fn)
-    elif isinstance(s, Return):
-        if s.value is not None:
-            s.value = map_expr(s.value, fn)
+    for attr in stmt_slots(s):
+        setattr(s, attr, map_expr(getattr(s, attr), fn))
 
 
 def stmt_blocks(s: Stmt) -> list:
     """The nested statement lists of one statement (mutable, in place)."""
-    if isinstance(s, If):
-        return [s.then, s.orelse]
-    if isinstance(s, (ForRange, While)):
-        return [s.body]
-    return []
+    return [getattr(s, a) for a in s.blocks]
 
 
 def assigned_names(stmts) -> set:
@@ -495,28 +483,34 @@ def assigned_names(stmts) -> set:
     stack = list(stmts)
     while stack:
         s = stack.pop()
-        if isinstance(s, (LocalDecl, Assign)):
-            names.add(s.name)
-        elif isinstance(s, ForRange):
-            names.add(s.var)
-        for block in stmt_blocks(s):
-            stack.extend(block)
+        if s.assigns is not None:
+            names.add(getattr(s, s.assigns))
+        for attr in s.blocks:
+            stack.extend(getattr(s, attr))
     return names
 
 
 def walk_exprs(node):
     """Yield every Expr in a statement list / expression tree (pre-order)."""
-    if isinstance(node, list):
-        for item in node:
-            yield from walk_exprs(item)
-        return
-    if isinstance(node, Expr):
-        yield node
-        for child in expr_children(node):
-            yield from walk_exprs(child)
-        return
-    if isinstance(node, Stmt):
-        for e in stmt_exprs(node):
-            yield from walk_exprs(e)
-        for block in stmt_blocks(node):
-            yield from walk_exprs(block)
+    stack = [node]
+    push = stack.append
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Expr):
+            yield node
+            if node.kid_seq is not None:
+                seq = getattr(node, node.kid_seq)
+                stack.extend(reversed(seq.values() if type(seq) is dict else seq))
+            for attr in reversed(node.kids):
+                child = getattr(node, attr)
+                if child is not None:
+                    push(child)
+        elif isinstance(node, Stmt):
+            for attr in reversed(node.blocks):
+                push(getattr(node, attr))
+            for attr in reversed(node.slots):
+                child = getattr(node, attr)
+                if child is not None:
+                    push(child)
+        elif isinstance(node, list):
+            stack.extend(reversed(node))

@@ -103,6 +103,10 @@ class Lowerer:
         self.ret_shape: Optional[Shape] = None
         self.ret_type: Optional[_t.Type] = None
         self.param_names: list[str] = []
+        #: the Call/KernelLaunch nodes of the lowering that is kept, in
+        #: creation order; ``lower`` numbers them when the method is done, so
+        #: a loop-fixpoint trial that is thrown away consumes no site id
+        self._sites: list[ir.Expr] = []
 
     # ------------------------------------------------------------------
     # helpers
@@ -115,7 +119,7 @@ class Lowerer:
         ann = self.minfo.func.__annotations__.get("return", _MISSING)
         if ann is _MISSING:
             return None
-        return _t.resolve_annotation(ann, owner=self.minfo.func)
+        return self.src.resolve_annotation(ann)
 
     def _resolve_static(self, name: str):
         """Resolve a non-local name against the guest function's globals."""
@@ -147,7 +151,7 @@ class Lowerer:
         for arg_node, shape in zip(args[1:], self.arg_shapes):
             ann = self.minfo.func.__annotations__.get(arg_node.arg, _MISSING)
             if ann is not _MISSING:
-                decl_ty = _t.resolve_annotation(ann, owner=self.minfo.func)
+                decl_ty = self.src.resolve_annotation(ann)
                 shape = self._conform_param(shape, decl_ty, arg_node.arg)
             env.vars[arg_node.arg] = shape
             env.decl[arg_node.arg] = shape.ty
@@ -164,6 +168,8 @@ class Lowerer:
                 "method returns a value on some paths but falls off the end "
                 "on others"
             )
+        for call in self._sites:
+            call.site_id = self.engine.new_site_id()
         return ir.FuncIR(
             symbol="",  # assigned by the specializer
             method=self.minfo,
@@ -234,11 +240,10 @@ class Lowerer:
         if isinstance(stmt, ast.AnnAssign):
             if stmt.value is None:
                 raise self._err("bare annotations not supported in methods", stmt)
-            decl = _t.resolve_annotation(
+            decl = self.src.resolve_annotation(
                 ast.unparse(stmt.annotation)
                 if isinstance(stmt.annotation, ast.AST)
-                else stmt.annotation,
-                owner=self.minfo.func,
+                else stmt.annotation
             )
             return (
                 self._lower_assign(stmt.target, stmt.value, env, node=stmt, decl=decl),
@@ -367,27 +372,27 @@ class Lowerer:
         """Iterate lowering the loop body until shapes stabilize.
 
         ``seed_fn(env)`` installs loop-carried bindings (the for-loop
-        variable).  Returns (stable entry env, body_ir, loop_ctx).
+        variable).  Returns (stable entry env, body_ir, loop_ctx) — the
+        body and loop context of the trial that proved ``entry`` stable:
+        that trial *was* the lowering under the final environment.
         """
         entry = env.copy()
         seed_fn(entry)
         for _ in range(64):
             trial = entry.copy()
             loop = _LoopCtx()
-            self._lower_block(list(body_stmts), trial, loop)
+            n_sites = len(self._sites)
+            body_ir, _, _ = self._lower_block(body_stmts, trial, loop)
             merged = entry
             for cont_env in loop.continue_envs + [trial]:
                 merged = merged.merge_with(cont_env, where="loop back-edge")
             seed_fn(merged)
             if merged.same_as(entry):
-                break
+                return entry, body_ir, loop
+            del self._sites[n_sites:]  # a discarded trial numbers no site
             entry = merged
-        else:  # pragma: no cover - lattice depth is tiny
-            raise TypeFlowError("loop shape analysis did not converge")
-        final_env = entry.copy()
-        loop = _LoopCtx()
-        body_ir, _, _ = self._lower_block(list(body_stmts), final_env, loop)
-        return entry, body_ir, loop
+        raise TypeFlowError(  # pragma: no cover - lattice depth is tiny
+            "loop shape analysis did not converge")
 
     def _lower_for(self, stmt: ast.For, env: _Env):
         if stmt.orelse:
@@ -866,14 +871,12 @@ class Lowerer:
             target = self.engine.specialize(minfo, shape, arg_shapes, device=True)
             if target.ret_type is not _t.VOID:
                 raise self._err("@global_kernel methods must return None", node)
-            return ir.KernelLaunch(
-                target=target,
-                recv=recv,
-                config=config,
-                args=args,
-                site_id=self.engine.new_site_id(),
-                method_name=mname,
+            launch = ir.KernelLaunch(
+                target=target, recv=recv, config=config, args=args,
+                site_id=-1, method_name=mname,
             )
+            self._sites.append(launch)
+            return launch
         from repro.lang.annotations import is_device_fn
 
         if is_device_fn(minfo.func) and not self.device:
@@ -884,14 +887,12 @@ class Lowerer:
             )
         target = self.engine.specialize(minfo, shape, arg_shapes, device=self.device)
         static_cls = _dispatch_interface(shape.cls, mname)
-        return ir.Call(
-            target=target,
-            recv=recv,
-            args=args,
-            site_id=self.engine.new_site_id(),
-            static_cls=static_cls,
-            method_name=mname,
+        call = ir.Call(
+            target=target, recv=recv, args=args, site_id=-1,
+            static_cls=static_cls, method_name=mname,
         )
+        self._sites.append(call)
+        return call
 
     def _conform_args(self, minfo, args, node):
         """Apply declared-parameter numeric conversions at the call site."""
@@ -907,7 +908,7 @@ class Lowerer:
         for pname, arg in zip(pnames, args):
             ann = hints.get(pname, _MISSING)
             if ann is not _MISSING:
-                ty = _t.resolve_annotation(ann, owner=minfo.func)
+                ty = src.resolve_annotation(ann)
                 if isinstance(ty, _t.PrimType):
                     arg = self._convert(arg, ty, node)
             out.append(arg)
@@ -948,7 +949,7 @@ class Lowerer:
         for pname, arg in zip(pnames, args):
             ann = hints.get(pname, _MISSING)
             if ann is not _MISSING:
-                ty = _t.resolve_annotation(ann, owner=ctor.func)
+                ty = src.resolve_annotation(ann)
                 if isinstance(ty, _t.PrimType):
                     arg = self._convert(arg, ty, node)
                 elif isinstance(ty, _t.ClassType):
@@ -1029,21 +1030,8 @@ class Lowerer:
 
 def _substitute_locals(expr: ir.Expr, subst: dict) -> ir.Expr:
     """Replace LocalRef leaves by the bound expressions (ctor inlining)."""
-    if isinstance(expr, ir.LocalRef):
-        return subst.get(expr.name, expr)
-    for attr in ("obj", "arr", "index", "left", "right", "operand", "value", "recv", "config"):
-        child = getattr(expr, attr, None)
-        if isinstance(child, ir.Expr):
-            setattr(expr, attr, _substitute_locals(child, subst))
-    if isinstance(expr, (ir.Call, ir.IntrinsicCall, ir.KernelLaunch)):
-        expr.args = [_substitute_locals(a, subst) for a in expr.args]
-    if isinstance(expr, ir.BoolOp):
-        expr.values = [_substitute_locals(v, subst) for v in expr.values]
-    if isinstance(expr, ir.NewObj):
-        expr.field_inits = {
-            k: _substitute_locals(v, subst) for k, v in expr.field_inits.items()
-        }
-    return expr
+    return ir.map_expr(expr, lambda e: subst.get(e.name, e)
+                       if isinstance(e, ir.LocalRef) else e)
 
 
 def _dispatch_interface(cls: _t.ClassInfo, mname: str) -> _t.ClassInfo:

@@ -166,7 +166,10 @@ def _param_names(tree: ast.FunctionDef) -> list[str]:
 
 
 def check_method_source(src: SourceInfo) -> None:
-    """Syntactic rule check for a non-constructor guest method."""
+    """Syntactic rule check for a non-constructor guest method (a pass is
+    remembered on the cached ``SourceInfo``; a violation raises each time)."""
+    if src.rules_passed == "method":
+        return
     tree = src.tree
     _check_banned_constructs(src, tree, in_ctor=False)
     params = set(_param_names(tree))
@@ -189,6 +192,7 @@ def check_method_source(src: SourceInfo) -> None:
                 )
             if isinstance(tgt, ast.Tuple):
                 raise _violation("tuple unpacking not allowed", 8, src, node)
+    src.rules_passed = "method"
 
 
 def check_ctor_source(src: SourceInfo) -> None:
@@ -196,8 +200,11 @@ def check_ctor_source(src: SourceInfo) -> None:
 
     Constructors must be straight-line: no branches, loops, ternaries, or
     method calls — except a single ``super().__init__(...)`` — and ``self``
-    may appear only as the target of field initializations.
+    may appear only as the target of field initializations.  A pass is
+    remembered on the cached ``SourceInfo``; a violation raises each time.
     """
+    if src.rules_passed == "ctor":
+        return
     tree = src.tree
     _check_banned_constructs(src, tree, in_ctor=True)
     params = _param_names(tree)
@@ -242,6 +249,7 @@ def check_ctor_source(src: SourceInfo) -> None:
                     src,
                     node,
                 )
+    src.rules_passed = "ctor"
 
 
 def _self_use_ok(tree: ast.FunctionDef, name_node: ast.Name) -> bool:
@@ -283,10 +291,11 @@ _checked_classes: set[int] = set()
 
 
 def check_class(info: _t.ClassInfo) -> None:
-    """Rule 5 (constant scalar static fields) + constructor checks, cached."""
+    """Rule 5 (constant scalar static fields) + constructor checks.  Only a
+    class that passed is remembered: a violation must raise on every
+    attempt, not just the first."""
     if id(info) in _checked_classes:
         return
-    _checked_classes.add(id(info))
     for base in info.bases:
         check_class(base)
     for name, value in vars(info.pycls).items():
@@ -304,6 +313,7 @@ def check_class(info: _t.ClassInfo) -> None:
     ctor = info.methods.get("__init__")
     if ctor is not None:
         check_ctor_source(method_ast(ctor.func))
+    _checked_classes.add(id(info))
 
 
 def check_strict_final_class(info: _t.ClassInfo, _stack: tuple = ()) -> None:

@@ -13,6 +13,7 @@ import inspect
 import textwrap
 
 from repro.errors import LoweringError
+from repro.lang import types as _t
 
 __all__ = ["method_ast", "SourceInfo"]
 
@@ -42,6 +43,24 @@ class SourceInfo:
         self.filename = getattr(func, "__code__", None) and func.__code__.co_filename
         self.firstlineno = getattr(func, "__code__", None) and func.__code__.co_firstlineno
         self.globals = getattr(func, "__globals__", {})
+        #: which syntactic rule check (``"method"`` / ``"ctor"``, see
+        #: ``repro.frontend.rules``) this AST has passed.  The verdict is a
+        #: pure function of the tree, so a pass is remembered; a violation
+        #: never is — it must raise again on every attempt.
+        self.rules_passed: str | None = None
+        self._annotations: dict[str, object] = {}
+
+    def resolve_annotation(self, ann):
+        """``types.resolve_annotation`` for an annotation of this function;
+        string annotations (``from __future__ import annotations``) are
+        evaluated against the module globals once per distinct string."""
+        if not isinstance(ann, str):
+            return _t.resolve_annotation(ann, owner=self.func)
+        ty = self._annotations.get(ann)
+        if ty is None:
+            ty = self._annotations[ann] = _t.resolve_annotation(
+                ann, owner=self.func)
+        return ty
 
     def where(self, node: ast.AST | None = None) -> str:
         """Human-readable source location for error messages."""

@@ -61,52 +61,44 @@ class _Verifier:
             self.stmt(s)
 
     def stmt(self, s: ir.Stmt) -> None:
-        if isinstance(s, (ir.LocalDecl, ir.Assign)):
-            self.expr(s.value)
-            self.locals.add(s.name)
-            if s.decl_ty is _t.VOID:
-                self.fail(f"void-typed local {s.name!r}")
-        elif isinstance(s, ir.FieldStore):
-            self.expr(s.obj)
-            self.expr(s.value)
-            oshape = s.obj.shape
-            if not (isinstance(oshape, ObjShape) and oshape.from_snapshot):
-                self.fail("FieldStore on a non-snapshot object")
-            if not isinstance(oshape.field(s.fname), ArrayShape):
-                self.fail(f"FieldStore to non-array field {s.fname!r}")
-        elif isinstance(s, ir.ArrayStore):
-            self.expr(s.arr)
-            self.expr(s.index)
-            self.expr(s.value)
-            if not isinstance(s.arr.ty, _t.ArrayType):
-                self.fail("ArrayStore on a non-array value")
-            if not (isinstance(s.index.ty, _t.PrimType) and not s.index.ty.is_float):
-                self.fail("non-integer array index")
-        elif isinstance(s, ir.If):
-            self.expr(s.cond)
-            self.block(s.then)
-            self.block(s.orelse)
-        elif isinstance(s, ir.ForRange):
-            for e in (s.start, s.stop, *( [s.step] if s.step is not None else [] )):
+        cls = type(s)
+        if cls not in _STMT_CHECKS:
+            self.fail(f"unknown statement {cls.__name__}")
+        for attr in s.slots:
+            e = getattr(s, attr)
+            if e is not None:
                 self.expr(e)
-            self.locals.add(s.var)
-            self.block(s.body)
-        elif isinstance(s, ir.While):
-            self.expr(s.cond)
-            self.block(s.body)
-        elif isinstance(s, ir.Return):
-            if s.value is not None:
-                self.expr(s.value)
-                if self.f.ret_type is _t.VOID:
-                    self.fail("value returned from a void function")
-            elif self.f.ret_type is not _t.VOID:
-                self.fail("bare return in a non-void function")
-        elif isinstance(s, ir.ExprStmt):
-            self.expr(s.value)
-        elif isinstance(s, (ir.Break, ir.Continue)):
-            pass
-        else:
-            self.fail(f"unknown statement {type(s).__name__}")
+        if s.assigns is not None:
+            self.locals.add(getattr(s, s.assigns))
+        check = _STMT_CHECKS[cls]
+        if check is not None:
+            check(self, s)
+        for attr in s.blocks:
+            self.block(getattr(s, attr))
+
+    def _check_decl(self, s) -> None:
+        if s.decl_ty is _t.VOID:
+            self.fail(f"void-typed local {s.name!r}")
+
+    def _check_field_store(self, s: ir.FieldStore) -> None:
+        oshape = s.obj.shape
+        if not (isinstance(oshape, ObjShape) and oshape.from_snapshot):
+            self.fail("FieldStore on a non-snapshot object")
+        if not isinstance(oshape.field(s.fname), ArrayShape):
+            self.fail(f"FieldStore to non-array field {s.fname!r}")
+
+    def _check_array_store(self, s: ir.ArrayStore) -> None:
+        if not isinstance(s.arr.ty, _t.ArrayType):
+            self.fail("ArrayStore on a non-array value")
+        if not (isinstance(s.index.ty, _t.PrimType) and not s.index.ty.is_float):
+            self.fail("non-integer array index")
+
+    def _check_return(self, s: ir.Return) -> None:
+        if s.value is not None:
+            if self.f.ret_type is _t.VOID:
+                self.fail("value returned from a void function")
+        elif self.f.ret_type is not _t.VOID:
+            self.fail("bare return in a non-void function")
 
     # -- expressions --------------------------------------------------------
 
@@ -116,57 +108,52 @@ class _Verifier:
         s = e.shape
         if isinstance(s, PrimShape) and s.const is not None:
             self.stats.folded_constants += 1
-        if isinstance(e, ir.LocalRef):
+        cls = type(e)
+        if cls is ir.LocalRef:
             if e.name not in self.locals:
                 self.fail(f"reference to unassigned local {e.name!r}")
-        elif isinstance(e, ir.FieldLoad):
-            self.expr(e.obj)
-            oshape = e.obj.shape
-            if not isinstance(oshape, ObjShape):
-                self.fail("FieldLoad on a non-object value")
-            if oshape.from_snapshot:
-                self.stats.snapshot_field_loads += 1
-        elif isinstance(e, (ir.ArrayLoad,)):
-            self.expr(e.arr)
-            self.expr(e.index)
-            if not isinstance(e.arr.ty, _t.ArrayType):
-                self.fail("ArrayLoad on a non-array value")
-        elif isinstance(e, ir.ArrayLen):
-            self.expr(e.arr)
-        elif isinstance(e, (ir.BinOp, ir.Compare)):
-            self.expr(e.left)
-            self.expr(e.right)
-        elif isinstance(e, ir.UnaryOp):
-            self.expr(e.operand)
-        elif isinstance(e, ir.BoolOp):
-            for v in e.values:
-                self.expr(v)
-        elif isinstance(e, ir.Cast):
-            self.expr(e.value)
-        elif isinstance(e, ir.Call):
-            self._check_call(e)
-        elif isinstance(e, ir.KernelLaunch):
-            self._check_launch(e)
-        elif isinstance(e, ir.IntrinsicCall):
-            self.stats.intrinsic_calls += 1
-            if self.f.is_device and e.key.startswith("mpi."):
-                self.fail(f"MPI intrinsic {e.key} inside device code")
-            if not self.f.is_device and e.key.startswith("cuda.tid"):
-                self.fail(f"thread intrinsic {e.key} in host code")
-            for a in e.args:
-                self.expr(a)
-        elif isinstance(e, ir.NewObj):
-            self.stats.inlined_constructions += 1
-            want = set(e.obj_shape.fields)
-            got = set(e.field_inits)
-            if want != got:
-                self.fail(f"NewObj field mismatch: {want} vs {got}")
-            for v in e.field_inits.values():
-                self.expr(v)
-        elif isinstance(e, ir.Const):
-            pass
+        elif cls in _OPERANDS_ONLY:
+            for attr in e.kids:
+                self.expr(getattr(e, attr))
+            if e.kid_seq is not None:
+                for v in getattr(e, e.kid_seq):
+                    self.expr(v)
+        elif cls in _EXPR_CHECKS:
+            _EXPR_CHECKS[cls](self, e)
         else:
-            self.fail(f"unknown expression {type(e).__name__}")
+            self.fail(f"unknown expression {cls.__name__}")
+
+    def _check_field_load(self, e: ir.FieldLoad) -> None:
+        self.expr(e.obj)
+        oshape = e.obj.shape
+        if not isinstance(oshape, ObjShape):
+            self.fail("FieldLoad on a non-object value")
+        if oshape.from_snapshot:
+            self.stats.snapshot_field_loads += 1
+
+    def _check_array_load(self, e: ir.ArrayLoad) -> None:
+        self.expr(e.arr)
+        self.expr(e.index)
+        if not isinstance(e.arr.ty, _t.ArrayType):
+            self.fail("ArrayLoad on a non-array value")
+
+    def _check_intrinsic(self, e: ir.IntrinsicCall) -> None:
+        self.stats.intrinsic_calls += 1
+        if self.f.is_device and e.key.startswith("mpi."):
+            self.fail(f"MPI intrinsic {e.key} inside device code")
+        if not self.f.is_device and e.key.startswith("cuda.tid"):
+            self.fail(f"thread intrinsic {e.key} in host code")
+        for a in e.args:
+            self.expr(a)
+
+    def _check_new(self, e: ir.NewObj) -> None:
+        self.stats.inlined_constructions += 1
+        want = set(e.obj_shape.fields)
+        got = set(e.field_inits)
+        if want != got:
+            self.fail(f"NewObj field mismatch: {want} vs {got}")
+        for v in e.field_inits.values():
+            self.expr(v)
 
     def _check_call(self, e: ir.Call) -> None:
         self.stats.devirtualized_calls += 1
@@ -195,6 +182,31 @@ class _Verifier:
             self.expr(e.recv)
         for a in e.args:
             self.expr(a)
+
+
+#: dispatch by node class (one dict probe per node, no ladder): the check
+#: a statement gets once its expressions are verified and its local is
+#: bound, before its nested blocks (None: nothing beyond those); the
+#: expression classes with nothing to check beyond their operands; and the
+#: check for each of the other expression classes
+_STMT_CHECKS = {
+    ir.LocalDecl: _Verifier._check_decl, ir.Assign: _Verifier._check_decl,
+    ir.FieldStore: _Verifier._check_field_store,
+    ir.ArrayStore: _Verifier._check_array_store,
+    ir.Return: _Verifier._check_return,
+    ir.If: None, ir.ForRange: None, ir.While: None, ir.ExprStmt: None,
+    ir.Break: None, ir.Continue: None,
+}
+_OPERANDS_ONLY = frozenset({ir.Const, ir.ArrayLen, ir.BinOp, ir.Compare,
+                            ir.UnaryOp, ir.BoolOp, ir.Cast})
+_EXPR_CHECKS = {
+    ir.FieldLoad: _Verifier._check_field_load,
+    ir.ArrayLoad: _Verifier._check_array_load,
+    ir.Call: _Verifier._check_call,
+    ir.KernelLaunch: _Verifier._check_launch,
+    ir.IntrinsicCall: _Verifier._check_intrinsic,
+    ir.NewObj: _Verifier._check_new,
+}
 
 
 def verify_func(func_ir, stats: OptStats | None = None) -> OptStats:

@@ -33,10 +33,12 @@ key, so they are not settable from outside.
 
 from __future__ import annotations
 
+import copy
+
 from repro.frontend import ir
 from repro.frontend.shapes import ArrayShape, ObjShape
 from repro.obs import metrics as _metrics
-from repro.opt.passes import _callee_effects
+from repro.opt.passes import _Namer, _Summary
 
 __all__ = ["inline_func"]
 
@@ -88,36 +90,26 @@ def _launches_kernel(body) -> bool:
 # ---------------------------------------------------------------------------
 
 def _prefix_safe(e: ir.Expr, deps: set) -> bool:
-    """Whether evaluating ``e`` before the spliced callee body is safe:
-    no side effects, no possible fault, and any value it reads that the
-    callee *could* invalidate is recorded in ``deps`` (snapshot array
-    fields, checked against the callee's field effects at selection)."""
-    if isinstance(e, (ir.Const, ir.LocalRef)):
-        return True
-    if isinstance(e, ir.ArrayLen):
-        # lengths are immutable; safe as long as producing the array is
-        return _prefix_safe(e.arr, deps)
+    """Whether evaluating the node ``e`` — its operands already accepted —
+    before the spliced callee body is safe: no side effects, no possible
+    fault, and any value it reads that the callee *could* invalidate is
+    recorded in ``deps`` (snapshot array fields, checked against the
+    callee's field effects at selection)."""
+    if isinstance(e, (ir.Const, ir.LocalRef, ir.ArrayLen, ir.Compare,
+                      ir.BoolOp)):
+        return True  # lengths are immutable; comparisons cannot fault
     if isinstance(e, ir.FieldLoad):
-        if not _prefix_safe(e.obj, deps):
-            return False
+        # array-typed fields are the one mutable thing: record the
+        # dependency so callees that store it are rejected (dynamic objects
+        # are immutable, non-array fields semi-immutable)
         shape = e.obj.shape
-        if isinstance(e.shape, ArrayShape):
-            # array-typed fields are the one mutable thing: record the
-            # dependency so callees that store it are rejected
-            if isinstance(shape, ObjShape) and shape.from_snapshot:
-                deps.add((shape.root_path, e.fname))
-                return True
-            return True  # dynamic objects are immutable
-        return True  # non-array fields are semi-immutable
+        if (isinstance(e.shape, ArrayShape) and isinstance(shape, ObjShape)
+                and shape.from_snapshot):
+            deps.add((shape.root_path, e.fname))
+        return True
     if isinstance(e, ir.UnaryOp):
-        return e.op in ("-", "not") and _prefix_safe(e.operand, deps)
-    if isinstance(e, ir.Compare):
-        return _prefix_safe(e.left, deps) and _prefix_safe(e.right, deps)
-    if isinstance(e, ir.BoolOp):
-        return all(_prefix_safe(v, deps) for v in e.values)
+        return e.op in ("-", "not")
     if isinstance(e, ir.BinOp):
-        if not (_prefix_safe(e.left, deps) and _prefix_safe(e.right, deps)):
-            return False
         if e.op in ("+", "-", "*"):
             return True
         if e.op in ("/", "//", "%"):
@@ -128,66 +120,109 @@ def _prefix_safe(e: ir.Expr, deps: set) -> bool:
     return False  # loads, casts, calls, intrinsics: don't reorder around
 
 
+def _pure_chain(e: ir.Expr) -> bool:
+    """A whole expression tree of prefix-safe nodes."""
+    return _prefix_safe(e, set()) and all(
+        _pure_chain(c) for c in ir.expr_children(e))
+
+
 # ---------------------------------------------------------------------------
 # callee eligibility
 # ---------------------------------------------------------------------------
 
-def _eligible(call: ir.Call, caller: ir.FuncIR, deps: set, memo: dict) -> bool:
-    fir = getattr(call.target, "func_ir", None)
-    if fir is None or fir is caller:
-        return False
-    if fir.is_kernel or fir.is_device != caller.is_device:
-        return False
-    if not _returns_final_only(fir.body):
-        return False
-    if _stmt_count(fir.body) > _MAX_STMTS:
-        return False
-    if _launches_kernel(fir.body):
-        return False
-    if deps:
-        effects = _callee_effects(call.target, memo)
-        if effects is None or (effects & deps):
+def _spliceable(fir: ir.FuncIR) -> bool:
+    """Single exit, within the size budget, launches no kernel."""
+    return (_returns_final_only(fir.body)
+            and _stmt_count(fir.body) <= _MAX_STMTS
+            and not _launches_kernel(fir.body))
+
+
+class _Inliner:
+    """One ``inline_func`` run: the caller, its fresh names, its running
+    size, and what has been learnt about its callees so far."""
+
+    def __init__(self, caller: ir.FuncIR):
+        self.caller = caller
+        self.namer = _Namer(caller, "__inl")
+        self.summary = _Summary()
+        self.spliceable: dict = {}  # id(callee FuncIR) -> bool
+        self.size = _stmt_count(caller.body)
+        self.spliced = 0
+
+    def _eligible(self, call: ir.Call, deps: set) -> bool:
+        fir = getattr(call.target, "func_ir", None)
+        if fir is None or fir is self.caller:
             return False
-    return True
+        if fir.is_kernel or fir.is_device != self.caller.is_device:
+            return False
+        ok = self.spliceable.get(id(fir))
+        if ok is None:
+            ok = self.spliceable[id(fir)] = _spliceable(fir)
+        if not ok:
+            return False
+        if deps:
+            stored = self.summary.callee(call.target)
+            if stored is None or (stored & deps):
+                return False
+        return True
 
+    def _find_call(self, roots) -> ir.Call | None:
+        """First inlinable call across ``roots`` (statement expressions in
+        evaluation order), honoring the pure-prefix rule.  One walk: a node
+        "executes" after its operands, so the prefix stays pure exactly as
+        long as every node met so far is prefix-safe on its own."""
+        deps: set = set()
+        # (node, selectable, operands done?) — a call in a short-circuit arm
+        # beyond the first evaluates conditionally and cannot be hoisted
+        stack = [(root, True, False) for root in reversed(roots)]
+        while stack:
+            e, selectable, done = stack.pop()
+            if done:
+                if not _prefix_safe(e, deps):
+                    return None  # nothing after an unsafe node is selectable
+                continue
+            if selectable and isinstance(e, ir.Call) and self._eligible(e, deps):
+                return e
+            stack.append((e, selectable, True))
+            later = isinstance(e, ir.BoolOp)
+            children = ir.expr_children(e)
+            for idx in range(len(children) - 1, -1, -1):
+                stack.append(
+                    (children[idx], selectable and not (later and idx), False))
+        return None
 
-# ---------------------------------------------------------------------------
-# site search
-# ---------------------------------------------------------------------------
-
-def _find_call(roots, caller, memo) -> ir.Call | None:
-    """First inlinable call across ``roots`` (statement expressions in
-    evaluation order), honoring the pure-prefix rule."""
-    state = {"pure": True, "deps": set(), "found": None}
-
-    def walk(e: ir.Expr, selectable: bool) -> None:
-        if state["found"] is not None:
-            return
-        if (selectable and state["pure"] and isinstance(e, ir.Call)
-                and _eligible(e, caller, state["deps"], memo)):
-            state["found"] = e
-            return
-        children = ir.expr_children(e)
-        for idx, child in enumerate(children):
-            # short-circuit arms beyond the first evaluate conditionally:
-            # a call there cannot be hoisted unconditionally
-            conditional = isinstance(e, ir.BoolOp) and idx > 0
-            walk(child, selectable and not conditional)
-            if state["found"] is not None:
-                return
-        # e itself "executes" after its children; update prefix purity
-        if isinstance(e, (ir.Const, ir.LocalRef, ir.ArrayLen, ir.FieldLoad,
-                          ir.UnaryOp, ir.Compare, ir.BoolOp, ir.BinOp)):
-            if not _prefix_safe(e, state["deps"]):
-                state["pure"] = False
-        else:
-            state["pure"] = False
-
-    for root in roots:
-        walk(root, True)
-        if state["found"] is not None:
-            return state["found"]
-    return None
+    def run(self, stmts: list) -> None:
+        """Splice every inlinable call under ``stmts``, resuming at the
+        splice (its statements may hold further calls) rather than
+        rescanning what was already found to have none."""
+        i = 0
+        while i < len(stmts):
+            s = stmts[i]
+            # ``While`` conditions re-evaluate every iteration, so nothing
+            # may be hoisted out of them; all other top-level expression
+            # slots evaluate exactly once before (or as) the statement runs
+            roots = [] if isinstance(s, ir.While) else ir.stmt_exprs(s)
+            call = None
+            if self.spliced < _MAX_CALLS and self.size < _MAX_TOTAL:
+                call = self._find_call(roots)
+            if call is None:
+                for block in ir.stmt_blocks(s):
+                    self.run(block)
+                i += 1
+                continue
+            pre, ret_ref = _expand(call, self.namer)
+            if ret_ref is None:
+                # void callee: legal only in statement position
+                assert isinstance(s, ir.ExprStmt) and s.value is call, \
+                    "void call selected outside statement position"
+                stmts[i:i + 1] = pre
+                self.size -= 1
+            else:
+                ir.rewrite_stmt_exprs(
+                    s, lambda e: ret_ref if e is call else e)
+                stmts[i:i] = pre
+            self.size += _stmt_count(pre)
+            self.spliced += 1
 
 
 # ---------------------------------------------------------------------------
@@ -195,100 +230,45 @@ def _find_call(roots, caller, memo) -> ir.Call | None:
 # ---------------------------------------------------------------------------
 
 def _clone_expr(e: ir.Expr, rn: dict) -> ir.Expr:
-    """Deep-copy ``e`` rebuilding every node (shapes/types/targets are
-    shared, never copied) while renaming/substituting locals via ``rn``
-    (name -> fresh name, or name -> actual-argument expression)."""
-    if isinstance(e, ir.Const):
-        return ir.Const(e.value, e.prim)
-    if isinstance(e, ir.LocalRef):
+    """Deep-copy ``e`` node by node while renaming/substituting locals via
+    ``rn`` (name -> fresh name, or name -> actual-argument expression).
+    Shapes, types and call targets are shared, never copied; each node's own
+    type and shape are recomputed from its cloned operands, as its
+    constructor would (a substituted receiver changes what a FieldLoad of
+    it yields).  ``bounds_ok`` marks carry over: callee proofs are
+    context-free."""
+    if type(e) is ir.LocalRef:
         r = rn.get(e.name)
         if isinstance(r, ir.Expr):
             return _clone_expr(r, {})  # substituted actual (fresh copy)
         return ir.LocalRef(r if r is not None else e.name,
                            e.ref_ty, e.ref_shape)
-    if isinstance(e, ir.FieldLoad):
-        return ir.FieldLoad(_clone_expr(e.obj, rn), e.fname)
-    if isinstance(e, ir.ArrayLoad):
-        out = ir.ArrayLoad(_clone_expr(e.arr, rn), _clone_expr(e.index, rn))
-        out.bounds_ok = e.bounds_ok  # callee proofs are context-free
-        return out
-    if isinstance(e, ir.ArrayLen):
-        return ir.ArrayLen(_clone_expr(e.arr, rn))
-    if isinstance(e, ir.BinOp):
-        return ir.BinOp(e.op, _clone_expr(e.left, rn),
-                        _clone_expr(e.right, rn), e.res)
-    if isinstance(e, ir.UnaryOp):
-        return ir.UnaryOp(e.op, _clone_expr(e.operand, rn), e.res)
-    if isinstance(e, ir.Compare):
-        return ir.Compare(e.op, _clone_expr(e.left, rn),
-                          _clone_expr(e.right, rn))
-    if isinstance(e, ir.BoolOp):
-        return ir.BoolOp(e.op, [_clone_expr(v, rn) for v in e.values])
-    if isinstance(e, ir.Cast):
-        return ir.Cast(_clone_expr(e.value, rn), e.to)
-    if isinstance(e, ir.Call):
-        recv = _clone_expr(e.recv, rn) if e.recv is not None else None
-        return ir.Call(e.target, recv, [_clone_expr(a, rn) for a in e.args],
-                       e.site_id, e.static_cls, e.method_name)
-    if isinstance(e, ir.IntrinsicCall):
-        return ir.IntrinsicCall(e.key, [_clone_expr(a, rn) for a in e.args],
-                                e.res_ty, e.const_args)
-    if isinstance(e, ir.NewObj):
-        inits = {k: _clone_expr(v, rn) for k, v in e.field_inits.items()}
-        return ir.NewObj(e.cls, inits, e.obj_shape)
-    raise AssertionError(f"uninlinable expression {type(e).__name__}")
+    new = copy.copy(e)
+    for attr in e.kids:
+        child = getattr(e, attr)
+        if child is not None:
+            setattr(new, attr, _clone_expr(child, rn))
+    if e.kid_seq is not None:
+        seq = getattr(e, e.kid_seq)
+        if type(seq) is dict:
+            seq = {k: _clone_expr(v, rn) for k, v in seq.items()}
+        else:
+            seq = [_clone_expr(v, rn) for v in seq]
+        setattr(new, e.kid_seq, seq)
+    new.__post_init__()
+    return new
 
 
 def _clone_stmt(s: ir.Stmt, rn: dict) -> ir.Stmt:
-    if isinstance(s, ir.LocalDecl):
-        return ir.LocalDecl(rn.get(s.name, s.name), s.decl_ty,
-                            _clone_expr(s.value, rn))
-    if isinstance(s, ir.Assign):
-        return ir.Assign(rn.get(s.name, s.name), s.decl_ty,
-                         _clone_expr(s.value, rn))
-    if isinstance(s, ir.FieldStore):
-        return ir.FieldStore(_clone_expr(s.obj, rn), s.fname,
-                             _clone_expr(s.value, rn))
-    if isinstance(s, ir.ArrayStore):
-        out = ir.ArrayStore(_clone_expr(s.arr, rn), _clone_expr(s.index, rn),
-                            _clone_expr(s.value, rn))
-        out.bounds_ok = s.bounds_ok
-        return out
-    if isinstance(s, ir.If):
-        return ir.If(_clone_expr(s.cond, rn),
-                     [_clone_stmt(x, rn) for x in s.then],
-                     [_clone_stmt(x, rn) for x in s.orelse])
-    if isinstance(s, ir.ForRange):
-        step = _clone_expr(s.step, rn) if s.step is not None else None
-        return ir.ForRange(rn.get(s.var, s.var), _clone_expr(s.start, rn),
-                           _clone_expr(s.stop, rn), step,
-                           [_clone_stmt(x, rn) for x in s.body])
-    if isinstance(s, ir.While):
-        return ir.While(_clone_expr(s.cond, rn),
-                        [_clone_stmt(x, rn) for x in s.body])
-    if isinstance(s, ir.ExprStmt):
-        return ir.ExprStmt(_clone_expr(s.value, rn))
-    if isinstance(s, ir.Break):
-        return ir.Break()
-    if isinstance(s, ir.Continue):
-        return ir.Continue()
-    raise AssertionError(f"uninlinable statement {type(s).__name__}")
-
-
-class _Namer:
-    """Fresh ``__inl`` temp names that never collide with caller locals."""
-
-    def __init__(self, f: ir.FuncIR):
-        self.taken = set(f.param_names) | ir.assigned_names(f.body) | {"self"}
-        self.n = 0
-
-    def fresh(self) -> str:
-        while True:
-            name = f"__inl{self.n}"
-            self.n += 1
-            if name not in self.taken:
-                self.taken.add(name)
-                return name
+    new = copy.copy(s)
+    if s.assigns is not None:
+        name = getattr(s, s.assigns)
+        setattr(new, s.assigns, rn.get(name, name))
+    for attr in ir.stmt_slots(s):
+        setattr(new, attr, _clone_expr(getattr(s, attr), rn))
+    for attr in s.blocks:
+        setattr(new, attr, [_clone_stmt(x, rn) for x in getattr(s, attr)])
+    return new
 
 
 def _substitutable(e: ir.Expr) -> bool:
@@ -299,7 +279,7 @@ def _substitutable(e: ir.Expr) -> bool:
         return True
     shape = getattr(e, "shape", None)
     if isinstance(shape, ObjShape) and shape.from_snapshot:
-        return _prefix_safe(e, set())
+        return _pure_chain(e)
     return False
 
 
@@ -351,51 +331,13 @@ def _expand(call: ir.Call, namer: _Namer):
 # the pass
 # ---------------------------------------------------------------------------
 
-def _stmt_roots(s: ir.Stmt):
-    """Expression roots of ``s`` from which a call may be hoisted.
-
-    ``While`` conditions re-evaluate every iteration, so nothing may be
-    hoisted out of them; all other top-level expression slots evaluate
-    exactly once before (or as) the statement executes."""
-    if isinstance(s, ir.While):
-        return []
-    return ir.stmt_exprs(s)
-
-
-def _inline_in_list(stmts: list, caller: ir.FuncIR, namer: _Namer,
-                    memo: dict) -> bool:
-    for i, s in enumerate(stmts):
-        call = _find_call(_stmt_roots(s), caller, memo)
-        if call is not None:
-            pre, ret_ref = _expand(call, namer)
-            if ret_ref is None:
-                # void callee: legal only in statement position
-                assert isinstance(s, ir.ExprStmt) and s.value is call, \
-                    "void call selected outside statement position"
-                stmts[i:i + 1] = pre
-            else:
-                ir.rewrite_stmt_exprs(
-                    s, lambda e: ret_ref if e is call else e)
-                stmts[i:i + 1] = pre + [s]
-            return True
-        for block in ir.stmt_blocks(s):
-            if _inline_in_list(block, caller, namer, memo):
-                return True
-    return False
-
-
 def inline_func(f: ir.FuncIR, ctx=None) -> int:
     """Inline devirtualized callees into ``f`` (see module doc).
 
     Returns the number of call sites spliced; feeds the
     ``inline.calls_inlined`` counter."""
-    namer = _Namer(f)
-    memo: dict = {}
-    n = 0
-    while n < _MAX_CALLS and _stmt_count(f.body) < _MAX_TOTAL:
-        if not _inline_in_list(f.body, f, namer, memo):
-            break
-        n += 1
-    if n:
-        _M.counter("inline.calls_inlined").inc(n)
-    return n
+    inliner = _Inliner(f)
+    inliner.run(f.body)
+    if inliner.spliced:
+        _M.counter("inline.calls_inlined").inc(inliner.spliced)
+    return inliner.spliced

@@ -50,6 +50,7 @@ from repro.env import (
 )
 from repro.frontend import ir
 from repro.frontend.shapes import ArrayShape, ObjShape, PrimShape
+from repro.opt.passes import _pure_intrinsic
 
 __all__ = [
     "ANALYSIS_VERSION",
@@ -64,17 +65,8 @@ __all__ = [
     "omp_token",
 ]
 
-_PURE_INTRINSIC_PREFIXES = ("math.",)
-_PURE_INTRINSIC_KEYS = frozenset(
-    {"builtin.abs", "builtin.min", "builtin.max", "wj.lcg64", "wj.u01"}
-)
-
 _REDUCTION_BINOPS = frozenset({"+", "*"})
 _REDUCTION_INTRINSICS = {"builtin.min": "min", "builtin.max": "max"}
-
-
-def _pure_intrinsic(key: str) -> bool:
-    return key in _PURE_INTRINSIC_KEYS or key.startswith(_PURE_INTRINSIC_PREFIXES)
 
 
 # --------------------------------------------------------------------------

@@ -42,11 +42,12 @@ __all__ = ["fold_func", "dce_func", "cse_func", "licm_func"]
 # shared machinery
 # ---------------------------------------------------------------------------
 
-#: intrinsics that are deterministic pure functions of their arguments
-#: (safe to deduplicate; hoisting additionally needs a trip-count proof,
-#: because some raise on the py backend for special operands)
+#: intrinsics that are deterministic, effect-free functions of their
+#: arguments (what the loop-independence analysis asks, repro.opt.parallel)
 _PURE_INTRINSIC_PREFIXES = ("math.",)
-_PURE_INTRINSIC_KEYS = frozenset({"builtin.abs", "builtin.min", "builtin.max"})
+_PURE_INTRINSIC_KEYS = frozenset(
+    {"builtin.abs", "builtin.min", "builtin.max", "wj.lcg64", "wj.u01"}
+)
 
 
 def _pure_intrinsic(key: str) -> bool:
@@ -65,12 +66,11 @@ def _nonzero_const(e: ir.Expr) -> bool:
     return v is not None and v != 0
 
 
-def _snapshot_array_load(e: ir.Expr) -> bool:
+def _snapshot_array_load(e: ir.FieldLoad) -> bool:
     """A FieldLoad of an *array* field of a snapshot object with a known
     root path (the only FieldLoads the optimizer may move)."""
     return (
-        isinstance(e, ir.FieldLoad)
-        and isinstance(e.shape, ArrayShape)
+        isinstance(e.shape, ArrayShape)
         and isinstance(e.obj.shape, ObjShape)
         and e.obj.shape.from_snapshot
         and e.obj.shape.root_path is not None
@@ -78,91 +78,186 @@ def _snapshot_array_load(e: ir.Expr) -> bool:
     )
 
 
-def _expr_key(e: ir.Expr):
-    """A structural hash key for value-numbering, or None when the node is
-    outside the closed set of expressions CSE/LICM may duplicate or move.
+_NONE: frozenset = frozenset()
 
-    ``repr`` is used for float constants so ``0.0`` and ``-0.0`` (which
-    compare equal) get distinct keys — substituting one for the other
-    would change result bits.
+#: the classes whose nodes are *worth* naming as a temp — a real
+#: computation, not a bare leaf or cheap wrapper (a FieldLoad only when it
+#: is a snapshot array load, which is exactly when it has a key)
+_CANDIDATE_ROOTS = frozenset({ir.BinOp, ir.Compare, ir.BoolOp, ir.ArrayLen,
+                              ir.IntrinsicCall, ir.FieldLoad})
+
+
+class _Summary:
+    """What one pass run asks about the expressions, statements and callees
+    of one function, each gathered once.
+
+    ``expr(e)`` is ``(e, key, used, loaded, intrinsic, calls)`` for the
+    subtree at ``e``, combined bottom-up from its children's records in one
+    walk: the value-numbering key (None outside the closed set CSE/LICM may
+    duplicate or move), the locals it reads, the ``(root_path, fname)`` of
+    every FieldLoad, whether it holds an IntrinsicCall, and its
+    Call/KernelLaunch nodes.  ``stmt(s)`` is ``(s, assigned, stored)`` — the
+    locals a statement assigns and the snapshot fields it stores to, nested
+    blocks and callees included; ``stored`` None means "unknown" (a store
+    target or callee could not be resolved, so assume everything).
+
+    Records are keyed by ``id`` and hold their node, so an id cannot be
+    recycled while the summary lives; the summary dies with the pass.
     """
-    if isinstance(e, ir.Const):
-        return ("const", id(e.prim), repr(e.value))
-    if isinstance(e, ir.LocalRef):
-        return ("local", e.name)
-    if isinstance(e, ir.BinOp):
-        if e.op == "**":
-            return None  # py-backend ** may raise OverflowError; never move
-        if e.op in ("/", "//", "%") and not _nonzero_const(e.right):
-            return None  # a moving divisor must be provably non-zero
-        kl, kr = _expr_key(e.left), _expr_key(e.right)
-        if kl is None or kr is None:
+
+    def __init__(self):
+        self._exprs: dict = {}
+        self._stmts: dict = {}
+        self._callees: dict = {}
+
+    # -- expressions --------------------------------------------------------
+
+    def expr(self, e: ir.Expr) -> tuple:
+        rec = self._exprs.get(id(e))
+        if rec is None:
+            rec = self._exprs[id(e)] = self._gather(e)
+        return rec
+
+    def refresh(self, e: ir.Expr) -> None:
+        """Recombine ``e``'s record after a child slot was replaced."""
+        self._exprs[id(e)] = self._gather(e)
+
+    def movable(self, e: ir.Expr):
+        """Key of a CSE/LICM candidate root, or None."""
+        if type(e) not in _CANDIDATE_ROOTS:
             return None
-        return ("bin", e.op, id(e.res), kl, kr)
-    if isinstance(e, ir.UnaryOp):
-        k = _expr_key(e.operand)
-        return None if k is None else ("un", e.op, id(e.res), k)
-    if isinstance(e, ir.Compare):
-        kl, kr = _expr_key(e.left), _expr_key(e.right)
-        if kl is None or kr is None:
+        s = e.shape
+        if isinstance(s, PrimShape) and s.const is not None:
+            return None  # backends fold this to a literal; naming it regresses
+        return self.expr(e)[1]
+
+    def _gather(self, e: ir.Expr) -> tuple:
+        cls = type(e)
+        if cls is ir.LocalRef:
+            return (e, ("local", e.name), frozenset((e.name,)), _NONE, False, ())
+        if cls is ir.Const:
+            # ``repr`` so 0.0 and -0.0 (which compare equal) get distinct
+            # keys — substituting one for the other would change result bits
+            return (e, ("const", id(e.prim), repr(e.value)), _NONE, _NONE,
+                    False, ())
+        keys = []
+        used = loaded = _NONE
+        intrinsic = False
+        calls = ()
+        for child in ir.expr_children(e):
+            _, k, u, f, i, c = self.expr(child)
+            keys.append(k)
+            if u:
+                used = used | u if used else u
+            if f:
+                loaded = loaded | f if loaded else f
+            intrinsic = intrinsic or i
+            calls += c
+        key = None
+        if cls is ir.BinOp:
+            # py-backend ** may raise OverflowError, so it never moves; a
+            # moving divisor must be provably non-zero
+            if e.op != "**" and None not in keys and (
+                    e.op not in ("/", "//", "%") or _nonzero_const(e.right)):
+                key = ("bin", e.op, id(e.res), keys[0], keys[1])
+        elif cls is ir.FieldLoad:
+            loaded = loaded | {(e.obj.shape.root_path, e.fname)}
+            if _snapshot_array_load(e):
+                k = keys[0]
+                if k is None and type(e.obj) is ir.FieldLoad:
+                    k = ("obj", e.obj.shape.root_path)
+                if k is not None:
+                    key = ("field", k, e.fname)
+        elif cls is ir.IntrinsicCall:
+            intrinsic = True
+            # the RNG steps are pure, but value-numbering them would change
+            # what is emitted today, so they stay outside the closed set
+            if (_pure_intrinsic(e.key) and not e.key.startswith("wj.")
+                    and None not in keys):
+                key = ("intr", e.key, tuple(map(repr, e.const_args)),
+                       tuple(keys))
+        elif cls is ir.Call or cls is ir.KernelLaunch:
+            calls += (e,)
+        elif None in keys:
+            pass
+        elif cls is ir.UnaryOp:
+            key = ("un", e.op, id(e.res), keys[0])
+        elif cls is ir.Compare:
+            key = ("cmp", e.op, keys[0], keys[1])
+        elif cls is ir.BoolOp:
+            key = ("bool", e.op, tuple(keys))
+        elif cls is ir.Cast:
+            key = ("cast", id(e.to), keys[0])
+        elif cls is ir.ArrayLen:
+            key = ("len", keys[0])
+        return (e, key, used, loaded, intrinsic, calls)
+
+    # -- statements and callees ---------------------------------------------
+
+    def stmt(self, s: ir.Stmt) -> tuple:
+        rec = self._stmts.get(id(s))
+        if rec is None:
+            assigned = {getattr(s, s.assigns)} if s.assigns else set()
+            stored: set | None = set()
+            if type(s) is ir.FieldStore:
+                root = getattr(s.obj.shape, "root_path", None)
+                stored = None if root is None else {(root, s.fname)}
+            for e in ir.stmt_exprs(s):
+                for call in self.expr(e)[5]:
+                    stored = _join_stored(stored, self.callee(call.target))
+            for block in ir.stmt_blocks(s):
+                inner_assigned, inner_stored = self.block(block)
+                assigned |= inner_assigned
+                stored = _join_stored(stored, inner_stored)
+            rec = self._stmts[id(s)] = (s, assigned, stored)
+        return rec
+
+    def block(self, stmts) -> tuple:
+        """``(assigned, stored)`` over a statement list."""
+        assigned: set = set()
+        stored: set | None = set()
+        for s in stmts:
+            _, a, f = self.stmt(s)
+            assigned |= a
+            stored = _join_stored(stored, f)
+        return assigned, stored
+
+    def callee(self, target):
+        """The snapshot fields a call to ``target`` may store to."""
+        func = getattr(target, "func_ir", None)
+        if func is None:
             return None
-        return ("cmp", e.op, kl, kr)
-    if isinstance(e, ir.BoolOp):
-        ks = [_expr_key(v) for v in e.values]
-        if any(k is None for k in ks):
-            return None
-        return ("bool", e.op, tuple(ks))
-    if isinstance(e, ir.Cast):
-        k = _expr_key(e.value)
-        return None if k is None else ("cast", id(e.to), k)
-    if isinstance(e, ir.ArrayLen):
-        k = _expr_key(e.arr)
-        return None if k is None else ("len", k)
-    if isinstance(e, ir.FieldLoad):
-        if not _snapshot_array_load(e):
-            return None
-        k = _expr_key(e.obj)
-        if k is None and isinstance(e.obj, ir.FieldLoad):
-            k = ("obj", e.obj.shape.root_path)
-        if k is None:
-            return None
-        return ("field", k, e.fname)
-    if isinstance(e, ir.IntrinsicCall):
-        if not _pure_intrinsic(e.key):
-            return None
-        ks = [_expr_key(a) for a in e.args]
-        if any(k is None for k in ks):
-            return None
-        return ("intr", e.key, tuple(map(repr, e.const_args)), tuple(ks))
-    return None
+        key = id(func)
+        if key not in self._callees:
+            self._callees[key] = set()  # recursion is outlawed, but stay safe
+            self._callees[key] = self._stored_by(func.body)
+        return self._callees[key]
+
+    def _stored_by(self, body):
+        # a callee's body is finished IR this pass never rewrites: its
+        # stores and calls are read off without expression records
+        stored: set = set()
+        stack = list(body)
+        while stack:
+            s = stack.pop()
+            if type(s) is ir.FieldStore:
+                root = getattr(s.obj.shape, "root_path", None)
+                if root is None:
+                    return None
+                stored.add((root, s.fname))
+            for block in ir.stmt_blocks(s):
+                stack.extend(block)
+        for e in ir.walk_exprs(body):
+            if type(e) is ir.Call or type(e) is ir.KernelLaunch:
+                inner = self.callee(e.target)
+                if inner is None:
+                    return None
+                stored |= inner
+        return stored
 
 
-def _contains_intrinsic(e: ir.Expr) -> bool:
-    return any(isinstance(x, ir.IntrinsicCall) for x in ir.walk_exprs(e))
-
-
-def _used_locals(e: ir.Expr) -> frozenset:
-    return frozenset(
-        x.name for x in ir.walk_exprs(e) if isinstance(x, ir.LocalRef)
-    )
-
-
-def _candidate_root(e: ir.Expr) -> bool:
-    """Whether ``e`` is *worth* naming as a temp (key-able is checked
-    separately): a real computation, not a bare leaf or cheap wrapper."""
-    return isinstance(
-        e, (ir.BinOp, ir.Compare, ir.BoolOp, ir.ArrayLen, ir.IntrinsicCall)
-    ) or _snapshot_array_load(e)
-
-
-def _movable(e: ir.Expr):
-    """Key of a CSE/LICM candidate root, or None."""
-    if not _candidate_root(e):
-        return None
-    s = e.shape
-    if isinstance(s, PrimShape) and s.const is not None:
-        return None  # backends fold this to a literal; naming it regresses
-    return _expr_key(e)
+def _join_stored(a, b):
+    return None if a is None or b is None else a | b if b else a
 
 
 def _make_ref(name: str, proto: ir.Expr) -> ir.LocalRef:
@@ -173,55 +268,39 @@ def _make_ref(name: str, proto: ir.Expr) -> ir.LocalRef:
     return ir.LocalRef(name, proto.ty, PrimShape(proto.ty))
 
 
-def _child_slots(e: ir.Expr):
-    """(child, setter) pairs for every direct sub-expression of ``e``."""
-    out = []
-    for attr in ("obj", "arr", "index", "left", "right", "operand",
-                 "value", "recv", "config"):
-        child = getattr(e, attr, None)
-        if isinstance(child, ir.Expr):
-            out.append((child, _AttrSet(e, attr)))
-    for attr in ("values", "args"):
-        lst = getattr(e, attr, None)
-        if isinstance(lst, list):
-            for i, child in enumerate(lst):
-                out.append((child, _ItemSet(lst, i)))
-    inits = getattr(e, "field_inits", None)
-    if isinstance(inits, dict):
-        for k, child in inits.items():
-            out.append((child, _ItemSet(inits, k)))
+def _child_slots(e: ir.Expr) -> list:
+    """``(owner, slot, child)`` for every direct sub-expression of ``e``;
+    ``_put(owner, slot, new)`` replaces it."""
+    out = [(e, a, getattr(e, a)) for a in e.kids if getattr(e, a) is not None]
+    if e.kid_seq is not None:
+        seq = getattr(e, e.kid_seq)
+        items = seq.items() if type(seq) is dict else enumerate(seq)
+        out.extend((seq, k, child) for k, child in items)
     return out
 
 
-class _AttrSet:
-    __slots__ = ("obj", "attr")
-
-    def __init__(self, obj, attr):
-        self.obj, self.attr = obj, attr
-
-    def __call__(self, new):
-        setattr(self.obj, self.attr, new)
+def _put(owner, slot, new: ir.Expr) -> None:
+    if type(owner) is list or type(owner) is dict:
+        owner[slot] = new
+    else:
+        setattr(owner, slot, new)
 
 
-class _ItemSet:
-    __slots__ = ("container", "key")
+class _Namer:
+    """Deterministic fresh temp names (never colliding with guest locals)."""
 
-    def __init__(self, container, key):
-        self.container, self.key = container, key
+    def __init__(self, f: ir.FuncIR, prefix: str):
+        self.taken = set(f.param_names) | ir.assigned_names(f.body) | {"self"}
+        self.prefix = prefix
+        self.n = 0
 
-    def __call__(self, new):
-        self.container[self.key] = new
-
-
-def _replace_by_key(e: ir.Expr, mapping: dict) -> ir.Expr:
-    """Top-down maximal-munch substitution: any subtree whose key is in
-    ``mapping`` becomes a reference to its temp."""
-    hit = mapping.get(_movable(e))
-    if hit is not None:
-        return _make_ref(hit[0], hit[1])
-    for child, set_ in _child_slots(e):
-        set_(_replace_by_key(child, mapping))
-    return e
+    def fresh(self) -> str:
+        while True:
+            name = f"{self.prefix}{self.n}"
+            self.n += 1
+            if name not in self.taken:
+                self.taken.add(name)
+                return name
 
 
 # ---------------------------------------------------------------------------
@@ -436,72 +515,32 @@ def dce_func(f: ir.FuncIR, ctx) -> int:
 # pass: cse — block-local common subexpression elimination
 # ---------------------------------------------------------------------------
 
-class _Namer:
-    """Deterministic fresh temp names (never colliding with guest locals)."""
-
-    def __init__(self, f: ir.FuncIR, prefix: str):
-        self.taken = set(f.param_names) | ir.assigned_names(f.body)
-        self.prefix = prefix
-        self.n = 0
-
-    def fresh(self) -> str:
-        while True:
-            name = f"{self.prefix}{self.n}"
-            self.n += 1
-            if name not in self.taken:
-                self.taken.add(name)
-                return name
-
-
-def _cse_slots(s: ir.Stmt) -> list:
-    """The expression slots CSE may process: evaluated exactly once per
-    execution of the statement.  A While condition re-evaluates, so it is
-    excluded (its subexpressions are handled when LICM proves invariance)."""
-    if isinstance(s, ir.While):
-        return []
-    return [(s, slot) for slot in _slot_names(s)]
-
-
-def _slot_names(s: ir.Stmt) -> list:
-    if isinstance(s, (ir.LocalDecl, ir.Assign, ir.ExprStmt)):
-        return ["value"]
-    if isinstance(s, ir.FieldStore):
-        return ["obj", "value"]
-    if isinstance(s, ir.ArrayStore):
-        return ["arr", "index", "value"]
-    if isinstance(s, (ir.If, ir.While)):
-        return ["cond"]
-    if isinstance(s, ir.ForRange):
-        return ["start", "stop"] + (["step"] if s.step is not None else [])
-    if isinstance(s, ir.Return):
-        return ["value"] if s.value is not None else []
-    return []
-
-
 class _CseBlock:
     """Forward value-numbering over one straight-line statement list.
 
     The first sighting of a candidate registers a *pending* entry holding
-    the expression and a setter for its site; the second sighting
-    materializes ``__cseN = <expr>`` immediately before the first site's
-    statement and rewrites both sites to the temp.  Only *maximal*
-    candidate subtrees are registered, so no two live entries ever share
-    tree nodes (which keeps def-before-use trivially correct).
+    the expression and its site; the second sighting materializes
+    ``__cseN = <expr>`` immediately before the first site's statement and
+    rewrites both sites to the temp.  Only *maximal* candidate subtrees
+    are registered, so no two live entries ever share tree nodes (which
+    keeps def-before-use trivially correct).
     """
 
     def __init__(self, namer: _Namer):
         self.namer = namer
         self.rewrites = 0
-        self.effects_memo: dict = {}
+        self.summary = _Summary()
 
     def run(self, stmts: list) -> None:
         avail: dict = {}
         out: list = []
         for s in stmts:
-            for owner, attr in _cse_slots(s):
-                child = getattr(owner, attr)
-                if isinstance(child, ir.Expr):
-                    self._rw(child, _AttrSet(owner, attr), avail, out)
+            # the slots evaluated exactly once per execution of the
+            # statement: a While condition re-evaluates, so it is excluded
+            # (LICM handles its subexpressions when it proves invariance)
+            if type(s) is not ir.While:
+                for attr in ir.stmt_slots(s):
+                    self._rw(getattr(s, attr), s, attr, avail, out)
             for b in ir.stmt_blocks(s):
                 self.run(b)
             out.append(s)
@@ -509,37 +548,34 @@ class _CseBlock:
         stmts[:] = out
 
     def _invalidate(self, s: ir.Stmt, avail: dict) -> None:
-        stored = ir.assigned_names([s])
         # a statement that stores fields — directly or through any call it
         # makes (double-buffer swaps!) — kills entries caching a FieldLoad
-        field_eff = _field_effects([s], self.effects_memo)
+        _, assigned, stored = self.summary.stmt(s)
         for k in list(avail):
             ent = avail[k]
-            if stored and (ent["uses"] & stored):
+            if assigned and (ent["uses"] & assigned):
                 del avail[k]
-            elif ent["fields"] and (
-                field_eff is None or (ent["fields"] & field_eff)
-            ):
+            elif ent["fields"] and (stored is None or (ent["fields"] & stored)):
                 del avail[k]
 
-    def _rw(self, e: ir.Expr, set_, avail: dict, out: list) -> None:
-        k = _movable(e)
+    def _rw(self, e: ir.Expr, owner, slot, avail: dict, out: list) -> None:
+        k = self.summary.movable(e)
         if k is not None:
             ent = avail.get(k)
             if ent is None:
+                _, _, used, loaded, _, _ = self.summary.expr(e)
                 avail[k] = {
                     "state": "pending", "idx": len(out), "expr": e,
-                    "set": set_, "uses": _used_locals(e),
-                    "fields": frozenset(_field_load_targets(e)),
+                    "site": (owner, slot), "uses": used, "fields": loaded,
                 }
                 return
-            set_(self._use(k, ent, avail, out))
+            _put(owner, slot, self._use(ent, avail, out))
             self.rewrites += 1
             return
-        for child, child_set in _child_slots(e):
-            self._rw(child, child_set, avail, out)
+        for child_owner, child_slot, child in _child_slots(e):
+            self._rw(child, child_owner, child_slot, avail, out)
 
-    def _use(self, k, ent: dict, avail: dict, out: list) -> ir.LocalRef:
+    def _use(self, ent: dict, avail: dict, out: list) -> ir.LocalRef:
         if ent["state"] == "pending":
             name = self.namer.fresh()
             first = ent["expr"]
@@ -548,7 +584,7 @@ class _CseBlock:
             for other in avail.values():
                 if other["state"] == "pending" and other["idx"] >= idx:
                     other["idx"] += 1
-            ent["set"](_make_ref(name, first))
+            _put(*ent["site"], _make_ref(name, first))
             ent.update(state="temp", name=name)
         return _make_ref(ent["name"], ent["expr"])
 
@@ -580,59 +616,10 @@ def _trip_at_least_one(loop) -> bool:
     return start < stop if step > 0 else start > stop
 
 
-def _field_effects(stmts, memo: dict):
-    """The set of snapshot ``(root_path, fname)`` fields stored anywhere in
-    ``stmts``, transitively through calls; None means "unknown" (some store
-    target or callee could not be resolved, so assume everything)."""
-    out: set = set()
-    stack = list(stmts)
-    while stack:
-        s = stack.pop()
-        if isinstance(s, ir.FieldStore):
-            oshape = s.obj.shape
-            root = getattr(oshape, "root_path", None)
-            if root is None:
-                return None
-            out.add((root, s.fname))
-        for b in ir.stmt_blocks(s):
-            stack.extend(b)
-        for e in ir.stmt_exprs(s):
-            for x in ir.walk_exprs(e):
-                if isinstance(x, (ir.Call, ir.KernelLaunch)):
-                    callee = _callee_effects(x.target, memo)
-                    if callee is None:
-                        return None
-                    out |= callee
-    return out
-
-
-def _callee_effects(target, memo: dict):
-    func = getattr(target, "func_ir", None)
-    if func is None:
-        return None
-    key = id(func)
-    if key not in memo:
-        memo[key] = set()  # pre-seed: recursion is outlawed, but stay safe
-        memo[key] = _field_effects(func.body, memo)
-    return memo[key]
-
-
-def _contains_field_load(e: ir.Expr) -> bool:
-    return any(isinstance(x, ir.FieldLoad) for x in ir.walk_exprs(e))
-
-
-def _field_load_targets(e: ir.Expr) -> set:
-    return {
-        (x.obj.shape.root_path, x.fname)
-        for x in ir.walk_exprs(e)
-        if isinstance(x, ir.FieldLoad)
-    }
-
-
 class _Licm:
     def __init__(self, f: ir.FuncIR):
         self.namer = _Namer(f, "__licm")
-        self.effects_memo: dict = {}
+        self.summary = _Summary()
         self.hoisted = 0
 
     def run(self, stmts: list) -> None:
@@ -650,22 +637,24 @@ class _Licm:
             i += 1
 
     def _hoist(self, loop) -> list:
-        assigned = ir.assigned_names(loop.body)
+        summary = self.summary
+        assigned, stored = summary.block(loop.body)
         if isinstance(loop, ir.ForRange):
             assigned.add(loop.var)
         trip = _trip_at_least_one(loop)
-        effects = _field_effects(loop.body, self.effects_memo)
 
         cands: dict = {}  # key -> first expr (insertion-ordered)
 
         def collect(e: ir.Expr) -> None:
-            k = _movable(e)
-            if k is not None and not (_used_locals(e) & assigned):
-                if _contains_intrinsic(e) and not trip:
+            k = summary.movable(e)
+            if k is not None:
+                _, _, used, loaded, intrinsic, _ = summary.expr(e)
+                if used & assigned:
+                    k = None
+                elif intrinsic and not trip:
                     k = None  # may raise; loop may run zero times
-                elif _contains_field_load(e):
-                    if effects is None or (_field_load_targets(e) & effects):
-                        k = None  # the field is (or may be) stored in-loop
+                elif loaded and (stored is None or (loaded & stored)):
+                    k = None  # the field is (or may be) stored in-loop
                 if k is not None:
                     cands.setdefault(k, e)
                     return
@@ -691,14 +680,9 @@ class _Licm:
             mapping[k] = (name, e)
         self.hoisted += len(cands)
 
-        # substitution must run top-down (maximal munch): a bottom-up map
-        # would replace a candidate's children first and the rebuilt parent
-        # would no longer match its recorded key
         def subst(s):
-            for attr in _slot_names(s):
-                child = getattr(s, attr)
-                if isinstance(child, ir.Expr):
-                    setattr(s, attr, _replace_by_key(child, mapping))
+            for attr in ir.stmt_slots(s):
+                setattr(s, attr, self._replace(getattr(s, attr), mapping))
             for b in ir.stmt_blocks(s):
                 for inner in b:
                     subst(inner)
@@ -706,8 +690,28 @@ class _Licm:
         for s in loop.body:
             subst(s)
         if isinstance(loop, ir.While):
-            loop.cond = _replace_by_key(loop.cond, mapping)
+            loop.cond = self._replace(loop.cond, mapping)
         return decls
+
+    def _replace(self, e: ir.Expr, mapping: dict) -> ir.Expr:
+        """Top-down maximal-munch substitution: any subtree whose key is in
+        ``mapping`` becomes a reference to its temp.  (A bottom-up map would
+        replace a candidate's children first and the rebuilt parent would no
+        longer match its recorded key.)  Records above a replaced slot are
+        recombined on the way back up, so the enclosing loop's hoist reads
+        them without walking the tree again."""
+        hit = mapping.get(self.summary.movable(e))
+        if hit is not None:
+            return _make_ref(hit[0], hit[1])
+        changed = False
+        for owner, slot, child in _child_slots(e):
+            new = self._replace(child, mapping)
+            if new is not child:
+                _put(owner, slot, new)
+                changed = True
+        if changed:
+            self.summary.refresh(e)
+        return e
 
     @staticmethod
     def _may_exit(s: ir.Stmt) -> bool:
