@@ -240,6 +240,7 @@ def cmd_opt(args) -> int:
         print(json.dumps(data, indent=2, sort_keys=True))
         return 0
     print(opt_report.render(data))
+    print(opt_report.render_timings(data))
     return 0
 
 

@@ -42,11 +42,8 @@ class CBackend(Backend):
         # abstraction cost) and never under bounds checks (the shared
         # wj_oob_count counter is not thread-safe)
         plan = None
-        if (
-            _env.omp_enabled()
-            and opt is OptLevel.FULL
-            and not self.bounds_checks
-        ):
+        wanted = _env.omp_enabled() and opt is OptLevel.FULL
+        if wanted and not self.bounds_checks:
             from repro.opt.parallel import analyze_program
 
             plan = analyze_program(program)
@@ -80,4 +77,7 @@ class CBackend(Backend):
                 "threads_requested": plan.threads,
                 "functions": plan.stats["functions"],
             }}
+        elif wanted:
+            # REPRO_OMP=1 was asked for and stood down: say why
+            compiled.opt_stats = {"parallel": {"disabled": "bounds_checks"}}
         return compiled

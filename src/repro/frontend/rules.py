@@ -85,6 +85,7 @@ _BANNED_NODES: tuple[tuple[type, str, int], ...] = (
     (ast.NamedExpr, "walrus assignments", 8),
     (ast.Assert, "assert statements", 8),
 )
+_BANNED_TYPES = tuple(ty for ty, _, _ in _BANNED_NODES)
 
 
 def _violation(msg: str, rule: int, src: SourceInfo, node: ast.AST) -> CodingRuleViolation:
@@ -114,9 +115,10 @@ def _check_banned_constructs(src: SourceInfo, tree: ast.AST, *, in_ctor: bool) -
     for node in ast.walk(tree):
         if id(node) in exempt:
             continue
-        for node_ty, what, rule in _BANNED_NODES:
-            if isinstance(node, node_ty):
-                raise _violation(f"{what} not allowed in translated code", rule, src, node)
+        if isinstance(node, _BANNED_TYPES):
+            what, rule = next((w, r) for ty, w, r in _BANNED_NODES
+                              if isinstance(node, ty))
+            raise _violation(f"{what} not allowed in translated code", rule, src, node)
         if isinstance(node, ast.Compare):
             for op in node.ops:
                 if isinstance(op, (ast.Is, ast.IsNot)):

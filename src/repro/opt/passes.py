@@ -129,7 +129,8 @@ class _Summary:
         s = e.shape
         if isinstance(s, PrimShape) and s.const is not None:
             return None  # backends fold this to a literal; naming it regresses
-        return self.expr(e)[1]
+        _, key, *_ = self.expr(e)
+        return key
 
     def _gather(self, e: ir.Expr) -> tuple:
         cls = type(e)
@@ -197,20 +198,24 @@ class _Summary:
     def stmt(self, s: ir.Stmt) -> tuple:
         rec = self._stmts.get(id(s))
         if rec is None:
-            assigned = {getattr(s, s.assigns)} if s.assigns else set()
-            stored: set | None = set()
-            if type(s) is ir.FieldStore:
-                root = getattr(s.obj.shape, "root_path", None)
-                stored = None if root is None else {(root, s.fname)}
-            for e in ir.stmt_exprs(s):
-                for call in self.expr(e)[5]:
-                    stored = _join_stored(stored, self.callee(call.target))
-            for block in ir.stmt_blocks(s):
-                inner_assigned, inner_stored = self.block(block)
-                assigned |= inner_assigned
-                stored = _join_stored(stored, inner_stored)
-            rec = self._stmts[id(s)] = (s, assigned, stored)
+            rec = self._stmts[id(s)] = self._summarize(s)
         return rec
+
+    def _summarize(self, s: ir.Stmt) -> tuple:
+        assigned = {getattr(s, s.assigns)} if s.assigns else set()
+        stored: set | None = set()
+        if type(s) is ir.FieldStore:
+            root = getattr(s.obj.shape, "root_path", None)
+            stored = None if root is None else {(root, s.fname)}
+        for e in ir.stmt_exprs(s):
+            *_, calls = self.expr(e)
+            for call in calls:
+                stored = _join_stored(stored, self.callee(call.target))
+        for block in ir.stmt_blocks(s):
+            inner_assigned, inner_stored = self.block(block)
+            assigned |= inner_assigned
+            stored = _join_stored(stored, inner_stored)
+        return (s, assigned, stored)
 
     def block(self, stmts) -> tuple:
         """``(assigned, stored)`` over a statement list."""

@@ -20,7 +20,7 @@ import os
 
 from repro.frontend import ir
 
-__all__ = ["collect", "render"]
+__all__ = ["collect", "render", "render_timings"]
 
 
 def _demo_apps() -> dict:
@@ -156,5 +156,26 @@ def render(data: dict) -> str:
                 f"  parallel loops: {par['loops_parallel']:5d} of "
                 f"{par['loops_seen']} analyzed{extra}"
             )
+        lines.append("")
+    return "\n".join(lines)
+
+
+def render_timings(data: dict) -> str:
+    """Per-pass wall time of the same translations — pass plus its
+    re-verification, in total and per IR statement the pipeline was given.
+    Kept apart from :func:`render`, whose output is committed: a pass that
+    starts to re-walk its input shows up here as a row growing faster than
+    the statement count."""
+    lines = ["per-pass wall time (one translate, incl. verify)", ""]
+    for name, d in sorted(data.items()):
+        n = d["before"]["ir_stmts"]
+        lines.append(f"{name} ({n} IR statements):")
+        for pname, st in d["passes"].items():
+            ms = st["seconds"] * 1e3
+            lines.append(f"  pass {pname:6s}: {ms:7.3f} ms  "
+                         f"{ms * 1e3 / n:7.2f} us/stmt")
+        total = sum(st["seconds"] for st in d["passes"].values()) * 1e3
+        lines.append(f"  total      : {total:7.3f} ms  "
+                     f"{total * 1e3 / n:7.2f} us/stmt")
         lines.append("")
     return "\n".join(lines)

@@ -30,3 +30,28 @@ class BoolArrayUser:
             if flags[i]:
                 c = c + 1
         return c
+
+
+@wootin
+class SiteCounter:
+    """One guest call, outside any loop and at the bottom of a 3-deep nest:
+    both programs lower exactly one call site.  ``acc`` enters the loops as
+    a constant and leaves them as a runtime value, so every loop needs a
+    second fixpoint trial — whose first, discarded, must number no site."""
+
+    def __init__(self):
+        pass
+
+    def bump(self, x: i64) -> i64:
+        return x + 1
+
+    def flat(self, n: i64) -> i64:
+        return self.bump(n)
+
+    def nested(self, n: i64) -> i64:
+        acc = 0
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    acc = self.bump(acc)
+        return acc

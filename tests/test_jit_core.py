@@ -91,6 +91,20 @@ class TestSweeper:
         assert code.report.translate_s > 0
         assert code.report.backend == backend
 
+    def test_call_sites_count_kept_lowerings_only(self):
+        """Loop-fixpoint trials that are thrown away number no call site: a
+        call at the bottom of a 3-deep nest is one site, as outside a loop
+        (it used to be counted once per discarded trial of every level)."""
+        from tests.guestlib_misc import SiteCounter
+
+        flat = jit(SiteCounter(), "flat", 3, backend="py", use_cache=False)
+        nested = jit(SiteCounter(), "nested", 3, backend="py",
+                     use_cache=False)
+        assert nested.invoke().value == 27
+        assert flat.report.n_call_sites == 1
+        assert nested.report.n_call_sites == flat.report.n_call_sites
+        assert nested.program.n_sites == 1
+
     def test_code_cache_hit(self, backend):
         app = Sweeper(ScaleAddSolver(0.5), 8)
         code1 = jit(app, "run", 2, backend=backend)

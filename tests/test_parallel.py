@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import jit
+from repro.env import env_flag
 from repro.jit.engine import clear_code_cache
 from repro.library.matmul import (
     BlasCalculator,
@@ -187,10 +188,32 @@ class TestThreadedExecution:
         code = jit(_matmul_app(), "start", *_matmul_args(), backend="c",
                    use_cache=False)
         par = code.report.opt_stats.get("parallel")
+        if env_flag("REPRO_BOUNDS", default=False):
+            # the shared out-of-bounds counter is not thread-safe, so a
+            # bounds-checked build stays sequential — and says so
+            assert par == {"disabled": "bounds_checks"}
+            return
         assert par is not None
         assert par["loops_parallel"] >= 1
         assert par["threads_requested"] == 2
         assert "num_threads(2)" in code.compiled.source
+
+    def test_bounds_checks_keep_the_build_sequential(self, monkeypatch):
+        """``REPRO_OMP=1 REPRO_BOUNDS=1``: no pragma, the reason in the
+        report, and the sequential result bit for bit."""
+        monkeypatch.delenv("REPRO_OMP", raising=False)
+        monkeypatch.setenv("REPRO_BOUNDS", "1")
+        ref = jit(_matmul_app(), "start", *_matmul_args(), backend="c",
+                  use_cache=False)
+        assert "parallel" not in ref.report.opt_stats
+        monkeypatch.setenv("REPRO_OMP", "1")
+        code = jit(_matmul_app(), "start", *_matmul_args(), backend="c",
+                   use_cache=False)
+        assert "#pragma omp" not in code.compiled.source
+        assert code.report.opt_stats["parallel"] == {
+            "disabled": "bounds_checks"}
+        assert (code.invoke().output("c").tobytes()
+                == ref.invoke().output("c").tobytes())
 
 
 @requires_cc

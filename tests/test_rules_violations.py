@@ -11,14 +11,19 @@ from tests.guestlib import MutualA, Recurser
 
 
 def expect_rule(app, method, *args, rule=None, match=None):
-    with pytest.raises((CodingRuleViolation, LoweringError)) as exc_info:
-        jit(app, method, *args, backend="py", use_cache=False)
-    exc = exc_info.value
-    if rule is not None:
-        assert isinstance(exc, CodingRuleViolation)
-        assert exc.rule == rule, f"expected rule {rule}, got {exc.rule}: {exc}"
-    if match is not None:
-        assert match in str(exc)
+    # twice: the checkers remember a verdict per class / function, and only
+    # a pass may be remembered — a guest rejected once must be rejected again
+    for attempt in ("first", "second"):
+        with pytest.raises((CodingRuleViolation, LoweringError)) as exc_info:
+            jit(app, method, *args, backend="py", use_cache=False)
+        exc = exc_info.value
+        if rule is not None:
+            assert isinstance(exc, CodingRuleViolation), attempt
+            assert exc.rule == rule, (
+                f"{attempt} attempt: expected rule {rule}, got {exc.rule}: "
+                f"{exc}")
+        if match is not None:
+            assert match in str(exc), attempt
     return exc
 
 
