@@ -235,30 +235,8 @@ class _Summary:
         key = id(func)
         if key not in self._callees:
             self._callees[key] = set()  # recursion is outlawed, but stay safe
-            self._callees[key] = self._stored_by(func.body)
+            self._callees[key] = self.block(func.body)[1]
         return self._callees[key]
-
-    def _stored_by(self, body):
-        # a callee's body is finished IR this pass never rewrites: its
-        # stores and calls are read off without expression records
-        stored: set = set()
-        stack = list(body)
-        while stack:
-            s = stack.pop()
-            if type(s) is ir.FieldStore:
-                root = getattr(s.obj.shape, "root_path", None)
-                if root is None:
-                    return None
-                stored.add((root, s.fname))
-            for block in ir.stmt_blocks(s):
-                stack.extend(block)
-        for e in ir.walk_exprs(body):
-            if type(e) is ir.Call or type(e) is ir.KernelLaunch:
-                inner = self.callee(e.target)
-                if inner is None:
-                    return None
-                stored |= inner
-        return stored
 
 
 def _join_stored(a, b):

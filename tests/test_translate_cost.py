@@ -20,7 +20,7 @@ from repro import jit
 from repro.backends.base import OptLevel
 from repro.backends.cbackend.emit import CProgramEmitter
 from repro.backends.pybackend import PyBackend
-from repro.frontend import ir, lower, rules, source
+from repro.frontend import lower, rules, source
 from repro.frontend.objectgraph import snapshot_args
 from repro.jit.program import Program
 from repro.jit.specialize import Specializer
@@ -46,10 +46,6 @@ def _lowered(receiver, method, args) -> Program:
     program.entry = Specializer(program, pipeline=None).specialize(
         minfo, recv_shape, arg_shapes, device=False)
     return program
-
-
-def _n_stmts(stmts) -> int:
-    return sum(1 + sum(_n_stmts(b) for b in ir.stmt_blocks(s)) for s in stmts)
 
 
 def test_each_guest_function_is_rule_checked_once_per_process(monkeypatch):
@@ -122,7 +118,7 @@ def test_inliner_resumes_after_a_splice(monkeypatch, name):
         n = inline.inline_func(spec.func_ir)
         spliced += n
         assert (searches[spec.func_ir.symbol]
-                <= _n_stmts(spec.func_ir.body) + n), spec.func_ir.symbol
+                <= inline._stmt_count(spec.func_ir.body) + n), spec.func_ir.symbol
     assert spliced > 0
 
 
@@ -138,16 +134,18 @@ def test_statement_effects_are_summarized_once_per_pass(monkeypatch,
 
     monkeypatch.setattr(passes._Summary, "_summarize", spy)
     program = _lowered(*PROGRAMS["diffusion-cpu-mpi"]())
+    seen = 0
     for spec in program.specializations:
         for name in PASS_ORDER[:PASS_ORDER.index(pass_name)]:
             Pipeline((name,)).run_func(spec.func_ir)
         summarized.clear()
         Pipeline((pass_name,)).run_func(spec.func_ir)
+        seen += len(summarized)
         assert len({summary for summary, _ in summarized}) <= 1
         assert set(summarized.values()) <= {1}
-        assert len(summarized) <= _n_stmts(spec.func_ir.body)
         for name in PASS_ORDER[PASS_ORDER.index(pass_name) + 1:]:
             Pipeline((name,)).run_func(spec.func_ir)
+    assert seen > 0
 
 
 @pytest.mark.parametrize("name", ["diffusion-cpu-mpi", "cgsolve-4x4"])
