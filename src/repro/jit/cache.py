@@ -17,7 +17,8 @@ artifact:
 * the receiver and argument **shape digests** (these embed the recorded
   constant values the translator bakes in);
 * the backend name, optimization level, bounds-check mode;
-* the C compiler identification (for the C backend), the host architecture,
+* the C compiler identification and the optimization level's compiler flags
+  (for the C backend: an entry carries its own ``.so``), the host architecture,
   the Python ``major.minor`` and the framework version.
 
 This replaces the old ``id(minfo)``-based key, which was neither stable
@@ -91,7 +92,9 @@ __all__ = [
 
 #: 3: py artifacts carry their array-slot representation (``__list_slots``)
 #: in the source; an older py entry has none and must never be hydrated
-_FORMAT_VERSION = 3
+#: 4: every ``.so`` exports ``wj_probe`` (mpi/calibrate.py measures through
+#: it), and the key covers the compiler flags
+_FORMAT_VERSION = 4
 
 #: entry-return-type name <-> singleton mapping (for disk serialization)
 _RET_BY_NAME = {
@@ -254,6 +257,12 @@ def _cc_version() -> str:
     return _CC_VERSION_CACHE
 
 
+def _cc_flags(opt) -> str:
+    from repro.backends.cbackend.build import FLAG_SETS
+
+    return " ".join(FLAG_SETS[opt])
+
+
 @dataclass
 class CacheKey:
     """A computed program key: the digest plus whether it may hit disk."""
@@ -294,6 +303,9 @@ def program_key(minfo, recv_shape: ObjShape, arg_shapes, *, backend: str,
         "blas": _env.blas_token() if backend == "c" else "",
         "bounds": bool(bounds_checks),
         "cc": _cc_version() if backend == "c" else "",
+        # a disk entry carries its own .so: an edit to the flag table must
+        # not be served the artifact the old flags built
+        "flags": _cc_flags(opt) if backend == "c" else "",
     }
     blob = json.dumps(material, sort_keys=True).encode()
     return CacheKey(hashlib.sha256(blob).hexdigest(), persistable)

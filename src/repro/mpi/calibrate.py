@@ -12,7 +12,10 @@ deduct it.  ``callback_entry_overhead()`` measures the round-trip of a
 representative callback (with a buffer-view build, like the communication
 ops) once per process and caches it; the bridge deducts this constant at
 every native runtime-op entry (clamped at zero, so under-estimation can
-never create negative time).
+never create negative time).  The C side of the measurement is ``wj_probe``,
+a symbol of every generated ``.so`` (``prelude.PRELUDE``): the bridge offers
+each artifact it loads and the first one is measured through, so a fresh
+process compiles no translation unit besides its program's.
 """
 
 from __future__ import annotations
@@ -20,39 +23,24 @@ from __future__ import annotations
 import ctypes as ct
 import time
 
-__all__ = ["callback_entry_overhead"]
+__all__ = ["callback_entry_overhead", "offer_probe"]
 
-_PROBE_SRC = r"""
-#include <stdint.h>
-typedef void (*wj_probe_cb)(void*, const void*, int64_t, int32_t,
-                            int64_t, int64_t);
-void wj_probe(wj_probe_cb cb, void* h, const void* p, int64_t count,
-              int64_t k) {
-    for (int64_t i = 0; i < k; i++)
-        cb(h, p, count, 1, 0, 0);
-}
-"""
-
+_probe_lib: ct.CDLL | None = None
 _cached: float | None = None
 
 
-def _measure() -> float:
-    from repro.backends.base import OptLevel
-    from repro.backends.cbackend.build import (
-        build_shared_object,
-        compiler_available,
-    )
+def offer_probe(lib: ct.CDLL) -> None:
+    """Keep the first translated artifact loaded to measure through."""
+    global _probe_lib
+    if _probe_lib is None:
+        _probe_lib = lib
 
-    if not compiler_available():
-        # pure-Python backends call the runtime directly; transition cost is
-        # a fraction of a microsecond
-        return 5e-7
+
+def _measure(lib: ct.CDLL) -> float:
     import numpy as np
 
     from repro.backends.cbackend.bridge import _view
 
-    so_path, _ = build_shared_object(_PROBE_SRC, OptLevel.FULL)
-    lib = ct.CDLL(str(so_path))
     cb_t = ct.CFUNCTYPE(
         None, ct.c_void_p, ct.c_void_p, ct.c_int64, ct.c_int32,
         ct.c_int64, ct.c_int64,
@@ -81,5 +69,9 @@ def callback_entry_overhead() -> float:
     """Calibrated per-callback transition cost (seconds), cached."""
     global _cached
     if _cached is None:
-        _cached = _measure()
+        if _probe_lib is None:
+            # nothing native is loaded: pure-Python backends call the
+            # runtime directly; transition cost is a fraction of a microsecond
+            return 5e-7
+        _cached = _measure(_probe_lib)
     return _cached

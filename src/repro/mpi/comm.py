@@ -51,10 +51,6 @@ class VirtualClock:
         self.comm_time = 0.0
         self.device_time = 0.0
 
-    def start(self) -> None:
-        """(Re)base the CPU-time mark; call at rank start."""
-        self._mark = time.thread_time()
-
     def sync_cpu(self, deduct: float = 0.0) -> None:
         """Fold the CPU time since the last mark into the clock.
 
@@ -63,7 +59,9 @@ class VirtualClock:
         :mod:`repro.mpi.calibrate`), clamped so time never goes backwards.
         """
         now = time.thread_time()
-        self.t += max(0.0, now - self._mark - deduct)
+        dt = now - self._mark - deduct
+        if dt > 0.0:
+            self.t += dt
         self._mark = now
 
     def exclude(self) -> None:
@@ -345,7 +343,9 @@ class RankContext:
 
     # -- compute token (see Communicator.run_lock) ----------------------
     def acquire_token(self) -> None:
-        if not self._token_held:
+        # a lone rank shares its core with no peer: no token, and its
+        # clock's mark is the one taken when the context was built
+        if not self._token_held and self.comm.size > 1:
             self.comm.run_lock.acquire()
             self._token_held = True
             self.clock.exclude()  # waiting for the core is not compute

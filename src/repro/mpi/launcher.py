@@ -1,23 +1,32 @@
 """The ``mpirun`` launcher.
 
 The paper's ``code.invoke()`` runs the translated program under ``mpirun``
-(§3.1).  Our launcher spawns one OS thread per rank, binds a
+(§3.1).  Our launcher runs every rank of a multi-rank world on its own OS
+thread (a lone rank runs on the caller's), binds a
 :class:`~repro.mpi.comm.RankContext` into the thread-local runtime, runs the
 given per-rank callable, and returns per-rank results, labeled outputs, and
 final virtual clocks.  It is used both by the JIT engine (translated code)
 and directly for interpreted runs.
+
+Rank threads start once: a finished rank's thread parks on a lock in
+``_IDLE`` and the next ``mpirun`` hands it a job instead of paying a
+``pthread_create`` per rank per call.  The list grows to the largest number
+of ranks ever in flight at once.  A parked thread carries nothing in
+``repro.rt`` from one job to the next (every job starts from ``reset()``);
+what it does keep is the C library's: its malloc arena and its libgomp team.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.errors import MpiError
 from repro.mpi.comm import Communicator, RankContext
 from repro.mpi.netmodel import NetworkModel, TSUBAME_NET
-from repro.obs.trace import span as _span
+from repro.obs import trace as _trace
 from repro.rt import current as _rt
 
 __all__ = ["mpirun", "MpiRunResult"]
@@ -40,6 +49,48 @@ class MpiRunResult:
         return max(self.clocks) if self.clocks else 0.0
 
 
+#: parked rank threads; ``pop``/``append`` are atomic, so no lock (the way
+#: ``CCompiled._frames`` pools call frames)
+_IDLE: list["_Worker"] = []
+# the child of a fork has the list but none of its threads
+os.register_at_fork(after_in_child=_IDLE.clear)
+
+
+class _Worker:
+    """A daemon thread that runs one rank job at a time and parks between."""
+
+    def __init__(self):
+        self._go = threading.Lock()
+        self._go.acquire()
+        threading.Thread(target=self._loop, daemon=True,
+                         name="mpi-rank-worker").start()
+
+    def submit(self, job, rank: int, unfinished: list, done: threading.Lock):
+        self._job = job, rank, unfinished, done
+        self._go.release()
+
+    def _loop(self):
+        while True:
+            self._go.acquire()
+            job, rank, unfinished, done = self._job
+            _rt.reset()  # a fresh thread had no bindings; a reused one must not
+            job(rank)
+            del self._job, job  # a parked thread keeps no run alive
+            # parked before the caller can come back for a worker
+            _IDLE.append(self)
+            try:
+                unfinished.pop()
+            except IndexError:  # this rank was the last one
+                done.release()
+
+
+def _idle_worker() -> _Worker:
+    try:
+        return _IDLE.pop()
+    except IndexError:
+        return _Worker()
+
+
 def mpirun(
     nranks: int,
     body: Callable[[RankContext], object],
@@ -53,59 +104,60 @@ def mpirun(
     ``body`` receives the :class:`RankContext`; while it runs, the context is
     also bound thread-locally, so guest-library ``MPI.x()`` statics work
     without plumbing.  Exceptions on any rank abort the communicator (so
-    blocked peers wake) and re-raise on the caller.
+    blocked peers wake) and re-raise on the caller.  ``timeout_s`` bounds
+    the whole run; a rank still running then is abandoned with its thread.
     """
     comm = Communicator(nranks, net=net)
-    ctxs = [RankContext(r, comm) for r in range(nranks)]
-    for ctx in ctxs:
-        ctx.gpu_model = gpu_model
-    returns: list = [None] * nranks
+    # every rank fills its own entries; they are read only if all finished
+    res = MpiRunResult(nranks, [None] * nranks, [None] * nranks,
+                       [0.0] * nranks, [0.0] * nranks, [0.0] * nranks)
     errors: list[tuple[int, BaseException]] = []
+    # a lone no-op rank is a few microseconds: with tracing off, the spans
+    # cost this one check (as in ``JitCode.invoke``)
+    tracing = _trace.enabled()
 
-    def run_rank(ctx: RankContext):
-        with _span("mpi.rank", rank=ctx.rank):
-            _rt.mpi_ctx = ctx
-            _rt.outputs = None
-            ctx.acquire_token()
-            ctx.clock.start()
-            try:
-                returns[ctx.rank] = body(ctx)
-                ctx.clock.sync_cpu()
-            except BaseException as exc:
-                errors.append((ctx.rank, exc))
-                comm.abort(exc)
-            finally:
-                ctx.release_token()
-                ctx.outputs.update(_rt.take_outputs())
-                _rt.mpi_ctx = None
+    def run_rank(rank: int):
+        span = _trace.phases("mpi.rank", rank=rank) if tracing else None
+        # built on the rank's own thread, so the clock's first mark is its
+        ctx = RankContext(rank, comm)
+        ctx.gpu_model = gpu_model
+        _rt.mpi_ctx = ctx
+        _rt.outputs = res.outputs[rank] = ctx.outputs
+        ctx.acquire_token()
+        try:
+            res.returns[rank] = body(ctx)
+            clock = ctx.clock
+            clock.sync_cpu()
+            res.clocks[rank] = clock.t
+            res.comm_times[rank] = clock.comm_time
+            res.device_times[rank] = clock.device_time
+        except BaseException as exc:
+            errors.append((rank, exc))
+            comm.abort(exc)
+        finally:
+            ctx.release_token()
+            _rt.mpi_ctx = _rt.outputs = None
+            if span:
+                span.end()
 
-    with _span("mpi.run", nranks=nranks):
+    span = _trace.phases("mpi.run", nranks=nranks) if tracing else None
+    try:
         if nranks == 1:
-            # run in-thread: cheap, keeps single-rank benches allocation-free
-            run_rank(ctxs[0])
+            run_rank(0)
         else:
-            threads = [
-                threading.Thread(target=run_rank, args=(ctx,), daemon=True,
-                                 name=f"rank-{ctx.rank}")
-                for ctx in ctxs
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=timeout_s)
-                if t.is_alive():
-                    comm.abort(MpiError(f"rank thread {t.name} timed out"))
-                    raise MpiError(
-                        f"mpirun timed out after {timeout_s}s ({t.name})"
-                    )
+            # every rank but the last to finish pops one; the last finds
+            # the list empty and releases ``done``
+            unfinished, done = [None] * (nranks - 1), threading.Lock()
+            done.acquire()
+            for rank in range(nranks):
+                _idle_worker().submit(run_rank, rank, unfinished, done)
+            if not done.acquire(timeout=timeout_s):
+                comm.abort(MpiError("mpirun timed out"))
+                raise MpiError(f"mpirun timed out after {timeout_s}s")
+    finally:
+        if span:
+            span.end()
     if errors:
         rank, exc = errors[0]
         raise MpiError(f"rank {rank} failed: {exc!r}") from exc
-    result = MpiRunResult(nranks=nranks, returns=returns)
-    for ctx in ctxs:
-        clock = ctx.clock
-        result.outputs.append(ctx.outputs)
-        result.clocks.append(clock.t)
-        result.comm_times.append(clock.comm_time)
-        result.device_times.append(clock.device_time)
-    return result
+    return res

@@ -154,10 +154,10 @@ _KEYED = [
 @pytest.mark.parametrize("env,tokens", _KEYED,
                          ids=[",".join(e) or "default" for e, _ in _KEYED])
 def test_program_key_digest_is_the_parents(env, tokens, backend, monkeypatch):
-    """The digest equals the parent commit's formula, spelled out here with
-    literal tokens, byte for byte — so no existing cache entry is orphaned
-    (``_FORMAT_VERSION`` stays 3; an old entry's extra ``hits`` /
-    ``last_used`` fields are ignored)."""
+    """The digest equals the formula spelled out here with literal tokens,
+    byte for byte — so a change to the knob readers cannot silently re-key
+    the cache.  (``_FORMAT_VERSION`` 4 added ``flags``: a disk entry carries
+    its own ``.so``, so the flag table keys it.)"""
     for name in ("REPRO_OPT_PASSES", "REPRO_OMP", "REPRO_OMP_THREADS",
                  "REPRO_OMP_REDUCTIONS", "REPRO_BLAS", "REPRO_BOUNDS"):
         monkeypatch.delenv(name, raising=False)
@@ -174,7 +174,7 @@ def test_program_key_digest_is_the_parents(env, tokens, backend, monkeypatch):
     code_cache._shape_classes(recv_shape, roots)
     native = backend == "c"
     material = {
-        "v": 3,
+        "v": 4,
         "repro": repro.__version__,
         "py": f"{sys.version_info[0]}.{sys.version_info[1]}",
         "machine": platform.machine(),
@@ -189,7 +189,29 @@ def test_program_key_digest_is_the_parents(env, tokens, backend, monkeypatch):
         "blas": blas if native else "",
         "bounds": bounds,
         "cc": cc_version() if native else "",
+        "flags": "-O3 -march=native -funroll-loops" if native else "",
     }
     blob = json.dumps(material, sort_keys=True).encode()
     assert key.digest == hashlib.sha256(blob).hexdigest()
     assert key.persistable
+
+
+def test_flag_table_keys_the_c_cache(monkeypatch):
+    """A disk-tier entry carries its own ``.so``, so an edit to the flag
+    table must miss it (the flags used to reach only the cc cache's digest:
+    the entry built with the old flags was served)."""
+    from repro.backends.cbackend.build import FLAG_SETS
+
+    solver = make_solver(5, 5, precond="jacobi")
+    minfo = engine._resolve_minfo(solver, "solve")
+    _, recv_shape, arg_shapes = snapshot_args(solver, (3,))
+
+    def digest(backend):
+        return code_cache.program_key(minfo, recv_shape, arg_shapes,
+                                      backend=backend,
+                                      opt=OptLevel.FULL).digest
+
+    before = {b: digest(b) for b in ("c", "py")}
+    monkeypatch.setitem(FLAG_SETS, OptLevel.FULL, ["-O2", "-march=native"])
+    assert digest("c") != before["c"]
+    assert digest("py") == before["py"]
