@@ -121,8 +121,8 @@ def mpirun(
         # built on the rank's own thread, so the clock's first mark is its
         ctx = RankContext(rank, comm)
         ctx.gpu_model = gpu_model
-        _rt.mpi_ctx = ctx
-        _rt.outputs = res.outputs[rank] = ctx.outputs
+        _rt.mpi_ctx = ctx  # also where ``wj.output`` finds ``ctx.outputs``
+        res.outputs[rank] = ctx.outputs
         ctx.acquire_token()
         try:
             res.returns[rank] = body(ctx)
@@ -136,7 +136,7 @@ def mpirun(
             comm.abort(exc)
         finally:
             ctx.release_token()
-            _rt.mpi_ctx = _rt.outputs = None
+            _rt.mpi_ctx = None
             if span:
                 span.end()
 

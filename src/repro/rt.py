@@ -29,11 +29,17 @@ class RtContext(threading.local):
         self.outputs: dict[str, Any] | None = None
 
     def record_output(self, name: str, array) -> None:
-        if self.outputs is None:
-            self.outputs = {}
         import numpy as np
 
-        self.outputs[name] = np.array(array, copy=True)
+        ctx = self.mpi_ctx
+        if ctx is not None:
+            # inside mpirun the rank's context collects its outputs
+            sink = ctx.outputs
+        else:
+            if self.outputs is None:
+                self.outputs = {}
+            sink = self.outputs
+        sink[name] = np.array(array, copy=True)
 
     def take_outputs(self) -> dict[str, Any]:
         out = self.outputs or {}

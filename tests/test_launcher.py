@@ -177,6 +177,7 @@ class TestParkedWorkers:
 
         def dirty(ctx):
             rt.current.cuda_device = rt.current.cuda_ctx = object()
+            rt.current.outputs = {"stale": np.zeros(1)}
             return threading.get_ident()
 
         def look(ctx):
@@ -187,7 +188,7 @@ class TestParkedWorkers:
         first = mpirun(2, dirty, net=LOCAL_NET).returns
         second = mpirun(2, look, net=LOCAL_NET).returns
         assert {ident for ident, _ in second} == set(first)
-        assert all(seen == (None, None, {}) for _, seen in second)
+        assert all(seen == (None, None, None) for _, seen in second)
 
     def test_interpreted_gpu_guest_repeats_bit_for_bit(self):
         """Simulated-CUDA state is bound per thread; a second run on the
@@ -278,7 +279,7 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("nranks", [2, 4])
     def test_warm_invokes_start_no_thread(self, backend, nranks, monkeypatch):
-        code = jit4mpi(RingExchanger(4), "run", 3,
+        code = jit4mpi(RingExchanger(5), "run", 3,
                        backend=backend).set4mpi(nranks)
         first = code.invoke().returns
         started = []
