@@ -40,12 +40,8 @@ def cmd_info(args) -> int:
     print(f"  diffusion single: {w.diff_nx}x{w.diff_ny}x{w.diff_nzg} x{w.diff_steps} steps")
     print(f"  matmul single   : {w.mm_n}^3")
     if args.calibrate:
-        from repro import jit
-        from repro.library.cgsolve.config import make_solver
         from repro.mpi.calibrate import callback_entry_overhead
 
-        # the probe is a symbol of every translated artifact: load one
-        jit(make_solver(4, 4), "solve", 1, backend="c")
         print(f"callback overhead : {callback_entry_overhead()*1e6:.2f} us "
               f"(deducted per runtime op)")
     return 0

@@ -30,7 +30,6 @@ import numpy as np
 from repro.backends.base import CompiledProgram
 from repro.errors import BackendError, GuestRuntimeError
 from repro.lang import types as _t
-from repro.mpi.calibrate import offer_probe
 from repro.obs import trace as _trace
 
 __all__ = ["CCompiled", "EmitResult", "WjEnvStruct"]
@@ -278,7 +277,6 @@ class CCompiled(CompiledProgram):
         self._lib.wj_snap_size.restype = ct.c_int64
         self._lib.wj_snap_size.argtypes = []
         self._snap_size = int(self._lib.wj_snap_size())
-        offer_probe(self._lib)  # every artifact exports the calibration probe
         # wj_omp_max_threads only exists in programs with parallel loops
         try:
             omp_fn = self._lib.wj_omp_max_threads

@@ -201,15 +201,6 @@ WJ_DEF_ARR(F32, float, WJ_F32)
 WJ_DEF_ARR(F64, double, WJ_F64)
 WJ_DEF_ARR(I32, int32_t, WJ_I32)
 WJ_DEF_ARR(I64, int64_t, WJ_I64)
-
-/* ---- callback-overhead probe (driven by repro.mpi.calibrate) ---------- */
-typedef void (*wj_probe_cb)(void*, const void*, int64_t, int32_t,
-                            int64_t, int64_t);
-void wj_probe(wj_probe_cb cb, void* h, const void* p, int64_t count,
-              int64_t k) {
-    for (int64_t i = 0; i < k; i++)
-        cb(h, p, count, 1, 0, 0);
-}
 """
 
 #: appended after the prelude only when the program contains at least

@@ -92,8 +92,8 @@ __all__ = [
 
 #: 3: py artifacts carry their array-slot representation (``__list_slots``)
 #: in the source; an older py entry has none and must never be hydrated
-#: 4: every ``.so`` exports ``wj_probe`` (mpi/calibrate.py measures through
-#: it), and the key covers the compiler flags
+#: 4: the key covers the compiler flags (older entries could be served to a
+#: process whose flag table had changed)
 _FORMAT_VERSION = 4
 
 #: entry-return-type name <-> singleton mapping (for disk serialization)

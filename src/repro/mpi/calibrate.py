@@ -12,10 +12,11 @@ deduct it.  ``callback_entry_overhead()`` measures the round-trip of a
 representative callback (with a buffer-view build, like the communication
 ops) once per process and caches it; the bridge deducts this constant at
 every native runtime-op entry (clamped at zero, so under-estimation can
-never create negative time).  The C side of the measurement is ``wj_probe``,
-a symbol of every generated ``.so`` (``prelude.PRELUDE``): the bridge offers
-each artifact it loads and the first one is measured through, so a fresh
-process compiles no translation unit besides its program's.
+never create negative time).
+
+The C code that calls back is the C library's own ``qsort``: its comparator
+is a ctypes callback like any of the bridge's, so calibrating compiles
+nothing and a fresh process builds no translation unit besides its program's.
 """
 
 from __future__ import annotations
@@ -23,55 +24,40 @@ from __future__ import annotations
 import ctypes as ct
 import time
 
-__all__ = ["callback_entry_overhead", "offer_probe"]
+__all__ = ["callback_entry_overhead"]
 
-_probe_lib: ct.CDLL | None = None
 _cached: float | None = None
 
 
-def offer_probe(lib: ct.CDLL) -> None:
-    """Keep the first translated artifact loaded to measure through."""
-    global _probe_lib
-    if _probe_lib is None:
-        _probe_lib = lib
-
-
-def _measure(lib: ct.CDLL) -> float:
+def _measure() -> float:
     import numpy as np
 
     from repro.backends.cbackend.bridge import _view
 
-    cb_t = ct.CFUNCTYPE(
-        None, ct.c_void_p, ct.c_void_p, ct.c_int64, ct.c_int32,
-        ct.c_int64, ct.c_int64,
-    )
-    lib.wj_probe.argtypes = [cb_t, ct.c_void_p, ct.c_void_p, ct.c_int64,
-                             ct.c_int64]
-    lib.wj_probe.restype = None
+    cmp_t = ct.CFUNCTYPE(ct.c_int, ct.c_void_p, ct.c_void_p)
+    qsort = ct.CDLL(None).qsort
+    qsort.argtypes = [ct.c_void_p, ct.c_size_t, ct.c_size_t, cmp_t]
+    qsort.restype = None
 
-    sink = []
+    entries = []
 
-    def cb(h, p, count, dt, a, b):
-        sink.append(_view(p, count, dt).shape)  # mimic a comm-op entry
-        sink.clear()
+    def cb(a, b):
+        entries.append(_view(a, 1024, 1).shape)  # mimic a comm-op entry
+        return 0  # all equal: nothing moves, ~n log n comparisons
 
-    thunk = cb_t(cb)
-    buf = np.zeros(1024, dtype=np.float32)
-    k = 2000
-    lib.wj_probe(thunk, None, buf.ctypes.data, buf.shape[0], 200)  # warm up
+    thunk = cmp_t(cb)
+    # every element can head a 1024-float view
+    buf = np.zeros(512 + 1024, dtype=np.float32)
+    qsort(buf.ctypes.data, 64, buf.itemsize, thunk)  # warm up
+    entries.clear()
     t0 = time.thread_time()
-    lib.wj_probe(thunk, None, buf.ctypes.data, buf.shape[0], k)
-    per_call = (time.thread_time() - t0) / k
-    return per_call
+    qsort(buf.ctypes.data, 512, buf.itemsize, thunk)
+    return (time.thread_time() - t0) / len(entries)
 
 
 def callback_entry_overhead() -> float:
     """Calibrated per-callback transition cost (seconds), cached."""
     global _cached
     if _cached is None:
-        if _probe_lib is None:
-            # nothing native is loaded: pure-Python backends call the
-            # runtime directly; transition cost is a fraction of a microsecond
-            return 5e-7
-        _cached = _measure(_probe_lib)
+        _cached = _measure()
     return _cached

@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.backends.cbackend import compiler_available
 from repro.cuda.perf import GpuModel
 from repro.jit.runtime import RuntimeEnv
 from repro.lang import wj, wjmath
@@ -74,23 +73,17 @@ print(*sorted(os.listdir(os.environ["REPRO_CC_CACHE"])))
 
 class TestCalibration:
     def test_overhead_is_cached_and_plausible(self):
-        from repro import jit
-        from repro.mpi import calibrate
-        from tests.guestlib import ScaleAddSolver, Sweeper
+        from repro.mpi.calibrate import callback_entry_overhead
 
-        if compiler_available():
-            # the probe is a symbol of every translated artifact: load one
-            jit(Sweeper(ScaleAddSolver(0.5), 8), "run", 2, backend="c")
-        a = calibrate.callback_entry_overhead()
-        b = calibrate.callback_entry_overhead()
+        a = callback_entry_overhead()
+        b = callback_entry_overhead()
         assert a == b  # cached
         assert 0 < a < 1e-3  # sub-millisecond per callback
-        # measured through an artifact, or the constant with none loaded
-        assert (calibrate._cached == a) if compiler_available() else a == 5e-7
 
     @requires_cc
     def test_fresh_process_compiles_one_translation_unit(self, tmp_path):
-        """The probe used to be a second ``cc`` run in every new process."""
+        """The calibration probe used to be a second ``cc`` run in every new
+        process; now libc's ``qsort`` makes the callbacks."""
         env = dict(os.environ)
         env["REPRO_CACHE_DIR"] = str(tmp_path / "code")
         env["REPRO_CC_CACHE"] = str(tmp_path / "cc")
