@@ -65,23 +65,21 @@ class _Worker:
         threading.Thread(target=self._loop, daemon=True,
                          name="mpi-rank-worker").start()
 
-    def submit(self, job, rank: int, unfinished: list, done: threading.Lock):
-        self._job = job, rank, unfinished, done
+    def submit(self, job: Callable[[int], None], rank: int,
+               finished: Callable[[], None]):
+        self._job = job, rank, finished
         self._go.release()
 
     def _loop(self):
         while True:
             self._go.acquire()
-            job, rank, unfinished, done = self._job
+            job, rank, finished = self._job
             _rt.reset()  # a fresh thread had no bindings; a reused one must not
             job(rank)
             del self._job, job  # a parked thread keeps no run alive
             # parked before the caller can come back for a worker
             _IDLE.append(self)
-            try:
-                unfinished.pop()
-            except IndexError:  # this rank was the last one
-                done.release()
+            finished()
 
 
 def _idle_worker() -> _Worker:
@@ -145,12 +143,19 @@ def mpirun(
         if nranks == 1:
             run_rank(0)
         else:
-            # every rank but the last to finish pops one; the last finds
-            # the list empty and releases ``done``
             unfinished, done = [None] * (nranks - 1), threading.Lock()
             done.acquire()
+
+            def finished():
+                # every rank but the last to finish pops one (atomically);
+                # the last finds the list empty and wakes the caller
+                try:
+                    unfinished.pop()
+                except IndexError:
+                    done.release()
+
             for rank in range(nranks):
-                _idle_worker().submit(run_rank, rank, unfinished, done)
+                _idle_worker().submit(run_rank, rank, finished)
             if not done.acquire(timeout=timeout_s):
                 comm.abort(MpiError("mpirun timed out"))
                 raise MpiError(f"mpirun timed out after {timeout_s}s")

@@ -31,10 +31,9 @@ class RtContext(threading.local):
     def record_output(self, name: str, array) -> None:
         import numpy as np
 
-        ctx = self.mpi_ctx
-        if ctx is not None:
+        if self.mpi_ctx is not None:
             # inside mpirun the rank's context collects its outputs
-            sink = ctx.outputs
+            sink = self.mpi_ctx.outputs
         else:
             if self.outputs is None:
                 self.outputs = {}

@@ -32,6 +32,8 @@ from repro.jit import cache as code_cache
 from repro.jit import engine, service
 from repro.library.cgsolve.config import make_solver
 
+from tests.conftest import requires_cc
+
 SRC_ROOT = str(Path(__file__).resolve().parents[1] / "src")
 
 #: the compile stack, as a regex over module names — the child scripts below
@@ -96,6 +98,27 @@ print(json.dumps({"rc": rc, "stack": stack()}))
 """
 
 
+#: jit one C stencil and invoke it (its ``wj.output`` is the process's first
+#: callback, which calibrates); report what the cc cache holds afterwards
+_ONE_STENCIL = r"""
+import json, os
+from repro import jit
+from repro.library.stencil import (
+    EmptyContext, SineGen, StencilCPU3D, ThreeDIndexer)
+from repro.library.stencil.config import make_dif3d_solver, make_grid3d
+from repro.mpi import calibrate
+
+app = StencilCPU3D(make_dif3d_solver(), make_grid3d(8, 8, 10),
+                   ThreeDIndexer(8, 8, 10), SineGen(8, 8, 8, 1),
+                   EmptyContext())
+code = jit(app, "run", 2, backend="c")
+code.invoke()
+print(json.dumps({"mode": code.report.build_stats["mode"],
+                  "calibrated": calibrate._cached is not None,
+                  "cc_cache": sorted(os.listdir(os.environ["REPRO_CC_CACHE"]))}))
+"""
+
+
 def _child(script: str, cache_root: Path, *argv: str) -> dict:
     env = dict(os.environ)
     env["REPRO_CACHE_DIR"] = str(cache_root / "code")
@@ -128,6 +151,16 @@ class TestHitPathImportsNoCompileStack:
     def test_cache_stats_cli(self, tmp_path):
         got = _child(_CLI_STATS, tmp_path)
         assert got == {"rc": 0, "stack": []}
+
+
+@requires_cc
+def test_fresh_process_compiles_one_translation_unit(tmp_path):
+    """The callback-overhead calibration used to be a second ``cc`` run in
+    every new process; libc's ``qsort`` makes its callbacks now."""
+    got = _child(_ONE_STENCIL, tmp_path)
+    assert got["mode"] == "single" and got["calibrated"]
+    (so,) = got["cc_cache"]
+    assert so.startswith("wj_") and so.endswith(".so")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,6 @@
 """Intrinsic registry, calibration, and the per-rank runtime environment."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +11,6 @@ from repro.lang import wj, wjmath
 from repro.lang.intrinsics import intrinsic_registry
 from repro.mpi import Communicator, RankContext
 from repro.mpi.netmodel import LOCAL_NET
-
-from tests.conftest import requires_cc
 
 
 class TestRegistry:
@@ -50,27 +44,6 @@ class TestRegistry:
         assert clampf(5.0, -1.0, 1.0) == 1.0
 
 
-#: a fresh process: jit one C stencil, invoke it (its ``wj.output`` is the
-#: first callback, which calibrates), report what the cc cache holds
-_ONE_STENCIL = r"""
-import os
-from repro import jit
-from repro.library.stencil import (
-    EmptyContext, SineGen, StencilCPU3D, ThreeDIndexer)
-from repro.library.stencil.config import make_dif3d_solver, make_grid3d
-from repro.mpi import calibrate
-
-app = StencilCPU3D(make_dif3d_solver(), make_grid3d(8, 8, 10),
-                   ThreeDIndexer(8, 8, 10), SineGen(8, 8, 8, 1),
-                   EmptyContext())
-code = jit(app, "run", 2, backend="c")
-assert code.report.build_stats["mode"] == "single", code.report.build_stats
-code.invoke()
-assert calibrate._cached is not None and 0 < calibrate._cached < 1e-3
-print(*sorted(os.listdir(os.environ["REPRO_CC_CACHE"])))
-"""
-
-
 class TestCalibration:
     def test_overhead_is_cached_and_plausible(self):
         from repro.mpi.calibrate import callback_entry_overhead
@@ -79,22 +52,6 @@ class TestCalibration:
         b = callback_entry_overhead()
         assert a == b  # cached
         assert 0 < a < 1e-3  # sub-millisecond per callback
-
-    @requires_cc
-    def test_fresh_process_compiles_one_translation_unit(self, tmp_path):
-        """The calibration probe used to be a second ``cc`` run in every new
-        process; now libc's ``qsort`` makes the callbacks."""
-        env = dict(os.environ)
-        env["REPRO_CACHE_DIR"] = str(tmp_path / "code")
-        env["REPRO_CC_CACHE"] = str(tmp_path / "cc")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = f"{src}{os.pathsep}{env.get('PYTHONPATH', '')}"
-        proc = subprocess.run([sys.executable, "-c", _ONE_STENCIL], env=env,
-                              capture_output=True, text=True, timeout=600)
-        assert proc.returncode == 0, proc.stderr[-4000:]
-        left = proc.stdout.split()
-        assert len(left) == 1 and left[0].startswith("wj_") \
-            and left[0].endswith(".so"), left
 
 
 class TestRuntimeEnv:
