@@ -257,10 +257,16 @@ def _cc_version() -> str:
     return _CC_VERSION_CACHE
 
 
-def _cc_flags(opt) -> str:
-    from repro.backends.cbackend.build import FLAG_SETS
+_FLAG_SETS: Optional[dict] = None  # build.FLAG_SETS itself, the live table
 
-    return " ".join(FLAG_SETS[opt])
+
+def _cc_flags(opt) -> str:
+    global _FLAG_SETS
+    if _FLAG_SETS is None:  # an import statement per key would cost 1 us
+        from repro.backends.cbackend.build import FLAG_SETS
+
+        _FLAG_SETS = FLAG_SETS
+    return " ".join(_FLAG_SETS[opt])
 
 
 @dataclass
