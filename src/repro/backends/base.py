@@ -68,11 +68,11 @@ class OptLevel(enum.Enum):
 class CompiledProgram:
     """A translated program ready to run on one rank.
 
-    ``run(env, arrays)`` executes the entry method in the translated memory
-    space: ``arrays`` are this rank's deep copies of the flattened entry
-    array slots; ``env`` provides the runtime callbacks (MPI, GPU timing,
-    outputs).  Returns the entry method's return value (primitives only
-    cross back by value; arrays come back through ``wj.output`` labels).
+    ``run(env, arrays)`` executes the entry method in memory only the call
+    holds: it deep-copies ``arrays`` (the flattened entry array slots) and
+    never writes them; ``env`` provides the runtime callbacks (MPI, GPU
+    timing, outputs).  Returns the entry method's return value (primitives
+    only cross back by value; arrays come back through ``wj.output`` labels).
 
     Instances must be safe to ``run`` from multiple threads at once after
     construction: the JIT service shares one compiled artifact across every

@@ -3,16 +3,16 @@
 The translated program sees the host only through the ``WjEnv`` callback
 table (layout mirroring ``prelude.PRELUDE``'s ``WjEnv``).  What a native
 call needs and no call changes lives in a **call frame** (:class:`_Frame`):
-the callback table and its thunks, the flattened array-slot pointer/length
-vectors, the opaque snapshot buffer the generated code materializes into,
-the typed return cell, and the ``wj_entry`` argument tuple pointing at all
-of them.  Each :class:`CCompiled` keeps its idle frames on a free list;
-``run`` takes one (building it on a miss), binds the rank's
-:class:`~repro.jit.runtime.RuntimeEnv` to it, fills the vectors from the
-rank's deep copies, zeroes the snapshot buffer, calls, reads the return
-value back out and puts the frame back — so a warm call builds none of
-these.  A frame serves one call at a time; rank threads and concurrent
-invokes each hold their own.
+the callback table, one buffer per array slot (the rank's memory) with the
+pointer/length vectors naming them, the snapshot buffer, the typed return
+cell, and the ``wj_entry`` argument tuple pointing at all of them.  Each
+:class:`CCompiled` keeps its idle frames on a free list; ``run`` takes one
+(building it on a miss), binds the rank's ``RuntimeEnv`` to it, deep-copies
+the host arrays into the slot buffers (§3.1: they are never written), zeroes
+the snapshot buffer, calls, reads the return value back out and puts the
+frame back — so a warm call builds nothing and derives no pointer.  A frame
+serves one call at a time; rank threads and concurrent invokes each hold
+their own.
 
 MPI payloads cross as zero-copy NumPy views over the C memory, so the
 simulated communicator exchanges the *actual translated data* — this is what
@@ -100,11 +100,23 @@ def _view(p, count, dt) -> np.ndarray:
     return np.frombuffer(buf, dtype=np_dt)
 
 
-def _make_env(frame: "_Frame") -> tuple[WjEnvStruct, list]:
+class _Cell:
+    """What a frame's callbacks read, held instead of the frame: ctypes
+    thunks are invisible to the cycle collector, so a loop through them
+    back to the frame would keep it and its slot buffers forever."""
+
+    __slots__ = ("env", "error")
+
+    def __init__(self):
+        self.env = None      # the RuntimeEnv of the call in flight
+        self.error = None    # first exception raised by a callback
+
+
+def _make_env(cell: _Cell) -> tuple[WjEnvStruct, list]:
     """Build the callback table for one call frame, once.
 
-    The thunks are bound to ``frame``, not to an environment: each callback
-    reads the frame's current ``env`` (rebound by every ``run``), so one
+    The thunks are bound to ``cell``, not to an environment: each callback
+    reads the cell's current ``env`` (rebound by every ``run``), so one
     table serves every call that uses the frame.  The thunk list is
     returned so that the frame itself holds every callback native code may
     call, for as long as it may call it.
@@ -112,21 +124,27 @@ def _make_env(frame: "_Frame") -> tuple[WjEnvStruct, list]:
     Every callback goes through the one ``metered`` wrapper, which first
     notes the native→host transition so the calibrated instrumentation cost
     is deducted from the rank's compute segment (see repro.mpi.calibrate),
-    and which records the first exception a callback raises: ctypes cannot
-    unwind through C, so ``run`` re-raises it once ``wj_entry`` has
-    returned, and the callbacks in between do nothing.
+    which opens a ``runtime.callback`` span when tracing is on, and which
+    records the first exception a callback raises: ctypes cannot unwind
+    through C, so ``run`` re-raises it once ``wj_entry`` has returned, and
+    the callbacks in between do nothing.
     """
 
     def metered(fn):
+        name = fn.__name__
+
         def wrapped(h, *args):
-            if frame.error is not None:
+            if cell.error is not None:
                 return 0
-            env = frame.env
+            env = cell.env
             try:
                 env.note_native_entry()
+                if _trace.enabled():
+                    with _trace.span("runtime.callback", callback=name):
+                        return fn(env, *args)
                 return fn(env, *args)
             except BaseException as exc:
-                frame.error = exc
+                cell.error = exc
                 return 0
 
         return wrapped
@@ -198,23 +216,24 @@ def _make_env(frame: "_Frame") -> tuple[WjEnvStruct, list]:
 
 
 class _Frame:
-    """What one native call needs and no call changes: the callback table,
-    the slot pointer/length vectors, the snapshot buffer, the return cell
-    and the ``wj_entry`` argument tuple that points at all of them.
+    """What one native call needs and no call changes: the callback table
+    and its cell, one buffer per array slot with the pointer/length vectors
+    naming them, the snapshot buffer, the return cell and the ``wj_entry``
+    argument tuple that points at all of them.
 
     A frame serves one call at a time.  Between calls it sits on its
     artifact's free list holding neither an environment nor an error."""
 
-    __slots__ = ("env", "error", "struct", "thunks", "ptrs", "lens", "snap",
+    __slots__ = ("cell", "struct", "thunks", "bufs", "ptrs", "lens", "snap",
                  "ret", "args")
 
-    def __init__(self, n_slots: int, snap_size: int, ret_ctype, iv, dv):
-        self.env = None      # the RuntimeEnv of the call in flight
-        self.error = None    # first exception raised by a callback
-        self.struct, self.thunks = _make_env(self)
-        n = max(1, n_slots)
-        self.ptrs = (ct.c_void_p * n)()
-        self.lens = (ct.c_int64 * n)()
+    def __init__(self, slots, snap_size: int, ret_ctype, iv, dv):
+        self.cell = _Cell()
+        self.struct, self.thunks = _make_env(self.cell)
+        self.bufs = [np.empty(length, dtype) for length, dtype in slots]
+        n = max(1, len(slots))
+        self.ptrs = (ct.c_void_p * n)(*[b.ctypes.data for b in self.bufs])
+        self.lens = (ct.c_int64 * n)(*[b.size for b in self.bufs])
         self.snap = ct.create_string_buffer(max(1, snap_size))
         self.ret = ret_ctype()
         self.args = (
@@ -242,18 +261,19 @@ _RET_CTYPE = {
 
 class EmitResult:
     """Emitted source plus the runtime-initialization data the bridge needs
-    (scalar tables, entry return type, array-slot count).  Built by the
+    (scalar tables, entry return type, array-slot layout).  Built by the
     emitter on a miss and from entry metadata on a disk hit, which is why
     it lives here and ``emit.py`` re-exports it."""
 
     def __init__(self, source: str, ivals: list[int], dvals: list[float],
-                 entry_ret: _t.Type, n_slots: int, uses_omp: bool = False,
-                 uses_dgemm: bool = False):
+                 entry_ret: _t.Type, array_slots: list,
+                 uses_omp: bool = False, uses_dgemm: bool = False):
         self.source = source
         self.ivals = ivals
         self.dvals = dvals
         self.entry_ret = entry_ret
-        self.n_slots = n_slots
+        #: captured (length, dtype) per array slot; both key the cache
+        self.slots = [(s.array.size, s.array.dtype) for s in array_slots]
         #: always None; read only by the benchmarks/ledger replay
         self.units = None
         #: the source contains `#pragma omp` loops / a wj_dgemm call site —
@@ -317,33 +337,32 @@ class CCompiled(CompiledProgram):
             raise BackendError(
                 f"entry return type {ret_ty!r} cannot cross the C boundary"
             )
-        return _Frame(self.emit_result.n_slots, self._snap_size, ret_ctype,
+        return _Frame(self.emit_result.slots, self._snap_size, ret_ctype,
                       self._iv, self._dv)
 
     def run(self, env, arrays: Sequence[np.ndarray]):
-        if len(arrays) != self.emit_result.n_slots:
-            raise BackendError(
-                f"expected {self.emit_result.n_slots} array slots, got {len(arrays)}"
-            )
         try:
             frame = self._frames.pop()
         except IndexError:
             frame = self._new_frame()
-        phase = _trace.phases("invoke.marshal") if _trace.enabled() else None
+        phase = _trace.phases("invoke.copy") if _trace.enabled() else None
+        cell = frame.cell
         try:
-            frame.env = env
-            ptrs, lens = frame.ptrs, frame.lens
-            for i, arr in enumerate(arrays):
-                flags = arr.flags
-                if not flags.c_contiguous:
-                    raise BackendError(f"array slot {i} must be C-contiguous")
-                # the address of a one-byte view costs a third of
-                # ``arr.ctypes``, but needs a writable, non-empty buffer
-                if flags.writeable and arr.size:
-                    ptrs[i] = ct.addressof(ct.c_char.from_buffer(arr))
-                else:
-                    ptrs[i] = arr.ctypes.data
-                lens[i] = arr.shape[0]
+            cell.env = env
+            bufs = frame.bufs
+            if len(arrays) != len(bufs):
+                raise BackendError(
+                    f"expected {len(bufs)} array slots, got {len(arrays)}")
+            # the deep copy: C sees only these buffers, at captured lengths
+            for buf, src in zip(bufs, arrays):
+                if src.shape != buf.shape or src.dtype != buf.dtype:
+                    i = [b is buf for b in bufs].index(True)
+                    raise BackendError(
+                        f"array slot {i} holds {buf.dtype}[{buf.size}], got "
+                        f"{src.dtype}{list(src.shape)}")
+                buf[...] = src
+            if phase:
+                phase.next("invoke.marshal")
             # generated code materializes into a zeroed snapshot buffer
             ct.memset(frame.snap, 0, len(frame.snap))
             frame.ret.value = 0
@@ -353,8 +372,8 @@ class CCompiled(CompiledProgram):
             if phase:
                 phase.next("invoke.unmarshal")
             oob = int(self._lib.wj_oob_count_take()) if self.bounds_checks else 0
-            if frame.error is not None:
-                raise frame.error
+            if cell.error is not None:
+                raise cell.error
             if oob:
                 raise GuestRuntimeError(
                     f"{oob} out-of-bounds array access(es) in translated "
@@ -368,7 +387,7 @@ class CCompiled(CompiledProgram):
         finally:
             # an idle frame pins neither the rank's environment (and through
             # it the RankContext and outputs) nor a callback's exception
-            frame.env = frame.error = None
+            cell.env = cell.error = None
             self._frames.append(frame)
             if phase:
                 phase.end()

@@ -355,7 +355,7 @@ class CProgramEmitter:
             list(self.ivals),
             list(self.dvals),
             entry.func_ir.ret_type,
-            len(self.program.snapshot.array_slots),
+            self.program.snapshot.array_slots,
             uses_omp=(
                 self.parallel_plan is not None
                 and self.parallel_plan.n_parallel > 0

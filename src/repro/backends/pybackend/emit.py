@@ -11,8 +11,8 @@ differential-testing oracle for the C backend; it always emits at full
 optimization.
 
 An ``f64``/``i64`` snapshot array slot that never reaches an
-ndarray-consuming operation runs as a Python ``list`` (converted at entry,
-written back at exit), so indexing and arithmetic stay on unboxed scalars;
+ndarray-consuming operation runs as a Python ``list`` (the call's deep
+copy), so indexing and arithmetic stay on unboxed scalars;
 the choice is static, per slot, and recorded in the emitted source — see
 docs/OPTIMIZER.md, "py backend data representation".
 """
@@ -564,7 +564,7 @@ class _ProgramEmitter:
                 else "ndarray:no-loop-access" if slot.index not in looped
                 else "list")
             for slot in self.program.snapshot.array_slots}
-        #: list slot -> whether the program may store to it (write-back)
+        #: list slot -> whether the program may store to it (not read back)
         self.list_slots = {
             int(k): None in stored or int(k) in stored
             for k, v in self.slot_report.items() if v == "list"}

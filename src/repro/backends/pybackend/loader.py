@@ -20,6 +20,7 @@ from repro.jit.program import Program
 from repro.lang.intrinsics import (
     _MATH_NAMES, _dgemm_py, _lcg64_py, _u01_py, intrinsic_registry,
 )
+from repro.obs import trace as _trace
 
 __all__ = ["snap_attr"]
 
@@ -90,17 +91,16 @@ class _PyCompiled(CompiledProgram):
             for path, oshape in program.snapshot.objects]
 
     def run(self, env, arrays: Sequence[np.ndarray]):
-        vals = list(arrays)
-        for k in self._list_slots:
-            vals[k] = arrays[k].tolist()
+        phase = _trace.phases("invoke.copy") if _trace.enabled() else None
+        # the deep copy into this call's memory: a list slot is its own copy
+        vals = [a.tolist() if k in self._list_slots else np.array(a, copy=True)
+                for k, a in enumerate(arrays)]
+        if phase:
+            phase.end()
         snap = SimpleNamespace(**{
             attr: SimpleNamespace(**{fname: vals[k] for fname, k in fields})
             for attr, fields in self._snap_layout})
-        value = self._entry(env, snap, vals)
-        for k, written in self._list_slots.items():
-            if written:
-                arrays[k][:] = vals[k]
-        return value
+        return self._entry(env, snap, vals)
 
 
 def _ffi_table() -> dict:

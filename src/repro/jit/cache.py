@@ -527,7 +527,6 @@ def _meta_for(program: Program, compiled, report) -> dict:
         meta["ivals"] = list(emit.ivals)
         meta["dvals"] = list(emit.dvals)
         meta["entry_ret"] = _NAME_BY_RET[id(emit.entry_ret)]
-        meta["n_slots"] = emit.n_slots
     return meta
 
 
@@ -555,7 +554,7 @@ def _hydrate(meta: dict, snapshot, recv_shape, arg_shapes):
             list(meta["ivals"]),
             [float(v) for v in meta["dvals"]],
             _RET_BY_NAME[meta["entry_ret"]],
-            meta["n_slots"],
+            snapshot.array_slots,
         )
         compiled = CCompiled(meta["so_path"], emit, meta["source"],
                              bounds_checks=meta["bounds_checks"])

@@ -10,10 +10,10 @@ Usage mirrors the paper's Listing 3::
 ``jit*`` receives the live receiver and the *actual arguments* (recorded and
 used for optimization, §3.1); it snapshots the object graph, specializes and
 lowers every reachable method, emits through the selected backend, and
-returns a :class:`JitCode` handle.  ``invoke`` deep-copies the recorded
-array arguments into the translated memory space (per rank) and runs;
-mutations are not copied back — results return via the entry's return value
-and ``wj.output`` labels, as discussed in §3.1.
+returns a :class:`JitCode` handle.  ``invoke`` runs every rank on the
+recorded array arguments, which the backend deep-copies into the rank's
+translated memory space; mutations are not copied back — results return via
+the entry's return value and ``wj.output`` labels, as discussed in §3.1.
 """
 
 from __future__ import annotations
@@ -247,26 +247,21 @@ class JitCode:
         # degrade to no-ops, exactly like a single-node mpirun)
         nranks = self.nranks or 1
         program, compiled = self._artifact
-        slots = program.snapshot.array_slots
+        # every rank gets the host arrays: ``run`` copies them, never writes
+        arrays = [s.array for s in program.snapshot.array_slots]
         gpu_model = self.gpu_model
-        # a warm invoke is too short for ``with`` blocks that do nothing:
-        # with tracing off, its spans cost this one check
-        tracing = _trace.enabled()
 
         def body(ctx):
             env = RuntimeEnv(ctx, gpu_model=gpu_model)
-            phase = _trace.phases("invoke.copy") if tracing else None
-            # deep copy into this rank's translated memory space
-            arrays = [np.array(s.array, copy=True) for s in slots]
-            if phase:
-                phase.end()
             value = compiled.run(env, arrays)
             if ctx is not None:
                 ctx.outputs.update(env.outputs)
             return value
 
+        # a warm invoke is too short for a ``with`` block that does nothing:
+        # with tracing off, its span costs this one check
         span = _trace.phases("jit.invoke", backend=self._tier,
-                             nranks=nranks) if tracing else None
+                             nranks=nranks) if _trace.enabled() else None
         t0 = time.perf_counter()
         try:
             res = mpirun(nranks, body, net=self.net, gpu_model=gpu_model)

@@ -199,6 +199,26 @@ class RingExchanger:
 
 
 @wootin
+class RankStamp:
+    """Every rank overwrites one recorded array with rank-dependent values
+    and outputs it after a barrier, so the other rank has run in between:
+    per-rank memory spaces keep the ranks apart."""
+
+    data: Array(f64)
+
+    def __init__(self, data: Array(f64)):
+        self.data = data
+
+    def run(self, k: i64) -> f64:
+        rank = MPI.rank()
+        for i in range(len(self.data)):
+            self.data[i] = self.data[i] * float(k) + float(rank * 100 + i)
+        MPI.barrier()
+        wj.output("data", self.data)
+        return self.data[0]
+
+
+@wootin
 class Saxpy:
     a: f32
 

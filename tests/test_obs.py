@@ -237,10 +237,47 @@ class TestPipelineSpans:
             code.compiled.run(Refusing(None), [])
         assert trace.current_span() is None
         recs = trace.spans()
-        assert [r.name for r in recs] == [
-            "invoke.marshal", "invoke.native", "invoke.unmarshal"]
+        phases = [r for r in recs if r.name.startswith("invoke.")]
+        assert [r.name for r in phases] == [
+            "invoke.copy", "invoke.marshal", "invoke.native",
+            "invoke.unmarshal"]
         # closed from a ``finally``, the phase records what passed through
-        assert [r.attrs.get("error") for r in recs] == [None, None, "KeyError"]
+        assert [r.attrs.get("error") for r in phases] == [
+            None, None, None, "KeyError"]
+        # the callback that raised, inside the native call
+        (callback,) = [r for r in recs if r.name == "runtime.callback"]
+        assert callback.attrs == {"callback": "output", "error": "KeyError"}
+
+    @requires_cc
+    def test_one_callback_span_per_host_callback(self, monkeypatch):
+        """Two ranks of ``RingExchanger``: a ``runtime.callback`` span,
+        named for its callback and parented by its rank's
+        ``invoke.native``, for every native→host transition."""
+        from repro.jit import engine
+        from repro.jit.runtime import RuntimeEnv
+
+        from tests.guestlib import RingExchanger
+
+        entries = []
+
+        class Counting(RuntimeEnv):
+            def note_native_entry(self):
+                entries.append(self)
+                super().note_native_entry()
+
+        monkeypatch.setattr(engine, "RuntimeEnv", Counting)
+        trace.enable()
+        code = jit(RingExchanger(4), "run", 3, backend="c").set4mpi(2)
+        trace.clear()
+        del entries[:]
+        code.invoke()
+        recs = trace.spans()
+        by_id = {r.span_id: r for r in recs}
+        calls = [r for r in recs if r.name == "runtime.callback"]
+        assert len(calls) == len(entries) > 2
+        assert {by_id[r.parent_id].name for r in calls} == {"invoke.native"}
+        assert {"mpi_rank", "mpi_size", "output"} <= {
+            r.attrs["callback"] for r in calls}
 
     def test_phases_are_siblings(self):
         trace.enable()

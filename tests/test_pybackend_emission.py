@@ -94,10 +94,10 @@ def _slots(code) -> dict:
 
 
 def _run_directly(code):
-    """``compiled.run`` on a fresh copy of the recorded arrays, without the
-    launcher around it; returns ``(value, arrays)``."""
-    arrays = [np.array(s.array) for s in code.program.snapshot.array_slots]
-    return code.compiled.run(RuntimeEnv(None), arrays), arrays
+    """``compiled.run`` on the recorded arrays, without the launcher around
+    it."""
+    arrays = [s.array for s in code.program.snapshot.array_slots]
+    return code.compiled.run(RuntimeEnv(None), arrays)
 
 
 def _snap_loads_in_loops(src: str) -> list[str]:
@@ -201,18 +201,25 @@ class TestArraySlots:
             assert isinstance(out, np.ndarray) and out.dtype == ref.dtype
             assert out.tobytes() == ref.tobytes()
 
-    def test_run_writes_list_slots_back_to_the_callers_arrays(self):
-        """``compiled.run(env, arrays)`` leaves ``arrays`` as the program
-        left them, exactly as when every slot was an ndarray."""
+    def test_run_leaves_its_arguments_untouched(self, backend):
+        """``compiled.run(env, arrays)`` writes memory only its call holds,
+        on both backends: the program stores to a list slot, an ndarray
+        slot and reads an empty one, its outputs are what CPython left in
+        the host arrays, and the arrays passed in keep their bytes."""
         host = gs.make_mixed()
         host.run(5)  # CPython mutates the host arrays in place
-        code = _py(gs.make_mixed(), "run", 5)
-        _, arrays = _run_directly(code)
-        for got, ref in zip(arrays, (host.xs, host.ks, host.hs, host.none,
-                                     host.cold)):
+        code = jit(gs.make_mixed(), "run", 5, backend=backend,
+                   use_cache=False)
+        arrays = [np.array(s.array) for s in code.program.snapshot.array_slots]
+        before = [a.tobytes() for a in arrays]
+        env = RuntimeEnv(None)
+        value = code.compiled.run(env, arrays)
+        assert [a.tobytes() for a in arrays] == before
+        for label in ("xs", "ks", "hs", "none"):
+            ref = getattr(host, label)
+            got = env.outputs[label]
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-        # a warm invoke() starts from the recorded arguments again
-        assert _bits(code.invoke().value) == _bits(code.invoke().value)
+        assert _bits(value) == _bits(code.invoke().value)
 
     def test_bounds_helpers_raise_on_a_list_slot(self, monkeypatch):
         monkeypatch.setenv("REPRO_BOUNDS", "1")
@@ -277,8 +284,8 @@ class TestDiskTier:
         return json.loads(proc.stdout.strip().splitlines()[-1])
 
     def test_fresh_process_round_trip(self, tmp_path):
-        """The source alone tells a fresh interpreter which slots are lists
-        and which are written back."""
+        """The source alone tells a fresh interpreter which slots are
+        lists."""
         cold = self._child(tmp_path / "cache")
         warm = self._child(tmp_path / "cache")
         assert cold["tier"] == "" and warm["tier"] == "disk"
