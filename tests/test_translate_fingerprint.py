@@ -17,6 +17,14 @@ regenerate with::
 
 and say in the commit why the bytes moved; ``sources()`` returns the full
 text for diffing two checkouts.
+
+A second table pins what the mid-end *decides* rather than what it emits
+by default: for the same thirteen programs plus the guests of
+``tests/test_parallel.py`` and ``tests/test_cfg.py``, every loop verdict of
+:func:`repro.opt.parallel.analyze_program` (with ``REPRO_OMP_REDUCTIONS`` off
+and on, under each pass configuration), the C emitted from those plans, and
+the source both emitters produce under ``REPRO_BOUNDS=1`` — which spells
+out each individual ``bounds_ok`` mark, not only their count.
 """
 
 from __future__ import annotations
@@ -32,8 +40,10 @@ import pytest
 from repro import jit
 from repro.backends.base import OptLevel
 from repro.backends.cbackend.emit import CProgramEmitter
+from repro.frontend import ir
 
 TABLE = Path(__file__).parent / "golden" / "translate_fingerprints.json"
+ANALYSIS_TABLE = Path(__file__).parent / "golden" / "analysis_fingerprints.json"
 
 #: REPRO_OPT_PASSES spellings: all six passes, the four that predate the
 #: CFG mid-end (what the frozen ``*_precfg.c`` goldens pin), none
@@ -169,14 +179,60 @@ PROGRAMS = {
 }
 
 
-def sources(name: str, config: str, monkeypatch) -> dict:
-    """Translate ``name`` under ``config``: both emitted sources and the
-    per-pass rewrite counts."""
+def _parallel_matmul(calculator):
+    def make():
+        from repro.library import matmul
+
+        from tests.test_parallel import _matmul_args
+
+        app = matmul.CPULoop(matmul.SimpleOuterBody(),
+                             getattr(matmul, calculator)())
+        return app, "start", _matmul_args()
+    return make
+
+
+def _parallel_stencil():
+    from tests.test_parallel import _stencil_app
+
+    return _stencil_app(), "run", (2,)
+
+
+def _running_max():
+    from tests.guestlib_diff import Reducer
+
+    return Reducer(), "running_max", (np.arange(6, dtype=np.float64),
+                                      np.zeros(6))
+
+
+def _sweeper():
+    from tests.guestlib import ScaleAddSolver, Sweeper
+
+    return Sweeper(ScaleAddSolver(0.5), 16), "run", (3,)
+
+
+#: the guests ``tests/test_parallel.py`` and ``tests/test_cfg.py`` decide on,
+#: pinned beside ``PROGRAMS`` in the analysis table
+GUESTS = {
+    "parallel-matmul": _parallel_matmul("OptimizedCalculator"),
+    "parallel-dgemm": _parallel_matmul("BlasCalculator"),
+    "parallel-stencil": _parallel_stencil,
+    "parallel-running-max": _running_max,
+    "cfg-sweeper": _sweeper,
+}
+
+
+def _translate(name: str, config: str, monkeypatch):
     for knob in _CODEGEN_KNOBS:
         monkeypatch.delenv(knob, raising=False)
     monkeypatch.setenv("REPRO_OPT_PASSES", CONFIGS[config])
-    receiver, method, args = PROGRAMS[name]()
-    code = jit(receiver, method, *args, backend="py", use_cache=False)
+    receiver, method, args = {**PROGRAMS, **GUESTS}[name]()
+    return jit(receiver, method, *args, backend="py", use_cache=False)
+
+
+def sources(name: str, config: str, monkeypatch) -> dict:
+    """Translate ``name`` under ``config``: both emitted sources and the
+    per-pass rewrite counts."""
+    code = _translate(name, config, monkeypatch)
     pipeline = code.report.opt_stats.get("pipeline", {})
     return {
         "c": CProgramEmitter(code.program, OptLevel.FULL).emit().source,
@@ -215,3 +271,89 @@ def test_table_covers_every_program_and_config():
     assert sorted(table) == sorted(PROGRAMS)
     for name, row in table.items():
         assert sorted(row) == sorted(CONFIGS), name
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _verdicts(plan) -> list:
+    """``(symbol, var, parallel, reason, private, reductions, guards)`` for
+    every analyzed loop, in program order."""
+    rows = []
+
+    def visit(symbol, stmts):
+        for s in stmts:
+            d = plan.decision_for(s) if isinstance(s, ir.ForRange) else None
+            if d is not None:
+                rows.append([symbol, d.var, d.parallel, d.reason, d.private,
+                             d.reductions, [repr(g) for g in d.guards]])
+            for block in ir.stmt_blocks(s):
+                visit(symbol, block)
+
+    for spec in plan.program.specializations:
+        if getattr(spec, "func_ir", None) is not None:
+            visit(spec.symbol, spec.func_ir.body)
+    return json.loads(json.dumps(rows))
+
+
+def decisions(name: str, config: str, monkeypatch) -> dict:
+    """What the mid-end decides for ``name`` under ``config``: the loop
+    verdicts and the C emitted from them, with float reductions off and
+    on, and (pass ``bce`` configured) both sources under bounds checks."""
+    from repro.backends.pybackend.emit import _ProgramEmitter
+    from repro.opt.parallel import analyze_program
+
+    code = _translate(name, config, monkeypatch)
+    program = code.program
+    got = {}
+    for fred in ("off", "on"):
+        monkeypatch.setenv("REPRO_OMP_REDUCTIONS", "1" if fred == "on" else "0")
+        plan = analyze_program(program)
+        got[fred] = {
+            "verdicts": _verdicts(plan),
+            "stats": json.loads(json.dumps(plan.stats)),
+            "omp_c": _sha(CProgramEmitter(program, OptLevel.FULL,
+                                          parallel_plan=plan).emit().source),
+        }
+    monkeypatch.delenv("REPRO_OMP_REDUCTIONS")
+    if config == "default":
+        got["bounds"] = {
+            "c": _sha(CProgramEmitter(program, OptLevel.FULL,
+                                      bounds_checks=True).emit().source),
+            "py": _sha(_ProgramEmitter(program, bounds_checks=True).emit()),
+        }
+    return got
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("name", sorted({**PROGRAMS, **GUESTS}))
+def test_mid_end_decisions_are_pinned(name, config, monkeypatch):
+    got = decisions(name, config, monkeypatch)
+    if os.environ.get("REPRO_REGEN_GOLDEN"):
+        table = (json.loads(ANALYSIS_TABLE.read_text())
+                 if ANALYSIS_TABLE.exists() else {})
+        table.setdefault(name, {})[config] = got
+        ANALYSIS_TABLE.write_text(
+            json.dumps(table, indent=1, sort_keys=True) + "\n")
+        pytest.skip(f"recorded {name}/{config} in {ANALYSIS_TABLE.name}")
+    want = json.loads(ANALYSIS_TABLE.read_text())[name][config]
+    for fred in ("off", "on"):
+        assert got[fred]["verdicts"] == want[fred]["verdicts"], (
+            f"{name}/{config}: a loop verdict changed "
+            f"(REPRO_OMP_REDUCTIONS {fred})")
+        assert got[fred]["stats"] == want[fred]["stats"], (name, config, fred)
+        assert got[fred]["omp_c"] == want[fred]["omp_c"], (
+            f"{name}/{config}: the OpenMP C changed "
+            f"(REPRO_OMP_REDUCTIONS {fred})")
+    assert got.get("bounds") == want.get("bounds"), (
+        f"{name}/{config}: a bounds_ok mark moved (diff the REPRO_BOUNDS=1 "
+        f"sources between the two checkouts)")
+
+
+def test_analysis_table_covers_every_program_and_config():
+    table = json.loads(ANALYSIS_TABLE.read_text())
+    assert sorted(table) == sorted({**PROGRAMS, **GUESTS})
+    for name, row in table.items():
+        assert sorted(row) == sorted(CONFIGS), name
+        assert [c for c in sorted(row) if "bounds" in row[c]] == ["default"]
