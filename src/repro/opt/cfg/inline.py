@@ -161,7 +161,7 @@ class _Inliner:
         if not ok:
             return False
         if deps:
-            stored = self.summary.callee(call.target)
+            stored = self.summary.callee(call.target).stored
             if stored is None or (stored & deps):
                 return False
         return True

@@ -29,6 +29,7 @@ The concrete consequences:
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from repro.backends.base import is_pure
 from repro.frontend import ir
@@ -100,6 +101,8 @@ class _Summary:
     locals a statement assigns and the snapshot fields it stores to, nested
     blocks and callees included; ``stored`` None means "unknown" (a store
     target or callee could not be resolved, so assume everything).
+
+    ``callee(target)`` is the :class:`Callee` record of a call target.
 
     Records are keyed by ``id`` and hold their node, so an id cannot be
     recycled while the summary lives; the summary dies with the pass.
@@ -210,7 +213,7 @@ class _Summary:
         for e in ir.stmt_exprs(s):
             *_, calls = self.expr(e)
             for call in calls:
-                stored = _join_stored(stored, self.callee(call.target))
+                stored = _join_stored(stored, self.callee(call.target).stored)
         for block in ir.stmt_blocks(s):
             inner_assigned, inner_stored = self.block(block)
             assigned |= inner_assigned
@@ -227,16 +230,45 @@ class _Summary:
             stored = _join_stored(stored, f)
         return assigned, stored
 
-    def callee(self, target):
-        """The snapshot fields a call to ``target`` may store to."""
+    def callee(self, target) -> "Callee":
+        """What a call to ``target`` does, gathered once per callee."""
         func = getattr(target, "func_ir", None)
         if func is None:
-            return None
-        key = id(func)
-        if key not in self._callees:
-            self._callees[key] = set()  # recursion is outlawed, but stay safe
-            self._callees[key] = self.block(func.body)[1]
-        return self._callees[key]
+            return _UNKNOWN_CALLEE
+        rec = self._callees.get(id(func))
+        if rec is None:
+            # recursion is outlawed, but stay safe: a cycle sees "no effect"
+            # on stores and "not analyzable" on accesses
+            self._callees[id(func)] = Callee(set())
+            rec = self._callees[id(func)] = self._callee(func)
+        return rec
+
+    def _callee(self, func: ir.FuncIR) -> "Callee":
+        return Callee(self.block(func.body)[1])
+
+
+@dataclass
+class Callee:
+    """What one call to a specialization does: ``stored`` is the snapshot
+    fields it may store to (None: unknown).
+
+    The loop-independence analysis (:mod:`repro.opt.parallel`) fills in the
+    rest, over the callee's parameters: ``accesses`` — one ``(root, index,
+    write)`` per array access, ``index`` a value of the integer domain
+    (:mod:`repro.opt.cfg.ranges`) or None; the whole field None when the
+    callee cannot be summarized — whether it reads an array it cannot name,
+    the snapshot slot of each member root it names, and the value and array
+    root it returns."""
+
+    stored: set | None
+    accesses: tuple | None = None
+    unknown_read: bool = False
+    slots: dict | None = None
+    ret: tuple | None = None
+    ret_root: tuple | None = None
+
+
+_UNKNOWN_CALLEE = Callee(None)
 
 
 def _join_stored(a, b):
@@ -410,16 +442,15 @@ def _read_names(stmts) -> set:
     return {e.name for e in ir.walk_exprs(stmts) if isinstance(e, ir.LocalRef)}
 
 
-def _const_range_empty(s: ir.ForRange) -> bool:
+def _const_trips(s: ir.ForRange):
+    """Whether a counted loop with literal bounds runs its body at least
+    once; None unless start, stop and a non-zero step are literals (a zero
+    step raises at run time)."""
     start, stop = _const_val(s.start), _const_val(s.stop)
-    if start is None or stop is None:
-        return False
-    if s.step is None:
-        return start >= stop
-    step = _const_val(s.step)
-    if step is None or step == 0:  # step 0 raises at run time; keep it
-        return False
-    return start >= stop if step > 0 else start <= stop
+    step = 1 if s.step is None else _const_val(s.step)
+    if start is None or stop is None or not step:
+        return None
+    return start < stop if step > 0 else start > stop
 
 
 def _removable_loop(s: ir.ForRange, reads: set) -> bool:
@@ -459,7 +490,7 @@ def _dce_block(stmts: list, reads: set) -> int:
                 removed += 1
                 continue
         elif isinstance(s, ir.ForRange):
-            if _const_range_empty(s) or _removable_loop(s, reads):
+            if _const_trips(s) is False or _removable_loop(s, reads):
                 removed += 1
                 continue
         elif isinstance(s, (ir.LocalDecl, ir.Assign)):
@@ -584,21 +615,6 @@ def cse_func(f: ir.FuncIR, ctx) -> int:
 # pass: licm — loop-invariant code motion
 # ---------------------------------------------------------------------------
 
-def _trip_at_least_one(loop) -> bool:
-    """Whether the loop body provably executes (constant counted range)."""
-    if not isinstance(loop, ir.ForRange):
-        return False
-    start, stop = _const_val(loop.start), _const_val(loop.stop)
-    if start is None or stop is None:
-        return False
-    if loop.step is None:
-        return start < stop
-    step = _const_val(loop.step)
-    if step is None or step == 0:
-        return False
-    return start < stop if step > 0 else start > stop
-
-
 class _Licm:
     def __init__(self, f: ir.FuncIR):
         self.namer = _Namer(f, "__licm")
@@ -624,7 +640,7 @@ class _Licm:
         assigned, stored = summary.block(loop.body)
         if isinstance(loop, ir.ForRange):
             assigned.add(loop.var)
-        trip = _trip_at_least_one(loop)
+        trip = isinstance(loop, ir.ForRange) and _const_trips(loop) is True
 
         cands: dict = {}  # key -> first expr (insertion-ordered)
 

@@ -103,13 +103,6 @@ class Pipeline:
             _M.counter(f"opt.{name}.rewrites").inc(n)
             _M.histogram(f"opt.{name}.seconds").observe(dt)
 
-    def run_program(self, program) -> None:
-        """Apply the pipeline to every specialization of a program (used
-        by tools that optimize after the fact; the JIT runs per
-        specialization instead)."""
-        for spec in program.specializations:
-            self.run_func(spec.func_ir)
-
     def stats_dict(self) -> dict:
         """Per-pass totals, JSON-serializable (lands in
         ``JitReport.opt_stats['pipeline']``)."""

@@ -9,16 +9,14 @@ configured pipeline, and reports, per program:
   needed — the program is emitted, never built),
 * per-pass rewrite totals and time.
 
-Used by ``python -m repro opt report`` and by
-``benchmarks/bench_opt_passes.py`` (which persists the rendered table
-under ``benchmarks/results/``).
+Used by ``python -m repro opt report``.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.frontend import ir
+from repro.opt.cfg.inline import _stmt_count
 
 __all__ = ["collect", "render", "render_timings"]
 
@@ -45,15 +43,8 @@ def _demo_apps() -> dict:
 
 
 def _count_ir_stmts(program) -> int:
-    n = 0
-    for spec in program.specializations:
-        stack = list(spec.func_ir.body)
-        while stack:
-            s = stack.pop()
-            n += 1
-            for b in ir.stmt_blocks(s):
-                stack.extend(b)
-    return n
+    return sum(_stmt_count(spec.func_ir.body)
+               for spec in program.specializations)
 
 
 def _count_c_stmts(program) -> int:
