@@ -86,8 +86,8 @@ class Snapshot:
         elem = _t.prim_for_dtype(arr.dtype)
         slot = self._alias.get(id(arr))
         if slot is None:
-            if not arr.flags.c_contiguous:
-                raise JitError(f"array at {path} must be C-contiguous")
+            # no contiguity needed: both backends copy a slot into memory
+            # of their own before a call
             slot = len(self.array_slots)
             self.array_slots.append(ArraySlot(slot, path, arr, elem))
             self._alias[id(arr)] = slot

@@ -28,8 +28,8 @@ Arc = tuple[str, int, int]
 
 def default_tracked_files() -> dict[str, str]:
     """Map of absolute filename -> short label for the tracked pipeline
-    stages (lowering, optimizer including the CFG mid-end, and both
-    backend emitters)."""
+    stages (lowering, optimizer including the CFG mid-end and the loop
+    parallelization analysis, and both backend emitters)."""
     import repro.backends.cbackend.emit as cemit
     import repro.backends.pybackend.emit as pyemit
     import repro.frontend.lower as lower
@@ -37,6 +37,7 @@ def default_tracked_files() -> dict[str, str]:
     import repro.opt.cfg.dataflow as cfg_dataflow
     import repro.opt.cfg.inline as cfg_inline
     import repro.opt.cfg.ranges as cfg_ranges
+    import repro.opt.parallel as parallel
     import repro.opt.passes as passes
 
     return {
@@ -46,6 +47,7 @@ def default_tracked_files() -> dict[str, str]:
         cfg_dataflow.__file__: "cfg-df",
         cfg_ranges.__file__: "cfg-rng",
         cfg_inline.__file__: "cfg-inl",
+        parallel.__file__: "par",
         cemit.__file__: "c-emit",
         pyemit.__file__: "py-emit",
     }

@@ -24,7 +24,6 @@ overhead).  Enable with:
 * ``REPRO_TRACE=1``          — record into the ring buffer;
 * ``REPRO_TRACE_FILE=PATH``  — also stream JSONL to ``PATH`` (implies
   ``REPRO_TRACE=1``);
-* ``REPRO_TRACE_BUFFER=N``   — ring-buffer capacity (default 65536);
 
 or programmatically via :func:`enable` / :func:`disable`.
 """
@@ -49,13 +48,13 @@ __all__ = [
     "enable",
     "enabled",
     "phases",
-    "ring_capacity",
     "set_attr",
     "span",
     "spans",
 ]
 
-_DEFAULT_CAPACITY = 65536
+#: ring-buffer capacity in spans; ``enable(capacity=...)`` resizes it
+RING_CAPACITY = 65536
 
 #: process-wide monotonically increasing span ids (CPython-atomic)
 _IDS = itertools.count(1)
@@ -63,18 +62,9 @@ _IDS = itertools.count(1)
 _TLS = threading.local()
 
 _ENABLED = False
-_RING: deque = deque(maxlen=_DEFAULT_CAPACITY)
+_RING: deque = deque(maxlen=RING_CAPACITY)
 _FILE = None  # open JSONL stream when REPRO_TRACE_FILE / enable(file=...)
 _FILE_LOCK = threading.Lock()
-
-
-def ring_capacity() -> int:
-    """Configured ring-buffer capacity (``REPRO_TRACE_BUFFER``)."""
-    try:
-        n = int(os.environ.get("REPRO_TRACE_BUFFER", ""))
-    except ValueError:
-        n = 0
-    return n if n > 0 else _DEFAULT_CAPACITY
 
 
 @dataclass
@@ -251,7 +241,7 @@ def enable(file: Optional[str] = None, capacity: Optional[int] = None) -> None:
     """Turn tracing on; optionally stream JSONL to ``file`` (append mode)
     and resize the ring buffer to ``capacity``."""
     global _ENABLED, _FILE, _RING
-    cap = capacity or ring_capacity()
+    cap = capacity or RING_CAPACITY
     if cap != _RING.maxlen:
         _RING = deque(_RING, maxlen=cap)
     if file:

@@ -266,6 +266,20 @@ class TestFrameMemory:
                 assert mine["data"].tobytes() == ref["data"].tobytes()
         assert data.tobytes() == host.tobytes()
 
+    def test_strided_snapshot_array_runs_like_the_interpreter(self, backend):
+        """A guest holding ``a[::2]``: both backends copy the slot into
+        memory of their own, so the capture needs no contiguity, and the
+        invoke is bit-equal to the interpreted guest."""
+        data = np.linspace(-1.0, 1.0, 34)
+        want = mpirun(1, lambda ctx: RankStamp(data.copy()[::2]).run(3),
+                      net=LOCAL_NET)
+        code = jit(RankStamp(data[::2]), "run", 3, backend=backend,
+                   use_cache=False)
+        got = code.invoke()
+        assert got.value == want.returns[0]
+        assert got.output("data").tobytes() == (
+            want.outputs[0]["data"].tobytes())
+
     def test_warm_invoke_allocates_no_slot_copy(self):
         """A 1 MB slot: a warm invoke copies into the frame's buffer and
         allocates nothing of its size, and the frame's pointers never

@@ -262,6 +262,8 @@ class TestParkedWorkers:
     def test_openmp_artifact_on_parked_workers(self, monkeypatch):
         """Workers x libgomp: a parked thread keeps its OpenMP team."""
         monkeypatch.setenv("REPRO_OMP", "1")
+        # a bounds-checked build stays sequential (no pragma to test)
+        monkeypatch.delenv("REPRO_BOUNDS", raising=False)
         code = jit4mpi(RingExchanger(64), "run", 3, backend="c").set4mpi(2)
         assert "#pragma omp" in code.source
         first = code.invoke()

@@ -58,12 +58,12 @@ class TestCapture:
         assert recv.fields["solver"].cls.name == "ScaleAddSolver"
         assert recv.fields["solver"].root_path == "self.solver"
 
-    def test_non_contiguous_array_rejected(self):
-        from repro.errors import JitError
-
+    def test_non_contiguous_array_captured(self):
+        """A strided view is a slot like any other (the backends copy it)."""
         a = np.zeros((4, 4), np.float32)[:, 0]
-        with pytest.raises(JitError, match="contiguous"):
-            snapshot_args(Numerics(), (a,))
+        snap, _, args = snapshot_args(Numerics(), (a,))
+        assert args[0].slot == 0 and args[0].length == 4
+        assert snap.array_slots[0].array is a
 
     def test_digest_stability(self):
         s1 = snapshot_args(Sweeper(ScaleAddSolver(0.5), 8), (2,))
