@@ -11,10 +11,10 @@ keys can optionally be re-warmed from a generated warmup manifest
 Latencies are recorded through the observability metrics registry
 (``bench.service.*`` histograms) and the snapshot is persisted as
 machine-readable ``results/BENCH_service.json`` — p50/p99 first-result
-latency per pass, compiles-per-key, cache hit ratio — same contract as
-``BENCH_guests.json``.  The script is its own CI gate: it exits nonzero
-when the cold pass compiles a key more than once (cross-process
-single-flight broken) or the warm pass compiles at all (disk tier broken).
+latency per pass, compiles-per-key, cache hit ratio.  The script is its
+own CI gate: it exits nonzero when the cold pass compiles a key more than
+once (cross-process single-flight broken) or the warm pass compiles at all
+(disk tier broken).
 
 Run it directly for the full knob set::
 

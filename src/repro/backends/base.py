@@ -37,11 +37,14 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.errors import BackendError
+
 if TYPE_CHECKING:
     from repro.jit.program import Program
     from repro.jit.runtime import RuntimeEnv
 
-__all__ = ["OptLevel", "Backend", "CompiledProgram", "is_pure", "passed_params"]
+__all__ = ["OptLevel", "Backend", "CompiledProgram", "is_pure", "passed_params",
+           "slot_guard", "check_slots"]
 
 
 class OptLevel(enum.Enum):
@@ -92,6 +95,31 @@ class CompiledProgram:
 
     def run(self, env: "RuntimeEnv", arrays: Sequence[np.ndarray]):
         raise NotImplementedError
+
+
+def slot_guard(slots) -> list:
+    """The ``(shape, dtype)`` each array slot must arrive with, from the
+    captured ``(length, dtype)`` pairs; built once per artifact."""
+    return [((length,), dtype) for length, dtype in slots]
+
+
+def check_slots(guard: list, arrays: Sequence[np.ndarray]) -> None:
+    """Refuse arrays that are not the captured slots: translated code was
+    specialized (and its bounds checks elided) for exactly these lengths and
+    dtypes.  ``invoke`` always passes the recorded arrays, so this guards an
+    in-place ``resize`` or ``.dtype`` change of one, and direct callers of
+    ``run``."""
+    # one compare; the tuples compare their dtypes by identity first
+    if [(a.shape, a.dtype) for a in arrays] == guard:
+        return
+    if len(arrays) != len(guard):
+        raise BackendError(
+            f"expected {len(guard)} array slots, got {len(arrays)}")
+    i, (shape, dtype), a = next(
+        (i, want, a) for i, (want, a) in enumerate(zip(guard, arrays))
+        if (a.shape, a.dtype) != want)
+    raise BackendError(f"array slot {i} holds {dtype}[{shape[0]}], got "
+                       f"{a.dtype}{list(a.shape)}")
 
 
 class Backend:

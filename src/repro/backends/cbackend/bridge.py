@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.backends.base import CompiledProgram
+from repro.backends.base import CompiledProgram, check_slots, slot_guard
 from repro.errors import BackendError, GuestRuntimeError
 from repro.lang import types as _t
 from repro.obs import trace as _trace
@@ -326,6 +326,10 @@ class CCompiled(CompiledProgram):
         n_d = max(1, len(emit.dvals))
         self._iv = (ct.c_int64 * n_i)(*(emit.ivals or [0]))
         self._dv = (ct.c_double * n_d)(*(emit.dvals or [0.0]))
+        #: what every frame's slots and snapshot buffer start a call from:
+        #: the (shape, dtype) an argument must have, and zeros
+        self._guard = slot_guard(emit.slots)
+        self._zeros = bytes(max(1, self._snap_size))
         #: idle call frames; list.pop/append are atomic, so rank threads and
         #: concurrent invokes share it without a lock
         self._frames: list[_Frame] = []
@@ -349,22 +353,14 @@ class CCompiled(CompiledProgram):
         cell = frame.cell
         try:
             cell.env = env
-            bufs = frame.bufs
-            if len(arrays) != len(bufs):
-                raise BackendError(
-                    f"expected {len(bufs)} array slots, got {len(arrays)}")
+            check_slots(self._guard, arrays)
             # the deep copy: C sees only these buffers, at captured lengths
-            for buf, src in zip(bufs, arrays):
-                if src.shape != buf.shape or src.dtype != buf.dtype:
-                    i = [b is buf for b in bufs].index(True)
-                    raise BackendError(
-                        f"array slot {i} holds {buf.dtype}[{buf.size}], got "
-                        f"{src.dtype}{list(src.shape)}")
+            for buf, src in zip(frame.bufs, arrays):
                 buf[...] = src
             if phase:
                 phase.next("invoke.marshal")
             # generated code materializes into a zeroed snapshot buffer
-            ct.memset(frame.snap, 0, len(frame.snap))
+            frame.snap.raw = self._zeros
             frame.ret.value = 0
             if phase:
                 phase.next("invoke.native")

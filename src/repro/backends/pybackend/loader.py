@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.backends.base import CompiledProgram
+from repro.backends.base import CompiledProgram, check_slots, slot_guard
 from repro.frontend.shapes import ArrayShape
 from repro.jit.program import Program
 from repro.lang.intrinsics import (
@@ -84,6 +84,8 @@ class _PyCompiled(CompiledProgram):
         # hydrated from the disk tier runs exactly as the one that emitted it
         self.opt_stats = {"py_slots": self._globals["__py_slots"]}
         self._list_slots = self._globals["__list_slots"]
+        self._guard = slot_guard((s.array.size, s.array.dtype)
+                                 for s in program.snapshot.array_slots)
         self._snap_layout = [
             (snap_attr(path),
              [(fname, fshape.slot) for fname, fshape in oshape.fields.items()
@@ -91,6 +93,7 @@ class _PyCompiled(CompiledProgram):
             for path, oshape in program.snapshot.objects]
 
     def run(self, env, arrays: Sequence[np.ndarray]):
+        check_slots(self._guard, arrays)
         phase = _trace.phases("invoke.copy") if _trace.enabled() else None
         # the deep copy into this call's memory: a list slot is its own copy
         vals = [a.tolist() if k in self._list_slots else np.array(a, copy=True)

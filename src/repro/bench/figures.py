@@ -327,8 +327,7 @@ def _guest_scaling_series(exp_id, title, points) -> Series:
         )
     s.notes = (
         "Expected shape: c_speedup grows (or stays >> 1) with problem "
-        "size — translation cost is constant, the win is per-element "
-        "(cf. BENCH_guests.json for the single-size snapshot)."
+        "size — translation cost is constant, the win is per-element."
     )
     return s
 

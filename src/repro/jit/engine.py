@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.backends.base import Backend, CompiledProgram, OptLevel
 from repro.cuda.perf import GpuModel, M2050_MODEL
-from repro.errors import JitError
+from repro.errors import JitError, MpiError
 from repro.jit.program import Program
 from repro.jit.runtime import RuntimeEnv
 from repro.lang import types as _t
@@ -242,42 +242,55 @@ class JitCode:
     # -- execution ------------------------------------------------------------
 
     def invoke(self) -> InvokeResult:
-        """Run the translated program with the recorded arguments."""
-        # without set4mpi the program runs as a 1-rank world (collectives
-        # degrade to no-ops, exactly like a single-node mpirun)
+        """Run the translated program with the recorded arguments.
+
+        The program's call surface decides the scaffolding.  One rank
+        (``set4mpi`` not called, or called with 1) of a program with no
+        ``mpi.*`` or ``cuda.*`` call and no kernel launch needs no peer, no
+        compute token and no ``RankContext``: ``run`` is called right here,
+        on the caller's thread, and the environment's own clock measures the
+        rank.  Every other program runs under ``mpirun``.  Either way a
+        failure raises ``MpiError("rank R failed: ...")`` from the original
+        exception.
+        """
         nranks = self.nranks or 1
         program, compiled = self._artifact
         # every rank gets the host arrays: ``run`` copies them, never writes
         arrays = [s.array for s in program.snapshot.array_slots]
         gpu_model = self.gpu_model
-
-        def body(ctx):
-            env = RuntimeEnv(ctx, gpu_model=gpu_model)
-            value = compiled.run(env, arrays)
-            if ctx is not None:
-                ctx.outputs.update(env.outputs)
-            return value
-
+        alone = nranks == 1 and not (program.uses_mpi or program.uses_gpu)
         # a warm invoke is too short for a ``with`` block that does nothing:
         # with tracing off, its span costs this one check
         span = _trace.phases("jit.invoke", backend=self._tier,
                              nranks=nranks) if _trace.enabled() else None
         t0 = time.perf_counter()
         try:
-            res = mpirun(nranks, body, net=self.net, gpu_model=gpu_model)
+            if alone:
+                env = RuntimeEnv(None)
+                try:
+                    value = compiled.run(env, arrays)
+                except BaseException as exc:
+                    raise MpiError(f"rank 0 failed: {exc!r}") from exc
+                clock = env.clock
+                clock.sync_cpu()
+            else:
+                def body(ctx):
+                    env = RuntimeEnv(ctx, gpu_model=gpu_model)
+                    value = compiled.run(env, arrays)
+                    ctx.outputs.update(env.outputs)
+                    return value
+
+                res = mpirun(nranks, body, net=self.net, gpu_model=gpu_model)
         finally:
             if span:
                 span.end()
         wall = time.perf_counter() - t0
-        return InvokeResult(
-            value=res.returns[0],
-            returns=res.returns,
-            outputs=res.outputs,
-            sim_time=res.sim_wall_clock,
-            wall_s=wall,
-            comm_times=res.comm_times,
-            device_times=res.device_times,
-        )
+        if alone:
+            return InvokeResult(value, [value], [env.outputs], clock.t, wall,
+                                [0.0], [0.0])
+        return InvokeResult(res.returns[0], res.returns, res.outputs,
+                            res.sim_wall_clock, wall, res.comm_times,
+                            res.device_times)
 
 
 def _resolve_minfo(receiver, method: str):

@@ -10,6 +10,12 @@ copied out by label.
 
 Both backends call the same methods (the C backend through ctypes callback
 thunks), so platform semantics live here exactly once.
+
+Under ``mpirun`` the environment reads its rank's :class:`RankContext` and
+that context's clock.  Without one (``ctx=None``: a one-rank program with no
+MPI or GPU call, which ``JitCode.invoke`` runs on the caller's thread, or a
+direct ``run``) it keeps a :class:`VirtualClock` of its own, so the rank's CPU
+time is measured the same way.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 from repro.cuda.perf import GpuModel
 from repro.errors import MpiError
 from repro.mpi.calibrate import callback_entry_overhead
-from repro.mpi.comm import RankContext
+from repro.mpi.comm import RankContext, VirtualClock
 
 __all__ = ["RuntimeEnv"]
 
@@ -34,13 +40,14 @@ class RuntimeEnv:
         self.ctx = ctx
         self.gpu_model = gpu_model
         self.outputs: dict[str, np.ndarray] = {}
+        #: the rank's clock; started here when no RankContext brings one
+        self.clock = VirtualClock() if ctx is None else ctx.clock
 
     def note_native_entry(self) -> None:
         """Called by the C bridge at every callback entry: attribute the CPU
         time since the last runtime event to compute, minus the calibrated
         callback-transition cost (see repro.mpi.calibrate)."""
-        if self.ctx is not None:
-            self.ctx.clock.sync_cpu(deduct=callback_entry_overhead())
+        self.clock.sync_cpu(deduct=callback_entry_overhead())
 
     # -- results ----------------------------------------------------------
 

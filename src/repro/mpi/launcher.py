@@ -6,7 +6,10 @@ thread (a lone rank runs on the caller's), binds a
 :class:`~repro.mpi.comm.RankContext` into the thread-local runtime, runs the
 given per-rank callable, and returns per-rank results, labeled outputs, and
 final virtual clocks.  It is used both by the JIT engine (translated code)
-and directly for interpreted runs.
+and directly for interpreted runs.  The engine launches only the programs
+that need it: one that calls MPI or the GPU, or runs on more than one rank.
+A one-rank program with neither runs on the caller's thread with no
+launcher, communicator or rank context at all (``JitCode.invoke``).
 
 Rank threads start once: a finished rank's thread parks on a lock in
 ``_IDLE`` and the next ``mpirun`` hands it a job instead of paying a

@@ -6,8 +6,9 @@ artifact.  These tests pin what pooling and owning the rank's memory must
 not change: results under concurrency, host arrays read afresh by every
 invoke and never written, one memory space per rank, a zeroed snapshot
 buffer per call, the bounds-check report, no reference from an idle frame
-to the call that used it, a dropped artifact freeing its frames, and a
-host-callback exception reaching the caller on both backends.
+to the call that used it, a dropped artifact freeing its frames, a recorded
+array resized or re-typed in place refused, and a host-callback exception
+reaching the caller on both backends.
 """
 
 from __future__ import annotations
@@ -203,16 +204,21 @@ class TestFramePool:
         class Watched(RuntimeEnv):
             def __init__(self, ctx, gpu_model=None):
                 super().__init__(ctx, gpu_model=gpu_model)
-                refs.extend((weakref.ref(self), weakref.ref(ctx)))
+                refs.append(weakref.ref(self))
+                if ctx is not None:
+                    refs.append(weakref.ref(ctx))
 
         monkeypatch.setattr(engine, "RuntimeEnv", Watched)
-        code = _sweeper()
-        res = code.invoke()
-        assert res.output("arr").shape == (9,)
-        assert len(refs) == 2
-        del res
-        gc.collect()
-        assert [r() for r in refs] == [None, None]
+        # a program with no MPI call has no RankContext; one under mpirun does
+        ring = jit(RingExchanger(4), "run", 2, backend="c", use_cache=False)
+        for code, label, watched in ((_sweeper(), "arr", 1), (ring, "buf", 2)):
+            del refs[:]
+            res = code.invoke()
+            assert label in res.outputs[0]
+            assert len(refs) == watched
+            del res
+            gc.collect()
+            assert [r() for r in refs] == [None] * watched
 
 
 @requires_cc
@@ -279,6 +285,26 @@ class TestFrameMemory:
         assert got.value == want.returns[0]
         assert got.output("data").tobytes() == (
             want.outputs[0]["data"].tobytes())
+
+    @pytest.mark.parametrize("change", ["resize", "dtype"])
+    def test_recorded_array_changed_in_place_is_refused(self, backend,
+                                                         change):
+        """The code was specialized for the captured length and dtype: an
+        in-place ``resize`` or ``.dtype`` change of a recorded array is
+        refused by both backends with the same error."""
+        data = np.arange(16.0)
+        code = jit(SafeSum(), "run", data, backend=backend, use_cache=False)
+        assert code.invoke().value == 120.0
+        if change == "resize":
+            data.resize(20, refcheck=False)
+        else:
+            data.dtype = np.int64
+        got = "float64[20]" if change == "resize" else "int64[16]"
+        with pytest.raises(MpiError, match="rank 0 failed") as err:
+            code.invoke()
+        assert isinstance(err.value.__cause__, BackendError)
+        assert str(err.value.__cause__) == (
+            f"array slot 0 holds float64[16], got {got}")
 
     def test_warm_invoke_allocates_no_slot_copy(self):
         """A 1 MB slot: a warm invoke copies into the frame's buffer and

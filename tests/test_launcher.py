@@ -1,7 +1,9 @@
-"""mpirun launcher behaviour."""
+"""mpirun launcher behaviour, and the one-rank programs that skip it."""
 
+import collections
 import os
 import signal
+import struct
 import sys
 import threading
 import time
@@ -10,13 +12,17 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import jit4mpi
+from repro import jit, jit4mpi
 from repro.errors import MpiError
-from repro.mpi import MPI, launcher, mpirun
+from repro.jit import engine
+from repro.jit.runtime import RuntimeEnv
+from repro.mpi import MPI, comm, launcher, mpirun
 from repro.mpi.netmodel import LOCAL_NET
 
+from tests import guestlib_pyslots as gs
 from tests.conftest import requires_cc
-from tests.guestlib import RingExchanger
+from tests.guestlib import RingExchanger, ScaleAddSolver, Sweeper
+from tests.guestlib_bounds import SafeSum
 
 
 class TestLauncher:
@@ -293,8 +299,6 @@ class TestWorkCounts:
         assert started == []
 
     def test_lone_rank_does_nothing_only_peers_need(self, monkeypatch):
-        from repro.mpi import comm
-
         token, init = [], comm.Communicator.__init__
 
         class SpyLock:
@@ -319,3 +323,87 @@ class TestWorkCounts:
         # the spies see what they are meant to see
         mpirun(2, lambda ctx: None)
         assert token.count("acquire") == token.count("release") == 2
+
+
+@pytest.fixture
+def launches(monkeypatch):
+    """Counts of ``mpirun`` calls from ``JitCode.invoke`` and of the
+    ``Communicator`` and ``RankContext`` objects built."""
+    seen = collections.Counter()
+    for cls in (comm.Communicator, comm.RankContext):
+        def spied(self, *a, _init=cls.__init__, _name=cls.__name__, **kw):
+            seen[_name] += 1
+            _init(self, *a, **kw)
+
+        monkeypatch.setattr(cls, "__init__", spied)
+    real = engine.mpirun
+    monkeypatch.setattr(engine, "mpirun", lambda *a, **kw: (
+        seen.update(["mpirun"]), real(*a, **kw))[1])
+    return seen
+
+
+def _bits(value) -> bytes:
+    return struct.pack("<d", float(value))
+
+
+class TestOneRankWithoutLauncher:
+    """A one-rank program with no MPI or GPU call: ``JitCode.invoke`` calls
+    ``run`` on the caller's thread, with no launcher around it."""
+
+    @pytest.mark.parametrize("guest, nranks, communicators, contexts", [
+        ("no-mpi", 1, 0, 0), ("no-mpi", 2, 50, 100),
+        ("mpi", 1, 50, 50), ("mpi", 2, 50, 100)])
+    def test_warm_invokes_build_no_launcher(self, backend, launches, guest,
+                                            nranks, communicators, contexts):
+        make = {"no-mpi": lambda: jit4mpi(SafeSum(), "run", np.arange(6.0),
+                                          backend=backend),
+                "mpi": lambda: jit4mpi(RingExchanger(4), "run", 2,
+                                       backend=backend)}[guest]
+        code = make().set4mpi(nranks)
+        first = code.invoke().returns
+        launches.clear()
+        for _ in range(50):
+            assert code.invoke().returns == first
+        assert launches == collections.Counter(
+            {"Communicator": communicators, "RankContext": contexts,
+             "mpirun": communicators})
+
+    def test_results_are_bit_equal_to_the_interpreter(self, backend, launches):
+        host = gs.make_mixed()
+        want = host.run(5)
+        code = jit(gs.make_mixed(), "run", 5, backend=backend,
+                   use_cache=False)
+        for _ in range(3):
+            res = code.invoke()
+            assert _bits(res.value) == _bits(want)
+            assert res.returns == [res.value] and len(res.outputs) == 1
+            for label in ("xs", "ks", "hs", "none"):
+                ref = getattr(host, label)
+                got = res.output(label)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert launches == collections.Counter()
+
+    def test_the_rank_is_timed_by_its_own_clock(self, backend, launches):
+        code = jit(SafeSum(), "run", np.ones(1 << 14), backend=backend)
+        res = code.invoke()
+        assert res.value == float(1 << 14)
+        assert res.sim_time > 0.0
+        assert res.comm_times == res.device_times == [0.0]
+        assert launches == collections.Counter()
+
+    def test_callback_error_is_a_rank_failure(self, backend, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        class Raising(RuntimeEnv):
+            def output(self, label, arr):
+                raise Boom(label)
+
+        monkeypatch.setattr(engine, "RuntimeEnv", Raising)
+        code = jit(Sweeper(ScaleAddSolver(0.5), 8), "run", 2, backend=backend,
+                   use_cache=False)
+        assert not (code.program.uses_mpi or code.program.uses_gpu)
+        with pytest.raises(MpiError, match="rank 0 failed") as err:
+            code.invoke()
+        assert isinstance(err.value.__cause__, Boom)
+        assert MPI.rank() == 0 and MPI.size() == 1

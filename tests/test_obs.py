@@ -28,7 +28,7 @@ from repro.jit.engine import clear_code_cache
 from repro.obs import export, metrics, trace
 
 from tests.conftest import requires_cc
-from tests.guestlib import ScaleAddSolver, Sweeper
+from tests.guestlib import RingExchanger, ScaleAddSolver, Sweeper
 
 
 @pytest.fixture(autouse=True)
@@ -188,8 +188,9 @@ class TestPipelineSpans:
                 assert by_id[r.parent_id].tid == r.tid
 
     def test_invoke_and_mpi_spans_nest(self):
+        """An MPI guest at one rank still runs under ``mpirun``."""
         trace.enable()
-        code = jit(Sweeper(ScaleAddSolver(0.5), 8), "run", 2, backend="py")
+        code = jit(RingExchanger(4), "run", 2, backend="py")
         trace.clear()
         code.invoke()
         recs = trace.spans()
@@ -204,9 +205,10 @@ class TestPipelineSpans:
     @requires_cc
     def test_invoke_splits_into_the_ledgers_layers(self):
         """copy / marshal / native / unmarshal: consecutive children of the
-        rank's span, in that order, that fit inside ``jit.invoke``."""
+        rank's span, in that order, that fit inside ``jit.invoke`` (an MPI
+        guest at one rank, so the rank's span is ``mpirun``'s)."""
         trace.enable()
-        code = jit(Sweeper(ScaleAddSolver(0.5), 8), "run", 2, backend="c")
+        code = jit(RingExchanger(4), "run", 2, backend="c")
         trace.clear()
         code.invoke()
         recs = trace.spans()
@@ -220,6 +222,28 @@ class TestPipelineSpans:
             assert before.t_start + before.dur_s <= after.t_start
         invoke = next(r for r in recs if r.name == "jit.invoke")
         assert sum(r.dur_s for r in layers) <= invoke.dur_s
+        assert trace.current_span() is None
+
+    @requires_cc
+    def test_one_rank_without_mpi_has_no_launcher_spans(self):
+        """A program with no MPI or GPU call at one rank: the four layers
+        are children of ``jit.invoke`` itself, the host callback sits under
+        ``invoke.native``, and no ``mpi.run`` or ``mpi.rank`` is opened."""
+        trace.enable()
+        code = jit(Sweeper(ScaleAddSolver(0.5), 8), "run", 2, backend="c")
+        trace.clear()
+        code.invoke()
+        recs = trace.spans()
+        by_id = {r.span_id: r for r in recs}
+        tree = sorted((r.name, r.parent_id and by_id[r.parent_id].name)
+                      for r in recs)
+        assert tree == sorted([
+            ("jit.invoke", None), ("invoke.copy", "jit.invoke"),
+            ("invoke.marshal", "jit.invoke"), ("invoke.native", "jit.invoke"),
+            ("runtime.callback", "invoke.native"),
+            ("invoke.unmarshal", "jit.invoke")])
+        (invoke,) = [r for r in recs if r.name == "jit.invoke"]
+        assert invoke.attrs == {"backend": "c", "nranks": 1}
         assert trace.current_span() is None
 
     @requires_cc
@@ -255,8 +279,6 @@ class TestPipelineSpans:
         ``invoke.native``, for every native→host transition."""
         from repro.jit import engine
         from repro.jit.runtime import RuntimeEnv
-
-        from tests.guestlib import RingExchanger
 
         entries = []
 
