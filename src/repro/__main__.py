@@ -206,18 +206,11 @@ def cmd_jit(args) -> int:
         print(json.dumps({**st, "py_slots": py_slots}, indent=2,
                          sort_keys=True))
         return 0
-    print(f"tiered default   : {'on (REPRO_TIERED)' if st['tiered_default'] else 'off'}")
-    print(f"build workers    : {st['workers']}")
-    print(f"requests         : {st['requests']}  "
-          f"(tiered: {st['tiered_requests']})")
+    print(f"requests         : {st['requests']}")
     print(f"compiles         : {st['compiles']}")
     print(f"dedup hits       : {st['dedup_hits']}  "
           f"(in-flight waits: {st['inflight_waits']}, "
           f"{st['inflight_wait_s']:.3f} s blocked)")
-    print(f"tier promotions  : {st['tier_promotions']}  "
-          f"(failures: {st['tier_failures']})")
-    print(f"build queue      : depth {st['queue_depth']}, "
-          f"high-water {st['max_queue_depth']}")
     print(f"farm (x-process) : lock waits {st['farm_lock_waits']} "
           f"({st['farm_lock_wait_s']:.3f} s blocked, "
           f"{st['farm_lock_timeouts']} timeouts), "

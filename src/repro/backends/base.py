@@ -79,8 +79,7 @@ class CompiledProgram:
 
     Instances must be safe to ``run`` from multiple threads at once after
     construction: the JIT service shares one compiled artifact across every
-    ``JitCode`` that hit the same cache key, and the tiered mode hot-swaps
-    a ``JitCode``'s artifact while other threads may be invoking it.
+    ``JitCode`` that hit the same cache key.
     """
 
     #: generated source, for inspection / docs / tests
@@ -127,12 +126,6 @@ class Backend:
     :class:`CompiledProgram`."""
 
     name: str = "?"
-
-    #: True when ``compile`` runs an external native toolchain (slow but
-    #: fast to execute).  The tiered JIT service answers on a non-native
-    #: backend first and promotes to a native artifact in the background;
-    #: requesting ``tiered=True`` against a non-native backend is a no-op.
-    native: bool = False
 
     def compile(self, program: "Program", opt: OptLevel) -> CompiledProgram:
         raise NotImplementedError

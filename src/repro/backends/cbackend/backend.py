@@ -24,7 +24,6 @@ class CBackend(Backend):
     """Emit C99, compile with the system compiler, load via ctypes."""
 
     name = "c"
-    native = True
 
     def __init__(self, *, bounds_checks: bool | None = None):
         # the paper's translated code has no array bounds checks (§3.3

@@ -113,11 +113,7 @@ app = StencilCPU3D(
     SineGen(8, 8, 4, 1), EmptyContext(),
 )
 code = jit(app, "run", 2, backend="c")
-# the py tier hands back numpy scalars; normalize for JSON
 first_value = float(code.invoke().value)
-# in tiered mode (REPRO_TIERED=1) wait for the background native build so
-# the probe reports the resolved tier and the promotion breakdown
-code.wait_tier()
 r = code.report
 print(json.dumps({
     "cache_hit": r.cache_hit,
@@ -127,32 +123,23 @@ print(json.dumps({
     "cached_lookup_s": r.cached_lookup_s,
     "total_s": r.total_s,
     "build_stats": r.build_stats,
-    "tiered": r.tiered,
-    "tier": code.tier,
-    "tier_warning": code.tier_warning,
-    "promotion": r.promotion,
     "service": service.stats(),
     "value": first_value,
 }))
 """
 
 
-def compile_probe(cache_dir: str, *, cc_cache_dir: "str | None" = None,
-                  env_extra: "dict | None" = None) -> dict:
+def compile_probe(cache_dir: str, *,
+                  cc_cache_dir: "str | None" = None) -> dict:
     """JIT-compile the sample stencil program in a *fresh subprocess* with
     the disk cache rooted at ``cache_dir``; returns the child's JitReport
     timings as a dict.  Run twice against the same directory to measure a
     cold miss then a warm disk hit — the warm run must report
-    ``backend_compile_s == 0`` (it never spawns the external compiler).
-    Pass ``env_extra={"REPRO_TIERED": "1"}`` to probe the tiered service:
-    the child then also reports the resolved tier, the promotion breakdown,
-    and the service counters (``repro.jit.service.stats()``)."""
+    ``backend_compile_s == 0`` (it never spawns the external compiler)."""
     env = dict(os.environ)
     env["REPRO_CACHE_DIR"] = cache_dir
     if cc_cache_dir is not None:
         env["REPRO_CC_CACHE"] = cc_cache_dir
-    if env_extra:
-        env.update(env_extra)
     src_root = Path(__file__).resolve().parents[2]
     env["PYTHONPATH"] = f"{src_root}{os.pathsep}{env.get('PYTHONPATH', '')}"
     proc = subprocess.run(

@@ -1,6 +1,6 @@
 """Shared environment-variable parsing, and the knobs that key the cache.
 
-Every boolean knob in the framework (``REPRO_BOUNDS``, ``REPRO_TIERED``,
+Every boolean knob in the framework (``REPRO_BOUNDS``,
 ``REPRO_DISK_CACHE``, ``REPRO_TRACE``, ``REPRO_PAPER_SIZES``) historically
 parsed its value with a slightly different ad-hoc expression —
 ``REPRO_BOUNDS`` notoriously treated ``"false"`` and ``"no"`` as *truthy*.

@@ -112,9 +112,9 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # -- memory tier -----------------------------------------------------------
 
 #: guards the memory tier and its counters — ``jit()`` may be called from
-#: many threads at once (and the tiered service compiles in the background),
-#: so store/lookup must not interleave on a torn dict/counter state.  The
-#: lock is reentrant because :func:`clear` calls :func:`clear_memory`.
+#: many threads at once, so store/lookup must not interleave on a torn
+#: dict/counter state.  The lock is reentrant because :func:`clear` calls
+#: :func:`clear_memory`.
 _TIER_LOCK = threading.RLock()
 
 #: digest -> (program, compiled, meta)

@@ -18,7 +18,6 @@ the entry's return value and ``wj.output`` labels, as discussed in §3.1.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -75,12 +74,6 @@ class JitReport:
     farm_wait_s: float = 0.0
     #: the cache-key digest this request resolved to ("" when uncached)
     key_digest: str = ""
-    #: compiled through the tiered service (py tier first, native later)
-    tiered: bool = False
-    #: background tier-promotion outcome: empty until the native build
-    #: resolves, then either the promoted build's breakdown (backend,
-    #: translate_s, backend_compile_s, build_stats, ...) or {"error": ...}
-    promotion: dict = field(default_factory=dict)
     #: what the translation removed/resolved (see frontend.verify.OptStats)
     opt_stats: dict = field(default_factory=dict)
     #: native-build breakdown (mode, compile and wall seconds) — see
@@ -140,83 +133,17 @@ def _make_backend(name: str) -> Backend:
 
 
 class JitCode:
-    """Handle to one translated program (the paper's ``JitCode``).
-
-    A tiered compile (``jit(..., tiered=True)``) hands back a ``JitCode``
-    backed by the fast-to-build py tier; when the background native build
-    resolves, the artifact is hot-swapped in place.  The swap is atomic
-    with respect to :meth:`invoke` — every invocation runs entirely on one
-    tier — and a failed native build degrades gracefully: the handle stays
-    on the py tier and records :attr:`tier_warning` instead of raising.
-    """
+    """Handle to one translated program (the paper's ``JitCode``)."""
 
     def __init__(self, program: Program, compiled: CompiledProgram, report: JitReport):
-        #: the pair ``invoke`` runs, replaced in one store: a promotion can
-        #: never tear an invocation across tiers, and ``invoke`` takes no lock
-        self._artifact = (program, compiled)
+        self.program = program
+        self.compiled = compiled
         self.report = report
         self.nranks: Optional[int] = None
         self.net: NetworkModel = TSUBAME_NET
         self.gpu_model: Optional[GpuModel] = None
         if program.uses_gpu:
             self.gpu_model = M2050_MODEL
-        #: set when a background tier promotion failed (degraded to py tier)
-        self.tier_warning: Optional[str] = None
-        self._tier = report.backend
-        self._swap_lock = threading.Lock()
-        self._tier_event = threading.Event()
-        self._tier_event.set()  # non-tiered handles are final immediately
-
-    @property
-    def program(self) -> Program:
-        return self._artifact[0]
-
-    @property
-    def compiled(self) -> CompiledProgram:
-        return self._artifact[1]
-
-    # -- tiered execution ---------------------------------------------------
-
-    @property
-    def tier(self) -> str:
-        """Backend name of the artifact ``invoke`` runs *right now*."""
-        return self._tier
-
-    def wait_tier(self, timeout: Optional[float] = None) -> bool:
-        """Block until the background tier build resolves (promotion or
-        degradation); True when resolved.  Immediate for non-tiered code."""
-        return self._tier_event.wait(timeout)
-
-    def _begin_promotion(self) -> None:
-        self._tier_event.clear()
-
-    def _promote(self, code: "JitCode") -> None:
-        """Hot-swap to the promoted artifact (service calls this)."""
-        promoted = code.report
-        with self._swap_lock:
-            self._artifact = (code.program, code.compiled)
-            self._tier = promoted.backend
-            self.report.promotion = {
-                "backend": promoted.backend,
-                "opt": promoted.opt,
-                "cache_hit": promoted.cache_hit,
-                "cache_tier": promoted.cache_tier,
-                "translate_s": promoted.translate_s,
-                "backend_compile_s": promoted.backend_compile_s,
-                "cached_lookup_s": promoted.cached_lookup_s,
-                "build_stats": dict(promoted.build_stats),
-            }
-        self._tier_event.set()
-
-    def _degrade(self, exc: BaseException) -> None:
-        """Record a failed promotion; the py tier keeps serving."""
-        with self._swap_lock:
-            self.tier_warning = (
-                f"tier promotion failed ({exc!r}); staying on the "
-                f"{self._tier!r} tier"
-            )
-            self.report.promotion = {"error": repr(exc)}
-        self._tier_event.set()
 
     # -- configuration ------------------------------------------------------
 
@@ -254,14 +181,14 @@ class JitCode:
         exception.
         """
         nranks = self.nranks or 1
-        program, compiled = self._artifact
+        program, compiled = self.program, self.compiled
         # every rank gets the host arrays: ``run`` copies them, never writes
         arrays = [s.array for s in program.snapshot.array_slots]
         gpu_model = self.gpu_model
         alone = nranks == 1 and not (program.uses_mpi or program.uses_gpu)
         # a warm invoke is too short for a ``with`` block that does nothing:
         # with tracing off, its span costs this one check
-        span = _trace.phases("jit.invoke", backend=self._tier,
+        span = _trace.phases("jit.invoke", backend=self.report.backend,
                              nranks=nranks) if _trace.enabled() else None
         t0 = time.perf_counter()
         try:
@@ -348,43 +275,35 @@ def _translate(minfo, snapshot, recv_shape, arg_shapes, opt=None):
 
 
 def _compile(receiver, method: str, args, *, backend: str, opt: OptLevel,
-             use_cache: bool, tiered: Optional[bool] = None) -> JitCode:
+             use_cache: bool) -> JitCode:
     """Compile via the concurrency-safe service layer (see jit/service.py:
-    lock-protected cache tiers, single-flight dedup, tiered execution)."""
+    lock-protected cache tiers, single-flight dedup)."""
     minfo = _resolve_minfo(receiver, method)
     from repro.jit import service
 
     return service.compile_program(
-        minfo, receiver, args, backend=backend, opt=opt,
-        use_cache=use_cache, tiered=tiered,
+        minfo, receiver, args, backend=backend, opt=opt, use_cache=use_cache,
     )
 
 
 def jit(receiver, method: str, *args, backend: str = "auto",
-        opt: OptLevel = OptLevel.FULL, use_cache: bool = True,
-        tiered: Optional[bool] = None) -> JitCode:
-    """Translate ``receiver.method(*args)`` for single-process execution.
-
-    ``tiered=True`` (or ``REPRO_TIERED=1``) returns immediately on the py
-    tier while the native artifact builds in the background — see
-    docs/JIT_SERVICE.md."""
+        opt: OptLevel = OptLevel.FULL, use_cache: bool = True) -> JitCode:
+    """Translate ``receiver.method(*args)`` for single-process execution."""
     return _compile(receiver, method, args, backend=backend, opt=opt,
-                    use_cache=use_cache, tiered=tiered)
+                    use_cache=use_cache)
 
 
 def jit4mpi(receiver, method: str, *args, backend: str = "auto",
-            opt: OptLevel = OptLevel.FULL, use_cache: bool = True,
-            tiered: Optional[bool] = None) -> JitCode:
+            opt: OptLevel = OptLevel.FULL, use_cache: bool = True) -> JitCode:
     """Translate for MPI execution (call ``set4mpi`` before ``invoke``)."""
     return _compile(receiver, method, args, backend=backend, opt=opt,
-                    use_cache=use_cache, tiered=tiered)
+                    use_cache=use_cache)
 
 
 def jit4gpu(receiver, method: str, *args, backend: str = "auto",
-            opt: OptLevel = OptLevel.FULL, use_cache: bool = True,
-            tiered: Optional[bool] = None) -> JitCode:
+            opt: OptLevel = OptLevel.FULL, use_cache: bool = True) -> JitCode:
     """Translate a program whose kernels run on the (simulated) GPU."""
     code = _compile(receiver, method, args, backend=backend, opt=opt,
-                    use_cache=use_cache, tiered=tiered)
+                    use_cache=use_cache)
     code.set_gpu(M2050_MODEL)
     return code

@@ -1,11 +1,10 @@
-"""Concurrency-safe JIT service: single-flight compilation + tiered execution.
+"""Concurrency-safe JIT service: single-flight compilation.
 
 The paper amortizes its 4–5 s JIT pause (Table 3) over one client calling
 ``jit()`` once.  A serving system has N threads racing into the same cold
 key: without coordination each of them runs the translator *and* gcc, and
 the in-memory cache tier is read and written with no lock at all.  This
-module is the layer in front of ``engine._compile`` that fixes both, plus
-the tiered mode that hides the native-build pause entirely:
+module is the layer in front of ``engine._compile`` that fixes both:
 
 * **Single-flight deduplication** — the first thread to miss on a
   ``CacheKey`` becomes the *leader* and compiles; every other thread
@@ -27,41 +26,29 @@ the tiered mode that hides the native-build pause entirely:
   would compile.  Lock waits surface as ``jit.farm_*`` counters and on
   ``JitReport.farm_dedup``/``farm_wait_s``.  See docs/COMPILE_FARM.md.
 
-* **Tiered compilation** — ``jit(..., tiered=True)`` answers immediately
-  with a py-tier artifact (no external compiler on the critical path) and
-  submits the native build to a background worker pool; when it resolves,
-  the ``JitCode`` hot-swaps its artifact atomically w.r.t. ``invoke``.  A
-  failed native build degrades to the py tier with a recorded warning
-  (``JitCode.tier_warning``) instead of raising on the background thread.
-
 * **Observability** — the per-phase counters (``compiles``,
-  ``dedup_hits``, ``inflight_waits``, ``tier_promotions``,
-  ``tier_failures``, queue depth) live on the process-wide metrics
-  registry (:mod:`repro.obs.metrics`, names ``jit.*``) together with
-  per-phase latency histograms (``jit.phase.*``); :func:`stats` keeps
+  ``dedup_hits``, ``inflight_waits``, ``farm_*``) live on the
+  process-wide metrics registry (:mod:`repro.obs.metrics`, names
+  ``jit.*``) together with per-phase latency histograms
+  (``jit.phase.*``); :func:`stats` keeps
   its historical dict shape and backs ``python -m repro jit stats``
   (``--json`` for scripts).  Every pipeline step also opens a tracing
   span (:mod:`repro.obs.trace` — ``jit.snapshot``, ``cache.key``,
   ``cache.probe``, ``jit.translate``, ``backend.compile``,
-  ``cache.store``, ``jit.inflight_wait``, ``jit.tier_promote``), so
+  ``cache.store``, ``jit.inflight_wait``, ``jit.farm_lock``), so
   ``REPRO_TRACE=1`` yields a full flame graph of a compile.  Per-request
-  fields (``dedup_hit``, ``inflight_wait_s``, ``tiered``, ``promotion``)
-  stay on ``JitReport``.
+  fields (``dedup_hit``, ``inflight_wait_s``, ``farm_dedup``,
+  ``farm_wait_s``) stay on ``JitReport``.
 
-Environment:
-
-* ``REPRO_TIERED=1``      — make tiered mode the default for ``jit*()``;
-* ``REPRO_JIT_WORKERS=N`` — background native-build pool width
-  (default ``min(4, cpu_count)``);
-* ``REPRO_FARM_LOCK_TIMEOUT_S`` — max seconds a worker blocks on another
-  process's compile before giving up and compiling itself (default 600).
+Environment: ``REPRO_FARM_LOCK_TIMEOUT_S`` — max seconds a worker blocks
+on another process's compile before giving up and compiling itself
+(default 600).
 
 See docs/JIT_SERVICE.md and docs/COMPILE_FARM.md for the full protocol.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Optional
@@ -77,11 +64,9 @@ from repro.obs.trace import span as _span
 __all__ = [
     "compile_program",
     "farm_lock_timeout_s",
-    "jit_workers",
     "phase_metrics",
     "reset",
     "stats",
-    "tiered_default",
 ]
 
 
@@ -96,7 +81,7 @@ class _Flight:
         self.exc: Optional[BaseException] = None
 
 
-#: guards _FLIGHTS and the worker pool.  Lock order is always
+#: guards _FLIGHTS.  Lock order is always
 #: service lock -> cache._TIER_LOCK (via lookup/store); never the reverse.
 #: (the metrics below lock themselves, finer-grained)
 _LOCK = threading.Lock()
@@ -116,9 +101,6 @@ _COUNTERS = {
         "dedup_hits",       # requests served by another thread's compile
         "inflight_waits",   # blocking waits on an in-flight build
         "inflight_wait_s",  # total seconds spent in those waits
-        "tiered_requests",  # requests that took the tiered path
-        "tier_promotions",  # background native builds hot-swapped in
-        "tier_failures",    # background native builds that degraded
         "farm_lock_waits",    # blocked on another process's entry lock
         "farm_lock_wait_s",   # total seconds spent in those waits
         "farm_lock_timeouts", # gave up waiting and compiled uncoordinated
@@ -126,34 +108,12 @@ _COUNTERS = {
     )
 }
 
-#: background builds submitted but not yet resolved (+ high-water mark)
-_QUEUE_DEPTH = _M.gauge("jit.queue_depth")
-
 #: per-phase latency distributions (the paper's Table 3, as histograms)
 _PHASE_HIST = {
     name: _M.histogram(f"jit.phase.{name}")
     for name in ("translate_s", "backend_compile_s", "cached_lookup_s",
                  "inflight_wait_s", "farm_wait_s")
 }
-
-_POOL = None  # lazily-created ThreadPoolExecutor for background builds
-
-
-def jit_workers() -> int:
-    """Background native-build pool width (``REPRO_JIT_WORKERS``)."""
-    try:
-        n = int(os.environ.get("REPRO_JIT_WORKERS", ""))
-    except ValueError:
-        n = 0
-    return n if n > 0 else min(4, os.cpu_count() or 1)
-
-
-def tiered_default() -> bool:
-    """Whether ``jit*()`` defaults to tiered mode (``REPRO_TIERED``)."""
-    from repro.env import env_flag
-
-    return env_flag("REPRO_TIERED", default=False)
-
 
 def farm_lock_timeout_s() -> float:
     """Max seconds to block on another process's compile
@@ -188,32 +148,14 @@ def _bump(name: str, by=1) -> None:
     _COUNTERS[name].inc(by)
 
 
-def _ensure_pool():
-    """The background build pool (caller must hold ``_LOCK``)."""
-    global _POOL
-    if _POOL is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _POOL = ThreadPoolExecutor(
-            max_workers=jit_workers(), thread_name_prefix="repro-jit"
-        )
-    return _POOL
-
-
 def stats() -> dict:
-    """Service counters plus current configuration.
+    """The service counters, by their historical names.
 
-    The dict shape is stable (scripts and the CLI consume it); the whole
-    snapshot — counters *and* the ``workers``/``tiered_default``
-    configuration — is taken under the service lock, so a concurrent
-    ``reset()`` or env flip cannot produce a torn half-old/half-new view."""
+    The dict shape is stable (scripts and the CLI consume it); the
+    snapshot is taken under the service lock, so a concurrent ``reset()``
+    cannot produce a torn half-old/half-new view."""
     with _LOCK:
-        out = {name: c.value for name, c in _COUNTERS.items()}
-        out["queue_depth"] = _QUEUE_DEPTH.value
-        out["max_queue_depth"] = _QUEUE_DEPTH.max
-        out["workers"] = jit_workers()
-        out["tiered_default"] = tiered_default()
-    return out
+        return {name: c.value for name, c in _COUNTERS.items()}
 
 
 def phase_metrics() -> dict:
@@ -221,14 +163,8 @@ def phase_metrics() -> dict:
     return _M.snapshot("jit.phase.")
 
 
-def reset(wait: bool = True) -> None:
-    """Drain the background pool and zero the counters (test isolation)."""
-    global _POOL
-    with _LOCK:
-        pool = _POOL
-        _POOL = None
-    if pool is not None:
-        pool.shutdown(wait=wait)
+def reset() -> None:
+    """Forget in-flight builds and zero the counters (test isolation)."""
     with _LOCK:
         _FLIGHTS.clear()
         _M.reset("jit.")
@@ -239,15 +175,12 @@ def reset(wait: bool = True) -> None:
 # ---------------------------------------------------------------------------
 
 def compile_program(minfo, receiver, args, *, backend: str = "auto",
-                    opt: OptLevel = OptLevel.FULL, use_cache: bool = True,
-                    tiered: Optional[bool] = None) -> "_engine.JitCode":
+                    opt: OptLevel = OptLevel.FULL,
+                    use_cache: bool = True) -> "_engine.JitCode":
     """Compile ``receiver.<minfo>(*args)`` through the service layer.
 
-    This is what ``jit``/``jit4mpi``/``jit4gpu`` call; ``tiered=None``
-    falls back to the ``REPRO_TIERED`` default.
+    This is what ``jit``/``jit4mpi``/``jit4gpu`` call.
     """
-    if tiered is None:
-        tiered = tiered_default()
     # backend construction (and its import chain) is excluded from the
     # timings, as before — it is process-lifetime cost, not per-program
     backend_obj = _engine._make_backend(backend)
@@ -256,9 +189,8 @@ def compile_program(minfo, receiver, args, *, backend: str = "auto",
     with _span("jit.snapshot"):
         snapshot, recv_shape, arg_shapes = snapshot_args(receiver, args)
     snap_s = time.perf_counter() - t0
-    run = _compile_tiered if tiered and backend_obj.native else _compile_sync
-    return run(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt,
-               use_cache, snap_s=snap_s, t_start=t0)
+    return _compile_sync(minfo, snapshot, recv_shape, arg_shapes, backend_obj,
+                         opt, use_cache, snap_s=snap_s, t_start=t0)
 
 
 def _program_key(minfo, recv_shape, arg_shapes, backend_obj, opt):
@@ -296,8 +228,7 @@ def _probe(key, snapshot, recv_shape, arg_shapes, *, join: bool = False):
 
 
 def _served(hit, key, *, opt, t_start: float, deduped: bool = False,
-            wait_s: float = 0.0, tiered: bool = False,
-            farm_lock=None) -> "_engine.JitCode":
+            wait_s: float = 0.0, farm_lock=None) -> "_engine.JitCode":
     """The one place a cached artifact is returned.
 
     The warm-path JitReport is field-for-field comparable with a cold one
@@ -327,7 +258,6 @@ def _served(hit, key, *, opt, t_start: float, deduped: bool = False,
         farm_dedup=farm_lock is not None,
         farm_wait_s=farm_lock.waited_s if farm_lock is not None else 0.0,
         key_digest=key.digest,
-        tiered=tiered,
         opt_stats=dict(meta.get("opt_stats", {})),
         build_stats=dict(meta.get("build_stats", {})),
     )
@@ -444,55 +374,3 @@ def _compile_sync(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt,
         deduped = True
     raise JitError("single-flight compilation did not converge")
 
-
-# ---------------------------------------------------------------------------
-# tiered compilation
-# ---------------------------------------------------------------------------
-
-def _compile_tiered(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt,
-                    use_cache: bool, *, snap_s: float,
-                    t_start: float) -> "_engine.JitCode":
-    """Answer on the py tier now; promote to ``backend_obj`` when its
-    background build lands (or degrade gracefully if it fails)."""
-    _bump("tiered_requests")
-    if use_cache:
-        # fast path: the native artifact may already be cached — no tiers
-        key = _program_key(minfo, recv_shape, arg_shapes, backend_obj, opt)
-        hit = _probe(key, snapshot, recv_shape, arg_shapes)[0]
-        if hit is not None:
-            return _served(hit, key, opt=opt, t_start=t_start, tiered=True)
-
-    from repro.backends.pybackend import PyBackend
-
-    code = _compile_sync(minfo, snapshot, recv_shape, arg_shapes, PyBackend(),
-                         opt, use_cache, snap_s=snap_s, t_start=t_start)
-    code.report.tiered = True
-    code._begin_promotion()
-
-    def promote() -> None:
-        with _span("jit.tier_promote", backend=backend_obj.name) as sp:
-            try:
-                native = _compile_sync(
-                    minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt,
-                    use_cache, snap_s=0.0, t_start=time.perf_counter(),
-                )
-            except BaseException as exc:  # noqa: BLE001 - degrade, never raise
-                _bump("tier_failures")
-                sp.set(outcome="degraded")
-                code._degrade(exc)
-            else:
-                code._promote(native)
-                _bump("tier_promotions")
-                sp.set(outcome="promoted")
-            finally:
-                _QUEUE_DEPTH.dec()
-
-    _QUEUE_DEPTH.inc()
-    with _LOCK:
-        pool = _ensure_pool()
-    try:
-        pool.submit(promote)
-    except RuntimeError as exc:  # pool torn down (interpreter shutdown)
-        _QUEUE_DEPTH.dec()
-        code._degrade(exc)
-    return code

@@ -8,7 +8,7 @@ Three metric kinds, all safe under concurrent update:
 
 * :class:`Counter`   — monotonically increasing (int or float increments);
 * :class:`Gauge`     — settable level with inc/dec and a high-water mark
-  (e.g. background build queue depth);
+  (e.g. disk-tier bytes);
 * :class:`Histogram` — fixed-bucket latency distribution with count, sum,
   min, max (the paper's per-phase cost tables are exactly these).
 
@@ -167,40 +167,6 @@ class Histogram:
     def mean(self) -> float:
         """Mean of recorded samples (0.0 when empty)."""
         return self._sum / self._count if self._count else 0.0
-
-    def percentile(self, q: float) -> Optional[float]:
-        """Estimate the ``q``-th percentile (0–100) from the buckets.
-
-        The rank is located in the cumulative bucket counts and linearly
-        interpolated inside the owning bucket; estimates are clamped to
-        the observed ``[min, max]`` so a wide bucket cannot report a
-        latency outside anything actually recorded.  Returns None when no
-        samples have been observed.  This is what the service load bench
-        uses for p50/p99 first-result latency (``BENCH_service.json``)."""
-        with self._lock:
-            count = self._count
-            counts = list(self._counts)
-            lo, hi = self._min, self._max
-        if count == 0:
-            return None
-        if q <= 0:
-            return lo
-        if q >= 100:
-            return hi
-        rank = count * (q / 100.0)
-        cum = 0
-        for i, c in enumerate(counts):
-            if cum + c < rank:
-                cum += c
-                continue
-            if i >= len(self.buckets):  # overflow bucket: no upper edge
-                return hi
-            lower = self.buckets[i - 1] if i > 0 else 0.0
-            upper = self.buckets[i]
-            frac = (rank - cum) / c if c else 0.0
-            est = lower + (upper - lower) * frac
-            return min(max(est, lo), hi)
-        return hi
 
     def reset(self) -> None:
         """Drop all samples."""

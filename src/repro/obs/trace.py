@@ -9,8 +9,8 @@ Every phase of the JIT pipeline opens a span::
         sp.set(n_specializations=12)
 
 Spans carry a name, attributes, parent/child links (via a thread-local
-span stack — each OS thread has its own stack, so MPI rank threads and
-background build workers each form their own span trees), wall-clock
+span stack — each OS thread has its own stack, so MPI rank threads each
+form their own span trees), wall-clock
 start (epoch seconds) and a monotonic timeline (``perf_counter``), and a
 duration filled in at exit.  Finished spans land in a bounded in-process
 ring buffer and, when a trace file is configured, are also streamed as

@@ -2,8 +2,10 @@
 warmup manifests) and the disk-cache race bugfixes that ride with it.
 
 Covers: ≥4 *processes* released simultaneously onto one cold key produce
-exactly one translate+compile (counted both via the per-entry metadata and
-the per-process service counters), the disk tier never exceeds a
+exactly one translate+compile on either backend (counted both via the
+per-entry metadata and the per-process service counters; on ``c`` the
+external compiler runs once) and a second round of fresh processes compiles
+nothing, the disk tier never exceeds a
 configured byte cap and evicts in least-recently-used order, warmup
 manifests round-trip (write → ``repro cache warm`` → every later jit is a
 disk hit), torn entries (payload missing, metadata incomplete) are
@@ -56,9 +58,10 @@ def farm_dir(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 #: prints READY, blocks on stdin until the parent releases the barrier,
-#: then compiles the shared key and reports its JitReport + counters
+#: then compiles the shared key on the backend named by argv[1] and
+#: reports its JitReport + counters
 _RACER = r"""
-import json, sys, time
+import json, sys
 from repro.jit import cache, service
 from repro.jit.engine import jit
 from repro.library.cgsolve.config import make_solver
@@ -66,15 +69,13 @@ from repro.library.cgsolve.config import make_solver
 solver = make_solver(5, 5, precond="jacobi")  # warm the imports pre-barrier
 print("READY", flush=True)
 sys.stdin.readline()  # barrier: parent writes GO once every racer is ready
-t0 = time.perf_counter()
-code = jit(solver, "solve", 20, backend="py")
+code = jit(solver, "solve", 20, backend=sys.argv[1])
 r = code.report
 print(json.dumps({
-    "first_result_s": time.perf_counter() - t0,
     "cache_hit": r.cache_hit,
     "cache_tier": r.cache_tier,
     "farm_dedup": r.farm_dedup,
-    "farm_wait_s": r.farm_wait_s,
+    "build_mode": r.build_stats.get("mode"),
     "value": float(code.invoke().value),
     "stats": service.stats(),
     "disk_hits": cache.stats()["disk_hits"],
@@ -82,14 +83,15 @@ print(json.dumps({
 """
 
 
-def _race_workers(n: int, cache_root: Path, extra_env=None) -> list[dict]:
+def _race_workers(n: int, cache_root: Path, extra_env=None,
+                  backend: str = "py") -> list[dict]:
     """Spawn ``n`` barrier-synchronized racers on one cold key."""
     env = dict(os.environ)
     env["REPRO_CACHE_DIR"] = str(cache_root)
     env["PYTHONPATH"] = f"{SRC_ROOT}{os.pathsep}{env.get('PYTHONPATH', '')}"
     env.update(extra_env or {})
     procs = [
-        subprocess.Popen([sys.executable, "-c", _RACER],
+        subprocess.Popen([sys.executable, "-c", _RACER, backend],
                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                          stderr=subprocess.PIPE, text=True, env=env)
         for _ in range(n)
@@ -108,14 +110,23 @@ def _race_workers(n: int, cache_root: Path, extra_env=None) -> list[dict]:
 
 
 class TestCrossProcessSingleFlight:
-    def test_four_plus_processes_one_compile(self, tmp_path):
-        """5 simultaneous cold processes: exactly one translate+compile."""
+    @pytest.mark.parametrize(
+        "backend", ["py", pytest.param("c", marks=requires_cc)])
+    def test_four_plus_processes_one_compile(self, tmp_path, backend):
+        """5 simultaneous cold processes: exactly one translate+compile;
+        then 5 fresh processes on the same directory compile nothing."""
         cache_root = tmp_path / "cache"
-        results = _race_workers(5, cache_root)
+        # a private cc artifact cache: the machine-wide one would serve the
+        # .so from an earlier run, and the compiler would never start
+        env = {"REPRO_CC_CACHE": str(tmp_path / "cc")}
+        results = _race_workers(5, cache_root, env, backend)
 
         # counted via the per-process service counters ...
         total_compiles = sum(r["stats"]["compiles"] for r in results)
         assert total_compiles == 1, results
+        if backend == "c":  # ... and the compile really ran the compiler
+            assert [r["build_mode"] for r in results
+                    if not r["cache_hit"]] == ["single"]
         # ... and via the per-entry metadata on disk
         (jpath,) = cache_root.glob("*.json")
         meta = json.loads(jpath.read_text())
@@ -128,6 +139,14 @@ class TestCrossProcessSingleFlight:
         # ... each by the disk tier, exactly once: hits are counted by the
         # process that made them, the shared entry is never rewritten
         assert sum(r["disk_hits"] for r in results) == 4
+        assert json.loads(jpath.read_text()) == meta
+
+        # a warm round: every fresh process is served from the disk tier
+        again = _race_workers(5, cache_root, env, backend)
+        assert sum(r["stats"]["compiles"] for r in again) == 0, again
+        assert all(r["cache_tier"] == "disk" for r in again)
+        assert sum(r["disk_hits"] for r in again) == 5
+        assert {r["value"] for r in again} == {results[0]["value"]}
         assert json.loads(jpath.read_text()) == meta
 
     def test_farm_disabled_still_correct(self, tmp_path):

@@ -63,14 +63,6 @@ class TestRoutedKnobs:
         monkeypatch.delenv("REPRO_DISK_CACHE")
         assert disk_enabled() is True  # defaults on
 
-    def test_tiered(self, monkeypatch):
-        from repro.jit.service import tiered_default
-
-        monkeypatch.setenv("REPRO_TIERED", "no")
-        assert tiered_default() is False
-        monkeypatch.setenv("REPRO_TIERED", "YES")
-        assert tiered_default() is True
-
     def test_trace(self, monkeypatch):
         from repro.obs.trace import _env_truthy
 

@@ -1,12 +1,10 @@
-"""The concurrency-safe JIT service (single-flight dedup + tiered mode).
+"""The concurrency-safe JIT service (single-flight dedup).
 
 Covers: ≥8 threads racing the same cache key trigger exactly one
 translate+compile (the rest join the in-flight build), mixed identical and
 distinct keys compile once each with bit-identical results versus
-sequential runs, leader failures propagate to every joiner, tiered
-compilation answers on the py tier before the native build finishes and
-hot-swaps afterwards, a failing native build degrades gracefully — plus
-the satellite bugfixes: warm/cold ``JitReport`` parity (``build_stats``
+sequential runs, leader failures propagate to every joiner — plus the
+satellite bugfixes: warm/cold ``JitReport`` parity (``build_stats``
 restored from both tiers), ``cached_lookup_s`` populated on misses with
 ``translate_s`` excluding the probe, and ``clear_code_cache()`` returning
 the removed-entry count.
@@ -186,69 +184,6 @@ class TestSingleFlight:
         code = jit(Sweeper(ScaleAddSolver(0.75), 12), "run", 2, backend="py")
         assert not code.report.cache_hit
         assert code.invoke().value > 0
-
-
-@requires_cc
-class TestTiered:
-    def test_invoke_flows_before_native_build_then_promotes(self, monkeypatch):
-        gate = threading.Event()
-        orig = CBackend.compile
-
-        def gated_compile(self, program, opt):
-            assert gate.wait(timeout=30), "test never opened the build gate"
-            return orig(self, program, opt)
-
-        monkeypatch.setattr(CBackend, "compile", gated_compile)
-        code = jit(Sweeper(ScaleAddSolver(0.25), 10), "run", 3, backend="c",
-                   tiered=True)
-        # answers immediately on the py tier, native build still blocked
-        assert code.report.tiered
-        assert code.tier == "py"
-        first = code.invoke()
-        assert code.tier == "py", "invoke must not wait for the native build"
-
-        gate.set()
-        assert code.wait_tier(timeout=60)
-        assert code.tier == "c"
-        assert code.tier_warning is None
-        assert code.report.promotion["backend"] == "c"
-        assert code.report.promotion["backend_compile_s"] > 0
-        assert code.report.promotion["build_stats"]
-        # the promoted artifact is the C one and computes the same thing
-        assert "wj_entry" in code.source
-        assert code.invoke().value == first.value
-
-        st = service.stats()
-        assert st["tier_promotions"] == 1
-        assert st["tiered_requests"] == 1
-        assert st["queue_depth"] == 0
-        assert st["max_queue_depth"] >= 1
-
-    def test_failed_native_build_degrades_to_py_tier(self, monkeypatch):
-        def broken_compile(self, program, opt):
-            raise RuntimeError("gcc exploded")
-
-        monkeypatch.setattr(CBackend, "compile", broken_compile)
-        code = jit(Sweeper(ScaleAddSolver(0.25), 11), "run", 3, backend="c",
-                   tiered=True)
-        first = code.invoke()  # py tier keeps answering throughout
-        assert code.wait_tier(timeout=60)
-        assert code.tier == "py"
-        assert code.tier_warning is not None
-        assert "gcc exploded" in code.tier_warning
-        assert code.report.promotion == {"error": repr(RuntimeError("gcc exploded"))}
-        assert code.invoke().value == first.value
-        assert service.stats()["tier_failures"] == 1
-
-    def test_cached_native_artifact_skips_the_py_tier(self):
-        app = lambda: Sweeper(ScaleAddSolver(0.25), 12)  # noqa: E731
-        cold = jit(app(), "run", 3, backend="c")
-        warm = jit(app(), "run", 3, backend="c", tiered=True)
-        assert warm.report.cache_hit
-        assert warm.report.tiered
-        assert warm.tier == "c"
-        assert warm.wait_tier(timeout=0.1), "no background build to wait for"
-        assert warm.invoke().value == cold.invoke().value
 
 
 class TestSatelliteBugfixes:

@@ -51,7 +51,7 @@ CONFIGS = {"default": "1", "precfg": "fold,licm,cse,dce", "off": "0"}
 
 #: knobs that change emitted code; the table is recorded with all unset
 _CODEGEN_KNOBS = ("REPRO_OMP", "REPRO_OMP_THREADS", "REPRO_OMP_REDUCTIONS",
-                  "REPRO_BLAS", "REPRO_BOUNDS", "REPRO_TIERED")
+                  "REPRO_BLAS", "REPRO_BOUNDS")
 
 
 def _stencil3d(cls_name, nx, ny, nzl, nranks, steps):
