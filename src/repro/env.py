@@ -34,13 +34,13 @@ __all__ = [
     "PASS_ORDER",
     "blas_enabled",
     "blas_token",
-    "config_from_env",
     "env_flag",
     "env_float",
     "omp_enabled",
     "omp_reductions_enabled",
     "omp_threads",
     "omp_token",
+    "passes_for",
     "pipeline_token",
 ]
 
@@ -92,18 +92,37 @@ def env_float(name: str, default: float) -> float:
 #: see through the __licm/__cse temps)
 PASS_ORDER = ("inline", "fold", "licm", "cse", "dce", "bce")
 
-# the flag spellings, except that an empty value means "the default set"
-_ALL_SPELLINGS = _TRUTHY | {"", "all", "default"}
+# the C backend's own set: gcc inlines the ``static`` specializations and
+# folds, hoists and deletes dead code itself, but it reloads a snapshot
+# field inside a loop that cse binds to a local (docs/OPTIMIZER.md,
+# "Which passes run where")
+_C_PASSES = ("cse",)
+
+# the flag spellings; an empty value means "the backend's own set"
+_DEFAULT_SPELLINGS = {"", "default"}
+_ALL_SPELLINGS = _TRUTHY | {"all"}
 _NONE_SPELLINGS = _FALSY - {""} | {"none"}
 
 
-def config_from_env() -> tuple:
-    """The enabled passes per ``REPRO_OPT_PASSES``, in canonical order.
+def passes_for(backend: str, bounds_checks: bool = False) -> tuple:
+    """The mid-end passes to run for ``backend``, in canonical order.
+
+    ``REPRO_OPT_PASSES`` unset, empty or ``default`` picks the backend's
+    own set: ``cse`` alone on C, every pass on py (it has no optimizer
+    downstream).  C keeps every pass under bounds checks and
+    under ``REPRO_OMP=1``: the check elision and the loop-independence
+    verdicts were built and pinned on the whole pipeline.  ``1``/``all``
+    runs every pass on every backend, ``0``/``none`` none, and a comma list
+    exactly those.
 
     Raises :class:`ValueError` for unknown pass names so a typo disables
     nothing silently."""
     raw = os.environ.get("REPRO_OPT_PASSES", "")
     val = raw.strip().lower()
+    if val in _DEFAULT_SPELLINGS:
+        if backend == "c" and not (bounds_checks or omp_enabled()):
+            return _C_PASSES
+        return PASS_ORDER
     if val in _ALL_SPELLINGS:
         return PASS_ORDER
     if val in _NONE_SPELLINGS:
@@ -118,13 +137,13 @@ def config_from_env() -> tuple:
     return tuple(p for p in PASS_ORDER if p in names)
 
 
-def pipeline_token(opt) -> str:
+def pipeline_token(opt, backend: str, bounds_checks: bool = False) -> str:
     """The cache-key component describing the *effective* mid-end
-    configuration for optimization level ``opt`` (empty when the pipeline
-    would not run at all)."""
+    configuration for optimization level ``opt`` on ``backend`` (empty when
+    the pipeline would not run at all)."""
     if getattr(opt, "value", opt) != "full":
         return ""
-    return ",".join(config_from_env())
+    return ",".join(passes_for(backend, bounds_checks))
 
 
 # ---------------------------------------------------------------------------

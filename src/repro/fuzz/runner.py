@@ -2,8 +2,10 @@
 
 Every program is executed as: direct CPython interpretation (the
 reference), then once per (backend, optimizer-mode) leg — by default the
-Python and C backends with the mid-end pass pipeline both off and on,
-using ``use_cache=False`` so translation and emission really run each
+Python and C backends with the mid-end pass pipeline off, with every pass
+on, and with the backend's own pass set (the C default runs ``cse`` only;
+a mode whose pass set a backend already ran is skipped), using
+``use_cache=False`` so translation and emission really run each
 time; every leg's translated program also goes through the OpenMP
 loop-independence analysis (no compiler needed).  All legs must agree
 with the reference *bit for bit*, on the return value and on every
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
+from repro.env import env_flag, passes_for
 from repro.fuzz.coverage import BranchCoverage
 from repro.fuzz.grammar import CLASS_NAME, ProgramSpec, ctor_args, render
 
@@ -77,7 +80,7 @@ class DiffRunner:
 
     def __init__(self, workdir: str | Path | None = None,
                  backends: Sequence[str] | None = None,
-                 opt_modes: Sequence[str] = ("0", "1"),
+                 opt_modes: Sequence[str] = ("0", "1", "default"),
                  coverage: BranchCoverage | None = None) -> None:
         if backends is None:
             from repro.backends.cbackend import compiler_available
@@ -147,7 +150,15 @@ class DiffRunner:
             saved = os.environ.get("REPRO_OPT_PASSES")
             try:
                 for backend in self.backends:
+                    seen = set()
                     for opt in self.opt_modes:
+                        # a mode that spells a pass set already run on this
+                        # backend (py's default is "1") would repeat a leg
+                        os.environ["REPRO_OPT_PASSES"] = opt
+                        passes = passes_for(backend, env_flag("REPRO_BOUNDS"))
+                        if passes in seen:
+                            continue
+                        seen.add(passes)
                         leg = self._run_leg(cls, make_args, method,
                                             method_args, backend, opt,
                                             sorted(ref_outs), res)
@@ -173,7 +184,6 @@ class DiffRunner:
         from repro.opt.parallel import analyze_program
 
         leg = LegResult(name=f"{backend}/opt{opt}")
-        os.environ["REPRO_OPT_PASSES"] = opt
         cov = self.coverage
         if cov is not None:
             cov.begin_run()

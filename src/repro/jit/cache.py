@@ -301,7 +301,7 @@ def program_key(minfo, recv_shape: ObjShape, arg_shapes, *, backend: str,
         # the mid-end configuration shapes the emitted artifact, so it MUST
         # key the cache: toggling REPRO_OPT_PASSES can never reuse a stale
         # artifact built under a different pass set
-        "opt_passes": _env.pipeline_token(opt),
+        "opt_passes": _env.pipeline_token(opt, backend, bounds_checks),
         # likewise the parallel-loop configuration (REPRO_OMP /
         # REPRO_OMP_THREADS change the emitted pragmas) and the BLAS build
         # mode (REPRO_BLAS changes build flags for identical source)

@@ -233,13 +233,14 @@ def _resolve_minfo(receiver, method: str):
     return minfo
 
 
-def _translate(minfo, snapshot, recv_shape, arg_shapes, opt=None):
+def _translate(minfo, snapshot, recv_shape, arg_shapes, *, opt, passes):
     """Lower one snapshotted call into a specialized Program (no backend).
 
     Returns ``(program, opt_stats)`` with ``opt_stats`` as a plain dict;
     the service layer owns the timing and the surrounding
     cache/single-flight protocol.  When ``opt`` is ``OptLevel.FULL`` the
-    mid-end pass pipeline (see :mod:`repro.opt`) runs over every
+    mid-end passes named in ``passes`` (the backend's set,
+    ``repro.env.passes_for``; see :mod:`repro.opt`) run over every
     specialization as it finishes lowering; the comparator modes
     (VIRTUAL/DEVIRT/NOVIRT) are left untouched so they keep measuring
     abstraction cost.
@@ -248,9 +249,9 @@ def _translate(minfo, snapshot, recv_shape, arg_shapes, opt=None):
     # imported here, by the first miss; a cache hit never loads it
     from repro.frontend.verify import verify_program
     from repro.jit.specialize import Specializer
-    from repro.opt import pipeline_for
+    from repro.opt import Pipeline
 
-    pipeline = pipeline_for(opt) if opt is not None else None
+    pipeline = Pipeline(passes) if passes and opt is OptLevel.FULL else None
     program = Program(snapshot=snapshot, recv_shape=recv_shape, arg_shapes=arg_shapes)
     with _trace.span("frontend.lower") as sp:
         specializer = Specializer(program, pipeline=pipeline)

@@ -53,6 +53,7 @@ import threading
 import time
 from typing import Optional
 
+from repro import env as _env
 from repro.backends.base import OptLevel
 from repro.errors import JitError
 from repro.frontend.objectgraph import snapshot_args
@@ -269,9 +270,13 @@ def _build(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt, *,
     """Translate + backend-compile, uncached (the leader's cold path)."""
     _bump("compiles")
     t1 = time.perf_counter()
+    # the same reader keys the cache (program_key's opt_passes token)
+    passes = _env.passes_for(backend_obj.name,
+                             getattr(backend_obj, "bounds_checks", False))
     with _span("jit.translate"):
         program, opt_stats = _engine._translate(minfo, snapshot, recv_shape,
-                                                arg_shapes, opt=opt)
+                                                arg_shapes, opt=opt,
+                                                passes=passes)
     translate_s = snap_s + (time.perf_counter() - t1)
 
     t2 = time.perf_counter()

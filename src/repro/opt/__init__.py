@@ -14,8 +14,7 @@ from repro.opt.pipeline import (
     PASS_ORDER,
     OptPassError,
     Pipeline,
-    config_from_env,
-    pipeline_for,
+    passes_for,
     pipeline_token,
 )
 
@@ -24,12 +23,11 @@ __all__ = [
     "OptPassError",
     "Pipeline",
     "bce_func",
-    "config_from_env",
     "cse_func",
     "dce_func",
     "fold_func",
     "inline_func",
     "licm_func",
-    "pipeline_for",
+    "passes_for",
     "pipeline_token",
 ]

@@ -5,9 +5,13 @@ specialization, and only at ``OptLevel.FULL`` — the VIRTUAL / DEVIRT /
 NOVIRT comparator modes exist to *measure* abstraction cost, so the
 mid-end must not touch them.
 
-``REPRO_OPT_PASSES`` selects the passes:
+``REPRO_OPT_PASSES`` selects the passes (:func:`passes_for`):
 
-* unset / ``1`` / ``true`` / ``all`` — the full canonical pipeline;
+* unset / empty / ``default`` — the backend's own set: ``cse`` on C
+  (every pass under ``REPRO_BOUNDS=1`` or ``REPRO_OMP=1``), every pass on
+  py;
+* ``1`` / ``true`` / ``all`` — the full canonical pipeline on every
+  backend;
 * ``0`` / ``false`` / ``none`` / ``off`` — disabled;
 * a comma list (e.g. ``fold,dce``) — exactly those passes, always run
   in canonical order.
@@ -29,7 +33,7 @@ import time
 # the REPRO_OPT_PASSES readers key the cache, so they live where a cache
 # hit can reach them without importing a pass (repro.env); this module,
 # which acts on them, re-exports them
-from repro.env import PASS_ORDER, config_from_env, pipeline_token
+from repro.env import PASS_ORDER, passes_for, pipeline_token
 from repro.errors import BackendError
 from repro.frontend.verify import verify_func
 from repro.obs import metrics as _metrics
@@ -42,8 +46,7 @@ __all__ = [
     "PASS_ORDER",
     "OptPassError",
     "Pipeline",
-    "config_from_env",
-    "pipeline_for",
+    "passes_for",
     "pipeline_token",
 ]
 
@@ -109,12 +112,3 @@ class Pipeline:
         return {
             name: dict(st) for name, st in self.stats.items()
         }
-
-
-def pipeline_for(opt) -> Pipeline | None:
-    """The pipeline to run at optimization level ``opt`` (None when the
-    mid-end is disabled or the level is a comparator mode)."""
-    if getattr(opt, "value", opt) != "full":
-        return None
-    passes = config_from_env()
-    return Pipeline(passes) if passes else None

@@ -13,6 +13,8 @@ from repro.fuzz import (FULL_FEATURES, LEGACY_FEATURES, BranchCoverage,
 from repro.fuzz.grammar import spec_from_dict, spec_to_dict
 from repro.fuzz.runner import divergence_signature
 
+from tests.conftest import requires_cc
+
 #: fixed session seed — every test below is deterministic
 SEED = 20140207
 
@@ -107,6 +109,24 @@ class TestDifferentialRunner:
         assert res.ok and not res.divergent and res.crash is None
         assert [leg.name for leg in res.legs] == ["py/opt0", "py/opt1"]
         assert divergence_signature(res) is None
+
+    @requires_cc
+    def test_c_runs_its_own_pass_set_as_a_third_leg(self, tmp_path,
+                                                    monkeypatch):
+        """C's default (cse alone) is a pass set of its own, so it gets a
+        leg; under REPRO_OMP=1 the default is all six passes again, a leg
+        already run."""
+        spec = random_spec(random.Random(2), FULL_FEATURES)
+        for knob in ("REPRO_OMP", "REPRO_BOUNDS"):
+            monkeypatch.delenv(knob, raising=False)
+        res = DiffRunner(workdir=tmp_path, backends=["c"]).run_spec(spec)
+        assert res.ok
+        assert [leg.name for leg in res.legs] == [
+            "c/opt0", "c/opt1", "c/optdefault"]
+        monkeypatch.setenv("REPRO_OMP", "1")
+        res = DiffRunner(workdir=tmp_path, backends=["c"]).run_spec(spec)
+        assert res.ok
+        assert [leg.name for leg in res.legs] == ["c/opt0", "c/opt1"]
 
     def test_soak_no_false_positives(self, tmp_path):
         """A seeded batch of full-grammar programs runs divergence-free —

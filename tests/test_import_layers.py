@@ -168,29 +168,40 @@ def test_fresh_process_compiles_one_translation_unit(tmp_path):
 # ---------------------------------------------------------------------------
 
 _ALL_PASSES = "inline,fold,licm,cse,dce,bce"
+#: the backend's own pass set: cse alone on C, every pass on py
+_OWN = {"c": "cse", "py": _ALL_PASSES}
 
-#: env -> the (opt_passes, omp, blas, bounds) key material of a FULL C
-#: program at the parent commit
+#: env -> the (opt_passes, omp, blas, bounds) key material of a FULL
+#: program; opt_passes is one token for both backends or one per backend
 _KEYED = [
-    ({}, (_ALL_PASSES, "", "", False)),
+    ({}, (_OWN, "", "", False)),
     ({"REPRO_OPT_PASSES": "fold,dce"}, ("fold,dce", "", "", False)),
     ({"REPRO_OMP": "1"},
      (_ALL_PASSES, "omp:v1:threads=env:fred=off", "", False)),
-    ({"REPRO_OMP_THREADS": "2"}, (_ALL_PASSES, "", "", False)),
+    ({"REPRO_OMP_THREADS": "2"}, (_OWN, "", "", False)),
     ({"REPRO_OMP": "1", "REPRO_OMP_THREADS": "2"},
      (_ALL_PASSES, "omp:v1:threads=2:fred=off", "", False)),
-    ({"REPRO_BLAS": "1"}, (_ALL_PASSES, "", "blas:on", False)),
+    ({"REPRO_BLAS": "1"}, (_OWN, "", "blas:on", False)),
     ({"REPRO_BOUNDS": "1"}, (_ALL_PASSES, "", "", True)),
+    ({"REPRO_OPT_PASSES": "1"}, (_ALL_PASSES, "", "", False)),
 ]
 
 
+def _keyed_id(env: dict) -> str:
+    # the variable names, and the value where two rows set the same one
+    return ",".join(k + ("=1" if v == "1" and k == "REPRO_OPT_PASSES" else "")
+                    for k, v in env.items()) or "default"
+
+
 @pytest.mark.parametrize("env,tokens", _KEYED,
-                         ids=[",".join(e) or "default" for e, _ in _KEYED])
+                         ids=[_keyed_id(e) for e, _ in _KEYED])
 def test_program_key_digest_is_the_parents(env, tokens, backend, monkeypatch):
     """The digest equals the formula spelled out here with literal tokens,
     byte for byte — so a change to the knob readers cannot silently re-key
     the cache.  (``_FORMAT_VERSION`` 4 added ``flags``: a disk entry carries
-    its own ``.so``, so the flag table keys it.)"""
+    its own ``.so``, so the flag table keys it.  Unset ``REPRO_OPT_PASSES``
+    keys C artifacts with ``cse``, its own pass set, except under
+    ``REPRO_OMP=1`` and ``REPRO_BOUNDS=1``.)"""
     for name in ("REPRO_OPT_PASSES", "REPRO_OMP", "REPRO_OMP_THREADS",
                  "REPRO_OMP_REDUCTIONS", "REPRO_BLAS", "REPRO_BOUNDS"):
         monkeypatch.delenv(name, raising=False)
@@ -203,6 +214,8 @@ def test_program_key_digest_is_the_parents(env, tokens, backend, monkeypatch):
                                engine._make_backend(backend), OptLevel.FULL)
 
     opt_passes, omp, blas, bounds = tokens
+    if isinstance(opt_passes, dict):
+        opt_passes = opt_passes[backend]
     roots = [minfo.owner]
     code_cache._shape_classes(recv_shape, roots)
     native = backend == "c"

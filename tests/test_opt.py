@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import jit
+from repro import jit, jit4mpi
 from repro.errors import BackendError, MpiError
 from repro.frontend import ir
 from repro.frontend.shapes import PrimShape
@@ -19,17 +19,20 @@ from repro.opt import (
     PASS_ORDER,
     OptPassError,
     Pipeline,
-    config_from_env,
     cse_func,
     dce_func,
     fold_func,
     licm_func,
+    passes_for,
     pipeline_token,
 )
 
+from tests.conftest import requires_cc
 from tests.guestlib import (
     ControlFlow, FoldEdge, ScaleAddSolver, SwapBuf, SwapReader, Sweeper,
 )
+from tests.test_parallel import _stencil_app
+from tests.test_translate_fingerprint import PROGRAMS
 
 
 # ---------------------------------------------------------------------------
@@ -300,27 +303,48 @@ class TestLicm:
 
 class TestPipelineConfig:
     def test_spellings(self, monkeypatch):
-        for raw in ("", "1", "true", "ALL", "default"):
+        monkeypatch.delenv("REPRO_OMP", raising=False)
+        # unset, empty or "default": the backend's own set
+        for raw in (None, "", " Default "):
+            if raw is None:
+                monkeypatch.delenv("REPRO_OPT_PASSES", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_OPT_PASSES", raw)
+            assert passes_for("c") == ("cse",), raw
+            assert passes_for("py") == PASS_ORDER, raw
+            # bounds checks and OpenMP keep every pass on C
+            assert passes_for("c", bounds_checks=True) == PASS_ORDER, raw
+            monkeypatch.setenv("REPRO_OMP", "1")
+            assert passes_for("c") == PASS_ORDER, raw
+            monkeypatch.delenv("REPRO_OMP")
+        for raw in ("1", "true", "ALL", "on"):
             monkeypatch.setenv("REPRO_OPT_PASSES", raw)
-            assert config_from_env() == PASS_ORDER, raw
+            for backend in ("c", "py"):
+                assert passes_for(backend) == PASS_ORDER, (raw, backend)
         for raw in ("0", "false", "none", "OFF"):
             monkeypatch.setenv("REPRO_OPT_PASSES", raw)
-            assert config_from_env() == (), raw
+            for backend in ("c", "py"):
+                assert passes_for(backend, bounds_checks=True) == (), raw
         monkeypatch.setenv("REPRO_OPT_PASSES", "dce,fold")
-        assert config_from_env() == ("fold", "dce")  # canonical order
+        for backend in ("c", "py"):  # canonical order, on every backend
+            assert passes_for(backend) == ("fold", "dce")
 
     def test_unknown_pass_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_OPT_PASSES", "fold,typo")
         with pytest.raises(ValueError, match="typo"):
-            config_from_env()
+            passes_for("py")
 
     def test_token_only_at_full(self, monkeypatch):
         from repro.backends.base import OptLevel
 
         monkeypatch.setenv("REPRO_OPT_PASSES", "1")
-        assert pipeline_token(OptLevel.FULL) == ",".join(PASS_ORDER)
+        assert pipeline_token(OptLevel.FULL, "c") == ",".join(PASS_ORDER)
+        monkeypatch.delenv("REPRO_OPT_PASSES")
+        monkeypatch.delenv("REPRO_OMP", raising=False)
+        assert pipeline_token(OptLevel.FULL, "c") == "cse"
+        assert pipeline_token(OptLevel.FULL, "c", True) == ",".join(PASS_ORDER)
         for lvl in (OptLevel.VIRTUAL, OptLevel.DEVIRT, OptLevel.NOVIRT):
-            assert pipeline_token(lvl) == ""
+            assert pipeline_token(lvl, "c") == ""
 
     def test_broken_pass_raises_opt_pass_error(self, monkeypatch):
         from repro.opt import pipeline as pl
@@ -360,10 +384,12 @@ class TestPipelineIntegration:
     def test_pass_config_in_cache_key(self, backend, monkeypatch, tmp_path):
         """Toggling REPRO_OPT_PASSES must never reuse a stale artifact."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cc"))
+        for knob in ("REPRO_OMP", "REPRO_BOUNDS"):
+            monkeypatch.delenv(knob, raising=False)
         clear_code_cache()
 
-        def translate():
-            return jit(Sweeper(ScaleAddSolver(0.5), 9), "run", 2,
+        def translate(n=9):
+            return jit(Sweeper(ScaleAddSolver(0.5), n), "run", 2,
                        backend=backend)
 
         monkeypatch.setenv("REPRO_OPT_PASSES", "1")
@@ -378,12 +404,47 @@ class TestPipelineIntegration:
         assert not translate().report.cache_hit  # pipeline off: third key
         assert translate().report.cache_hit
 
-        # unset spells the same full pipeline as "1": same key, warm hit
+        # unset is the backend's own set: every pass on py, the same key as
+        # "1"; cse alone on C, a key of its own whichever is built first
+        own_is_all = backend == "py"
         monkeypatch.delenv("REPRO_OPT_PASSES")
+        assert translate().report.cache_hit == own_is_all
         assert translate().report.cache_hit
+        assert translate(10).report.cache_hit is False
+        monkeypatch.setenv("REPRO_OPT_PASSES", "1")
+        assert translate(10).report.cache_hit == own_is_all
+        assert translate(10).report.cache_hit
         clear_code_cache()
 
-    @pytest.mark.parametrize("passes", ["0", "1"])
+    @requires_cc
+    def test_c_runs_its_own_pass_set(self, monkeypatch):
+        """C runs cse alone by default, and every pass where bounds-check
+        elision or the OpenMP verdicts depend on them."""
+        for knob in ("REPRO_OPT_PASSES", "REPRO_OMP", "REPRO_OMP_THREADS",
+                     "REPRO_OMP_REDUCTIONS", "REPRO_BOUNDS"):
+            monkeypatch.delenv(knob, raising=False)
+
+        def stats():
+            return jit(_stencil_app(), "run", 2, backend="c",
+                       use_cache=False).report.opt_stats
+
+        assert set(stats()["pipeline"]) == {"cse"}
+        monkeypatch.setenv("REPRO_BOUNDS", "1")
+        assert set(stats()["pipeline"]) == set(PASS_ORDER)
+        monkeypatch.delenv("REPRO_BOUNDS")
+        monkeypatch.setenv("REPRO_OMP", "1")
+        got = stats()
+        assert set(got["pipeline"]) == set(PASS_ORDER)
+        # the verdicts the six-pass pipeline gave before C had a set of
+        # its own
+        assert {k: got["parallel"][k] for k in (
+            "loops_seen", "loops_parallel", "loops_guarded", "reductions",
+        )} == {"loops_seen": 12, "loops_parallel": 5, "loops_guarded": 1,
+               "reductions": 0}
+        monkeypatch.setenv("REPRO_OPT_PASSES", "1")
+        assert stats()["parallel"] == got["parallel"]
+
+    @pytest.mark.parametrize("passes", ["0", "1", "cse"])
     def test_off_on_bit_identical(self, backend, monkeypatch, passes):
         monkeypatch.setenv("REPRO_OPT_PASSES", passes)
         sweep = jit(Sweeper(ScaleAddSolver(0.5), 16), "run", 3,
@@ -392,6 +453,31 @@ class TestPipelineIntegration:
         ctrl = jit(ControlFlow(), "collatz_steps", 27,
                    backend=backend, use_cache=False)
         assert ctrl.invoke().value == ControlFlow().collatz_steps(27)
+
+
+@requires_cc
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_c_own_pass_set_matches_every_pass(name, monkeypatch):
+    """C's own pass set (cse alone) returns what the whole pipeline does,
+    bit for bit, on every rank's value and output, for the thirteen
+    fingerprint programs."""
+    for knob in ("REPRO_OMP", "REPRO_BOUNDS"):
+        monkeypatch.delenv(knob, raising=False)
+
+    def run(passes):
+        monkeypatch.setenv("REPRO_OPT_PASSES", passes)
+        receiver, method, args = PROGRAMS[name]()
+        # two ranks' partial sums meet in a fixed order; Fox needs a
+        # square rank count, and four would not, so it runs on one
+        nranks = 2 if "mpi" in name and "fox" not in name else 1
+        res = jit4mpi(receiver, method, *args, backend="c",
+                      use_cache=False).set4mpi(nranks).invoke()
+        # "secs" is a wall-clock reading, not a result
+        outputs = [{label: out.tobytes() for label, out in outs.items()
+                    if label != "secs"} for outs in res.outputs]
+        return np.asarray(res.returns, np.float64).tobytes(), outputs
+
+    assert run("default") == run("1")
 
 
 # ---------------------------------------------------------------------------
