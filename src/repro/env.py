@@ -41,7 +41,7 @@ __all__ = [
     "omp_threads",
     "omp_token",
     "passes_for",
-    "pipeline_token",
+    "pipeline_passes",
 ]
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
@@ -109,11 +109,13 @@ def passes_for(backend: str, bounds_checks: bool = False) -> tuple:
 
     ``REPRO_OPT_PASSES`` unset, empty or ``default`` picks the backend's
     own set: ``cse`` alone on C, every pass on py (it has no optimizer
-    downstream).  C keeps every pass under bounds checks and
-    under ``REPRO_OMP=1``: the check elision and the loop-independence
-    verdicts were built and pinned on the whole pipeline.  ``1``/``all``
-    runs every pass on every backend, ``0``/``none`` none, and a comma list
-    exactly those.
+    downstream).  C keeps every pass under bounds checks, where without
+    ``bce`` and the passes that feed it the checks stay in the loops (the
+    3-D stencil kernel runs 4.9x slower), and under ``REPRO_OMP=1``, where
+    without inlining the stencil's parallel kernel runs 6-11 % slower and
+    ``cc`` takes no less time (EXPERIMENTS.md, "cse alone under bounds
+    checks and OpenMP").  ``1``/``all`` runs every pass on every backend,
+    ``0``/``none`` none, and a comma list exactly those.
 
     Raises :class:`ValueError` for unknown pass names so a typo disables
     nothing silently."""
@@ -137,13 +139,14 @@ def passes_for(backend: str, bounds_checks: bool = False) -> tuple:
     return tuple(p for p in PASS_ORDER if p in names)
 
 
-def pipeline_token(opt, backend: str, bounds_checks: bool = False) -> str:
-    """The cache-key component describing the *effective* mid-end
-    configuration for optimization level ``opt`` on ``backend`` (empty when
-    the pipeline would not run at all)."""
+def pipeline_passes(opt, backend: str, bounds_checks: bool = False) -> tuple:
+    """The passes a build at optimization level ``opt`` on ``backend`` runs:
+    :func:`passes_for` at ``FULL``, none at the comparator levels.  The
+    cache key digests them (its ``opt_passes`` token) and carries them to
+    the build of a miss."""
     if getattr(opt, "value", opt) != "full":
-        return ""
-    return ",".join(passes_for(backend, bounds_checks))
+        return ()
+    return passes_for(backend, bounds_checks)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +193,7 @@ def omp_threads():
 
 def omp_token(opt) -> str:
     """The cache-key component for the parallel configuration (empty when
-    the analysis would not run at all, mirroring ``pipeline_token``)."""
+    the analysis would not run at all, mirroring ``pipeline_passes``)."""
     if getattr(opt, "value", opt) != "full" or not omp_enabled():
         return ""
     t = omp_threads()

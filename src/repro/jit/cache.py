@@ -271,10 +271,12 @@ def _cc_flags(opt) -> str:
 
 @dataclass
 class CacheKey:
-    """A computed program key: the digest plus whether it may hit disk."""
+    """A computed program key: the digest, whether it may hit disk, and the
+    mid-end passes it was digested under (what a miss must run)."""
 
     digest: str
     persistable: bool
+    passes: tuple = ()
 
 
 def program_key(minfo, recv_shape: ObjShape, arg_shapes, *, backend: str,
@@ -287,6 +289,7 @@ def program_key(minfo, recv_shape: ObjShape, arg_shapes, *, backend: str,
     for s in arg_shapes:
         _shape_classes(s, roots)
     guest, persistable = guest_source_digest(roots)
+    passes = _env.pipeline_passes(opt, backend, bounds_checks)
     material = {
         "v": _FORMAT_VERSION,
         "repro": repro.__version__,
@@ -301,7 +304,7 @@ def program_key(minfo, recv_shape: ObjShape, arg_shapes, *, backend: str,
         # the mid-end configuration shapes the emitted artifact, so it MUST
         # key the cache: toggling REPRO_OPT_PASSES can never reuse a stale
         # artifact built under a different pass set
-        "opt_passes": _env.pipeline_token(opt, backend, bounds_checks),
+        "opt_passes": ",".join(passes),
         # likewise the parallel-loop configuration (REPRO_OMP /
         # REPRO_OMP_THREADS change the emitted pragmas) and the BLAS build
         # mode (REPRO_BLAS changes build flags for identical source)
@@ -314,7 +317,7 @@ def program_key(minfo, recv_shape: ObjShape, arg_shapes, *, backend: str,
         "flags": _cc_flags(opt) if backend == "c" else "",
     }
     blob = json.dumps(material, sort_keys=True).encode()
-    return CacheKey(hashlib.sha256(blob).hexdigest(), persistable)
+    return CacheKey(hashlib.sha256(blob).hexdigest(), persistable, passes)
 
 
 # ---------------------------------------------------------------------------

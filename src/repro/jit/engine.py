@@ -233,17 +233,16 @@ def _resolve_minfo(receiver, method: str):
     return minfo
 
 
-def _translate(minfo, snapshot, recv_shape, arg_shapes, *, opt, passes):
+def _translate(minfo, snapshot, recv_shape, arg_shapes, passes):
     """Lower one snapshotted call into a specialized Program (no backend).
 
     Returns ``(program, opt_stats)`` with ``opt_stats`` as a plain dict;
     the service layer owns the timing and the surrounding
-    cache/single-flight protocol.  When ``opt`` is ``OptLevel.FULL`` the
-    mid-end passes named in ``passes`` (the backend's set,
-    ``repro.env.passes_for``; see :mod:`repro.opt`) run over every
-    specialization as it finishes lowering; the comparator modes
-    (VIRTUAL/DEVIRT/NOVIRT) are left untouched so they keep measuring
-    abstraction cost.
+    cache/single-flight protocol.  The mid-end passes named in ``passes``
+    (``repro.env.pipeline_passes``: the backend's set at ``OptLevel.FULL``,
+    none in the comparator modes VIRTUAL/DEVIRT/NOVIRT, which keep measuring
+    abstraction cost; see :mod:`repro.opt`) run over every specialization
+    as it finishes lowering.
     """
     # the compile stack (lowering, rules, IR, the mid-end passes) is first
     # imported here, by the first miss; a cache hit never loads it
@@ -251,7 +250,7 @@ def _translate(minfo, snapshot, recv_shape, arg_shapes, *, opt, passes):
     from repro.jit.specialize import Specializer
     from repro.opt import Pipeline
 
-    pipeline = Pipeline(passes) if passes and opt is OptLevel.FULL else None
+    pipeline = Pipeline(passes) if passes else None
     program = Program(snapshot=snapshot, recv_shape=recv_shape, arg_shapes=arg_shapes)
     with _trace.span("frontend.lower") as sp:
         specializer = Specializer(program, pipeline=pipeline)

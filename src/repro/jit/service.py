@@ -266,17 +266,15 @@ def _served(hit, key, *, opt, t_start: float, deduped: bool = False,
 
 
 def _build(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt, *,
-           snap_s: float) -> "_engine.JitCode":
-    """Translate + backend-compile, uncached (the leader's cold path)."""
+           passes: tuple, snap_s: float) -> "_engine.JitCode":
+    """Translate + backend-compile, uncached (the leader's cold path).
+    ``passes`` are the mid-end passes the request's key was digested
+    under."""
     _bump("compiles")
     t1 = time.perf_counter()
-    # the same reader keys the cache (program_key's opt_passes token)
-    passes = _env.passes_for(backend_obj.name,
-                             getattr(backend_obj, "bounds_checks", False))
     with _span("jit.translate"):
         program, opt_stats = _engine._translate(minfo, snapshot, recv_shape,
-                                                arg_shapes, opt=opt,
-                                                passes=passes)
+                                                arg_shapes, passes)
     translate_s = snap_s + (time.perf_counter() - t1)
 
     t2 = time.perf_counter()
@@ -309,8 +307,10 @@ def _compile_sync(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt,
                   t_start: float) -> "_engine.JitCode":
     """The lock-protected probe / single-flight / store protocol."""
     if not use_cache:
+        passes = _env.pipeline_passes(
+            opt, backend_obj.name, getattr(backend_obj, "bounds_checks", False))
         return _build(minfo, snapshot, recv_shape, arg_shapes, backend_obj,
-                      opt, snap_s=snap_s)
+                      opt, passes=passes, snap_s=snap_s)
 
     p0 = time.perf_counter()
     key = _program_key(minfo, recv_shape, arg_shapes, backend_obj, opt)
@@ -333,7 +333,8 @@ def _compile_sync(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt,
                     hit = _probe(key, snapshot, recv_shape, arg_shapes)[0]
                 if hit is None:
                     code = _build(minfo, snapshot, recv_shape, arg_shapes,
-                                  backend_obj, opt, snap_s=snap_s)
+                                  backend_obj, opt, passes=key.passes,
+                                  snap_s=snap_s)
                     _PHASE_HIST["cached_lookup_s"].observe(probe_s)
                     code.report.cached_lookup_s = probe_s
                     code.report.dedup_hit = deduped

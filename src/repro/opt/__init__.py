@@ -15,7 +15,7 @@ from repro.opt.pipeline import (
     OptPassError,
     Pipeline,
     passes_for,
-    pipeline_token,
+    pipeline_passes,
 )
 
 __all__ = [
@@ -29,5 +29,5 @@ __all__ = [
     "inline_func",
     "licm_func",
     "passes_for",
-    "pipeline_token",
+    "pipeline_passes",
 ]

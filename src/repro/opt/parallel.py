@@ -36,8 +36,8 @@ never assigns, as a loop's invariants are.
 The analysis runs only when ``REPRO_OMP`` is enabled and the level is
 ``OptLevel.FULL``; with ``REPRO_OMP`` off the emitter's output is
 byte-identical to the sequential backend.  The effective configuration
-(:func:`omp_token`) is part of the JIT cache key, mirroring
-``pipeline_token``, so toggling it can never reuse a stale artifact.
+(:func:`omp_token`) is part of the JIT cache key, like the pass set
+(``pipeline_passes``), so toggling it can never reuse a stale artifact.
 """
 
 from __future__ import annotations

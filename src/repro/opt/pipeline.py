@@ -16,7 +16,7 @@ mid-end must not touch them.
 * a comma list (e.g. ``fold,dce``) — exactly those passes, always run
   in canonical order.
 
-The active configuration's :func:`pipeline_token` is part of the JIT
+The passes a build runs (:func:`pipeline_passes`) are part of the JIT
 cache key (see ``repro.jit.cache.program_key``), so toggling the
 variable can never reuse a stale artifact.
 
@@ -33,7 +33,7 @@ import time
 # the REPRO_OPT_PASSES readers key the cache, so they live where a cache
 # hit can reach them without importing a pass (repro.env); this module,
 # which acts on them, re-exports them
-from repro.env import PASS_ORDER, passes_for, pipeline_token
+from repro.env import PASS_ORDER, passes_for, pipeline_passes
 from repro.errors import BackendError
 from repro.frontend.verify import verify_func
 from repro.obs import metrics as _metrics
@@ -47,7 +47,7 @@ __all__ = [
     "OptPassError",
     "Pipeline",
     "passes_for",
-    "pipeline_token",
+    "pipeline_passes",
 ]
 
 _PASS_FNS = {

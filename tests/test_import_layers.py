@@ -240,6 +240,8 @@ def test_program_key_digest_is_the_parents(env, tokens, backend, monkeypatch):
     blob = json.dumps(material, sort_keys=True).encode()
     assert key.digest == hashlib.sha256(blob).hexdigest()
     assert key.persistable
+    # a miss builds with the passes the key was digested under
+    assert ",".join(key.passes) == opt_passes
 
 
 def test_flag_table_keys_the_c_cache(monkeypatch):

@@ -24,7 +24,7 @@ from repro.opt import (
     fold_func,
     licm_func,
     passes_for,
-    pipeline_token,
+    pipeline_passes,
 )
 
 from tests.conftest import requires_cc
@@ -338,13 +338,13 @@ class TestPipelineConfig:
         from repro.backends.base import OptLevel
 
         monkeypatch.setenv("REPRO_OPT_PASSES", "1")
-        assert pipeline_token(OptLevel.FULL, "c") == ",".join(PASS_ORDER)
+        assert pipeline_passes(OptLevel.FULL, "c") == PASS_ORDER
         monkeypatch.delenv("REPRO_OPT_PASSES")
         monkeypatch.delenv("REPRO_OMP", raising=False)
-        assert pipeline_token(OptLevel.FULL, "c") == "cse"
-        assert pipeline_token(OptLevel.FULL, "c", True) == ",".join(PASS_ORDER)
+        assert pipeline_passes(OptLevel.FULL, "c") == ("cse",)
+        assert pipeline_passes(OptLevel.FULL, "c", True) == PASS_ORDER
         for lvl in (OptLevel.VIRTUAL, OptLevel.DEVIRT, OptLevel.NOVIRT):
-            assert pipeline_token(lvl, "c") == ""
+            assert pipeline_passes(lvl, "c") == ()
 
     def test_broken_pass_raises_opt_pass_error(self, monkeypatch):
         from repro.opt import pipeline as pl
@@ -418,8 +418,9 @@ class TestPipelineIntegration:
 
     @requires_cc
     def test_c_runs_its_own_pass_set(self, monkeypatch):
-        """C runs cse alone by default, and every pass where bounds-check
-        elision or the OpenMP verdicts depend on them."""
+        """C runs cse alone by default, and every pass under bounds checks
+        and OpenMP, where cse alone costs kernel time (EXPERIMENTS.md, "cse
+        alone under bounds checks and OpenMP")."""
         for knob in ("REPRO_OPT_PASSES", "REPRO_OMP", "REPRO_OMP_THREADS",
                      "REPRO_OMP_REDUCTIONS", "REPRO_BOUNDS"):
             monkeypatch.delenv(knob, raising=False)
@@ -443,6 +444,13 @@ class TestPipelineIntegration:
                "reductions": 0}
         monkeypatch.setenv("REPRO_OPT_PASSES", "1")
         assert stats()["parallel"] == got["parallel"]
+        # cse alone gives the loops left the same verdicts; the five fewer
+        # are the inliner's copies of the fill and interior-sum loops in run()
+        monkeypatch.setenv("REPRO_OPT_PASSES", "cse")
+        assert {k: stats()["parallel"][k] for k in (
+            "loops_seen", "loops_parallel", "loops_guarded", "reductions",
+        )} == {"loops_seen": 7, "loops_parallel": 3, "loops_guarded": 1,
+               "reductions": 0}
 
     @pytest.mark.parametrize("passes", ["0", "1", "cse"])
     def test_off_on_bit_identical(self, backend, monkeypatch, passes):
