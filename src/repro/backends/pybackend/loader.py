@@ -57,8 +57,14 @@ def _st_checked(arr, idx, value):
 
 
 class _PyCompiled(CompiledProgram):
+    """Emitted Python, exec'd into its own globals.
+
+    ``code`` is the module code object of ``source`` when the caller has it
+    already — a disk hit unmarshals the one the cache entry stored — so only
+    a freshly emitted program pays for CPython's compiler."""
+
     def __init__(self, program: Program, source: str, *,
-                 bounds_checks: bool = False):
+                 bounds_checks: bool = False, code=None):
         self.program = program
         self.source = source
         self.bounds_checks = bounds_checks
@@ -77,7 +83,9 @@ class _PyCompiled(CompiledProgram):
             "__wj_st": _st_checked,
             "__ffi": _ffi_table(),
         }
-        code = compile(source, "<repro-pybackend>", "exec")
+        if code is None:
+            code = compile(source, "<repro-pybackend>", "exec")
+        self.code = code
         exec(code, self._globals)  # noqa: S102 - our own generated code
         self._entry = self._globals["__entry"]
         # the emitted source carries its own slot decisions, so an artifact

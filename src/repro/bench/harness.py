@@ -98,9 +98,11 @@ def save_series(series: Series) -> Path:
 # ---------------------------------------------------------------------------
 
 #: worker executed in a fresh interpreter: JIT the sample stencil program
-#: once and report the JitReport timings as JSON on stdout
+#: once on the backend named by its first argument (default ``c``) and report
+#: the JitReport timings as JSON on stdout
 _PROBE_WORKER = r"""
 import json
+import sys
 from repro import jit
 from repro.jit import service
 from repro.library.stencil import (
@@ -112,12 +114,13 @@ app = StencilCPU3D(
     make_dif3d_solver(), make_grid3d(8, 8, 6), ThreeDIndexer(8, 8, 6),
     SineGen(8, 8, 4, 1), EmptyContext(),
 )
-code = jit(app, "run", 2, backend="c")
+code = jit(app, "run", 2, backend=sys.argv[1] if len(sys.argv) > 1 else "c")
 first_value = float(code.invoke().value)
 r = code.report
 print(json.dumps({
     "cache_hit": r.cache_hit,
     "cache_tier": r.cache_tier,
+    "key_digest": r.key_digest,
     "translate_s": r.translate_s,
     "backend_compile_s": r.backend_compile_s,
     "cached_lookup_s": r.cached_lookup_s,
@@ -129,13 +132,14 @@ print(json.dumps({
 """
 
 
-def compile_probe(cache_dir: str, *,
-                  cc_cache_dir: "str | None" = None) -> dict:
-    """JIT-compile the sample stencil program in a *fresh subprocess* with
-    the disk cache rooted at ``cache_dir``; returns the child's JitReport
-    timings as a dict.  Run twice against the same directory to measure a
-    cold miss then a warm disk hit — the warm run must report
-    ``backend_compile_s == 0`` (it never spawns the external compiler)."""
+def compile_probe(cache_dir: str, *, cc_cache_dir: "str | None" = None,
+                  backend: str = "c") -> dict:
+    """JIT-compile the sample stencil program on ``backend`` in a *fresh
+    subprocess* with the disk cache rooted at ``cache_dir``; returns the
+    child's JitReport timings (and its cache key's ``key_digest``) as a
+    dict.  Run twice against the same directory to measure a cold miss then
+    a warm disk hit — the warm run must report ``backend_compile_s == 0``
+    (it never spawns the external compiler, and on py never compiles)."""
     env = dict(os.environ)
     env["REPRO_CACHE_DIR"] = cache_dir
     if cc_cache_dir is not None:
@@ -143,7 +147,7 @@ def compile_probe(cache_dir: str, *,
     src_root = Path(__file__).resolve().parents[2]
     env["PYTHONPATH"] = f"{src_root}{os.pathsep}{env.get('PYTHONPATH', '')}"
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE_WORKER],
+        [sys.executable, "-c", _PROBE_WORKER, backend],
         capture_output=True, text=True, env=env, timeout=300,
     )
     if proc.returncode != 0:

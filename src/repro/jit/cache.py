@@ -19,7 +19,8 @@ artifact:
 * the backend name, optimization level, bounds-check mode;
 * the C compiler identification and the optimization level's compiler flags
   (for the C backend: an entry carries its own ``.so``), the host architecture,
-  the Python ``major.minor`` and the framework version.
+  the Python ``major.minor`` with its bytecode magic (a py entry carries its
+  own marshalled code object), and the framework version.
 
 This replaces the old ``id(minfo)``-based key, which was neither stable
 across processes nor safe against on-disk source edits.
@@ -56,8 +57,10 @@ Environment:
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import inspect
 import json
+import marshal
 import os
 import platform
 import re
@@ -94,7 +97,15 @@ __all__ = [
 #: in the source; an older py entry has none and must never be hydrated
 #: 4: the key covers the compiler flags (older entries could be served to a
 #: process whose flag table had changed)
-_FORMAT_VERSION = 4
+#: 5: a py entry carries its marshalled module code object (``.pyc``), so a
+#: hit compiles nothing; an older py entry has none and is never hydrated
+_FORMAT_VERSION = 5
+
+#: the interpreter token of the key.  Marshal data written under another
+#: bytecode format can crash the interpreter that loads it, so only the
+#: format that wrote a py entry's ``.pyc`` may read it: the magic keys it
+_PY_TOKEN = (f"{sys.version_info[0]}.{sys.version_info[1]}:"
+             f"{importlib.util.MAGIC_NUMBER.hex()}")
 
 #: entry-return-type name <-> singleton mapping (for disk serialization)
 _RET_BY_NAME = {
@@ -293,7 +304,7 @@ def program_key(minfo, recv_shape: ObjShape, arg_shapes, *, backend: str,
     material = {
         "v": _FORMAT_VERSION,
         "repro": repro.__version__,
-        "py": f"{sys.version_info[0]}.{sys.version_info[1]}",
+        "py": _PY_TOKEN,
         "machine": platform.machine(),
         "guest": guest,
         "method": f"{minfo.owner.qualname}.{minfo.name}",
@@ -359,8 +370,11 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _entry_paths(root: Path, digest: str) -> tuple[Path, Path, Path]:
-    return root / f"{digest}.json", root / f"{digest}.src", root / f"{digest}.so"
+def _entry_paths(root: Path, digest: str) -> tuple[Path, Path, Path, Path]:
+    """``.json`` (the commit marker), ``.src``, ``.so`` (C) and ``.pyc`` (py)
+    of one entry."""
+    return (root / f"{digest}.json", root / f"{digest}.src",
+            root / f"{digest}.so", root / f"{digest}.pyc")
 
 
 def entry_lock(digest: str, root: Optional[Path] = None):
@@ -387,10 +401,11 @@ def _drop_entry(root: Path, digest: str, *, if_free: bool = False,
             return False
     try:
         removed_json = False
-        jpath, spath, opath = _entry_paths(root, digest)
+        paths = _entry_paths(root, digest)
+        jpath = paths[0]
         # json first: readers treat its absence as "no entry", so payload
         # files never vanish under a reader that already committed to them
-        for p in (jpath, spath, opath):
+        for p in paths:
             try:
                 p.unlink()
             except FileNotFoundError:
@@ -410,9 +425,12 @@ def _drop_entry(root: Path, digest: str, *, if_free: bool = False,
             lock.release()
 
 
-def _validate_entry(meta: dict, spath: Path, opath: Path) -> tuple[str, str]:
+def _validate_entry(meta: dict, spath: Path, opath: Path,
+                    cpath: Path) -> tuple[str, Optional[str], Optional[bytes]]:
     """Check one entry's completeness + content hashes; returns
-    ``(source, so_path)`` or raises ValueError/OSError on a torn entry."""
+    ``(source, so_path, pyc)`` — the ``.so`` path of a C entry or the
+    verified ``.pyc`` bytes of a py one, None for the other — or raises
+    ValueError/OSError on a torn entry."""
     if meta.get("v") != _FORMAT_VERSION:
         raise ValueError("format version mismatch")
     if "kind" not in meta or "sha_src" not in meta:
@@ -429,7 +447,16 @@ def _validate_entry(meta: dict, spath: Path, opath: Path) -> tuple[str, str]:
             raise ValueError("torn entry: shared object missing")
         if _sha256_file(opath) != meta["sha_so"]:
             raise ValueError("shared-object hash mismatch")
-    return source, str(opath)
+        return source, str(opath), None
+    if "sha_pyc" not in meta:
+        raise ValueError("incomplete metadata: sha_pyc missing")
+    # a missing .pyc raises FileNotFoundError: torn, like a missing .so.
+    # Damaged marshal data can crash the interpreter, so nothing loads it
+    # before its hash matched
+    pyc = cpath.read_bytes()
+    if hashlib.sha256(pyc).hexdigest() != meta["sha_pyc"]:
+        raise ValueError("bytecode hash mismatch")
+    return source, None, pyc
 
 
 def _record_hit(jpath: Path) -> None:
@@ -445,17 +472,17 @@ def _record_hit(jpath: Path) -> None:
 
 
 def _disk_get(digest: str) -> Optional[dict]:
-    """Load and verify one disk entry; returns meta dict (with ``source``
-    and ``so_path`` attached) or None.  Corrupted/torn entries are dropped
-    (unless a concurrent writer holds the entry lock — then it is simply
-    being replaced and the miss is momentary)."""
+    """Load and verify one disk entry; returns meta dict (with ``source``,
+    ``so_path`` and ``pyc`` attached) or None.  Corrupted/torn entries are
+    dropped (unless a concurrent writer holds the entry lock — then it is
+    simply being replaced and the miss is momentary)."""
     root = cache_dir()
-    jpath, spath, opath = _entry_paths(root, digest)
+    jpath, spath, opath, cpath = _entry_paths(root, digest)
     if not jpath.exists():
         return None
     try:
         meta = json.loads(jpath.read_text())
-        source, so_path = _validate_entry(meta, spath, opath)
+        source, so_path, pyc = _validate_entry(meta, spath, opath, cpath)
     except (OSError, ValueError, KeyError, json.JSONDecodeError):
         if _drop_entry(root, digest, if_free=True):
             with _TIER_LOCK:
@@ -464,23 +491,25 @@ def _disk_get(digest: str) -> Optional[dict]:
     _record_hit(jpath)
     meta["source"] = source
     meta["so_path"] = so_path
+    meta["pyc"] = pyc
     return meta
 
 
 def _disk_put(digest: str, meta: dict, source: str,
-              so_path: Optional[str]) -> None:
+              so_path: Optional[str], pyc: Optional[bytes]) -> None:
     """Write one entry; best-effort (never fails compilation).
 
     Write order is the commit protocol: payloads first (``.src``, then the
-    ``.so`` copy), the ``.json`` metadata **last** — its appearance is the
-    single commit point, so a crash mid-write leaves only sweepable
-    ``*.tmp`` orphans or payloads without a marker, never a marker naming
-    payloads that are missing or stale.  Each file individually goes
-    through a ``.tmp<pid>`` sibling + ``os.replace``."""
+    ``.so`` copy of a C entry or the ``.pyc`` bytes of a py one), the
+    ``.json`` metadata **last** — its appearance is the single commit point,
+    so a crash mid-write leaves only sweepable ``*.tmp`` orphans or payloads
+    without a marker, never a marker naming payloads that are missing or
+    stale.  Each file individually goes through a ``.tmp<pid>`` sibling +
+    ``os.replace``."""
     try:
         root = cache_dir()
         root.mkdir(parents=True, exist_ok=True)
-        jpath, spath, opath = _entry_paths(root, digest)
+        jpath, spath, opath, cpath = _entry_paths(root, digest)
         prev_compiles = 0
         try:  # carry the per-entry compile count across rebuilds
             prev_compiles = int(json.loads(jpath.read_text())
@@ -501,6 +530,9 @@ def _disk_put(digest: str, meta: dict, source: str,
             shutil.copyfile(so_path, tmp)
             os.replace(tmp, opath)
             meta["sha_so"] = _sha256_file(opath)
+        if pyc is not None:
+            _atomic_write_bytes(cpath, pyc)
+            meta["sha_pyc"] = hashlib.sha256(pyc).hexdigest()
         # the json is written last: its presence marks a complete entry
         _atomic_write_bytes(jpath, json.dumps(meta, sort_keys=True).encode())
     except OSError:
@@ -548,6 +580,7 @@ def _program_from_meta(meta: dict, snapshot, recv_shape, arg_shapes) -> Program:
 
 def _hydrate(meta: dict, snapshot, recv_shape, arg_shapes):
     """Rebuild (program, compiled) from a verified disk entry."""
+    pyc = meta.pop("pyc")  # loaded below, not kept in the memory tier
     program = _program_from_meta(meta, snapshot, recv_shape, arg_shapes)
     if meta["kind"] == "c":
         from repro.backends.cbackend.bridge import CCompiled, EmitResult
@@ -564,7 +597,9 @@ def _hydrate(meta: dict, snapshot, recv_shape, arg_shapes):
     else:
         from repro.backends.pybackend.loader import _PyCompiled
 
-        compiled = _PyCompiled(program, meta["source"])
+        compiled = _PyCompiled(program, meta["source"],
+                               bounds_checks=meta["bounds_checks"],
+                               code=marshal.loads(pyc))
     return program, compiled
 
 
@@ -614,14 +649,15 @@ def store(key: CacheKey, program: Program, compiled, report) -> None:
         _COUNTERS["stores"] += 1
     if key.persistable and disk_enabled():
         so_path = getattr(compiled, "so_path", None)
-        _disk_put(key.digest, meta, compiled.source, so_path)
+        pyc = marshal.dumps(compiled.code) if meta["kind"] == "py" else None
+        _disk_put(key.digest, meta, compiled.source, so_path, pyc)
 
 
 # ---------------------------------------------------------------------------
 # maintenance
 # ---------------------------------------------------------------------------
 
-_ENTRY_FILE_RE = re.compile(r"^[0-9a-f]{32,}\.(json|src|so)$")
+_ENTRY_FILE_RE = re.compile(r"^[0-9a-f]{32,}\.(json|src|so|pyc)$")
 _LOCK_FILE_RE = re.compile(r"^[0-9a-f]{32,}\.lock$")
 
 #: age past which an orphaned ``*.tmp<pid>`` file is a crashed writer's

@@ -2,26 +2,33 @@
 
 Covers: tier attribution in ``JitReport`` (memory vs disk hits), cold-miss
 -> warm-hit across *separate subprocesses*, invalidation when the guest
-source changes on disk, and corrupted-entry detection/recovery.
+source changes on disk, corrupted-entry detection/recovery, and the py
+entry's bytecode payload (a py disk hit loads it and compiles nothing).
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro import jit
+from repro import jit, jit4mpi
+from repro.backends.pybackend import loader as py_loader
+from repro.errors import GuestRuntimeError, MpiError
 from repro.jit import cache as code_cache
 from repro.jit.engine import clear_code_cache
 
 from tests.conftest import requires_cc
 from tests.guestlib import ScaleAddSolver, Sweeper
+from tests.guestlib_bounds import OffByOne
+from tests.test_translate_fingerprint import PROGRAMS
 
 SRC_ROOT = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -143,12 +150,14 @@ def test_hit_accounting_cannot_clobber_a_rebuild(cache_dir, monkeypatch):
     validate = code_cache._validate_entry
     torn_before = code_cache.stats()["torn_dropped"]
 
-    def validate_then_lose_the_race(meta, spath, opath):
-        source, so_path = validate(meta, spath, opath)
+    def validate_then_lose_the_race(meta, spath, opath, cpath):
+        source, so_path, pyc = validate(meta, spath, opath, cpath)
         monkeypatch.setattr(code_cache, "_validate_entry", validate)
-        code_cache._disk_put(cold.report.key_digest, meta,
-                             source + "\n# rebuilt\n", None)
-        return source, so_path
+        rebuilt = source + "\n# rebuilt\n"
+        code_cache._disk_put(
+            cold.report.key_digest, meta, rebuilt, None,
+            marshal.dumps(compile(rebuilt, "<repro-pybackend>", "exec")))
+        return source, so_path, pyc
 
     monkeypatch.setattr(code_cache, "_validate_entry",
                         validate_then_lose_the_race)
@@ -161,6 +170,133 @@ def test_hit_accounting_cannot_clobber_a_rebuild(cache_dir, monkeypatch):
     assert code_cache.stats()["torn_dropped"] == torn_before
     assert after.source.endswith("# rebuilt\n")
     assert after.invoke().value == cold.invoke().value
+
+
+class TestPyBytecode:
+    """A py entry stores its module code object beside its source
+    (``<digest>.pyc``, marshalled, its sha-256 in the metadata): a disk hit
+    loads it instead of running CPython's compiler on the source."""
+
+    @staticmethod
+    def _jit():
+        return jit(Sweeper(ScaleAddSolver(0.5), 19), "run", 2, backend="py")
+
+    def test_disk_hit_compiles_nothing(self, cache_dir, monkeypatch):
+        cold = self._jit()
+        code_cache.clear_memory()
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("a py disk hit called compile()")
+
+        monkeypatch.setattr(py_loader, "compile", no_compile, raising=False)
+        disk = self._jit()
+        assert disk.report.cache_tier == "disk"
+        assert disk.compiled.code == cold.compiled.code
+        assert disk.invoke().value == cold.invoke().value
+
+    @pytest.mark.parametrize("damage", ["truncated", "deleted", "flipped"])
+    def test_damaged_bytecode_is_dropped_never_run(self, cache_dir,
+                                                   monkeypatch, damage):
+        cold = self._jit()
+        (pyc,) = cache_dir.glob("*.pyc")
+        blob = pyc.read_bytes()
+        if damage == "truncated":
+            pyc.write_bytes(blob[: len(blob) // 2])
+        elif damage == "deleted":
+            pyc.unlink()
+        else:
+            mid = len(blob) // 2
+            pyc.write_bytes(blob[:mid] + bytes([blob[mid] ^ 0x01])
+                            + blob[mid + 1:])
+        # only code compiled from source in this process may be exec'd
+        compiled = []
+
+        def compile_(*args, **kwargs):
+            compiled.append(compile(*args, **kwargs))
+            return compiled[-1]
+
+        def exec_(code, namespace):
+            assert any(code is c for c in compiled), "damaged bytecode ran"
+            exec(code, namespace)  # noqa: S102 - the guest's own program
+
+        torn = code_cache.stats()["torn_dropped"]
+        code_cache.clear_memory()
+        with monkeypatch.context() as patch:
+            patch.setattr(py_loader, "compile", compile_, raising=False)
+            patch.setattr(py_loader, "exec", exec_, raising=False)
+            again = self._jit()
+        assert not again.report.cache_hit
+        assert code_cache.stats()["torn_dropped"] == torn + 1
+        assert len(compiled) == 1
+        assert again.invoke().value == cold.invoke().value
+        # the recompile stored a whole entry again
+        code_cache.clear_memory()
+        assert self._jit().report.cache_tier == "disk"
+
+    def test_footprint_eviction_and_clear_cover_the_bytecode(self, cache_dir):
+        digest = self._jit().report.key_digest
+        sizes = {p.suffix: p.stat().st_size
+                 for p in cache_dir.glob(f"{digest}.*") if p.suffix != ".lock"}
+        assert set(sizes) == {".json", ".src", ".pyc"}
+        assert code_cache.stats()["disk_bytes"] == sum(sizes.values())
+        report = code_cache.evict(cap_bytes=1)
+        assert report["evicted"] == 1
+        assert report["bytes_freed"] == sum(sizes.values())
+        assert list(cache_dir.iterdir()) == []
+
+        code_cache.clear_memory()
+        assert not self._jit().report.cache_hit
+        assert any(cache_dir.glob("*.pyc"))
+        assert code_cache.clear() == 1
+        assert list(cache_dir.iterdir()) == []
+
+    def test_bounds_checks_survive_a_disk_hit(self, cache_dir, monkeypatch):
+        monkeypatch.setenv("REPRO_BOUNDS", "1")
+        a = np.arange(4.0)
+        cold = jit(OffByOne(), "run", a, backend="py")
+        assert cold.compiled.bounds_checks is True
+        code_cache.clear_memory()
+        disk = jit(OffByOne(), "run", a, backend="py")
+        assert disk.report.cache_tier == "disk"
+        assert disk.compiled.bounds_checks is True
+        # the rank's GuestRuntimeError, raised by the checked load
+        with pytest.raises(MpiError) as failed:
+            disk.invoke()
+        assert isinstance(failed.value.__cause__, GuestRuntimeError)
+        assert "out-of-bounds" in str(failed.value.__cause__)
+
+
+#: the ledger-size stencils: CPython would take minutes to run them, so
+#: their disk hit is held to the cold build's code object alone
+_TOO_SLOW_TO_RUN = {"diffusion-cpu", "diffusion-cpu-mpi-2"}
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_py_disk_hit_matches_the_cold_build_bit_for_bit(name, cache_dir):
+    """The fingerprint programs on py (``nbody-48`` is the ledger's
+    ``nbody-48-py``): the unmarshalled code object is the one the cold
+    build compiled, and it returns every rank's value and output bit for
+    bit."""
+    def build():
+        receiver, method, args = PROGRAMS[name]()
+        nranks = 2 if "mpi" in name and "fox" not in name else 1
+        return jit4mpi(receiver, method, *args,
+                       backend="py").set4mpi(nranks)
+
+    def run(code):
+        res = code.invoke()
+        # "secs" is a wall-clock reading, not a result
+        outputs = [{label: out.tobytes() for label, out in outs.items()
+                    if label != "secs"} for outs in res.outputs]
+        return np.asarray(res.returns, np.float64).tobytes(), outputs
+
+    cold = build()
+    code_cache.clear_memory()
+    disk = build()
+    assert disk.report.cache_tier == "disk"
+    assert disk.compiled.code == cold.compiled.code
+    if name not in _TOO_SLOW_TO_RUN:
+        assert run(disk) == run(cold)
 
 
 GUEST_MODULE = """

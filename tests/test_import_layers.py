@@ -15,6 +15,7 @@ not re-key anyone's cache.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -201,7 +202,9 @@ def test_program_key_digest_is_the_parents(env, tokens, backend, monkeypatch):
     the cache.  (``_FORMAT_VERSION`` 4 added ``flags``: a disk entry carries
     its own ``.so``, so the flag table keys it.  Unset ``REPRO_OPT_PASSES``
     keys C artifacts with ``cse``, its own pass set, except under
-    ``REPRO_OMP=1`` and ``REPRO_BOUNDS=1``.)"""
+    ``REPRO_OMP=1`` and ``REPRO_BOUNDS=1``.  Version 5's py entry carries
+    marshalled bytecode, which another bytecode format could crash on, so
+    ``py`` names the interpreter's magic number too.)"""
     for name in ("REPRO_OPT_PASSES", "REPRO_OMP", "REPRO_OMP_THREADS",
                  "REPRO_OMP_REDUCTIONS", "REPRO_BLAS", "REPRO_BOUNDS"):
         monkeypatch.delenv(name, raising=False)
@@ -220,9 +223,10 @@ def test_program_key_digest_is_the_parents(env, tokens, backend, monkeypatch):
     code_cache._shape_classes(recv_shape, roots)
     native = backend == "c"
     material = {
-        "v": 4,
+        "v": 5,
         "repro": repro.__version__,
-        "py": f"{sys.version_info[0]}.{sys.version_info[1]}",
+        "py": f"{sys.version_info[0]}.{sys.version_info[1]}:"
+              f"{importlib.util.MAGIC_NUMBER.hex()}",
         "machine": platform.machine(),
         "guest": code_cache.guest_source_digest(roots)[0],
         "method": f"{minfo.owner.qualname}.solve",
