@@ -7,8 +7,8 @@ the *shape* the paper reports (who wins, roughly by how much).  Absolute
 numbers are machine-dependent; the shape assertions use generous margins so
 they hold on slow/noisy CI hosts.
 
-Set ``REPRO_PAPER_SIZES=1`` for the paper's problem sizes (slow) and
-``REPRO_BENCH_REPEATS`` to control min-of-N repetition.
+Set ``REPRO_PAPER_SIZES=1`` for the paper's problem sizes (slow).  Every
+point is the minimum of three repetitions (``repro.bench.figures``).
 """
 
 from __future__ import annotations

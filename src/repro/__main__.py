@@ -3,13 +3,12 @@
     python -m repro info                       # environment & calibration
     python -m repro list                       # available experiments
     python -m repro run fig04 [fig17 ...]      # regenerate experiments
-    python -m repro report [PATH]              # rewrite EXPERIMENTS.md
+    python -m repro report [PATH]              # regenerate EXPERIMENTS.md's
+                                               # figures (keeps hand sections)
     python -m repro translate-demo             # show a sample translation
     python -m repro cache stats                # persistent code-cache state
     python -m repro cache clear                # drop both cache tiers
     python -m repro cache evict                # enforce the LRU byte cap
-    python -m repro cache warm MANIFEST        # precompile a deployment's
-                                               # hot keys (compile farm)
     python -m repro jit stats [--json]         # JIT service counters/config
     python -m repro opt report [--json]        # mid-end pass before/after
     python -m repro trace summarize [FILE]     # per-phase span breakdown
@@ -83,7 +82,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Regenerate EXPERIMENTS.md (all experiments)."""
+    """Regenerate EXPERIMENTS.md's figures; its hand-recorded sections
+    are kept."""
     from repro.bench.report import main as report_main
 
     report_main(args.path)
@@ -110,7 +110,7 @@ def cmd_translate_demo(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    """Inspect, clear, evict, or warm the persistent translated-code cache."""
+    """Inspect, clear, or evict the persistent translated-code cache."""
     import json
     import os
 
@@ -143,27 +143,6 @@ def cmd_cache(args) -> int:
         print(f"remaining      : {report['entries']} entries, "
               f"{report['bytes'] / 1024:.1f} KiB")
         return 0
-
-    if args.action == "warm":
-        from repro.jit import warmup
-
-        if not args.manifest:
-            print("cache warm requires a manifest path", file=sys.stderr)
-            return 2
-        try:
-            report = warmup.warm(args.manifest,
-                                 progress=None if args.json else print)
-        except warmup.ManifestError as exc:
-            print(f"bad manifest: {exc}", file=sys.stderr)
-            return 2
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(f"warmed {report['entries']} entries: "
-                  f"{report['compiled']} compiled, {report['hits']} already "
-                  f"hot, {len(report['errors'])} errors "
-                  f"({report['elapsed_s']:.2f} s)")
-        return 1 if report["errors"] else 0
 
     st = code_cache.stats()
     if args.json:
@@ -442,10 +421,7 @@ def main(argv=None) -> int:
     p_demo.set_defaults(fn=cmd_translate_demo)
 
     p_cache = sub.add_parser("cache", help="persistent code-cache maintenance")
-    p_cache.add_argument("action", choices=["stats", "clear", "evict", "warm"])
-    p_cache.add_argument("manifest", nargs="?", default=None,
-                         help="warm: manifest JSON of hot programs to "
-                              "precompile (docs/COMPILE_FARM.md)")
+    p_cache.add_argument("action", choices=["stats", "clear", "evict"])
     p_cache.add_argument("--dir", default=None,
                          help="cache directory (default: REPRO_CACHE_DIR or "
                               "~/.cache/repro-wootinj)")

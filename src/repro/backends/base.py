@@ -63,10 +63,6 @@ class OptLevel(enum.Enum):
     def fold_constants(self) -> bool:
         return self in (OptLevel.NOVIRT, OptLevel.FULL)
 
-    @property
-    def inline_objects(self) -> bool:
-        return self is OptLevel.FULL
-
 
 class CompiledProgram:
     """A translated program ready to run on one rank.

@@ -17,12 +17,6 @@ from __future__ import annotations
 import os
 import tempfile
 
-
-def _repeats() -> int:
-    """Min-of-N repeats per measured point (noise on a shared host inflates
-    the max-over-ranks statistic; min is the standard robust estimator)."""
-    return int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
-
 from repro.backends.cbackend.build import FLAG_SETS, cc_version
 from repro.baselines.comparators import (
     diffusion_scaling,
@@ -42,12 +36,16 @@ __all__ = [
 _CPU_VARIANTS = ["c-ref", "cpp", "template", "template-novirt", "wootinj"]
 _GPU_VARIANTS = ["c-ref", "template", "wootinj"]
 
+#: min-of-N repeats per measured point (noise on a shared host inflates
+#: the max-over-ranks statistic; min is the standard robust estimator)
+_REPEATS = 3
+
 
 def _single_series(exp_id: str, title: str, variants, runner) -> Series:
     s = Series(exp_id, title, ["variant", "seconds", "per_unit_ns", "vs_c"])
 
     def best(v):
-        n = 1 if v == "java" else _repeats()
+        n = 1 if v == "java" else _REPEATS
         rows = []
         for i in range(n):
             with iteration_span(exp_id, v, i):
@@ -140,7 +138,7 @@ def _scaling_series(exp_id, title, variants, ranks, runner, *, weak: bool) -> Se
         times = {}
         for v in variants:
             samples = []
-            for i in range(_repeats()):
+            for i in range(_REPEATS):
                 with iteration_span(exp_id, v, i, ranks=p):
                     samples.append(runner(v, p).seconds)
             times[v] = min(samples)
@@ -293,7 +291,7 @@ def fig12(w: Workloads | None = None) -> Series:
 def _guest_scaling_series(exp_id, title, points) -> Series:
     """Problem-size scaling of one guest workload: interpreted vs the py
     and C backends.  ``points`` is ``[(size_label, make, method, args)]``;
-    each backend point is min-of-:func:`_repeats` invokes of one cold
+    each backend point is min-of-``_REPEATS`` invokes of one cold
     translation, the interpreted point runs once (it dominates the bench
     budget already)."""
     import time as _time
@@ -315,7 +313,7 @@ def _guest_scaling_series(exp_id, title, points) -> Series:
             code = jit(make(), method, *args, backend=backend,
                        use_cache=False)
             samples = []
-            for i in range(_repeats()):
+            for i in range(_REPEATS):
                 with iteration_span(exp_id, backend, i, size=size):
                     t0 = _time.perf_counter()
                     code.invoke()

@@ -2,12 +2,17 @@
 measured, with the reproduction verdict per table/figure.
 
 Usage:  python -m repro.bench.report [output-path]
+
+Only the generated prefix is rewritten: every section from the first one
+headed "(recorded by hand ...)" on is kept byte for byte.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from datetime import date
+from pathlib import Path
 
 from repro.backends.cbackend.build import cc_version
 from repro.bench import figures
@@ -70,8 +75,25 @@ VERDICTS = {
 }
 
 
+#: the heading of a section recorded by hand; it and every section after it
+#: are not regenerated
+_HAND_RECORDED = re.compile(rb"^## .*\(recorded by hand\b", re.M)
+
+
+def _hand_recorded_tail(out_path) -> bytes:
+    """The existing report from its first hand-recorded heading on, or
+    ``b""`` when there is no report or no such heading."""
+    try:
+        old = Path(out_path).read_bytes()
+    except FileNotFoundError:
+        return b""
+    m = _HAND_RECORDED.search(old)
+    return old[m.start():] if m else b""
+
+
 def main(out_path: str = "EXPERIMENTS.md") -> None:
-    """Run every experiment and write the paper-vs-measured report."""
+    """Run every experiment and rewrite the generated part of the
+    paper-vs-measured report, keeping its hand-recorded sections."""
     w = current()
     parts = [
         HEADER.format(
@@ -96,8 +118,8 @@ def main(out_path: str = "EXPERIMENTS.md") -> None:
         if verdict:
             parts.append(f"\n**Verdict.** {verdict}\n")
     text = "\n".join(parts) + "\n"
-    with open(out_path, "w") as fh:
-        fh.write(text)
+    tail = _hand_recorded_tail(out_path)
+    Path(out_path).write_bytes(text.encode() + tail)
     print(f"wrote {out_path}")
 
 

@@ -69,8 +69,8 @@ def env_float(name: str, default: float) -> float:
 
     Same contract as :func:`env_flag`: unset, empty, or unparsable values
     yield ``default`` instead of raising — a typo in a tuning knob
-    (``REPRO_DISK_CACHE_MAX_MB``, ``REPRO_FARM_LOCK_TIMEOUT_S``) must not
-    crash a worker at import time."""
+    (``REPRO_DISK_CACHE_MAX_MB``) must not crash a worker at import
+    time."""
     raw = os.environ.get(name)
     if raw is None or not raw.strip():
         return default

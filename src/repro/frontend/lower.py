@@ -39,17 +39,7 @@ from repro.lang import types as _t
 from repro.lang.annotations import ForeignFunction, is_global_kernel
 from repro.lang.intrinsics import intrinsic_registry
 
-__all__ = ["lower_method", "SpecializeRequest"]
-
-
-class SpecializeRequest:
-    """What lowering hands back to the JIT engine when it meets a call."""
-
-    def __init__(self, minfo, self_shape, arg_shapes, device):
-        self.minfo = minfo
-        self.self_shape = self_shape
-        self.arg_shapes = arg_shapes
-        self.device = device
+__all__ = ["lower_method"]
 
 
 class _Env:

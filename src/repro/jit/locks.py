@@ -6,24 +6,19 @@ fleet of worker *processes* needs the same guarantee, and the only state
 they share is the disk-cache directory — so the farm's mutual exclusion
 lives there too, as one ``<digest>.lock`` file per cache key.
 
-:class:`FileLock` wraps the two portable strategies:
+:class:`FileLock` takes ``fcntl.flock(LOCK_EX)`` on the lock file.  The
+kernel releases the lock when the holder dies, so a crashed compiler can
+never wedge the farm; there is no staleness protocol to get wrong.  POSIX
+is not an extra requirement: ``import repro`` already registers a fork
+handler with ``os.register_at_fork`` (:mod:`repro.mpi.launcher`).
 
-* **flock** (POSIX) — ``fcntl.flock(LOCK_EX)`` on the lock file.  The
-  kernel releases the lock when the holder dies, so a crashed compiler
-  can never wedge the farm; there is no staleness protocol to get wrong.
-* **O_EXCL spin** (fallback when :mod:`fcntl` is unavailable) — create
-  the lock file with ``O_CREAT | O_EXCL``, write the holder pid, and
-  treat locks older than ``stale_after`` seconds (or whose holder pid is
-  dead) as abandoned.
-
-Both strategies acquire by *polling* with a short sleep rather than
-blocking in the kernel: the caller gets a measurable ``waited_s`` (fed to
-the ``jit.farm_*`` metrics), a timeout (the farm degrades to a duplicate
-compile rather than hanging a worker forever), and identical semantics on
-either backend.  The poll interval backs off exponentially with jitter
-(1 ms doubling to a 100 ms cap), so N waiters parked on one long compile
-neither hammer the filesystem in lockstep nor wake in a thundering herd
-when the leader releases.
+The lock is acquired by *polling* with a short sleep rather than blocking
+in the kernel: the caller gets a measurable ``waited_s`` (fed to the
+``jit.farm_*`` metrics) and a timeout (the farm degrades to a duplicate
+compile rather than hanging a worker forever).  The poll interval backs
+off exponentially with jitter (1 ms doubling to a 100 ms cap), so N
+waiters parked on one long compile neither hammer the filesystem in
+lockstep nor wake in a thundering herd when the leader releases.
 
 Lock files are tiny, live next to the entries they guard, and are cleaned
 up by ``cache.clear()``; an unlinked-but-held flock keeps protecting its
@@ -32,17 +27,12 @@ holder (the kernel tracks the inode, not the name).
 
 from __future__ import annotations
 
-import errno
+import fcntl
 import os
 import random
 import time
 from pathlib import Path
 from typing import Optional
-
-try:  # POSIX; absent on some platforms -> O_EXCL fallback
-    import fcntl as _fcntl
-except ImportError:  # pragma: no cover - non-POSIX hosts only
-    _fcntl = None
 
 __all__ = ["FileLock"]
 
@@ -51,16 +41,6 @@ _POLL_MIN_S = 0.001
 
 #: retry-delay ceiling — waiters on a multi-second compile settle here
 _POLL_MAX_S = 0.1
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (OSError, PermissionError):
-        return True
-    return True
 
 
 class FileLock:
@@ -76,30 +56,28 @@ class FileLock:
                 lock.release()
         # lock.waited_s — seconds spent polling before acquisition
 
-    ``acquire`` returns False on timeout (never raises); ``release`` is
-    idempotent.  Also usable as a context manager (raises ``TimeoutError``
-    there, where a silent miss would skip the guarded block).
+    ``acquire`` returns False on timeout or when the lock file cannot be
+    opened (never raises); ``release`` is idempotent.  Also usable as a
+    context manager (raises ``TimeoutError`` there, where a silent miss
+    would skip the guarded block).
     """
 
-    def __init__(self, path, *, stale_after: float = 600.0):
+    def __init__(self, path):
         self.path = Path(path)
-        self.stale_after = stale_after
         self.waited_s = 0.0
         self.contended = False  # another process held the lock first
         self._fd: Optional[int] = None
-        self._owned_excl = False  # O_EXCL mode: we created the file
 
     @property
     def held(self) -> bool:
         """Whether this instance currently holds the lock."""
         return self._fd is not None
 
-    # -- flock strategy ----------------------------------------------------
-
-    def _try_flock(self) -> bool:
+    def _try_once(self) -> bool:
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o644)
         try:
-            _fcntl.flock(fd, _fcntl.LOCK_EX | _fcntl.LOCK_NB)
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError:
             os.close(fd)
             return False
@@ -121,72 +99,12 @@ class FileLock:
             os.close(fd)
             return False
         self._fd = fd
-        try:  # holder pid is advisory (diagnostics only under flock)
+        try:  # holder pid is advisory (diagnostics only)
             os.ftruncate(fd, 0)
             os.write(fd, str(os.getpid()).encode())
         except OSError:
             pass
         return True
-
-    # -- O_EXCL fallback strategy ------------------------------------------
-
-    def _read_lock_info(self) -> Optional[tuple[int, int]]:
-        """``(holder pid, mtime_ns)`` of the lock file, or None when it is
-        missing or unreadable.  The pair identifies one specific lock
-        incarnation: any re-creation changes at least the mtime."""
-        try:
-            st = self.path.stat()
-            pid = int(self.path.read_text() or "0")
-        except (OSError, ValueError):
-            return None
-        return pid, st.st_mtime_ns
-
-    def _break_stale_excl(self) -> None:
-        """Remove an abandoned O_EXCL lock (dead holder or too old)."""
-        info = self._read_lock_info()
-        if info is None:
-            return
-        pid, mtime_ns = info
-        dead = pid > 0 and not _pid_alive(pid)
-        expired = (time.time() - mtime_ns / 1e9) > self.stale_after
-        if not (dead or expired):
-            return
-        # TOCTOU guard: between the staleness judgment above and the
-        # unlink below, another waiter may already have broken this lock
-        # and a third process re-created a *fresh* one at the same path —
-        # unlinking then would destroy a live lock.  Re-read immediately
-        # before unlinking and only remove the exact (pid, mtime)
-        # incarnation we judged stale.
-        if self._read_lock_info() != info:
-            return
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
-
-    def _try_excl(self) -> bool:
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-                         0o644)
-        except FileExistsError:
-            self._break_stale_excl()
-            return False
-        except OSError as exc:  # pragma: no cover - exotic filesystems
-            if exc.errno == errno.EEXIST:
-                return False
-            raise
-        os.write(fd, str(os.getpid()).encode())
-        self._fd = fd
-        self._owned_excl = True
-        return True
-
-    # -- public API --------------------------------------------------------
-
-    def _try_once(self) -> bool:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if _fcntl is not None:
-            return self._try_flock()
-        return self._try_excl()
 
     def acquire(self, timeout: Optional[float] = None) -> bool:
         """Poll until the lock is held or ``timeout`` elapses.
@@ -230,12 +148,6 @@ class FileLock:
         fd, self._fd = self._fd, None
         if fd is None:
             return
-        if self._owned_excl:
-            self._owned_excl = False
-            try:
-                self.path.unlink()
-            except OSError:
-                pass
         try:
             os.close(fd)  # closes => flock released
         except OSError:

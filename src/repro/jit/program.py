@@ -30,12 +30,6 @@ class Program:
     uses_mpi: bool = False
     uses_gpu: bool = False
 
-    def device_specs(self):
-        return [s for s in self.specializations if s.device]
-
-    def host_specs(self):
-        return [s for s in self.specializations if not s.device]
-
     def rebind(self, snapshot: Snapshot, recv_shape, arg_shapes) -> "Program":
         """A copy bound to a freshly-captured snapshot (cache-hit path):
         the translated code is shared, but array slots index into the new

@@ -40,9 +40,8 @@ module is the layer in front of ``engine._compile`` that fixes both:
   fields (``dedup_hit``, ``inflight_wait_s``, ``farm_dedup``,
   ``farm_wait_s``) stay on ``JitReport``.
 
-Environment: ``REPRO_FARM_LOCK_TIMEOUT_S`` — max seconds a worker blocks
-on another process's compile before giving up and compiling itself
-(default 600).
+A worker blocks at most ``_FARM_LOCK_TIMEOUT_S`` (600 s) on another
+process's compile before it gives up and compiles the key itself.
 
 See docs/JIT_SERVICE.md and docs/COMPILE_FARM.md for the full protocol.
 """
@@ -64,7 +63,6 @@ from repro.obs.trace import span as _span
 
 __all__ = [
     "compile_program",
-    "farm_lock_timeout_s",
     "phase_metrics",
     "reset",
     "stats",
@@ -116,27 +114,25 @@ _PHASE_HIST = {
                  "inflight_wait_s", "farm_wait_s")
 }
 
-def farm_lock_timeout_s() -> float:
-    """Max seconds to block on another process's compile
-    (``REPRO_FARM_LOCK_TIMEOUT_S``); past it the worker compiles
-    uncoordinated — availability beats deduplication."""
-    from repro.env import env_float
-
-    return env_float("REPRO_FARM_LOCK_TIMEOUT_S", 600.0)
+#: max seconds to block on another process's compile; past it the worker
+#: compiles uncoordinated — availability beats deduplication
+_FARM_LOCK_TIMEOUT_S = 600.0
 
 
 def _acquire_farm_lock(key):
     """Acquire the key's cross-process entry lock, or None when the farm
-    does not apply (non-persistable key, disk tier off) or the wait timed
-    out.  Contended acquisitions feed the ``jit.farm_*`` counters and the
-    ``farm_wait_s`` phase histogram."""
+    does not apply (non-persistable key, disk tier off), the lock file
+    cannot be opened, or the wait timed out.  Contended acquisitions feed
+    the ``jit.farm_*`` counters and the ``farm_wait_s`` phase histogram;
+    only a wait that ran out counts as a timeout."""
     if not (key.persistable and code_cache.disk_enabled()):
         return None
     lock = code_cache.entry_lock(key.digest)
     with _span("jit.farm_lock", key=key.digest[:12]):
-        acquired = lock.acquire(timeout=farm_lock_timeout_s())
+        acquired = lock.acquire(timeout=_FARM_LOCK_TIMEOUT_S)
     if not acquired:
-        _bump("farm_lock_timeouts")
+        if lock.contended:
+            _bump("farm_lock_timeouts")
         return None
     if lock.contended:
         _bump("farm_lock_waits")

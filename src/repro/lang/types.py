@@ -59,18 +59,6 @@ class Type:
         strict-final definition; class types defer to the rule checker."""
         raise NotImplementedError
 
-    @property
-    def is_prim(self) -> bool:
-        return isinstance(self, PrimType)
-
-    @property
-    def is_array(self) -> bool:
-        return isinstance(self, ArrayType)
-
-    @property
-    def is_class(self) -> bool:
-        return isinstance(self, ClassType)
-
 
 class PrimType(Type):
     """A primitive numeric type.

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.lang import i64, wootin
-from repro.library.stencil.grid import FloatGridDblB, ThreeDIndexer
+from repro.library.stencil.grid import FloatGridDblB
 from repro.library.stencil.solver import Dif3DSolver
 
 
@@ -47,8 +47,3 @@ def make_grid3d(nx: int, ny: int, nz_alloc: int) -> FloatGridDblB:
     return FloatGridDblB(
         np.zeros(n, dtype=np.float32), np.zeros(n, dtype=np.float32)
     )
-
-
-def make_indexer3d(nx: int, ny: int, nz_alloc: int) -> ThreeDIndexer:
-    """Indexer for an allocated (halo-inclusive) 3-D grid."""
-    return ThreeDIndexer(nx, ny, nz_alloc)

@@ -36,6 +36,32 @@ class TestSeries:
         assert path.read_text().startswith("== figY")
 
 
+class TestReport:
+    def test_hand_recorded_sections_survive(self, tmp_path, monkeypatch):
+        """The report rewrites only its generated prefix: every section
+        from the first hand-recorded heading on is kept byte for byte."""
+        from repro.bench import figures, report
+
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
+        monkeypatch.setattr(
+            figures, "all_experiments",
+            lambda w: [Series("figZ", "fresh", ["a"], [[2]])])
+        fresh = tmp_path / "new.md"  # no report yet: all of it is generated
+        report.main(str(fresh))
+        assert fresh.read_text().startswith("# EXPERIMENTS")
+        hand = ("## cold process: where 330 ms went (recorded by hand at "
+                "PR 18; not regenerated by `repro.bench.report`)\n\n"
+                "| phase | µs |\n|---|---|\n| import | 42 |\n\n"
+                "## figQ: a later heading stays too\n").encode()
+        out = tmp_path / "EXPERIMENTS.md"
+        out.write_bytes(b"# old header\n\n## figZ: stale\n\nold rows\n\n"
+                        + hand)
+        report.main(str(out))
+        new = out.read_bytes()
+        assert new == fresh.read_bytes() + hand
+        assert b"old rows" not in new
+
+
 class TestWorkloads:
     def test_env_switch(self, monkeypatch):
         monkeypatch.delenv("REPRO_PAPER_SIZES", raising=False)

@@ -83,6 +83,26 @@ class TestCli:
         assert st["disk_hits"] >= 1
         assert 0.0 <= st["hit_age_max_s"] < 60.0
 
+    def test_cache_evict_cap_mb(self, capsys, tmp_path, monkeypatch):
+        import json
+
+        from repro import jit
+        from repro.jit.engine import clear_code_cache
+        from tests.guestlib import ScaleAddSolver, Sweeper
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cli-cache"))
+        monkeypatch.delenv("REPRO_DISK_CACHE_MAX_MB", raising=False)
+        clear_code_cache()
+        jit(Sweeper(ScaleAddSolver(0.5), 22), "run", 2, backend="py")
+        assert main(["cache", "stats", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["disk_entries"] == 1
+        assert main(["cache", "evict", "--cap-mb", "0.000001"]) == 0
+        out = capsys.readouterr().out
+        assert "evicted        : 1 entries" in out
+        assert "remaining      : 0 entries" in out
+        with pytest.raises(SystemExit):
+            main(["cache", "warm"])
+
     def test_jit_stats(self, capsys):
         from repro import jit
         from repro.jit import service

@@ -1,14 +1,13 @@
-"""The cross-process compile farm (file-lock single-flight, LRU disk tier,
-warmup manifests) and the disk-cache race bugfixes that ride with it.
+"""The cross-process compile farm (file-lock single-flight, LRU disk tier)
+and the disk-cache race bugfixes that ride with it.
 
 Covers: ≥4 *processes* released simultaneously onto one cold key produce
 exactly one translate+compile on either backend (counted both via the
 per-entry metadata and the per-process service counters; on ``c`` the
 external compiler runs once) and a second round of fresh processes compiles
 nothing, the disk tier never exceeds a
-configured byte cap and evicts in least-recently-used order, warmup
-manifests round-trip (write → ``repro cache warm`` → every later jit is a
-disk hit), torn entries (payload missing, metadata incomplete) are
+configured byte cap and evicts in least-recently-used order, torn
+entries (payload missing, metadata incomplete) are
 detected and dropped instead of hydrated, stale ``*.tmp`` orphans are
 swept and counted, and concurrent drops/clears tolerate already-missing
 files while keeping removal counts exact.
@@ -30,9 +29,6 @@ from repro.jit import cache as code_cache
 from repro.jit import service
 from repro.jit.engine import clear_code_cache
 from repro.jit.locks import FileLock
-from repro.jit.warmup import (
-    ManifestEntry, ManifestError, load_manifest, warm, write_manifest,
-)
 
 from tests.conftest import requires_cc
 from tests.guestlib import ScaleAddSolver, Sweeper
@@ -59,13 +55,16 @@ def farm_dir(tmp_path, monkeypatch):
 
 #: prints READY, blocks on stdin until the parent releases the barrier,
 #: then compiles the shared key on the backend named by argv[1] and
-#: reports its JitReport + counters
+#: reports its JitReport + counters; an argv[2] replaces the farm-lock
+#: timeout (seconds)
 _RACER = r"""
 import json, sys
 from repro.jit import cache, service
 from repro.jit.engine import jit
 from repro.library.cgsolve.config import make_solver
 
+if len(sys.argv) > 2:
+    service._FARM_LOCK_TIMEOUT_S = float(sys.argv[2])
 solver = make_solver(5, 5, precond="jacobi")  # warm the imports pre-barrier
 print("READY", flush=True)
 sys.stdin.readline()  # barrier: parent writes GO once every racer is ready
@@ -84,14 +83,17 @@ print(json.dumps({
 
 
 def _race_workers(n: int, cache_root: Path, extra_env=None,
-                  backend: str = "py") -> list[dict]:
+                  backend: str = "py", lock_timeout_s=None) -> list[dict]:
     """Spawn ``n`` barrier-synchronized racers on one cold key."""
     env = dict(os.environ)
     env["REPRO_CACHE_DIR"] = str(cache_root)
     env["PYTHONPATH"] = f"{SRC_ROOT}{os.pathsep}{env.get('PYTHONPATH', '')}"
     env.update(extra_env or {})
+    argv = [sys.executable, "-c", _RACER, backend]
+    if lock_timeout_s is not None:
+        argv.append(str(lock_timeout_s))
     procs = [
-        subprocess.Popen([sys.executable, "-c", _RACER, backend],
+        subprocess.Popen(argv,
                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                          stderr=subprocess.PIPE, text=True, env=env)
         for _ in range(n)
@@ -150,7 +152,7 @@ class TestCrossProcessSingleFlight:
         assert json.loads(jpath.read_text()) == meta
 
     def test_farm_disabled_still_correct(self, tmp_path):
-        """REPRO_FARM_LOCK_TIMEOUT_S=0: every loser of the entry lock
+        """A farm-lock timeout of 0: every loser of the entry lock
         times out at once and compiles uncoordinated — workers duplicate
         work but results agree and the disk tier still converges to one
         complete entry."""
@@ -168,8 +170,7 @@ class TestCrossProcessSingleFlight:
         held = code_cache.entry_lock(digest, cache_root)
         assert held.acquire(timeout=0)
         try:
-            results = _race_workers(4, cache_root,
-                                    {"REPRO_FARM_LOCK_TIMEOUT_S": "0"})
+            results = _race_workers(4, cache_root, lock_timeout_s=0)
         finally:
             held.release()
         assert len({r["value"] for r in results}) == 1
@@ -189,6 +190,25 @@ class TestCrossProcessSingleFlight:
         again = jit(Sweeper(ScaleAddSolver(0.75), 9), "run", 3, backend="py")
         assert again.report.cache_hit and again.report.cache_tier == "disk"
         assert service.stats()["compiles"] == 0
+
+    def test_unopenable_lock_is_not_a_timeout(self, farm_dir, monkeypatch):
+        """A lock file the process may not open degrades to an
+        uncoordinated compile at once; nothing waited, so nothing timed
+        out."""
+        real_open = os.open
+
+        def denied(path, flags, mode=0o777, **kw):
+            if str(path).endswith(".lock"):
+                raise PermissionError(path)
+            return real_open(path, flags, mode, **kw)
+
+        monkeypatch.setattr(os, "open", denied)
+        code = jit(Sweeper(ScaleAddSolver(0.625), 9), "run", 3, backend="py")
+        assert not code.report.cache_hit and not code.report.farm_dedup
+        st = service.stats()
+        assert st["compiles"] == 1
+        assert st["farm_lock_timeouts"] == 0
+        assert st["farm_lock_waits"] == 0
 
 
 class TestFileLock:
@@ -214,60 +234,15 @@ class TestFileLock:
 
 
 class TestFileLockRaces:
-    """Regression tests for the three farm-lock races: the O_EXCL
-    stale-break TOCTOU, the flock unlink/reopen split-brain, and the
-    fixed-interval thundering-herd poll loop."""
-
-    def test_break_stale_excl_removes_dead_holder(self, tmp_path,
-                                                  monkeypatch):
-        from repro.jit import locks
-
-        monkeypatch.setattr(locks, "_fcntl", None)
-        monkeypatch.setattr(locks, "_pid_alive", lambda pid: False)
-        path = tmp_path / "k.lock"
-        path.write_text("12345")  # dead holder's abandoned lock
-        lk = FileLock(path)
-        lk._break_stale_excl()
-        assert not path.exists()
-        assert lk.acquire(timeout=0)  # and the path is usable again
-        lk.release()
-
-    def test_break_stale_excl_toctou_guard(self, tmp_path, monkeypatch):
-        """Between judging a lock stale and unlinking it, another waiter
-        broke it and a third process re-created a fresh one — the unlink
-        must be withheld or it destroys the live lock."""
-        from repro.jit import locks
-
-        monkeypatch.setattr(locks, "_fcntl", None)
-        monkeypatch.setattr(locks, "_pid_alive", lambda pid: False)
-        path = tmp_path / "k.lock"
-        path.write_text("12345")
-        lk = FileLock(path)
-        real = lk._read_lock_info
-        calls = {"n": 0}
-
-        def raced():
-            calls["n"] += 1
-            info = real()
-            if calls["n"] == 1:
-                return info  # the staleness judgment sees the old lock
-            # by re-verification time a fresh incarnation took the path
-            return (os.getpid(), info[1] + 1)
-
-        monkeypatch.setattr(lk, "_read_lock_info", raced)
-        lk._break_stale_excl()
-        assert calls["n"] == 2, "must re-read immediately before unlinking"
-        assert path.exists(), "guard let a live re-created lock be unlinked"
+    """Regression tests for the two farm-lock races: the flock
+    unlink/reopen split-brain, and the fixed-interval thundering-herd poll
+    loop."""
 
     def test_flock_orphaned_inode_is_voided(self, tmp_path, monkeypatch):
         """A waiter whose open() raced an unlink+re-create (cache eviction
         dropping entry locks) must not count a flock on the orphaned inode
         as an acquisition — otherwise it and the newcomer on the fresh
         path are two simultaneous 'holders'."""
-        from repro.jit import locks
-
-        if locks._fcntl is None:
-            pytest.skip("flock backend unavailable")
         path = tmp_path / "k.lock"
         real_open = os.open
         state = {"fired": False}
@@ -470,7 +445,7 @@ class TestTornEntries:
     def test_drop_skipped_while_writer_holds_lock(self, farm_dir, monkeypatch):
         """What looks torn mid-rewrite is left for the writer to finish."""
         # the recompile below must not block on our own held entry lock
-        monkeypatch.setenv("REPRO_FARM_LOCK_TIMEOUT_S", "0.2")
+        monkeypatch.setattr(service, "_FARM_LOCK_TIMEOUT_S", 0.2)
         _compile_distinct(0)
         (spath,) = Path(farm_dir).glob("*.src")
         (jpath,) = Path(farm_dir).glob("*.json")
@@ -529,75 +504,3 @@ class TestTmpSweepAndDropRaces:
         assert code_cache._drop_entry(root, digest) is False
         assert code_cache._drop_entry(root, "f" * 64) is False
 
-
-# ---------------------------------------------------------------------------
-# warmup manifests
-# ---------------------------------------------------------------------------
-
-def _sample_entries():
-    return [
-        ManifestEntry(
-            factory="repro.library.cgsolve.config:make_solver",
-            factory_args=[5, 5], factory_kwargs={"precond": "jacobi"},
-            method="solve", args=[20], backend="py"),
-        ManifestEntry(
-            factory="repro.library.montecarlo.config:make_pricer",
-            factory_args=[200], method="run", args=[200], backend="py"),
-    ]
-
-
-class TestWarmupManifests:
-    def test_round_trip_warm_then_all_hits(self, farm_dir, tmp_path):
-        path = write_manifest(tmp_path / "hot.json", _sample_entries())
-        assert [e.to_dict() for e in load_manifest(path)] == \
-               [e.to_dict() for e in _sample_entries()]
-
-        first = warm(path)
-        assert first["compiled"] == 2 and first["hits"] == 0
-        assert first["errors"] == []
-        assert code_cache.stats()["disk_entries"] == 2
-
-        # a cold process (simulated: empty memory tier) is all disk hits
-        code_cache.clear_memory()
-        service.reset()
-        second = warm(path)
-        assert second["compiled"] == 0 and second["hits"] == 2
-        assert service.stats()["compiles"] == 0
-        assert all(r["tier"] == "disk" for r in second["results"])
-
-    def test_cli_warm_and_stats(self, farm_dir, tmp_path, capsys):
-        from repro.__main__ import main
-
-        path = write_manifest(tmp_path / "hot.json", _sample_entries()[:1])
-        assert main(["cache", "warm", str(path), "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["compiled"] == 1 and report["errors"] == []
-        assert main(["cache", "stats", "--json"]) == 0
-        st = json.loads(capsys.readouterr().out)
-        assert st["disk_entries"] == 1
-        assert main(["cache", "evict", "--cap-mb", "0.000001"]) == 0
-        assert "evicted        : 1 entries" in capsys.readouterr().out
-
-    def test_bad_entries_collected_not_raised(self, farm_dir, tmp_path):
-        entries = [_sample_entries()[0],
-                   ManifestEntry(factory="no.such.module:nope", method="run")]
-        report = warm(write_manifest(tmp_path / "m.json", entries))
-        assert report["compiled"] == 1
-        assert len(report["errors"]) == 1
-
-    def test_malformed_manifest_rejected(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(ManifestError):
-            load_manifest(bad)
-        bad.write_text(json.dumps({"v": 99, "entries": []}))
-        with pytest.raises(ManifestError):
-            load_manifest(bad)
-        bad.write_text(json.dumps(
-            {"v": 1, "entries": [{"factory": "no-colon", "method": "m"}]}))
-        with pytest.raises(ManifestError):
-            load_manifest(bad)
-        from repro.__main__ import main
-
-        assert main(["cache", "warm", str(bad)]) == 2
-        assert main(["cache", "warm"]) == 2

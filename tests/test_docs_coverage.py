@@ -59,6 +59,20 @@ class TestExports:
 class TestKnobInventory:
     _KNOB = re.compile(r"REPRO_[A-Z0-9_]+")
 
+    #: every ``REPRO_*`` name read under src/
+    _PINNED = frozenset({
+        "REPRO_BLAS", "REPRO_BOUNDS", "REPRO_CACHE_DIR", "REPRO_CC_CACHE",
+        "REPRO_DISK_CACHE", "REPRO_DISK_CACHE_MAX_MB", "REPRO_OMP",
+        "REPRO_OMP_REDUCTIONS", "REPRO_OMP_THREADS", "REPRO_OPT_PASSES",
+        "REPRO_PAPER_SIZES", "REPRO_RESULTS_DIR", "REPRO_TRACE",
+        "REPRO_TRACE_FILE",
+    })
+
+    def test_knob_set_is_pinned(self):
+        """Adding or removing a knob is a deliberate edit of this set
+        (and of the docs that list it), never a side effect."""
+        assert sorted(self._used()) == sorted(self._PINNED)
+
     def _used(self):
         return {k for p in ROOT.rglob("*.py")
                 for k in self._KNOB.findall(p.read_text())}
