@@ -13,11 +13,8 @@ from repro.backends.base import Backend, CompiledProgram, OptLevel
 from repro.backends.cbackend.build import build_shared_object
 from repro.backends.cbackend.bridge import CCompiled
 from repro.jit.program import Program
-from repro.obs import metrics as _metrics
 
 __all__ = ["CBackend"]
-
-_M = _metrics.registry()
 
 
 class CBackend(Backend):
@@ -46,12 +43,6 @@ class CBackend(Backend):
             from repro.opt.parallel import analyze_program
 
             plan = analyze_program(program)
-            _M.counter("parallel.loops_seen").inc(
-                plan.stats["loops_seen"])
-            _M.counter("parallel.loops_parallelized").inc(
-                plan.stats["loops_parallel"])
-            _M.counter("parallel.reductions").inc(
-                plan.stats["reductions"])
         result = CProgramEmitter(
             program, opt, bounds_checks=self.bounds_checks,
             parallel_plan=plan,

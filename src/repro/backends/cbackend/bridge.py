@@ -306,11 +306,6 @@ class CCompiled(CompiledProgram):
             omp_fn.restype = ct.c_int64
             omp_fn.argtypes = []
             self.omp_max_threads = int(omp_fn())
-            from repro.obs import metrics as _metrics
-
-            _metrics.registry().gauge("parallel.threads_available").set(
-                self.omp_max_threads
-            )
         self._entry = self._lib.wj_entry
         self._entry.restype = None
         self._entry.argtypes = [

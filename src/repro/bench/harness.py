@@ -3,8 +3,8 @@ subprocess compile-time probe used by the warm-start cache benchmarks.
 
 Benchmark drivers wrap each measured repeat in :func:`iteration_span`, so
 running experiments under ``REPRO_TRACE=1`` yields per-iteration spans
-(and, through the instrumented pipeline underneath, per-phase latency
-histograms) alongside the rendered tables."""
+(and, through the instrumented pipeline underneath, per-phase spans)
+alongside the rendered tables."""
 
 from __future__ import annotations
 

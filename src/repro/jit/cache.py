@@ -632,7 +632,8 @@ def lookup(key: CacheKey, *, snapshot, recv_shape, arg_shapes) -> Optional[Cache
                 try:
                     program, compiled = _hydrate(meta, snapshot, recv_shape, arg_shapes)
                 except Exception:  # noqa: BLE001 - recompile on any damage
-                    _drop_entry(cache_dir(), key.digest, if_free=True)
+                    if _drop_entry(cache_dir(), key.digest, if_free=True):
+                        _COUNTERS["torn_dropped"] += 1
                 else:
                     _MEMORY[key.digest] = (program, compiled, meta)
                     _COUNTERS["disk_hits"] += 1
@@ -768,16 +769,6 @@ def evict(cap_bytes: Optional[int] = None) -> dict:
         with _TIER_LOCK:
             _COUNTERS["evictions"] += evicted
             _COUNTERS["bytes_evicted"] += freed
-    # eviction-pressure telemetry: cumulative counters plus point-in-time
-    # footprint gauges, so pressure over time is visible in metric exports
-    from repro.obs import metrics as _metrics
-
-    reg = _metrics.registry()
-    if evicted:
-        reg.counter("cache.evictions").inc(evicted)
-        reg.counter("cache.bytes_evicted").inc(freed)
-    reg.gauge("cache.disk_bytes").set(total)
-    reg.gauge("cache.disk_entries").set(len(infos) - evicted)
     return {
         "cap_bytes": cap_bytes,
         "evicted": evicted,
@@ -850,11 +841,6 @@ def stats() -> dict:
         by_kind[i["kind"]] = by_kind.get(i["kind"], 0) + 1
     now = time.time()
     ages = [max(0.0, now - i["last_used"]) for i in infos]
-    from repro.obs import metrics as _metrics
-
-    reg = _metrics.registry()
-    reg.gauge("cache.disk_bytes").set(n_bytes)
-    reg.gauge("cache.disk_entries").set(len(infos))
     with _TIER_LOCK:
         return {
             "dir": str(root),

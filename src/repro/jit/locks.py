@@ -14,8 +14,8 @@ handler with ``os.register_at_fork`` (:mod:`repro.mpi.launcher`).
 
 The lock is acquired by *polling* with a short sleep rather than blocking
 in the kernel: the caller gets a measurable ``waited_s`` (fed to the
-``jit.farm_*`` metrics) and a timeout (the farm degrades to a duplicate
-compile rather than hanging a worker forever).  The poll interval backs
+service's ``farm_*`` counters) and a timeout (the farm degrades to a
+duplicate compile rather than hanging a worker forever).  The poll interval backs
 off exponentially with jitter (1 ms doubling to a 100 ms cap), so N
 waiters parked on one long compile neither hammer the filesystem in
 lockstep nor wake in a thundering herd when the leader releases.

@@ -23,22 +23,21 @@ module is the layer in front of ``engine._compile`` that fixes both:
   process wins the lock and compiles, the rest block on it and then read
   the finished disk entry.  The lock is held across the store, released
   after, and a waiter re-probes the disk tier on acquisition before it
-  would compile.  Lock waits surface as ``jit.farm_*`` counters and on
+  would compile.  Lock waits surface as ``farm_*`` counters and on
   ``JitReport.farm_dedup``/``farm_wait_s``.  See docs/COMPILE_FARM.md.
 
-* **Observability** — the per-phase counters (``compiles``,
-  ``dedup_hits``, ``inflight_waits``, ``farm_*``) live on the
-  process-wide metrics registry (:mod:`repro.obs.metrics`, names
-  ``jit.*``) together with per-phase latency histograms
-  (``jit.phase.*``); :func:`stats` keeps
-  its historical dict shape and backs ``python -m repro jit stats``
-  (``--json`` for scripts).  Every pipeline step also opens a tracing
-  span (:mod:`repro.obs.trace` — ``jit.snapshot``, ``cache.key``,
-  ``cache.probe``, ``jit.translate``, ``backend.compile``,
-  ``cache.store``, ``jit.inflight_wait``, ``jit.farm_lock``), so
-  ``REPRO_TRACE=1`` yields a full flame graph of a compile.  Per-request
-  fields (``dedup_hit``, ``inflight_wait_s``, ``farm_dedup``,
-  ``farm_wait_s``) stay on ``JitReport``.
+* **Observability** — each measurement is recorded once.  The service
+  counters (``requests``, ``compiles``, ``dedup_hits``,
+  ``inflight_waits``, ``farm_*``) are one dict under the service lock;
+  :func:`stats` returns a copy and backs ``python -m repro jit stats``
+  (``--json`` for scripts).  A request's phase times are its
+  ``JitReport`` fields (``translate_s``, ``backend_compile_s``,
+  ``cached_lookup_s``, ``inflight_wait_s``, ``farm_wait_s``).  Every
+  pipeline step also opens a tracing span (:mod:`repro.obs.trace` —
+  ``jit.snapshot``, ``cache.key``, ``cache.probe``, ``jit.translate``,
+  ``backend.compile``, ``cache.store``, ``jit.inflight_wait``,
+  ``jit.farm_lock``), so ``REPRO_TRACE=1`` yields a full flame graph of
+  a compile.
 
 A worker blocks at most ``_FARM_LOCK_TIMEOUT_S`` (600 s) on another
 process's compile before it gives up and compiles the key itself.
@@ -58,12 +57,10 @@ from repro.errors import JitError
 from repro.frontend.objectgraph import snapshot_args
 from repro.jit import cache as code_cache
 from repro.jit import engine as _engine
-from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
 
 __all__ = [
     "compile_program",
-    "phase_metrics",
     "reset",
     "stats",
 ]
@@ -80,39 +77,25 @@ class _Flight:
         self.exc: Optional[BaseException] = None
 
 
-#: guards _FLIGHTS.  Lock order is always
+#: guards _FLIGHTS and _COUNTERS.  Lock order is always
 #: service lock -> cache._TIER_LOCK (via lookup/store); never the reverse.
-#: (the metrics below lock themselves, finer-grained)
 _LOCK = threading.Lock()
 
 #: cache-key digest -> in-flight compilation
 _FLIGHTS: dict[str, _Flight] = {}
 
-_M = _metrics.registry()
-
-#: the historical counter names, now backed by the metrics registry
-#: (``jit.<name>`` there); :func:`stats` still reports these exact keys
-_COUNTERS = {
-    name: _M.counter(f"jit.{name}")
-    for name in (
-        "requests",         # compile_program calls
-        "compiles",         # leader translate+compile runs (cache misses)
-        "dedup_hits",       # requests served by another thread's compile
-        "inflight_waits",   # blocking waits on an in-flight build
-        "inflight_wait_s",  # total seconds spent in those waits
-        "farm_lock_waits",    # blocked on another process's entry lock
-        "farm_lock_wait_s",   # total seconds spent in those waits
-        "farm_lock_timeouts", # gave up waiting and compiled uncoordinated
-        "farm_dedup_hits",    # served by another process's compile
-    )
-}
-
-#: per-phase latency distributions (the paper's Table 3, as histograms)
-_PHASE_HIST = {
-    name: _M.histogram(f"jit.phase.{name}")
-    for name in ("translate_s", "backend_compile_s", "cached_lookup_s",
-                 "inflight_wait_s", "farm_wait_s")
-}
+#: in-process counters, reported by :func:`stats` under these exact keys
+_COUNTERS = dict.fromkeys((
+    "requests",           # compile_program calls
+    "compiles",           # leader translate+compile runs (cache misses)
+    "dedup_hits",         # requests served by another thread's compile
+    "inflight_waits",     # blocking waits on an in-flight build
+    "inflight_wait_s",    # total seconds spent in those waits
+    "farm_lock_waits",    # blocked on another process's entry lock
+    "farm_lock_wait_s",   # total seconds spent in those waits
+    "farm_lock_timeouts", # gave up waiting and compiled uncoordinated
+    "farm_dedup_hits",    # served by another process's compile
+), 0)
 
 #: max seconds to block on another process's compile; past it the worker
 #: compiles uncoordinated — availability beats deduplication
@@ -123,8 +106,8 @@ def _acquire_farm_lock(key):
     """Acquire the key's cross-process entry lock, or None when the farm
     does not apply (non-persistable key, disk tier off), the lock file
     cannot be opened, or the wait timed out.  Contended acquisitions feed
-    the ``jit.farm_*`` counters and the ``farm_wait_s`` phase histogram;
-    only a wait that ran out counts as a timeout."""
+    the ``farm_*`` counters; only a wait that ran out counts as a
+    timeout."""
     if not (key.persistable and code_cache.disk_enabled()):
         return None
     lock = code_cache.entry_lock(key.digest)
@@ -135,14 +118,16 @@ def _acquire_farm_lock(key):
             _bump("farm_lock_timeouts")
         return None
     if lock.contended:
-        _bump("farm_lock_waits")
-        _bump("farm_lock_wait_s", lock.waited_s)
-        _PHASE_HIST["farm_wait_s"].observe(lock.waited_s)
+        with _LOCK:
+            _COUNTERS["farm_lock_waits"] += 1
+            _COUNTERS["farm_lock_wait_s"] += lock.waited_s
     return lock
 
 
 def _bump(name: str, by=1) -> None:
-    _COUNTERS[name].inc(by)
+    """Add ``by`` to one counter; the caller must not hold ``_LOCK``."""
+    with _LOCK:
+        _COUNTERS[name] += by
 
 
 def stats() -> dict:
@@ -152,19 +137,14 @@ def stats() -> dict:
     snapshot is taken under the service lock, so a concurrent ``reset()``
     cannot produce a torn half-old/half-new view."""
     with _LOCK:
-        return {name: c.value for name, c in _COUNTERS.items()}
-
-
-def phase_metrics() -> dict:
-    """Per-phase latency histograms (``jit.phase.*``), as snapshots."""
-    return _M.snapshot("jit.phase.")
+        return dict(_COUNTERS)
 
 
 def reset() -> None:
     """Forget in-flight builds and zero the counters (test isolation)."""
     with _LOCK:
         _FLIGHTS.clear()
-        _M.reset("jit.")
+        _COUNTERS.update(dict.fromkeys(_COUNTERS, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +198,7 @@ def _probe(key, snapshot, recv_shape, arg_shapes, *, join: bool = False):
                 if leader:
                     flight = _FLIGHTS[key.digest] = _Flight()
                 else:
-                    _bump("inflight_waits")
+                    _COUNTERS["inflight_waits"] += 1
         sp.set(hit=hit is not None,
                tier=hit.tier if hit is not None else "miss")
     return hit, flight, leader
@@ -234,7 +214,6 @@ def _served(hit, key, *, opt, t_start: float, deduped: bool = False,
     won before this probe hit: another process compiled the key while we
     waited on it."""
     elapsed_s = time.perf_counter() - t_start
-    _PHASE_HIST["cached_lookup_s"].observe(elapsed_s)
     if deduped:
         _bump("dedup_hits")
     if farm_lock is not None:
@@ -277,8 +256,6 @@ def _build(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt, *,
     with _span("backend.compile", backend=backend_obj.name, opt=opt.value):
         compiled = backend_obj.compile(program, opt)
     backend_s = time.perf_counter() - t2
-    _PHASE_HIST["translate_s"].observe(translate_s)
-    _PHASE_HIST["backend_compile_s"].observe(backend_s)
 
     bstats = dict(getattr(compiled, "build_stats", None) or {})
     # decisions the backend took while emitting belong with the optimizer
@@ -331,7 +308,6 @@ def _compile_sync(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt,
                     code = _build(minfo, snapshot, recv_shape, arg_shapes,
                                   backend_obj, opt, passes=key.passes,
                                   snap_s=snap_s)
-                    _PHASE_HIST["cached_lookup_s"].observe(probe_s)
                     code.report.cached_lookup_s = probe_s
                     code.report.dedup_hit = deduped
                     code.report.inflight_wait_s = wait_s
@@ -370,7 +346,6 @@ def _compile_sync(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt,
         waited = time.perf_counter() - w0
         wait_s += waited
         _bump("inflight_wait_s", waited)
-        _PHASE_HIST["inflight_wait_s"].observe(waited)
         if flight.exc is not None:
             raise flight.exc
         deduped = True

@@ -1,4 +1,4 @@
-"""Observability subsystem: structured tracing spans + a metrics registry.
+"""Observability subsystem: structured tracing spans and their exports.
 
 The paper's central claims are *timing* claims — per-phase JIT cost
 (Table 3), amortization across invocations (Figs 13–16), abstraction-
@@ -9,17 +9,16 @@ measurements report through:
   (``with span("jit.translate"): ...``) with thread-local stacks,
   parent/child links, attributes, and a bounded in-process ring buffer.
   Off by default; ``REPRO_TRACE=1`` / ``REPRO_TRACE_FILE=...`` turn it on.
-* :mod:`repro.obs.metrics` — a thread-safe registry of counters, gauges,
-  and fixed-bucket latency histograms (what ``jit/service.py``'s
-  ``stats()`` is built on).
 * :mod:`repro.obs.export` — JSONL span export, Chrome trace-event-format
   export (load in ``chrome://tracing`` / Perfetto), and the per-phase
   summary aggregator behind ``python -m repro trace summarize``.
 
-See docs/OBSERVABILITY.md for the span taxonomy and environment knobs.
+Spans are the only per-phase timing source.  Counts live where they are
+made: ``repro.jit.service.stats()``, ``repro.jit.cache.stats()`` and each
+compile's ``JitReport``.  See docs/OBSERVABILITY.md for the span taxonomy
+and environment knobs.
 """
 
-from repro.obs.metrics import registry
 from repro.obs.trace import span
 
-__all__ = ["registry", "span"]
+__all__ = ["span"]

@@ -25,14 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.frontend import ir
-from repro.obs import metrics as _metrics
 
 __all__ = [
     "BasicBlock", "CFG", "CondEval", "Edge", "LoopBind", "RangeEval",
     "build_cfg", "item_exprs",
 ]
-
-_M = _metrics.registry()
 
 
 @dataclass
@@ -226,6 +223,4 @@ class _Builder:
 
 def build_cfg(func_ir: ir.FuncIR) -> CFG:
     """Build the control-flow graph of ``func_ir`` (see module doc)."""
-    cfg = _Builder(func_ir).build()
-    _M.counter("cfg.blocks").inc(len(cfg.blocks))
-    return cfg
+    return _Builder(func_ir).build()

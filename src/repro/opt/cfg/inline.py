@@ -37,12 +37,9 @@ import copy
 
 from repro.frontend import ir
 from repro.frontend.shapes import ArrayShape, ObjShape
-from repro.obs import metrics as _metrics
 from repro.opt.passes import _Namer, _Summary
 
 __all__ = ["inline_func"]
-
-_M = _metrics.registry()
 
 
 _MAX_STMTS = 24    # largest callee body spliced
@@ -334,10 +331,7 @@ def _expand(call: ir.Call, namer: _Namer):
 def inline_func(f: ir.FuncIR, ctx=None) -> int:
     """Inline devirtualized callees into ``f`` (see module doc).
 
-    Returns the number of call sites spliced; feeds the
-    ``inline.calls_inlined`` counter."""
+    Returns the number of call sites spliced."""
     inliner = _Inliner(f)
     inliner.run(f.body)
-    if inliner.spliced:
-        _M.counter("inline.calls_inlined").inc(inliner.spliced)
     return inliner.spliced

@@ -32,15 +32,12 @@ from repro.backends.base import is_pure
 from repro.frontend import ir
 from repro.frontend.shapes import ArrayShape, PrimShape
 from repro.lang import types as _t
-from repro.obs import metrics as _metrics
 from repro.opt.cfg.builder import (
     LoopBind, build_cfg, item_exprs,
 )
 from repro.opt.cfg.dataflow import DataflowAnalysis, solve
 
 __all__ = ["Interval", "OPAQUE", "add", "bce_func", "evaluate", "scale"]
-
-_M = _metrics.registry()
 
 #: bounds this far out behave as infinite — keeps interval arithmetic
 #: safely inside i64 (no translated-time wraparound can fake a proof)
@@ -422,7 +419,7 @@ def bce_func(f: ir.FuncIR, ctx=None) -> int:
     """Bounds-check elimination: mark provably-in-bounds array accesses.
 
     Returns the number of accesses newly marked ``bounds_ok`` (the pass's
-    rewrite count).  Also feeds the ``bce.checks_elided`` counter.
+    rewrite count).
     """
     cfg = build_cfg(f)
     states = solve(cfg, _RangeAnalysis())
@@ -436,6 +433,4 @@ def bce_func(f: ir.FuncIR, ctx=None) -> int:
         for item in block.stmts:
             n += _mark_item(item, local, lens_d)
             _transfer_item(item, vars_d, lens_d, local)
-    if n:
-        _M.counter("bce.checks_elided").inc(n)
     return n

@@ -36,7 +36,6 @@ import time
 from repro.env import PASS_ORDER, passes_for, pipeline_passes
 from repro.errors import BackendError
 from repro.frontend.verify import verify_func
-from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
 from repro.opt import passes as _p
 from repro.opt.cfg import inline as _cfg_inline
@@ -58,8 +57,6 @@ _PASS_FNS = {
     "dce": _p.dce_func,
     "bce": _cfg_ranges.bce_func,
 }
-
-_M = _metrics.registry()
 
 
 class OptPassError(BackendError):
@@ -95,16 +92,13 @@ class Pipeline:
                         f"{func_ir.symbol}: {exc}"
                     ) from exc
                 sp.set(rewrites=n)
-            dt = time.perf_counter() - t0
             st = self.stats[name]
             st["runs"] += 1
             st["rewrites"] += n
-            st["seconds"] += dt
+            st["seconds"] += time.perf_counter() - t0
             if n:
                 per = self.func_stats.setdefault(name, {})
                 per[func_ir.symbol] = per.get(func_ir.symbol, 0) + n
-            _M.counter(f"opt.{name}.rewrites").inc(n)
-            _M.histogram(f"opt.{name}.seconds").observe(dt)
 
     def stats_dict(self) -> dict:
         """Per-pass totals, JSON-serializable (lands in

@@ -12,10 +12,10 @@ from repro import jit
 from repro.frontend import ir
 from repro.frontend.shapes import ArrayShape, PrimShape
 from repro.lang import types as t
-from repro.obs import metrics
 from repro.opt import bce_func
 from repro.opt.cfg.builder import CondEval, LoopBind, RangeEval, build_cfg
 from repro.opt.cfg.ranges import Interval
+from repro.opt.pipeline import Pipeline
 
 from tests.conftest import requires_cc
 from tests.guestlib import ScaleAddSolver, Sweeper
@@ -210,12 +210,6 @@ class TestCFGBuild:
         assert pos[header] < pos[body]
         assert pos[header] < pos[after]
 
-    def test_block_counter_feeds_metrics(self):
-        reg = metrics.registry()
-        before = reg.counter("cfg.blocks").value
-        cfg = build_cfg(func([ir.Return(ci(0))]))
-        assert reg.counter("cfg.blocks").value == before + len(cfg.blocks)
-
 
 # ---------------------------------------------------------------------------
 # interval arithmetic
@@ -407,11 +401,14 @@ class TestBCE:
         assert load.bounds_ok
 
     def test_elision_feeds_metrics_counter(self):
-        reg = metrics.registry()
-        before = reg.counter("bce.checks_elided").value
-        f, _ = _loop_load(ci(0), ci(8), ref("i"))
-        bce_func(f)
-        assert reg.counter("bce.checks_elided").value == before + 1
+        """The pipeline records each function's elided checks (what
+        ``JitReport.opt_stats["bce"]`` reports)."""
+        pipe = Pipeline(("bce",))
+        f, load = _loop_load(ci(0), ci(8), ref("i"))
+        pipe.run_func(f)
+        assert load.bounds_ok
+        assert pipe.func_stats["bce"] == {f.symbol: 1}
+        assert pipe.stats["bce"]["rewrites"] == 1
 
 
 # ---------------------------------------------------------------------------

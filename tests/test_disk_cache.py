@@ -8,6 +8,7 @@ entry's bytecode payload (a py disk hit loads it and compiles nothing).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import marshal
 import os
@@ -135,6 +136,25 @@ class TestCorruptionRecovery:
         code_cache.clear_memory()
         again = jit(Sweeper(ScaleAddSolver(0.5), 17), "run", 2, backend="c")
         assert not again.report.cache_hit
+        assert again.invoke().value == cold.invoke().value
+
+    @requires_cc
+    def test_unloadable_shared_object_counts_as_torn(self, cache_dir):
+        """Junk whose hash the metadata vouches for passes validation but
+        will not load: the entry is dropped and counted like any torn one."""
+        cold = jit(Sweeper(ScaleAddSolver(0.5), 17), "run", 2, backend="c")
+        (so_file,) = self._entry_files(cache_dir, ".so")
+        (meta_file,) = self._entry_files(cache_dir, ".json")
+        junk = b"not a shared object\n" * 64
+        so_file.write_bytes(junk)
+        meta = json.loads(meta_file.read_text())
+        meta["sha_so"] = hashlib.sha256(junk).hexdigest()
+        meta_file.write_text(json.dumps(meta, sort_keys=True))
+        code_cache.clear_memory()
+        torn_before = code_cache.stats()["torn_dropped"]
+        again = jit(Sweeper(ScaleAddSolver(0.5), 17), "run", 2, backend="c")
+        assert not again.report.cache_hit
+        assert code_cache.stats()["torn_dropped"] == torn_before + 1
         assert again.invoke().value == cold.invoke().value
 
 

@@ -23,6 +23,7 @@ from repro.backends.pybackend.emit import PyBackend
 from repro.jit import cache as code_cache
 from repro.jit import service
 from repro.jit.engine import clear_code_cache
+from repro.obs import trace
 
 from tests.conftest import requires_cc
 from tests.guestlib import ScaleAddSolver, SquareSolver, Sweeper
@@ -229,18 +230,27 @@ class TestSatelliteBugfixes:
         assert cold.report.total_s >= delay + cold.report.translate_s
 
     def test_uncached_compile_reports_zero_probe(self):
-        def probes():
-            return service.phase_metrics()["jit.phase.cached_lookup_s"]["count"]
-
-        jit(Sweeper(ScaleAddSolver(0.5), 15), "run", 2, backend="py")
-        before = probes()
-        assert before == 1
-        code = jit(Sweeper(ScaleAddSolver(0.5), 15), "run", 2, backend="py",
-                   use_cache=False)
+        """A ``use_cache=False`` build never keys or probes the cache: no
+        ``cache.key``/``cache.probe`` span, and ``cached_lookup_s`` is 0."""
+        was_enabled = trace.enabled()
+        trace.enable()
+        try:
+            trace.clear()
+            jit(Sweeper(ScaleAddSolver(0.5), 15), "run", 2, backend="py")
+            cached = {s.name for s in trace.spans()}
+            trace.clear()
+            code = jit(Sweeper(ScaleAddSolver(0.5), 15), "run", 2,
+                       backend="py", use_cache=False)
+            uncached = {s.name for s in trace.spans()}
+        finally:
+            if not was_enabled:
+                trace.disable()
+            trace.clear()
+        assert {"cache.key", "cache.probe"} <= cached
+        assert "jit.translate" in uncached
+        assert not uncached & {"cache.key", "cache.probe"}
         assert code.report.cached_lookup_s == 0.0
         assert code.report.translate_s > 0
-        # no probe ran, so no 0.0 sample may drag the histogram's p50 down
-        assert probes() == before
 
     def test_clear_code_cache_returns_entry_count(self, backend):
         jit(Sweeper(ScaleAddSolver(0.5), 17), "run", 2, backend=backend)

@@ -1,12 +1,12 @@
-"""The observability subsystem: spans, metrics, exports, CLI, service wiring.
+"""The observability subsystem: spans, exports, CLI, service wiring.
 
 Covers: the disabled path is a shared no-op (nothing recorded, negligible
 cost), span parent/child links are correct within a thread and across the
 8-thread single-flight stress pattern (every parent lives on the span's
 own thread; exactly one ``jit.translate`` per unique key), the ring buffer
 is bounded, JSONL and Chrome exports round-trip, ``REPRO_TRACE``/
-``REPRO_TRACE_FILE`` enable tracing in a fresh process, the metrics
-registry is exact under concurrent increments, and ``service.stats()``
+``REPRO_TRACE_FILE`` enable tracing in a fresh process, the service
+counters are exact under concurrent ``jit()`` calls, and ``service.stats()``
 keeps its historical shape (with ``repro jit stats --json`` for scripts).
 """
 
@@ -25,7 +25,7 @@ import pytest
 from repro import jit
 from repro.jit import service
 from repro.jit.engine import clear_code_cache
-from repro.obs import export, metrics, trace
+from repro.obs import export, trace
 
 from tests.conftest import requires_cc
 from tests.guestlib import RingExchanger, ScaleAddSolver, Sweeper
@@ -386,57 +386,47 @@ class TestExports:
         assert recs[-1]["attrs"] == {"k": 1}
 
 
+class _YieldingDict(dict):
+    """A counter dict that gives up the GIL between reading a count and
+    writing it back.  CPython 3.11/3.12 happen not to switch threads inside
+    a bare ``d[k] += 1``, so without this an unlocked increment would look
+    exact there."""
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        time.sleep(0)
+        return value
+
+
 class TestMetrics:
-    def test_counter_gauge_histogram_basics(self):
-        reg = metrics.MetricsRegistry()
-        c = reg.counter("t.count")
-        assert c.inc() == 1 and c.inc(2) == 3
-        g = reg.gauge("t.depth")
-        g.inc(), g.inc(), g.dec()
-        assert g.value == 1 and g.max == 2
-        h = reg.histogram("t.lat", buckets=(0.01, 0.1, 1.0))
-        for v in (0.005, 0.05, 0.5, 5.0):
-            h.observe(v)
-        d = h.as_dict()
-        assert d["count"] == 4 and d["min"] == 0.005 and d["max"] == 5.0
-        assert d["buckets"] == {"0.01": 1, "0.1": 1, "1.0": 1, "+inf": 1}
-        assert h.mean == pytest.approx(5.555 / 4)
-
-    def test_registry_get_or_create_and_type_conflicts(self):
-        reg = metrics.MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-        with pytest.raises(TypeError, match="already registered"):
-            reg.gauge("a")
-        snap = reg.snapshot()
-        assert snap == {"a": {"type": "counter", "value": 0}}
-
-    def test_reset_zeroes_in_place_keeping_references(self):
-        reg = metrics.MetricsRegistry()
-        c = reg.counter("jit.x")
-        other = reg.counter("cache.y")
-        c.inc(5), other.inc(3)
-        reg.reset("jit.")
-        assert c.value == 0 and reg.counter("jit.x") is c
-        assert other.value == 3
-
-    def test_concurrent_increments_are_exact(self):
-        reg = metrics.MetricsRegistry()
-        c = reg.counter("race")
-        h = reg.histogram("race.h", buckets=(1.0,))
-        n_threads, per = 8, 5000
+    def test_concurrent_increments_are_exact(self, monkeypatch):
+        """8 threads of warm ``jit()`` with a 10 µs switch interval: the
+        service's request counter loses no increment."""
+        jit(Sweeper(ScaleAddSolver(0.5), 16), "run", 4, backend="py")
+        service.reset()
+        monkeypatch.setattr(service, "_COUNTERS",
+                            _YieldingDict(service._COUNTERS))
+        n_threads, per = 8, 250
 
         def worker():
+            app = Sweeper(ScaleAddSolver(0.5), 16)
             for _ in range(per):
-                c.inc()
-                h.observe(0.5)
+                jit(app, "run", 4, backend="py")
 
         threads = [threading.Thread(target=worker) for _ in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert c.value == n_threads * per
-        assert h.count == n_threads * per
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        st = service.stats()
+        assert st["requests"] == n_threads * per
+        assert st["compiles"] == 0
 
 
 class TestServiceIntegration:
@@ -452,17 +442,19 @@ class TestServiceIntegration:
         assert all(v == 0 for v in st.values())
 
     def test_compile_feeds_counters_and_phase_histograms(self):
+        """The counters count requests and compiles; each request's phase
+        times are on its own ``JitReport``."""
         service.reset()
         clear_code_cache()
-        jit(Sweeper(ScaleAddSolver(0.5), 16), "run", 4, backend="py")
+        cold = jit(Sweeper(ScaleAddSolver(0.5), 16), "run", 4, backend="py")
         st = service.stats()
         assert st["requests"] == 1 and st["compiles"] == 1
-        phases = service.phase_metrics()
-        assert phases["jit.phase.translate_s"]["count"] == 1
-        assert phases["jit.phase.translate_s"]["sum"] > 0
-        # warm second request lands in the lookup histogram
-        jit(Sweeper(ScaleAddSolver(0.5), 16), "run", 4, backend="py")
-        assert service.phase_metrics()["jit.phase.cached_lookup_s"]["count"] >= 2
+        assert not cold.report.cache_hit and cold.report.translate_s > 0
+        warm = jit(Sweeper(ScaleAddSolver(0.5), 16), "run", 4, backend="py")
+        st = service.stats()
+        assert st["requests"] == 2 and st["compiles"] == 1
+        assert warm.report.cache_tier == "memory"
+        assert warm.report.cached_lookup_s > 0
 
     def test_cli_jit_stats_json(self, capsys):
         from repro.__main__ import main
