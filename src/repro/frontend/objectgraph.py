@@ -11,6 +11,10 @@ Aliasing is preserved: if the same NumPy array is reachable through two
 paths, both resolve to the same entry slot (and hence the same single copy).
 Recursive object graphs violate semi-immutability (definition 3e) and are
 rejected.
+
+A capture that succeeds seals every ``@wootin`` instance it visited
+(:mod:`repro.lang.seal`): from then on the host can rebind only their array
+fields, so the capture stays what the translated code assumes.
 """
 
 from __future__ import annotations
@@ -19,19 +23,23 @@ import numpy as np
 
 from repro.errors import JitError, NotSemiImmutable
 from repro.frontend.shapes import ArrayShape, ObjShape, PrimShape, Shape
+from repro.lang import seal as _seal
 from repro.lang import types as _t
 
 __all__ = ["ArraySlot", "Snapshot", "snapshot_args"]
 
 
 class ArraySlot:
-    """One flattened entry array parameter."""
+    """One flattened entry array parameter; ``size`` is the length the
+    capture read (the one its shape, and so the cache key, carries)."""
 
-    def __init__(self, index: int, path: str, array: np.ndarray, elem: _t.PrimType):
+    def __init__(self, index: int, path: str, array: np.ndarray,
+                 elem: _t.PrimType, size: int):
         self.index = index
         self.path = path
         self.array = array
         self.elem = elem
+        self.size = size
 
     def __repr__(self) -> str:
         return f"<ArraySlot {self.index} {self.path} {self.elem!r}[{self.array.size}]>"
@@ -47,6 +55,11 @@ class Snapshot:
         # snapshot objects in discovery order: (path, ObjShape); backends
         # materialize globals in exactly this order.
         self.objects: list[tuple[str, ObjShape]] = []
+        # the @wootin instances behind ``objects``, sealed once capture ends
+        self._instances: list = []
+        #: every visited instance is sealed: the graph can no longer change
+        #: but by an array-field rebind (False before the capture finishes)
+        self.sealed = False
 
     # -- capture ----------------------------------------------------------
 
@@ -84,16 +97,17 @@ class Snapshot:
                 f"the paper's class library does)"
             )
         elem = _t.prim_for_dtype(arr.dtype)
+        size = int(arr.size)
         slot = self._alias.get(id(arr))
         if slot is None:
             # no contiguity needed: both backends copy a slot into memory
             # of their own before a call
             slot = len(self.array_slots)
-            self.array_slots.append(ArraySlot(slot, path, arr, elem))
+            self.array_slots.append(ArraySlot(slot, path, arr, elem, size))
             self._alias[id(arr)] = slot
         # the captured size is part of the shape: it keys specialization
         # and lets the mid-end prove accesses in-bounds (docs/CFG.md)
-        return ArrayShape(_t.ArrayType(elem), slot=slot, length=int(arr.size))
+        return ArrayShape(_t.ArrayType(elem), slot=slot, length=size)
 
     def _capture_object(self, obj, info: _t.ClassInfo, path: str) -> ObjShape:
         if id(obj) in self._visiting:
@@ -116,6 +130,7 @@ class Snapshot:
             self._visiting.discard(id(obj))
         shape = ObjShape(info, fields, root_path=path)
         self.objects.append((path, shape))
+        self._instances.append(obj)
         return shape
 
     @staticmethod
@@ -155,10 +170,16 @@ class Snapshot:
 
 def snapshot_args(receiver, args) -> tuple[Snapshot, ObjShape, list[Shape]]:
     """Capture the entry receiver and arguments (the paper's recorded
-    ``jit4mpi`` arguments)."""
+    ``jit4mpi`` arguments), then seal every instance visited.  A capture
+    that raises seals nothing."""
     snap = Snapshot()
     recv_shape = snap.capture(receiver, "self")
     if not isinstance(recv_shape, ObjShape):
         raise JitError("the JIT entry receiver must be a @wootin object")
     arg_shapes = [snap.capture(a, f"arg{i}") for i, a in enumerate(args)]
+    sealed = True
+    for obj in snap._instances:
+        sealed = _seal.seal(obj) and sealed
+    snap._instances = []
+    snap.sealed = sealed
     return snap, recv_shape, arg_shapes

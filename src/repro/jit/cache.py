@@ -86,6 +86,7 @@ __all__ = [
     "entry_lock",
     "evict",
     "guest_source_digest",
+    "key_config",
     "lookup",
     "program_key",
     "py_slot_decisions",
@@ -288,6 +289,15 @@ class CacheKey:
     digest: str
     persistable: bool
     passes: tuple = ()
+
+
+def key_config(backend: str, opt) -> tuple:
+    """The inputs of :func:`program_key` that live outside the object graph
+    and can change while a process runs: the raw cache-keying knobs and the
+    live flag string.  The rest (version, interpreter, machine, ``cc``) is
+    fixed for the process, and the guest digest moves only with the class
+    registry."""
+    return _env.key_knobs(), _cc_flags(opt) if backend == "c" else ""
 
 
 def program_key(minfo, recv_shape: ObjShape, arg_shapes, *, backend: str,

@@ -49,7 +49,10 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from typing import Optional
+
+import numpy as np
 
 from repro import env as _env
 from repro.backends.base import OptLevel
@@ -57,6 +60,8 @@ from repro.errors import JitError
 from repro.frontend.objectgraph import snapshot_args
 from repro.jit import cache as code_cache
 from repro.jit import engine as _engine
+from repro.lang import seal as _seal
+from repro.lang import types as _t
 from repro.obs.trace import span as _span
 
 __all__ = [
@@ -156,23 +161,136 @@ def compile_program(minfo, receiver, args, *, backend: str = "auto",
                     use_cache: bool = True) -> "_engine.JitCode":
     """Compile ``receiver.<minfo>(*args)`` through the service layer.
 
-    This is what ``jit``/``jit4mpi``/``jit4gpu`` call.
+    This is what ``jit``/``jit4mpi``/``jit4gpu`` call.  A sealed receiver
+    (:mod:`repro.lang.seal`) remembers its capture and key per request
+    (:class:`_Capture`): a warm call whose fences all hold skips the
+    object-graph walk and the digest and goes straight to the probe.
     """
     # backend construction (and its import chain) is excluded from the
     # timings, as before — it is process-lifetime cost, not per-program
     backend_obj = _engine._make_backend(backend)
+    bounds = getattr(backend_obj, "bounds_checks", False)
     _bump("requests")
     t0 = time.perf_counter()
-    with _span("jit.snapshot"):
-        snapshot, recv_shape, arg_shapes = snapshot_args(receiver, args)
-    snap_s = time.perf_counter() - t0
-    return _compile_sync(minfo, snapshot, recv_shape, arg_shapes, backend_obj,
-                         opt, use_cache, snap_s=snap_s, t_start=t0)
+    if not use_cache:
+        with _span("jit.snapshot", memo="miss"):
+            snapshot, recv_shape, arg_shapes = snapshot_args(receiver, args)
+        passes = _env.pipeline_passes(opt, backend_obj.name, bounds)
+        return _build(minfo, snapshot, recv_shape, arg_shapes, backend_obj,
+                      opt, passes=passes, snap_s=time.perf_counter() - t0)
+
+    token, live = _args_token(args)
+    slot = (minfo, backend_obj.name, bounds, opt, token)
+    seal = _seal.record(receiver)
+    cap = seal.memo.get(slot) if seal is not None else None
+    if cap is not None and not cap.holds(live):
+        cap = None
+    with _span("jit.snapshot", memo="miss" if cap is None else "hit"):
+        if cap is None:
+            # both fences are read before the walk: a rebind during it
+            # leaves the entry stale, never a stale entry current
+            epoch, generation = _seal.epoch(), len(_t.WOOTIN_CLASSES)
+            captured = snapshot_args(receiver, args)
+    p0 = time.perf_counter()
+    config = code_cache.key_config(backend_obj.name, opt)
+    if cap is not None and cap.config == config:
+        with _span("cache.key", memo="hit"):
+            key = cap.key
+    else:
+        if cap is not None:  # only the configuration moved: no walk
+            epoch, generation, captured = cap.epoch, cap.generation, cap.captured
+        key = _program_key(minfo, captured[1], captured[2], backend_obj, opt)
+        if token is not None and captured[0].sealed:
+            cap = _Capture(epoch, generation, captured, live, config, key)
+            _remember(seal or _seal.record(receiver), slot, cap)
+    if cap is not None:
+        captured = cap.captured
+    return _compile_sync(minfo, *captured, backend_obj, opt, key,
+                         snap_s=p0 - t0, t_start=t0, p0=p0)
+
+
+#: memoized captures per receiver; past it the receiver's memo restarts
+_MEMO_CAP = 16
+
+
+class _Capture:
+    """One sealed receiver's capture and key for one request.
+
+    The seal freezes every non-array field of the graph, so the entry stays
+    right while every input the key reads that is *not* frozen holds
+    (:meth:`holds`): the array-rebind epoch and registry size read before
+    the walk, each slot's ``ndim``/``size``/``dtype`` (in-place ``resize``
+    and ``.dtype =`` leave identity alone), and the non-primitive arguments
+    by identity.  ``config`` (:func:`repro.jit.cache.key_config`) is
+    compared separately: when only it moved, the key is recomputed from the
+    stored shapes."""
+
+    __slots__ = ("epoch", "generation", "captured", "slots", "refs",
+                 "config", "key")
+
+    def __init__(self, epoch, generation, captured, live, config, key):
+        self.epoch = epoch
+        self.generation = generation
+        self.captured = captured  # (snapshot, recv_shape, arg_shapes)
+        self.slots = tuple((s.array, s.size, s.elem.np_dtype)
+                           for s in captured[0].array_slots)
+        # an ndarray is held (a weak reference would make numpy refuse
+        # to ``resize`` it, and an array cannot reach back to a receiver);
+        # any other argument is followed weakly, so the memo keeps nothing
+        # alive that might hold the receiver
+        self.refs = tuple((lambda a=a: a) if isinstance(a, np.ndarray)
+                          else weakref.ref(a) for a in live)
+        self.config = config
+        self.key = key
+
+    def holds(self, live) -> bool:
+        if (self.epoch != _seal.epoch()
+                or self.generation != len(_t.WOOTIN_CLASSES)):
+            return False
+        for arr, size, dtype in self.slots:
+            if arr.size != size or arr.dtype is not dtype or arr.ndim != 1:
+                return False
+        for ref, obj in zip(self.refs, live):
+            if ref() is not obj:
+                return False
+        return True
+
+
+def _remember(seal, slot, cap) -> None:
+    """File ``cap`` in the receiver's memo (a receiver the capture could
+    not seal has no record, and no memo)."""
+    if seal is None:
+        return
+    memo = seal.memo
+    if len(memo) >= _MEMO_CAP and slot not in memo:
+        memo.clear()
+    memo[slot] = cap
+
+
+def _args_token(args) -> tuple:
+    """``(token, live)``: the entry arguments as a hashable memo key, and
+    those held by identity.  A primitive keys by its type and exact value
+    (``0.0`` is not ``-0.0``, ``1`` is not ``True``); anything else by
+    ``id()``, which :meth:`_Capture.holds` checks by identity (token None:
+    an argument a weak reference cannot follow)."""
+    token, live = [], []
+    for a in args:
+        t = type(a)
+        if t is float or isinstance(a, np.floating):
+            token.append((t, float(a).hex()))
+        elif t is int or t is bool or isinstance(a, (np.integer, np.bool_)):
+            token.append((t, int(a)))
+        else:
+            if not (t.__weakrefoffset__ or isinstance(a, np.ndarray)):
+                return None, ()
+            token.append((t, id(a)))
+            live.append(a)
+    return tuple(token), tuple(live)
 
 
 def _program_key(minfo, recv_shape, arg_shapes, backend_obj, opt):
     """The request's cache key, digested under a ``cache.key`` span."""
-    with _span("cache.key"):
+    with _span("cache.key", memo="miss"):
         return code_cache.program_key(
             minfo, recv_shape, arg_shapes,
             backend=backend_obj.name, opt=opt,
@@ -276,17 +394,11 @@ def _build(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt, *,
 
 
 def _compile_sync(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt,
-                  use_cache: bool, *, snap_s: float,
-                  t_start: float) -> "_engine.JitCode":
-    """The lock-protected probe / single-flight / store protocol."""
-    if not use_cache:
-        passes = _env.pipeline_passes(
-            opt, backend_obj.name, getattr(backend_obj, "bounds_checks", False))
-        return _build(minfo, snapshot, recv_shape, arg_shapes, backend_obj,
-                      opt, passes=passes, snap_s=snap_s)
-
-    p0 = time.perf_counter()
-    key = _program_key(minfo, recv_shape, arg_shapes, backend_obj, opt)
+                  key, *, snap_s: float, t_start: float,
+                  p0: float) -> "_engine.JitCode":
+    """The lock-protected probe / single-flight / store protocol; ``p0``
+    is when the key phase began (a leader's ``cached_lookup_s`` runs from
+    there)."""
     deduped = False
     wait_s = 0.0
     for _ in range(1000):  # re-probe loop; each pass waits on one flight

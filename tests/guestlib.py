@@ -375,3 +375,51 @@ class FoldEdge:
 
     def pow_neg(self) -> f64:
         return 2 ** -1
+
+
+@wootin
+class Scale:
+    """One scalar field the translator folds into a constant: rebinding it
+    after ``jit()`` would make the artifact disagree with the host."""
+
+    a: f64
+
+    def __init__(self, a: f64):
+        self.a = a
+
+    def run(self, n: i64) -> f64:
+        return self.a * float(n)
+
+    def sign(self, x: f64) -> f64:
+        return x * self.a
+
+
+@wootin
+class FrontSum:
+    """Sums ``buf.front``: which array a JitCode reads is visible in its
+    result."""
+
+    buf: SwapBuf
+
+    def __init__(self, buf: SwapBuf):
+        self.buf = buf
+
+    def run(self) -> f64:
+        total = 0.0
+        for i in range(len(self.buf.front)):
+            total = total + self.buf.front[i]
+        return total
+
+
+@wootin
+class Tally:
+    """A leaf class until a test registers a subclass of it: finality is
+    part of the cache key, and the subclass is registered at run time."""
+
+    n: i64
+
+    def __init__(self, n: i64):
+        self.n = n
+
+    def run(self, k: i64) -> f64:
+        return float(self.n * k)

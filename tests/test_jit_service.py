@@ -12,12 +12,16 @@ the removed-entry count.
 
 from __future__ import annotations
 
+import copy
+import gc
+import struct
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from repro import jit
+from repro import f64, i64, jit
 from repro.backends.cbackend.backend import CBackend
 from repro.backends.pybackend.emit import PyBackend
 from repro.jit import cache as code_cache
@@ -256,3 +260,270 @@ class TestSatelliteBugfixes:
         jit(Sweeper(ScaleAddSolver(0.5), 17), "run", 2, backend=backend)
         assert clear_code_cache() == 1
         assert clear_code_cache() == 0
+
+
+# ---------------------------------------------------------------------------
+# the capture memo of a sealed receiver
+# ---------------------------------------------------------------------------
+
+def _fresh_digest(receiver, method, args, backend):
+    """The key a cold process would compute for this request now."""
+    from repro.backends.base import OptLevel
+    from repro.frontend.objectgraph import snapshot_args
+    from repro.jit import engine
+
+    minfo = engine._resolve_minfo(receiver, method)
+    _, recv_shape, arg_shapes = snapshot_args(receiver, args)
+    be = engine._make_backend(backend)
+    return code_cache.program_key(
+        minfo, recv_shape, arg_shapes, backend=be.name, opt=OptLevel.FULL,
+        bounds_checks=be.bounds_checks).digest
+
+
+def _bits(value) -> bytes:
+    return struct.pack("<d", float(value))
+
+
+def _served(receiver, method, *args, backend):
+    """jit() once; its key is the fresh one and it runs like CPython."""
+    code = jit(receiver, method, *args, backend=backend)
+    assert code.report.key_digest == _fresh_digest(receiver, method, args,
+                                                   backend)
+    want = getattr(receiver, method)(*args)
+    assert _bits(code.invoke().value) == _bits(want)
+    return code
+
+
+class TestCaptureMemo:
+    """Each fence of the memo: whatever moved between two warm calls, the
+    served key is the one a fresh capture computes, and the artifact runs
+    like the interpreter."""
+
+    def test_warm_call_reuses_the_capture(self, backend):
+        from tests.guestlib import FrontSum, SwapBuf
+
+        app = FrontSum(SwapBuf(np.ones(8, np.float32), np.zeros(8, np.float32)))
+        first = _served(app, "run", backend=backend)
+        again = _served(app, "run", backend=backend)
+        assert again.program.snapshot is first.program.snapshot
+        assert again.report.cache_tier == "memory"
+
+    def test_array_field_swap(self, backend):
+        from tests.guestlib import FrontSum, SwapBuf
+
+        buf = SwapBuf(np.ones(8, np.float32), np.zeros(8, np.float32))
+        app = FrontSum(buf)
+        before = _served(app, "run", backend=backend)
+        _served(app, "run", backend=backend)
+        buf.front = np.full(8, 2.0, np.float32)  # same shape: same key
+        same = _served(app, "run", backend=backend)
+        assert same.report.key_digest == before.report.key_digest
+        assert same.program.snapshot.array_slots[0].array is buf.front
+        buf.front = np.full(12, 3.0, np.float32)  # new length: new key
+        longer = _served(app, "run", backend=backend)
+        assert longer.report.key_digest != before.report.key_digest
+        assert before.invoke().value == 8.0
+
+    def test_recorded_arg_resized_in_place(self, backend):
+        from tests.guestlib_bounds import SafeSum
+
+        data = np.arange(16.0)
+        app = SafeSum()
+        old = _served(app, "run", data, backend=backend)
+        _served(app, "run", data, backend=backend)
+        data.resize(20, refcheck=False)
+        new = _served(app, "run", data, backend=backend)
+        assert new.report.key_digest != old.report.key_digest
+
+    def test_recorded_arg_retyped_in_place(self, backend):
+        """``SafeSum.run`` takes ``Array(f64)``: after ``.dtype =`` the
+        request is keyed and lowered afresh and refused like a cold one,
+        never served the f64 artifact."""
+        from repro.errors import LoweringError
+        from tests.guestlib_bounds import SafeSum
+
+        data = np.arange(16.0)
+        app = SafeSum()
+        old = _served(app, "run", data, backend=backend)
+        _served(app, "run", data, backend=backend)
+        data.dtype = np.int64
+        assert _fresh_digest(app, "run", (data,), backend) != \
+            old.report.key_digest
+        with pytest.raises(LoweringError) as cold:
+            jit(SafeSum(), "run", data, backend=backend, use_cache=False)
+        with pytest.raises(LoweringError) as warm:
+            jit(app, "run", data, backend=backend)
+        assert str(warm.value) == str(cold.value)
+
+    def test_subclass_registered_between_calls(self, backend):
+        from repro import wootin
+        from tests.guestlib import Tally
+
+        app = Tally(3)
+        leaf = _served(app, "run", 2, backend=backend)
+
+        @wootin
+        class TallyTwice(Tally):
+            def run(self, k: i64) -> f64:
+                return float(self.n * k * 2)
+
+        assert TallyTwice(1).run(1) == 2.0
+        after = _served(app, "run", 2, backend=backend)
+        assert after.report.key_digest != leaf.report.key_digest
+
+    @pytest.mark.parametrize("knob, value", [
+        ("REPRO_OPT_PASSES", "0"), ("REPRO_OMP", "1"), ("REPRO_BOUNDS", "1"),
+    ])
+    def test_knob_toggled_between_calls(self, backend, monkeypatch, knob,
+                                        value):
+        from tests.guestlib import FrontSum, SwapBuf
+
+        monkeypatch.delenv(knob, raising=False)
+        app = FrontSum(SwapBuf(np.ones(8, np.float32), np.zeros(8, np.float32)))
+        off = _served(app, "run", backend=backend)
+        _served(app, "run", backend=backend)
+        monkeypatch.setenv(knob, value)
+        on = _served(app, "run", backend=backend)
+        if knob != "REPRO_OMP" or backend == "c":  # py has no OpenMP leg
+            assert on.report.key_digest != off.report.key_digest
+        monkeypatch.delenv(knob)
+        back = _served(app, "run", backend=backend)
+        assert back.report.key_digest == off.report.key_digest
+
+    def test_signed_zero_and_bool_args(self, backend):
+        from tests.guestlib import Scale
+
+        app = Scale(0.5)
+        digests = set()
+        for arg in (1, True, 1, True):
+            digests.add(_served(app, "run", arg, backend=backend)
+                        .report.key_digest)
+        assert len(digests) == 2
+        for arg in (0.0, -0.0, 0.0, -0.0):
+            code = _served(app, "sign", arg, backend=backend)
+            digests.add(code.report.key_digest)
+        assert len(digests) == 4
+
+    def test_deepcopy_binds_its_own_arrays(self, backend):
+        from repro.lang import seal
+        from tests.guestlib import FrontSum, SwapBuf
+
+        app = FrontSum(SwapBuf(np.ones(8, np.float32), np.zeros(8, np.float32)))
+        _served(app, "run", backend=backend)
+        _served(app, "run", backend=backend)
+        dup = copy.deepcopy(app)
+        assert seal.record(dup) is None and seal.record(dup.buf) is None
+        dup.buf.front[:] = 5.0
+        code = _served(dup, "run", backend=backend)
+        assert code.program.snapshot.array_slots[0].array is dup.buf.front
+        assert code.invoke().value == 40.0
+
+    def test_collected_receiver_replaced(self, backend):
+        from repro.lang import seal
+        from tests.guestlib import Scale
+
+        for a in (0.5, 2.0, 3.0, -1.0):
+            app = Scale(a)
+            _served(app, "run", 4, backend=backend)
+            _served(app, "run", 4, backend=backend)
+            del app
+            gc.collect()
+            # whatever address the next receiver gets, it starts unsealed
+            assert seal.record(Scale(1.0)) is None
+
+
+class TestCaptureMemoTrace:
+    def test_spans_say_hit_or_miss(self, backend):
+        from tests.guestlib import FrontSum, SwapBuf
+
+        def run(buf):
+            app = FrontSum(buf)
+            values = []
+            for fence in (False, False, True, False):
+                if fence:
+                    buf.front = np.full(8, 2.0, np.float32)
+                trace.clear()
+                values.append(jit(app, "run", backend=backend).invoke().value)
+                memo = {s.name: s.attrs.get("memo") for s in trace.spans()
+                        if s.name in ("jit.snapshot", "cache.key")}
+                if trace.enabled():
+                    seen.append(memo)
+            return values
+
+        seen: list = []
+        was_enabled = trace.enabled()
+        trace.enable()
+        try:
+            traced = run(SwapBuf(np.ones(8, np.float32),
+                                 np.zeros(8, np.float32)))
+        finally:
+            if not was_enabled:
+                trace.disable()
+            trace.clear()
+        miss = {"jit.snapshot": "miss", "cache.key": "miss"}
+        hit = {"jit.snapshot": "hit", "cache.key": "hit"}
+        assert seen == [miss, hit, miss, hit]
+        trace.disable()
+        try:
+            plain = run(SwapBuf(np.ones(8, np.float32),
+                                np.zeros(8, np.float32)))
+        finally:
+            if was_enabled:
+                trace.enable()
+        assert traced == plain == [8.0, 8.0, 16.0, 16.0]
+
+
+class TestCaptureMemoRace:
+    def test_warm_jit_races_an_array_swap(self, backend):
+        """8 threads of warm jit() on one receiver while a ninth swaps its
+        array field between two lengths: every JitCode binds the array its
+        own key was computed for."""
+        from tests.guestlib import FrontSum, SwapBuf
+
+        short, long = np.ones(8, np.float32), np.ones(16, np.float32)
+        buf = SwapBuf(short, np.zeros(4, np.float32))
+        app = FrontSum(buf)
+        digest = {}
+        for arr in (short, long):
+            buf.front = arr
+            digest[arr.size] = jit(app, "run", backend=backend).report.key_digest
+        assert len(set(digest.values())) == 2
+
+        n_threads, calls = 8, 150
+        stop = threading.Event()
+        codes: list = []
+        errors: list = []
+        barrier = threading.Barrier(n_threads + 1)
+
+        def swapper():
+            barrier.wait(timeout=30)
+            while not stop.is_set():
+                buf.front = long if buf.front is short else short
+
+        def worker():
+            try:
+                barrier.wait(timeout=30)
+                mine = [jit(app, "run", backend=backend) for _ in range(calls)]
+                codes.extend(mine)
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+        swap = threading.Thread(target=swapper)
+        for t in [swap, *threads]:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        stop.set()
+        swap.join(timeout=30)
+        assert not errors
+        assert len(codes) == n_threads * calls
+        sizes = set()
+        for code in codes:
+            arr = code.program.snapshot.array_slots[0].array
+            assert arr is short or arr is long
+            assert code.report.key_digest == digest[arr.size]
+            sizes.add(arr.size)
+        for code in codes[:: max(1, len(codes) // 16)]:
+            arr = code.program.snapshot.array_slots[0].array
+            assert code.invoke().value == float(arr.size)

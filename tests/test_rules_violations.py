@@ -152,6 +152,91 @@ class TestSnapshotRules:
             jit(g, "swap", backend="py", use_cache=False)
 
 
+class TestHostSeal:
+    """A capture seals what it visited: the host can no longer rebind a
+    field the translator folded into a constant (def. 3), while an array
+    field stays rebindable to an array (def. 3c)."""
+
+    def test_scalar_rebind_after_jit_raises(self, backend):
+        from tests.guestlib import Scale
+
+        s = Scale(0.5)
+        code = jit(s, "run", 4, backend=backend)
+        with pytest.raises(NotSemiImmutable) as err:
+            s.a = 2.0
+        assert err.value.where == "Scale.a"
+        assert s.a == 0.5
+        assert code.invoke().value == s.run(4) == 2.0
+
+    def test_new_attribute_and_delete_on_sealed_instance_raise(self, backend):
+        from tests.guestlib import Scale
+
+        s = Scale(0.5)
+        jit(s, "run", 4, backend=backend)
+        with pytest.raises(NotSemiImmutable, match="Scale.extra"):
+            s.extra = 1.0
+        with pytest.raises(NotSemiImmutable, match="Scale.a"):
+            del s.a
+        assert vars(s) == {"a": 0.5}
+
+    def test_unjitted_instance_stays_mutable(self):
+        from tests.guestlib import Scale
+
+        s = Scale(0.5)
+        s.a = 2.0
+        s.extra = 1
+        del s.extra
+        assert s.run(4) == 8.0
+
+    def test_array_field_rebound_to_non_array_raises(self, backend):
+        from tests.guestlib import SwapBuf, SwapPeek
+
+        buf = SwapBuf(np.ones(4, np.float32), np.zeros(4, np.float32))
+        jit(SwapPeek(buf), "run", backend=backend)
+        with pytest.raises(NotSemiImmutable, match="SwapBuf.front"):
+            buf.front = 1.0
+
+    def test_swap_still_runs_under_cpython(self, backend):
+        """``SwapBuf.swap`` rebinds array fields of a sealed instance."""
+        from tests.guestlib import SwapBuf, SwapReader
+
+        front, back = np.zeros(4, np.float32), np.zeros(4, np.float32)
+        app = SwapReader(SwapBuf(front, back))
+        code = jit(app, "run", 4, backend=backend)
+        assert app.run(4) == 3.0
+        assert app.buf.front is back and app.buf.back is front
+        app.buf.swap()
+        assert app.buf.front is front
+        assert code.invoke().value == 3.0
+
+    def test_recorded_arguments_survive_an_array_rebind(self, backend):
+        """The paper's recorded arguments: a JitCode keeps reading the
+        array it captured; a new ``jit()`` binds the one the field holds
+        now."""
+        from tests.guestlib import FrontSum, SwapBuf
+
+        old, new = np.full(4, 1.0, np.float32), np.full(4, 2.0, np.float32)
+        buf = SwapBuf(old, np.zeros(4, np.float32))
+        app = FrontSum(buf)
+        code = jit(app, "run", backend=backend)
+        buf.front = new
+        assert code.invoke().value == 4.0
+        fresh = jit(app, "run", backend=backend)
+        assert fresh.program.snapshot.array_slots[0].array is new
+        assert fresh.invoke().value == 8.0 == app.run()
+
+    def test_failed_capture_seals_nothing(self):
+        from repro.errors import JitError
+        from tests.guestlib import PairUser
+
+        app = PairUser()
+        app.junk = {"not": "allowed"}
+        with pytest.raises(JitError):
+            jit(app, "run", 1.0, 2.0, backend="py", use_cache=False)
+        app.junk = None
+        del app.junk
+
+
 class TestStrictFinal:
     def test_local_of_non_leaf_class_rejected(self):
         from tests.guestlib_strictfinal import BaseHolder
