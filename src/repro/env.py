@@ -142,23 +142,22 @@ def passes_for(backend: str, bounds_checks: bool = False) -> tuple:
 
 #: every knob :func:`repro.jit.cache.program_key` reads, directly or
 #: through the backend's bounds-check flag
-KEY_KNOBS = ("REPRO_OPT_PASSES", "REPRO_OMP", "REPRO_OMP_THREADS",
-             "REPRO_OMP_REDUCTIONS", "REPRO_BLAS", "REPRO_BOUNDS")
-
+_KEY_KNOBS = ("REPRO_OPT_PASSES", "REPRO_OMP", "REPRO_OMP_THREADS",
+              "REPRO_OMP_REDUCTIONS", "REPRO_BLAS", "REPRO_BOUNDS")
 
 #: ``os.environ`` keeps its variables in ``_data`` under ``encodekey``
 #: keys; one ``os.environ.get`` costs ~1.8 us on a 2-vCPU x86-64 VM, a read
 #: of ``_data`` a tenth of that, and a warm ``jit()`` reads all six
-_KNOB_KEYS = tuple(map(getattr(os.environ, "encodekey", str), KEY_KNOBS))
+_KNOB_KEYS = tuple(map(getattr(os.environ, "encodekey", str), _KEY_KNOBS))
 
 
 def key_knobs() -> tuple:
-    """The raw values of :data:`KEY_KNOBS` (None when unset): a key
-    computed under one tuple is reused only while it reads the same."""
+    """The raw values of the knobs that key the cache (None when unset):
+    a key computed under one tuple is reused only while it reads the same."""
     data = getattr(os.environ, "_data", None)
     if type(data) is dict:
         return tuple(map(data.get, _KNOB_KEYS))
-    return tuple(map(os.environ.get, KEY_KNOBS))
+    return tuple(map(os.environ.get, _KEY_KNOBS))
 
 
 def pipeline_passes(opt, backend: str, bounds_checks: bool = False) -> tuple:

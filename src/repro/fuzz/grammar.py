@@ -60,6 +60,7 @@ __all__ = [
     "LEGACY_FEATURES",
     "ProgramSpec",
     "ctor_args",
+    "host_step",
     "mutate",
     "random_spec",
     "render",
@@ -539,11 +540,12 @@ def render(spec: ProgramSpec) -> str:
     return HEADER + "\n".join(em.lines) + "\n"
 
 
-def ctor_args(spec: ProgramSpec) -> list[Any]:
+def ctor_args(spec: ProgramSpec, *, swapped: bool = False) -> list[Any]:
     """Positional constructor arguments matching :func:`render`'s ctor.
 
     The data buffer is materialized fresh on every call so mutation by one
-    differential leg can never leak into the next.
+    differential leg can never leak into the next.  ``swapped`` reverses
+    it: the array a ``"swap"`` host step rebinds the field to.
     """
     import numpy as np
 
@@ -551,8 +553,24 @@ def ctor_args(spec: ProgramSpec) -> list[Any]:
     if spec.k is not None:
         args.append(spec.k)
     if spec.data is not None and spec.features.data_field:
-        args.append(np.array(spec.data[:spec.n], dtype=np.float64))
+        data = spec.data[:spec.n]
+        args.append(np.array(data[::-1] if swapped else data,
+                             dtype=np.float64))
     return args
+
+
+def host_step(spec: ProgramSpec) -> str:
+    """What the host does to the receiver after ``jit()``: ``"swap"``
+    rebinds the ``Array(f64)`` field to the reversed data (legal; a fresh
+    ``jit()`` must then agree with the interpreter on the swapped
+    receiver), ``"rebind"`` sets the scalar field ``a`` (must raise
+    ``NotSemiImmutable``).  A pure function of the spec: it draws nothing
+    from the generator, so seeded runs produce the programs they always
+    did."""
+    if spec.data is not None and spec.features.data_field \
+            and spec.seed % 2 == 0:
+        return "swap"
+    return "rebind"
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,15 @@ loop-independence analysis (no compiler needed).  All legs must agree
 with the reference *bit for bit*, on the return value and on every
 ``wj.output`` array.
 
+A generated program then takes one host-mutation step per backend
+(:func:`repro.fuzz.grammar.host_step`): after ``jit()`` the host either
+rebinds the scalar field ``a``, which must raise ``NotSemiImmutable``, or
+rebinds the array field, after which a fresh ``jit()`` must agree bit for
+bit with the interpreter on the swapped receiver while the first artifact
+still reads the array it recorded.  These legs (``<backend>/host-<step>``)
+go through the cache tiers, memory only, so the capture memo of a sealed
+receiver is what they attack.
+
 The frontend reads guest source through ``inspect``, so each program is
 materialized as a real module file in a scratch directory and imported
 under a unique name.
@@ -29,7 +38,9 @@ from typing import Any, Callable, Sequence
 
 from repro.env import env_flag, passes_for
 from repro.fuzz.coverage import BranchCoverage
-from repro.fuzz.grammar import CLASS_NAME, ProgramSpec, ctor_args, render
+from repro.fuzz.grammar import (
+    CLASS_NAME, ProgramSpec, ctor_args, host_step, render,
+)
 
 __all__ = ["DiffResult", "DiffRunner", "LegResult", "divergence_signature"]
 
@@ -56,6 +67,8 @@ class DiffResult:
     divergent: list[str] = field(default_factory=list)
     new_arcs: int = 0
     spec: ProgramSpec | None = None
+    #: the host-mutation legs, one per backend (generated programs only)
+    host: list[LegResult] = field(default_factory=list)
 
 
 def divergence_signature(res: DiffResult) -> str | None:
@@ -65,7 +78,8 @@ def divergence_signature(res: DiffResult) -> str | None:
         return "crash:" + res.crash.split(":", 1)[0]
     if res.divergent:
         return "diverge:" + ",".join(sorted(res.divergent))
-    bad = sorted(leg.name for leg in res.legs if leg.error is not None)
+    bad = sorted(leg.name for leg in [*res.legs, *res.host]
+                 if leg.error is not None)
     if bad:
         return "leg-error:" + ",".join(bad)
     return None
@@ -73,6 +87,24 @@ def divergence_signature(res: DiffResult) -> str | None:
 
 def _bits(value: float) -> bytes:
     return struct.pack("<d", float(value))
+
+
+def _interpret(cls: Any, ctor_args: list, method: str,
+               method_args: Sequence[Any]) -> tuple[float, dict]:
+    """The reference: the guest method run directly under CPython;
+    ``(value, wj.output arrays)``."""
+    import repro.rt as rt
+
+    rt.current.reset()
+    value = float(getattr(cls(*ctor_args), method)(*method_args))
+    return value, rt.current.take_outputs()
+
+
+def _invoke_bits(code, out_labels: list[str]) -> bytes:
+    """One invoke's value and outputs as the bytes legs are compared by."""
+    inv = code.invoke()
+    return _bits(float(inv.value)) + b"".join(
+        inv.output(label).tobytes() for label in out_labels)
 
 
 class DiffRunner:
@@ -110,23 +142,27 @@ class DiffRunner:
     # -- execution ---------------------------------------------------------
 
     def run_spec(self, spec: ProgramSpec) -> DiffResult:
-        """Render and differentially execute one spec."""
-        res = self.run_program(render(spec), lambda: ctor_args(spec),
-                               "run", (spec.iters,))
+        """Render and differentially execute one spec, host step included."""
+        res = self.run_program(
+            render(spec), lambda: ctor_args(spec), "run", (spec.iters,),
+            host=(host_step(spec), lambda: ctor_args(spec, swapped=True)))
         res.spec = spec
         return res
 
     def run_program(self, source: str, make_args: Callable[[], list],
                     method: str, method_args: Sequence[Any],
-                    class_name: str = CLASS_NAME) -> DiffResult:
+                    class_name: str = CLASS_NAME,
+                    host: tuple[str, Callable[[], list]] | None = None,
+                    ) -> DiffResult:
         """Differentially execute one guest program given as source text.
 
         ``make_args`` must build a *fresh* constructor-argument list on
         every call (array arguments are mutable and each leg must start
-        from identical state).
+        from identical state).  ``host`` is ``(step, make_swapped_args)``
+        for the host-mutation legs; ``make_swapped_args`` builds the
+        constructor arguments whose last one is the array a ``"swap"``
+        rebinds the field ``data`` to.
         """
-        import repro.rt as rt
-
         res = DiffResult(source=source)
         try:
             cls, modname = self._import_program(source, class_name)
@@ -137,9 +173,8 @@ class DiffRunner:
         try:
             # reference: direct CPython interpretation of the guest method
             try:
-                rt.current.reset()
-                ref = float(getattr(cls(*make_args()), method)(*method_args))
-                ref_outs = rt.current.take_outputs()
+                ref, ref_outs = _interpret(cls, make_args(), method,
+                                           method_args)
             except Exception as exc:  # noqa: BLE001
                 res.ok = False
                 res.crash = f"{type(exc).__name__}: interpreter: {exc}"
@@ -148,6 +183,7 @@ class DiffRunner:
             ref_bits = _bits(ref) + b"".join(
                 ref_outs[k].tobytes() for k in sorted(ref_outs))
             saved = os.environ.get("REPRO_OPT_PASSES")
+            saved_disk = os.environ.get("REPRO_DISK_CACHE")
             try:
                 for backend in self.backends:
                     seen = set()
@@ -168,11 +204,19 @@ class DiffRunner:
                         elif leg.bits != ref_bits:
                             res.ok = False
                             res.divergent.append(leg.name)
+                if host is not None:
+                    # memory tier only: fuzz artifacts stay out of the
+                    # user's disk cache
+                    os.environ["REPRO_DISK_CACHE"] = "0"
+                    self._host_legs(cls, make_args, method, method_args,
+                                    host, ref_bits, sorted(ref_outs), res)
             finally:
-                if saved is None:
-                    os.environ.pop("REPRO_OPT_PASSES", None)
-                else:
-                    os.environ["REPRO_OPT_PASSES"] = saved
+                for knob, value in (("REPRO_OPT_PASSES", saved),
+                                    ("REPRO_DISK_CACHE", saved_disk)):
+                    if value is None:
+                        os.environ.pop(knob, None)
+                    else:
+                        os.environ[knob] = value
             return res
         finally:
             sys.modules.pop(modname, None)
@@ -199,10 +243,68 @@ class DiffRunner:
             if cov is not None:
                 res.new_arcs += len(cov.end_run())
         try:
-            inv = code.invoke()
-            leg.value = float(inv.value)
-            leg.bits = _bits(leg.value) + b"".join(
-                inv.output(label).tobytes() for label in out_labels)
+            leg.bits = _invoke_bits(code, out_labels)
+            leg.value = struct.unpack("<d", leg.bits[:8])[0]
         except Exception as exc:  # noqa: BLE001
             leg.error = f"{type(exc).__name__}: invoke: {exc}"
+        return leg
+
+    def _host_legs(self, cls: Any, make_args: Callable[[], list],
+                   method: str, method_args: Sequence[Any],
+                   host: tuple[str, Callable[[], list]], ref_bits: bytes,
+                   out_labels: list[str], res: DiffResult) -> None:
+        """One host-mutation leg per backend (see the module docstring)."""
+        step, make_swapped = host
+        want = ref_bits
+        if step == "swap":
+            try:
+                value, outs = _interpret(cls, make_swapped(), method,
+                                         method_args)
+            except Exception as exc:  # noqa: BLE001
+                res.ok = False
+                res.crash = f"{type(exc).__name__}: interpreter: {exc}"
+                return
+            want = _bits(value) + b"".join(
+                outs[k].tobytes() for k in out_labels)
+        for backend in self.backends:
+            leg = self._host_leg(cls, make_args, make_swapped, method,
+                                 method_args, backend, step, ref_bits,
+                                 out_labels)
+            res.host.append(leg)
+            if leg.error is not None:
+                res.ok = False
+            elif leg.bits != want:
+                res.ok = False
+                res.divergent.append(leg.name)
+
+    def _host_leg(self, cls: Any, make_args: Callable[[], list],
+                  make_swapped: Callable[[], list], method: str,
+                  method_args: Sequence[Any], backend: str, step: str,
+                  ref_bits: bytes, out_labels: list[str]) -> LegResult:
+        from repro import jit
+        from repro.errors import NotSemiImmutable
+
+        leg = LegResult(name=f"{backend}/host-{step}")
+        try:
+            recv = cls(*make_args())
+            first = jit(recv, method, *method_args, backend=backend)
+            if step == "rebind":
+                try:
+                    recv.a = recv.a + 1.0
+                except NotSemiImmutable:
+                    pass
+                else:
+                    leg.error = "host: rebinding the scalar field a did not raise"
+                    return leg
+            else:
+                recv.data = make_swapped()[-1]
+            again = jit(recv, method, *method_args, backend=backend)
+            if _invoke_bits(first, out_labels) != ref_bits:
+                leg.error = ("host: the artifact from before the step no "
+                             "longer reads its recorded arguments")
+                return leg
+            leg.bits = _invoke_bits(again, out_labels)
+            leg.value = struct.unpack("<d", leg.bits[:8])[0]
+        except Exception as exc:  # noqa: BLE001
+            leg.error = f"{type(exc).__name__}: host {step}: {exc}"
         return leg

@@ -26,6 +26,12 @@ module is the layer in front of ``engine._compile`` that fixes both:
   would compile.  Lock waits surface as ``farm_*`` counters and on
   ``JitReport.farm_dedup``/``farm_wait_s``.  See docs/COMPILE_FARM.md.
 
+* **The warm path** — a successful capture seals the object graph
+  (:mod:`repro.lang.seal`), so a sealed receiver keeps its snapshot and
+  key per request (:class:`_Capture`) and a warm call whose fences hold
+  skips the graph walk and the digest.  See docs/JIT_SERVICE.md, "The
+  warm path".
+
 * **Observability** — each measurement is recorded once.  The service
   counters (``requests``, ``compiles``, ``dedup_hits``,
   ``inflight_waits``, ``farm_*``) are one dict under the service lock;
@@ -34,7 +40,8 @@ module is the layer in front of ``engine._compile`` that fixes both:
   ``JitReport`` fields (``translate_s``, ``backend_compile_s``,
   ``cached_lookup_s``, ``inflight_wait_s``, ``farm_wait_s``).  Every
   pipeline step also opens a tracing span (:mod:`repro.obs.trace` —
-  ``jit.snapshot``, ``cache.key``, ``cache.probe``, ``jit.translate``,
+  ``jit.snapshot`` and ``cache.key`` with ``memo="hit"|"miss"``,
+  ``cache.probe``, ``jit.translate``,
   ``backend.compile``, ``cache.store``, ``jit.inflight_wait``,
   ``jit.farm_lock``), so ``REPRO_TRACE=1`` yields a full flame graph of
   a compile.
@@ -196,15 +203,14 @@ def compile_program(minfo, receiver, args, *, backend: str = "auto",
     if cap is not None and cap.config == config:
         with _span("cache.key", memo="hit"):
             key = cap.key
+        captured = cap.captured
     else:
         if cap is not None:  # only the configuration moved: no walk
             epoch, generation, captured = cap.epoch, cap.generation, cap.captured
         key = _program_key(minfo, captured[1], captured[2], backend_obj, opt)
         if token is not None and captured[0].sealed:
-            cap = _Capture(epoch, generation, captured, live, config, key)
-            _remember(seal or _seal.record(receiver), slot, cap)
-    if cap is not None:
-        captured = cap.captured
+            _remember(seal or _seal.record(receiver), slot,
+                      _Capture(epoch, generation, captured, live, config, key))
     return _compile_sync(minfo, *captured, backend_obj, opt, key,
                          snap_s=p0 - t0, t_start=t0, p0=p0)
 

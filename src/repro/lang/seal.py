@@ -8,10 +8,12 @@ error it seals every ``@wootin`` instance it visited.  From then on the
 class-level guard refuses, with :class:`~repro.errors.NotSemiImmutable`:
 
 * binding a name the instance does not have;
-* rebinding or deleting a field whose current value is not an ndarray.
+* rebinding a field unless both its current and its new value are
+  ndarrays;
+* deleting a field.
 
 Rebinding an ndarray field to an ndarray stays legal (def. 3c — the double
-buffer's ``swap``); it bumps one process-wide :func:`epoch`, which is what
+buffer's ``swap``); it moves one process-wide :func:`epoch`, which is what
 lets a sealed receiver's capture be reused until an array moves
 (:mod:`repro.jit.service`).
 
@@ -31,7 +33,7 @@ under CPython (EXPERIMENTS.md, "the seal").  Code that writes through
 
 from __future__ import annotations
 
-import threading
+import itertools
 import weakref
 from typing import Optional
 
@@ -56,14 +58,17 @@ class Seal:
 #: id(instance) -> Seal, for live sealed instances only
 _SEALS: dict[int, Seal] = {}
 
-#: bumped after every legal array-field rebind of a sealed instance
+#: set after every legal array-field rebind of a sealed instance to a value
+#: never used before.  No lock: ``next()`` on a count is atomic, and two
+#: rebinds racing their writes can leave the older value, but never one a
+#: capture read before either rebind
+_EPOCHS = itertools.count(1)
 _epoch = 0
-_EPOCH_LOCK = threading.Lock()
 
 
 def epoch() -> int:
-    """The number of array-field rebinds on sealed instances so far.  Read
-    it *before* a capture: an entry stamped with it is stale once it moved."""
+    """Changes with every array-field rebind on a sealed instance.  Read it
+    *before* a capture: an entry stamped with it is stale once it moved."""
     return _epoch
 
 
@@ -131,8 +136,7 @@ def _sealed_setattr(self, name: str, value) -> None:
     # after the store: a capture that read the epoch before this point
     # may have seen the old array, and its entry must go stale
     global _epoch
-    with _EPOCH_LOCK:
-        _epoch += 1
+    _epoch = next(_EPOCHS)
 
 
 def _sealed_delattr(self, name: str) -> None:

@@ -138,6 +138,45 @@ class TestDifferentialRunner:
             assert divergence_signature(res) is None, res.source
 
 
+class TestHostStep:
+    @staticmethod
+    def _specs(step):
+        from repro.fuzz.grammar import host_step
+
+        rng = random.Random(SEED)
+        while True:
+            spec = random_spec(rng, FULL_FEATURES)
+            if host_step(spec) == step:
+                return spec
+
+    @pytest.mark.parametrize("step", ["rebind", "swap"])
+    def test_host_step_runs_clean_on_every_backend(self, tmp_path, step):
+        runner = DiffRunner(workdir=tmp_path)
+        res = runner.run_spec(self._specs(step))
+        assert res.ok, (res.crash, res.divergent,
+                        [leg.error for leg in res.host])
+        assert [leg.name for leg in res.host] == [
+            f"{b}/host-{step}" for b in runner.backends]
+
+    def test_stale_capture_is_caught(self, tmp_path, monkeypatch):
+        """A memo that ignored array rebinds would serve the swapped
+        receiver the artifact bound to the old array."""
+        from repro.lang import seal
+
+        monkeypatch.setattr(seal, "epoch", lambda: 0)
+        res = DiffRunner(workdir=tmp_path, backends=["py"]).run_spec(
+            self._specs("swap"))
+        assert res.divergent == ["py/host-swap"]
+
+    def test_unsealed_rebind_is_caught(self, tmp_path, monkeypatch):
+        from repro.lang import seal
+
+        monkeypatch.setattr(seal, "seal", lambda obj: False)
+        res = DiffRunner(workdir=tmp_path, backends=["py"]).run_spec(
+            self._specs("rebind"))
+        assert divergence_signature(res) == "leg-error:py/host-rebind"
+
+
 class TestGuidedVsRandom:
     def test_guided_reaches_more_arcs_under_same_budget(self, tmp_path):
         budget = 20

@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import gc
 import struct
+import sys
 import threading
 import time
 
@@ -477,7 +478,8 @@ class TestCaptureMemoRace:
     def test_warm_jit_races_an_array_swap(self, backend):
         """8 threads of warm jit() on one receiver while a ninth swaps its
         array field between two lengths: every JitCode binds the array its
-        own key was computed for."""
+        own key was computed for, and a jit() that starts after a swap
+        binds the array the swap stored."""
         from tests.guestlib import FrontSum, SwapBuf
 
         short, long = np.ones(8, np.float32), np.ones(16, np.float32)
@@ -492,13 +494,20 @@ class TestCaptureMemoRace:
         n_threads, calls = 8, 150
         stop = threading.Event()
         codes: list = []
+        stale: list = []
         errors: list = []
         barrier = threading.Barrier(n_threads + 1)
 
         def swapper():
-            barrier.wait(timeout=30)
-            while not stop.is_set():
-                buf.front = long if buf.front is short else short
+            try:
+                barrier.wait(timeout=30)
+                while not stop.is_set():
+                    buf.front = now = long if buf.front is short else short
+                    code = jit(app, "run", backend=backend)
+                    if code.program.snapshot.array_slots[0].array is not now:
+                        stale.append(code)
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
 
         def worker():
             try:
@@ -508,22 +517,28 @@ class TestCaptureMemoRace:
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
-        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
-        swap = threading.Thread(target=swapper)
-        for t in [swap, *threads]:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-        stop.set()
-        swap.join(timeout=30)
+        # switch threads often, so the swap lands inside the walk
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker)
+                       for _ in range(n_threads)]
+            swap = threading.Thread(target=swapper)
+            for t in [swap, *threads]:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            stop.set()
+            swap.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
         assert not errors
+        assert not stale, f"{len(stale)} jit() calls bound a replaced array"
         assert len(codes) == n_threads * calls
-        sizes = set()
         for code in codes:
             arr = code.program.snapshot.array_slots[0].array
             assert arr is short or arr is long
             assert code.report.key_digest == digest[arr.size]
-            sizes.add(arr.size)
         for code in codes[:: max(1, len(codes) // 16)]:
             arr = code.program.snapshot.array_slots[0].array
             assert code.invoke().value == float(arr.size)

@@ -225,17 +225,6 @@ class TestHostSeal:
         assert fresh.program.snapshot.array_slots[0].array is new
         assert fresh.invoke().value == 8.0 == app.run()
 
-    def test_failed_capture_seals_nothing(self):
-        from repro.errors import JitError
-        from tests.guestlib import PairUser
-
-        app = PairUser()
-        app.junk = {"not": "allowed"}
-        with pytest.raises(JitError):
-            jit(app, "run", 1.0, 2.0, backend="py", use_cache=False)
-        app.junk = None
-        del app.junk
-
 
 class TestStrictFinal:
     def test_local_of_non_leaf_class_rejected(self):
