@@ -64,7 +64,6 @@ class CBackend(Backend):
                 "loops_parallel": plan.stats["loops_parallel"],
                 "loops_guarded": plan.stats["loops_guarded"],
                 "reductions": plan.stats["reductions"],
-                "threads_requested": plan.threads,
                 "functions": plan.stats["functions"],
             }}
         elif wanted:

@@ -306,17 +306,11 @@ class CCompiled(CompiledProgram):
             omp_fn.restype = ct.c_int64
             omp_fn.argtypes = []
             self.omp_max_threads = int(omp_fn())
+        # no argtypes: every argument is already a ctypes object of the
+        # right C type (_Frame.args), and skipping the per-call conversion
+        # checks halves the native call
         self._entry = self._lib.wj_entry
         self._entry.restype = None
-        self._entry.argtypes = [
-            ct.POINTER(WjEnvStruct),
-            ct.c_void_p,
-            ct.POINTER(ct.c_void_p),
-            ct.POINTER(ct.c_int64),
-            ct.POINTER(ct.c_int64),
-            ct.POINTER(ct.c_double),
-            ct.c_void_p,
-        ]
         n_i = max(1, len(emit.ivals))
         n_d = max(1, len(emit.dvals))
         self._iv = (ct.c_int64 * n_i)(*(emit.ivals or [0]))

@@ -3,23 +3,27 @@
 Reproduces the paper's Tables 1 and 2 (compiler options per program
 variant): each :class:`~repro.backends.base.OptLevel` maps to a flag set in
 :data:`FLAG_SETS` — the analogue of the icc option rows, adapted to gcc.
-Artifacts are cached by content hash, so re-JITting an identical program is
-free while first-time compilations are honestly measured (paper Table 3).
+Every call runs the compiler, so first-time compilations are honestly
+measured (paper Table 3); re-JITting an identical program is the code
+cache's job (``repro.jit.cache``), whose disk tier keeps its own copy of the
+``.so``.
 
 Every program is one translation unit and one compiler process: the
 specializations are ``static``, so the C compiler inlines them and only the
 ``wj_*`` entry points are exported.  Each build works in a directory of its
-own inside the cache and publishes the ``.so`` with ``os.replace``, so
-concurrent builds of one source never share a temporary.
+own under one private root per process, so concurrent builds of one source
+never share a file.  The returned ``.so`` stays loadable until the process
+exits; the process that made the root removes it then.
 """
 
 from __future__ import annotations
 
-import hashlib
+import atexit
 import os
 import shutil
 import subprocess
 import tempfile
+import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -71,24 +75,43 @@ def cc_version() -> str:
     return out.stdout.splitlines()[0] if out.stdout else cc
 
 
-def _cache_dir() -> Path:
-    root = os.environ.get("REPRO_CC_CACHE") or os.path.join(
-        tempfile.gettempdir(), "repro-cc-cache"
-    )
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+#: the private directory every build of this process works in, made by the
+#: first build and removed at exit by the process that made it
+_root: Path | None = None
+_root_lock = threading.Lock()
+
+
+def _build_root() -> Path:
+    global _root
+    with _root_lock:
+        if _root is None:
+            _root = Path(tempfile.mkdtemp(prefix="repro-build-"))
+            atexit.register(_remove_root)
+        return _root
+
+
+def _remove_root() -> None:
+    shutil.rmtree(_root, ignore_errors=True)
+
+
+def _forget_root() -> None:
+    # a forked child neither removes nor reuses its parent's root
+    global _root, _root_lock
+    atexit.unregister(_remove_root)
+    _root, _root_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_root)
 
 
 @dataclass
 class BuildStats:
     """How one shared object was produced (surfaced in ``JitReport``)."""
 
-    mode: str = "single"        # "single" | "cached"
+    mode: str = "single"        # always; read only by the benchmarks/ledger replay
     units: int = 1              # always 1; read only by the benchmarks/ledger replay
     compile_s: float = 0.0      # compiler process time
     wall_s: float = 0.0         # end-to-end build wall clock
-    cached: bool = False        # artifact served from the content-hash cache
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -169,63 +192,43 @@ def build_shared_object(
     source: str, opt: OptLevel, *, units: None = None,
     bounds_checks: bool = False, openmp: bool = False, blas: bool = False,
 ) -> tuple[Path, BuildStats]:
-    """Compile C source to a cached .so; returns ``(path, BuildStats)``.
+    """Compile C source to a fresh .so; returns ``(path, BuildStats)``.
 
     ``units`` is accepted and unused; the benchmarks/ledger replay is its
     only caller.  The build runs under a ``cc.build`` tracing span with one
     ``cc.compile`` child around the compiler process.
     """
-    with _span("cc.build") as sp:
-        path, stats = _build_impl(source, opt, bounds_checks=bounds_checks,
-                                  openmp=openmp, blas=blas)
-        sp.set(mode=stats.mode, cached=stats.cached)
-        return path, stats
-
-
-def _build_impl(
-    source: str, opt: OptLevel, *, bounds_checks: bool, openmp: bool,
-    blas: bool,
-) -> tuple[Path, BuildStats]:
     cc = _find_cc()
     if cc is None:
         raise CompilationUnavailable(
             "no C compiler found (set $CC or install gcc/clang), or use "
             "backend='py'"
         )
-    t0 = time.perf_counter()
-    flags = list(FLAG_SETS[opt]) + _COMMON
-    if bounds_checks:
-        flags.append("-DWJ_BOUNDS=1")
-    if openmp:
-        omp = openmp_flag(cc)
-        if omp:
-            flags.append(omp)
-    if blas:
-        libs = blas_flags(cc)
-        if libs:
-            # the define selects the cblas path in the prelude; the link
-            # flags resolve it.  Both are part of `flags`, hence the digest.
-            flags.append("-DWJ_HAVE_CBLAS")
-            flags.extend(libs)
-    digest = hashlib.sha256(
-        (source + "\x00" + " ".join(flags) + "\x00" + cc).encode()
-    ).hexdigest()[:24]
-    cache = _cache_dir()
-    so_path = cache / f"wj_{digest}.so"
-    if so_path.exists():
-        return so_path, BuildStats(mode="cached", cached=True,
-                                   wall_s=time.perf_counter() - t0)
-
-    # a directory per build: threads and processes compiling the same
-    # source must not write each other's .c or half-linked .so
-    with tempfile.TemporaryDirectory(dir=cache, prefix="build-") as td:
-        c_path = Path(td, f"wj_{digest}.c")
+    with _span("cc.build"):
+        t0 = time.perf_counter()
+        flags = list(FLAG_SETS[opt]) + _COMMON
+        if bounds_checks:
+            flags.append("-DWJ_BOUNDS=1")
+        if openmp:
+            omp = openmp_flag(cc)
+            if omp:
+                flags.append(omp)
+        if blas:
+            libs = blas_flags(cc)
+            if libs:
+                # the define selects the cblas path in the prelude; the link
+                # flags resolve it
+                flags.append("-DWJ_HAVE_CBLAS")
+                flags.extend(libs)
+        # a directory per build: threads compiling the same source must not
+        # write each other's .c or half-linked .so
+        build_dir = Path(tempfile.mkdtemp(dir=_build_root(), prefix="build-"))
+        c_path = build_dir / "wj.c"
         c_path.write_text(source)
-        tmp_out = Path(td, so_path.name)
+        so_path = build_dir / "wj.so"
         t_compile = time.perf_counter()
         with _span("cc.compile"):
-            _run_cc([cc, str(c_path), "-o", str(tmp_out), *flags])
+            _run_cc([cc, str(c_path), "-o", str(so_path), *flags])
         compile_s = time.perf_counter() - t_compile
-        os.replace(tmp_out, so_path)
-    return so_path, BuildStats(mode="single", compile_s=compile_s,
-                               wall_s=time.perf_counter() - t0)
+        return so_path, BuildStats(compile_s=compile_s,
+                                   wall_s=time.perf_counter() - t0)

@@ -395,23 +395,19 @@ def table3(w: Workloads | None = None) -> Series:
     )
 
     def build(name, make_code):
-        old_env = {
-            k: os.environ.get(k) for k in ("REPRO_CC_CACHE", "REPRO_CACHE_DIR")
-        }
+        old = os.environ.get("REPRO_CACHE_DIR")
         with tempfile.TemporaryDirectory() as tmp:
-            # point both caches (compiler artifacts + code cache) at the
-            # temp dir so clearing them cannot touch the user's warm tiers
-            os.environ["REPRO_CC_CACHE"] = tmp
-            os.environ["REPRO_CACHE_DIR"] = os.path.join(tmp, "code")
+            # point the code cache at the temp dir so clearing it cannot
+            # touch the user's warm tiers
+            os.environ["REPRO_CACHE_DIR"] = tmp
             clear_code_cache()
             try:
                 code = make_code()
             finally:
-                for k, v in old_env.items():
-                    if v is None:
-                        os.environ.pop(k, None)
-                    else:
-                        os.environ[k] = v
+                if old is None:
+                    os.environ.pop("REPRO_CACHE_DIR", None)
+                else:
+                    os.environ["REPRO_CACHE_DIR"] = old
         r = code.report
         s.rows.append(
             [name, r.translate_s, r.backend_compile_s, r.total_s,

@@ -132,8 +132,7 @@ print(json.dumps({
 """
 
 
-def compile_probe(cache_dir: str, *, cc_cache_dir: "str | None" = None,
-                  backend: str = "c") -> dict:
+def compile_probe(cache_dir: str, *, backend: str = "c") -> dict:
     """JIT-compile the sample stencil program on ``backend`` in a *fresh
     subprocess* with the disk cache rooted at ``cache_dir``; returns the
     child's JitReport timings (and its cache key's ``key_digest``) as a
@@ -142,8 +141,6 @@ def compile_probe(cache_dir: str, *, cc_cache_dir: "str | None" = None,
     (it never spawns the external compiler, and on py never compiles)."""
     env = dict(os.environ)
     env["REPRO_CACHE_DIR"] = cache_dir
-    if cc_cache_dir is not None:
-        env["REPRO_CC_CACHE"] = cc_cache_dir
     src_root = Path(__file__).resolve().parents[2]
     env["PYTHONPATH"] = f"{src_root}{os.pathsep}{env.get('PYTHONPATH', '')}"
     proc = subprocess.run(

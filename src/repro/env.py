@@ -16,8 +16,9 @@ An unset variable yields ``default``.  Any other value falls back to
 
 The second half of the module holds the readers of every knob that is part
 of the JIT cache key — the mid-end pass set (``REPRO_OPT_PASSES``), the
-OpenMP configuration (``REPRO_OMP``, ``REPRO_OMP_THREADS``,
-``REPRO_OMP_REDUCTIONS``) and the BLAS build mode (``REPRO_BLAS``).  They
+OpenMP configuration (``REPRO_OMP``, ``REPRO_OMP_REDUCTIONS``) and the BLAS
+build mode (``REPRO_BLAS``).  The thread count is not among them: OpenMP
+reads its own ``OMP_NUM_THREADS`` when the program runs.  They
 live here, in a module that imports nothing of the framework, so that
 ``repro.jit.cache.program_key`` can digest the configuration on a cache hit
 without importing a single optimizer pass; ``repro.opt.pipeline`` and
@@ -39,7 +40,6 @@ __all__ = [
     "key_knobs",
     "omp_enabled",
     "omp_reductions_enabled",
-    "omp_threads",
     "omp_token",
     "passes_for",
     "pipeline_passes",
@@ -142,12 +142,12 @@ def passes_for(backend: str, bounds_checks: bool = False) -> tuple:
 
 #: every knob :func:`repro.jit.cache.program_key` reads, directly or
 #: through the backend's bounds-check flag
-_KEY_KNOBS = ("REPRO_OPT_PASSES", "REPRO_OMP", "REPRO_OMP_THREADS",
-              "REPRO_OMP_REDUCTIONS", "REPRO_BLAS", "REPRO_BOUNDS")
+_KEY_KNOBS = ("REPRO_OPT_PASSES", "REPRO_OMP", "REPRO_OMP_REDUCTIONS",
+              "REPRO_BLAS", "REPRO_BOUNDS")
 
 #: ``os.environ`` keeps its variables in ``_data`` under ``encodekey``
 #: keys; one ``os.environ.get`` costs ~1.8 us on a 2-vCPU x86-64 VM, a read
-#: of ``_data`` a tenth of that, and a warm ``jit()`` reads all six
+#: of ``_data`` a tenth of that, and a warm ``jit()`` reads all five
 _KNOB_KEYS = tuple(map(getattr(os.environ, "encodekey", str), _KEY_KNOBS))
 
 
@@ -198,29 +198,13 @@ def omp_reductions_enabled() -> bool:
     return env_flag("REPRO_OMP_REDUCTIONS", False)
 
 
-def omp_threads():
-    """The thread count baked into ``num_threads(...)`` clauses, from
-    ``REPRO_OMP_THREADS``; None leaves the choice to the OpenMP runtime
-    (``OMP_NUM_THREADS``)."""
-    raw = os.environ.get("REPRO_OMP_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        return None
-    return n if n > 0 else None
-
-
 def omp_token(opt) -> str:
     """The cache-key component for the parallel configuration (empty when
     the analysis would not run at all, mirroring ``pipeline_passes``)."""
     if getattr(opt, "value", opt) != "full" or not omp_enabled():
         return ""
-    t = omp_threads()
     red = "on" if omp_reductions_enabled() else "off"
-    return (f"omp:v{ANALYSIS_VERSION}:threads={'env' if t is None else t}"
-            f":fred={red}")
+    return f"omp:v{ANALYSIS_VERSION}:fred={red}"
 
 
 def blas_enabled() -> bool:

@@ -5,7 +5,10 @@ because it is *amortized* across invocations.  A process-local cache only
 amortizes within one process; this module adds a second, on-disk tier so a
 fresh process with a warm cache skips the translator *and* the external C
 compiler entirely (the warm path never spawns gcc — it just reloads the
-compiled shared object and replays the recorded emission metadata).
+compiled shared object and replays the recorded emission metadata).  It
+is the only artifact cache: the C build (:mod:`repro.backends.cbackend.build`)
+runs the compiler on every call and leaves its ``.so`` in a directory that
+lives as long as the process, so a C entry stores a copy of its own.
 
 Cache keys are stable digests of everything that determines the translated
 artifact:
@@ -327,8 +330,8 @@ def program_key(minfo, recv_shape: ObjShape, arg_shapes, *, backend: str,
         # artifact built under a different pass set
         "opt_passes": ",".join(passes),
         # likewise the parallel-loop configuration (REPRO_OMP /
-        # REPRO_OMP_THREADS change the emitted pragmas) and the BLAS build
-        # mode (REPRO_BLAS changes build flags for identical source)
+        # REPRO_OMP_REDUCTIONS change the emitted pragmas) and the BLAS
+        # build mode (REPRO_BLAS changes build flags for identical source)
         "omp": _env.omp_token(opt) if backend == "c" else "",
         "blas": _env.blas_token() if backend == "c" else "",
         "bounds": bool(bounds_checks),

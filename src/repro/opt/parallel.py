@@ -53,7 +53,6 @@ from repro.env import (
     blas_token,
     omp_enabled,
     omp_reductions_enabled,
-    omp_threads,
     omp_token,
 )
 from repro.frontend import ir
@@ -70,7 +69,6 @@ __all__ = [
     "blas_token",
     "omp_enabled",
     "omp_reductions_enabled",
-    "omp_threads",
     "omp_token",
 ]
 
@@ -105,6 +103,7 @@ class ParallelPlan:
     program: object
     decisions: dict = field(default_factory=dict)
     by_symbol: dict = field(default_factory=dict)  # symbol -> [row dicts]
+    #: a num_threads(...) clause; only the benchmarks/ledger replay sets it
     threads: object = None
     stats: dict = field(default_factory=dict)
 
@@ -647,7 +646,7 @@ def analyze_program(program) -> ParallelPlan:
     from repro.backends.base import compute_local_shapes
 
     an = _Analyzer(program)
-    plan = ParallelPlan(program=program, threads=omp_threads())
+    plan = ParallelPlan(program=program)
     functions = {}
     for spec in program.specializations:
         func = getattr(spec, "func_ir", None)

@@ -1,9 +1,13 @@
 """Structure of the generated C per optimization level (paper Listing 5)."""
 
+import json
+import os
 import re
 import shutil
 import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -145,11 +149,9 @@ class TestOneStaticUnit:
         assert not _SPEC_SYMBOL.search(out), out
         assert "wj_oob_count\n" not in out
 
-    def test_concurrent_same_source_builds(self, tmp_path, monkeypatch):
-        """Four threads compiling one program on a fresh cc cache: every
-        build succeeds with the same value and no temporary is left."""
-        cc_cache = tmp_path / "cc"
-        monkeypatch.setenv("REPRO_CC_CACHE", str(cc_cache))
+    def test_concurrent_same_source_builds(self):
+        """Four threads compiling one program: every build succeeds with the
+        same value."""
         results, errors = [], []
 
         def work():
@@ -168,26 +170,79 @@ class TestOneStaticUnit:
         assert not any(th.is_alive() for th in threads)
         assert not errors, errors
         assert len(results) == 4 and len(set(results)) == 1
-        left = sorted(p.name for p in cc_cache.iterdir())
-        assert all(n.endswith(".so") and ".tmp" not in n for n in left), left
 
 
-class TestCompileCache:
-    def test_so_cache_hit(self):
-        from repro.backends.cbackend.build import build_shared_object
-        from repro.backends.base import OptLevel as OL
+class TestFreshBuilds:
+    """The code cache is the only artifact cache: a build always runs the
+    compiler, into a directory its process removes at exit."""
 
-        src = "int wj_cache_probe(void){ return 42; }"
-        p1, _ = build_shared_object(src, OL.FULL)
-        p2, stats2 = build_shared_object(src, OL.FULL)
-        assert p1 == p2
-        assert stats2.cached is True and stats2.mode == "cached"
+    def test_uncached_jit_always_runs_cc(self):
+        for _ in range(2):
+            code = jit(Sweeper(ScaleAddSolver(0.5), 8), "run", 2,
+                       backend="c", use_cache=False)
+            assert code.report.backend_compile_s > 0
+            assert code.report.build_stats["compile_s"] > 0
 
-    def test_different_flags_different_artifacts(self):
-        from repro.backends.cbackend.build import build_shared_object
-        from repro.backends.base import OptLevel as OL
+    def test_a_process_leaves_no_build_files(self, tmp_path):
+        got = _in_fresh_process(_JIT_ONCE, tmp_path)
+        assert got["so_files"] == 1 and got["mode"] == "single"
+        assert list((tmp_path / "tmp").iterdir()) == []
 
-        src = "int wj_cache_probe2(void){ return 43; }"
-        p1, _ = build_shared_object(src, OL.FULL)
-        p2, _ = build_shared_object(src, OL.VIRTUAL)
-        assert p1 != p2
+    def test_a_forked_child_keeps_its_parents_builds(self, tmp_path):
+        got = _in_fresh_process(_FORK_AND_BUILD, tmp_path)
+        assert got == {"child_exit": 0, "parent_so_exists": True,
+                       "so_files": 1}
+        assert list((tmp_path / "tmp").iterdir()) == []
+
+
+_REPO = Path(__file__).resolve().parents[1]
+
+#: the .so files under the build root of the process (<TMPDIR>/*/<build>/)
+_SO_FILES = "len(list(Path(tempfile.gettempdir()).glob('*/*/*.so')))"
+
+_JIT_ONCE = f"""
+import json, tempfile
+from pathlib import Path
+from repro import jit
+from tests.guestlib import ScaleAddSolver, Sweeper
+
+code = jit(Sweeper(ScaleAddSolver(0.5), 8), "run", 2, backend="c",
+           use_cache=False)
+print(json.dumps({{"mode": code.report.build_stats["mode"],
+                  "so_files": {_SO_FILES}}}))
+"""
+
+#: the parent builds, then a forked child builds and exits normally (its
+#: atexit handlers run); the parent's .so must survive that exit
+_FORK_AND_BUILD = f"""
+import json, os, sys, tempfile
+from pathlib import Path
+from repro.backends.base import OptLevel
+from repro.backends.cbackend.build import build_shared_object
+
+src = "int wj_probe(void) {{ return 1; }}"
+mine, _ = build_shared_object(src, OptLevel.FULL)
+pid = os.fork()
+if pid == 0:
+    theirs, _ = build_shared_object(src, OptLevel.FULL)
+    sys.exit(0 if theirs.parents[1] != mine.parents[1] else 3)
+_, status = os.waitpid(pid, 0)
+print(json.dumps({{"child_exit": os.waitstatus_to_exitcode(status),
+                  "parent_so_exists": mine.exists(),
+                  "so_files": {_SO_FILES}}}))
+"""
+
+
+def _in_fresh_process(script: str, tmp_path) -> dict:
+    """Run ``script`` in a new interpreter whose TMPDIR is ``tmp_path/tmp``;
+    returns the JSON its last line printed."""
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmp),
+               REPRO_CACHE_DIR=str(tmp_path / "code"))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_REPO / "src"), str(_REPO), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    return json.loads(proc.stdout.strip().splitlines()[-1])

@@ -82,13 +82,12 @@ print(json.dumps({
 """
 
 
-def _race_workers(n: int, cache_root: Path, extra_env=None,
-                  backend: str = "py", lock_timeout_s=None) -> list[dict]:
+def _race_workers(n: int, cache_root: Path, backend: str = "py",
+                  lock_timeout_s=None) -> list[dict]:
     """Spawn ``n`` barrier-synchronized racers on one cold key."""
     env = dict(os.environ)
     env["REPRO_CACHE_DIR"] = str(cache_root)
     env["PYTHONPATH"] = f"{SRC_ROOT}{os.pathsep}{env.get('PYTHONPATH', '')}"
-    env.update(extra_env or {})
     argv = [sys.executable, "-c", _RACER, backend]
     if lock_timeout_s is not None:
         argv.append(str(lock_timeout_s))
@@ -118,10 +117,7 @@ class TestCrossProcessSingleFlight:
         """5 simultaneous cold processes: exactly one translate+compile;
         then 5 fresh processes on the same directory compile nothing."""
         cache_root = tmp_path / "cache"
-        # a private cc artifact cache: the machine-wide one would serve the
-        # .so from an earlier run, and the compiler would never start
-        env = {"REPRO_CC_CACHE": str(tmp_path / "cc")}
-        results = _race_workers(5, cache_root, env, backend)
+        results = _race_workers(5, cache_root, backend)
 
         # counted via the per-process service counters ...
         total_compiles = sum(r["stats"]["compiles"] for r in results)
@@ -144,7 +140,7 @@ class TestCrossProcessSingleFlight:
         assert json.loads(jpath.read_text()) == meta
 
         # a warm round: every fresh process is served from the disk tier
-        again = _race_workers(5, cache_root, env, backend)
+        again = _race_workers(5, cache_root, backend)
         assert sum(r["stats"]["compiles"] for r in again) == 0, again
         assert all(r["cache_tier"] == "disk" for r in again)
         assert sum(r["disk_hits"] for r in again) == 5

@@ -396,9 +396,8 @@ class TestAcrossProcesses:
         from repro.bench.harness import compile_probe
 
         cache_root = str(tmp_path / "cache")
-        cc_root = str(tmp_path / "cc")
-        cold = compile_probe(cache_root, cc_cache_dir=cc_root)
-        warm = compile_probe(cache_root, cc_cache_dir=cc_root)
+        cold = compile_probe(cache_root)
+        warm = compile_probe(cache_root)
         assert not cold["cache_hit"]
         assert warm["cache_hit"] and warm["cache_tier"] == "disk"
         # the warm path never spawns the external compiler ...

@@ -61,11 +61,10 @@ class TestKnobInventory:
 
     #: every ``REPRO_*`` name read under src/
     _PINNED = frozenset({
-        "REPRO_BLAS", "REPRO_BOUNDS", "REPRO_CACHE_DIR", "REPRO_CC_CACHE",
-        "REPRO_DISK_CACHE", "REPRO_DISK_CACHE_MAX_MB", "REPRO_OMP",
-        "REPRO_OMP_REDUCTIONS", "REPRO_OMP_THREADS", "REPRO_OPT_PASSES",
-        "REPRO_PAPER_SIZES", "REPRO_RESULTS_DIR", "REPRO_TRACE",
-        "REPRO_TRACE_FILE",
+        "REPRO_BLAS", "REPRO_BOUNDS", "REPRO_CACHE_DIR", "REPRO_DISK_CACHE",
+        "REPRO_DISK_CACHE_MAX_MB", "REPRO_OMP", "REPRO_OMP_REDUCTIONS",
+        "REPRO_OPT_PASSES", "REPRO_PAPER_SIZES", "REPRO_RESULTS_DIR",
+        "REPRO_TRACE", "REPRO_TRACE_FILE",
     })
 
     def test_knob_set_is_pinned(self):

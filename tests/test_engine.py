@@ -115,21 +115,9 @@ class TestReport:
 
         if not compiler_available():
             pytest.skip("no cc")
-        import os
-        import tempfile
-
-        old = os.environ.get("REPRO_CC_CACHE")
-        with tempfile.TemporaryDirectory() as tmp:
-            os.environ["REPRO_CC_CACHE"] = tmp
-            try:
-                clear_code_cache()
-                code = jit(Sweeper(ScaleAddSolver(0.5), 8), "run", 2,
-                           backend="c", use_cache=False)
-            finally:
-                if old is None:
-                    os.environ.pop("REPRO_CC_CACHE", None)
-                else:
-                    os.environ["REPRO_CC_CACHE"] = old
+        clear_code_cache()
+        code = jit(Sweeper(ScaleAddSolver(0.5), 8), "run", 2, backend="c",
+                   use_cache=False)
         assert code.report.translate_s > 0
         assert code.report.backend_compile_s > 0  # gcc actually ran
         assert code.report.total_s == pytest.approx(

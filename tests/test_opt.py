@@ -421,8 +421,8 @@ class TestPipelineIntegration:
         """C runs cse alone by default, and every pass under bounds checks
         and OpenMP, where cse alone costs kernel time (EXPERIMENTS.md, "cse
         alone under bounds checks and OpenMP")."""
-        for knob in ("REPRO_OPT_PASSES", "REPRO_OMP", "REPRO_OMP_THREADS",
-                     "REPRO_OMP_REDUCTIONS", "REPRO_BOUNDS"):
+        for knob in ("REPRO_OPT_PASSES", "REPRO_OMP", "REPRO_OMP_REDUCTIONS",
+                     "REPRO_BOUNDS"):
             monkeypatch.delenv(knob, raising=False)
 
         def stats():

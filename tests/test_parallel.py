@@ -9,12 +9,17 @@ require an OpenMP-capable compiler: ``build.py`` degrades to sequential
 assertion meaningful either way.
 """
 
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import jit
+from repro.backends.cbackend.build import openmp_flag
 from repro.env import env_flag
 from repro.jit.engine import clear_code_cache
 from repro.library.matmul import (
@@ -126,38 +131,70 @@ class TestAnalysis:
         assert omp_token(OptLevel.DEVIRT) == ""
         base = omp_token(OptLevel.FULL)
         assert base
-        monkeypatch.setenv("REPRO_OMP_THREADS", "4")
-        assert omp_token(OptLevel.FULL) != base
         monkeypatch.setenv("REPRO_OMP_REDUCTIONS", "1")
+        assert omp_token(OptLevel.FULL) != base
         assert "fred=on" in omp_token(OptLevel.FULL)
+
+
+#: in a fresh interpreter (libgomp reads OMP_NUM_THREADS once per process):
+#: the sequential build and the REPRO_OMP=1 build of one test program
+_AT_THREADS = r"""
+import json, os, sys
+from repro import jit
+from tests import test_parallel as t
+
+app, method, args, out = {
+    "matmul": (t._matmul_app, "start", t._matmul_args, "c"),
+    "stencil": (t._stencil_app, "run", lambda: (4,), "grid"),
+}[sys.argv[1]]
+os.environ.pop("REPRO_OMP", None)
+ref = jit(app(), method, *args(), backend="c", use_cache=False).invoke()
+os.environ["REPRO_OMP"] = "1"
+code = jit(app(), method, *args(), backend="c", use_cache=False)
+par = code.invoke()
+print(json.dumps({
+    "omp_max_threads": code.compiled.omp_max_threads,
+    "bit_exact": par.output(out).tobytes() == ref.output(out).tobytes(),
+}))
+"""
+
+
+def _at_threads(program: str, threads: str) -> dict:
+    env = dict(os.environ, OMP_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_REPO / "src"), str(_REPO), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", _AT_THREADS, program],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _expected_threads(threads: str) -> int:
+    if env_flag("REPRO_BOUNDS", default=False):
+        return 0  # a bounds-checked build stays sequential: no OpenMP block
+    return int(threads) if openmp_flag() else 1
+
+
+_REPO = Path(__file__).resolve().parents[1]
 
 
 @requires_cc
 class TestThreadedExecution:
     @pytest.mark.parametrize("threads", ["1", "4"])
-    def test_matmul_bit_exact(self, monkeypatch, threads):
+    def test_matmul_bit_exact(self, threads):
         """Non-reduction loops are bit-exact at any thread count."""
-        monkeypatch.delenv("REPRO_OMP", raising=False)
-        ref = jit(_matmul_app(), "start", *_matmul_args(), backend="c",
-                  use_cache=False).invoke()
-        monkeypatch.setenv("REPRO_OMP", "1")
-        monkeypatch.setenv("OMP_NUM_THREADS", threads)
-        par = jit(_matmul_app(), "start", *_matmul_args(), backend="c",
-                  use_cache=False).invoke()
-        assert par.output("c").tobytes() == ref.output("c").tobytes()
+        got = _at_threads("matmul", threads)
+        assert got == {"omp_max_threads": _expected_threads(threads),
+                       "bit_exact": True}
 
     @pytest.mark.parametrize("threads", ["1", "4"])
-    def test_stencil_bit_exact(self, monkeypatch, threads):
+    def test_stencil_bit_exact(self, threads):
         """The guarded sweep must stay bit-exact: the guard falls back to
         the sequential body whenever src and dst alias."""
-        monkeypatch.delenv("REPRO_OMP", raising=False)
-        ref = jit(_stencil_app(), "run", 4, backend="c",
-                  use_cache=False).invoke()
-        monkeypatch.setenv("REPRO_OMP", "1")
-        monkeypatch.setenv("OMP_NUM_THREADS", threads)
-        par = jit(_stencil_app(), "run", 4, backend="c",
-                  use_cache=False).invoke()
-        assert par.output("grid").tobytes() == ref.output("grid").tobytes()
+        got = _at_threads("stencil", threads)
+        assert got == {"omp_max_threads": _expected_threads(threads),
+                       "bit_exact": True}
 
     def test_reduction_within_tolerance(self, monkeypatch):
         """Float reductions (opt-in) may reassociate; the result stays
@@ -184,7 +221,6 @@ class TestThreadedExecution:
 
     def test_threads_surface_in_report(self, monkeypatch):
         monkeypatch.setenv("REPRO_OMP", "1")
-        monkeypatch.setenv("REPRO_OMP_THREADS", "2")
         code = jit(_matmul_app(), "start", *_matmul_args(), backend="c",
                    use_cache=False)
         par = code.report.opt_stats.get("parallel")
@@ -195,8 +231,6 @@ class TestThreadedExecution:
             return
         assert par is not None
         assert par["loops_parallel"] >= 1
-        assert par["threads_requested"] == 2
-        assert "num_threads(2)" in code.compiled.source
 
     def test_bounds_checks_keep_the_build_sequential(self, monkeypatch):
         """``REPRO_OMP=1 REPRO_BOUNDS=1``: no pragma, the reason in the
@@ -230,12 +264,10 @@ class TestCacheKeys:
         matrix = [
             {},
             {"REPRO_OMP": "1"},
-            {"REPRO_OMP": "1", "REPRO_OMP_THREADS": "4"},
             {"REPRO_OMP": "1", "REPRO_OMP_REDUCTIONS": "1"},
         ]
         for env in matrix:
-            for var in ("REPRO_OMP", "REPRO_OMP_THREADS",
-                        "REPRO_OMP_REDUCTIONS"):
+            for var in ("REPRO_OMP", "REPRO_OMP_REDUCTIONS"):
                 monkeypatch.delenv(var, raising=False)
             for var, val in env.items():
                 monkeypatch.setenv(var, val)

@@ -50,8 +50,8 @@ ANALYSIS_TABLE = Path(__file__).parent / "golden" / "analysis_fingerprints.json"
 CONFIGS = {"default": "1", "precfg": "fold,licm,cse,dce", "off": "0"}
 
 #: knobs that change emitted code; the table is recorded with all unset
-_CODEGEN_KNOBS = ("REPRO_OMP", "REPRO_OMP_THREADS", "REPRO_OMP_REDUCTIONS",
-                  "REPRO_BLAS", "REPRO_BOUNDS")
+_CODEGEN_KNOBS = ("REPRO_OMP", "REPRO_OMP_REDUCTIONS", "REPRO_BLAS",
+                  "REPRO_BOUNDS")
 
 
 def _stencil3d(cls_name, nx, ny, nzl, nranks, steps):
