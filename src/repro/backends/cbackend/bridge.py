@@ -291,25 +291,19 @@ class CCompiled(CompiledProgram):
         self.emit_result = emit
         self.source = source
         self.bounds_checks = bounds_checks
-        self._lib = ct.CDLL(self.so_path)
-        self._lib.wj_oob_count_take.restype = ct.c_int64
-        self._lib.wj_oob_count_take.argtypes = []
-        self._lib.wj_snap_size.restype = ct.c_int64
-        self._lib.wj_snap_size.argtypes = []
-        self._snap_size = int(self._lib.wj_snap_size())
-        # wj_omp_max_threads only exists in programs with parallel loops
-        try:
-            omp_fn = self._lib.wj_omp_max_threads
-        except AttributeError:
-            self.omp_max_threads = 0
-        else:
-            omp_fn.restype = ct.c_int64
-            omp_fn.argtypes = []
-            self.omp_max_threads = int(omp_fn())
+        lib = self._lib = ct.CDLL(self.so_path)
+        snap_size = lib["wj_snap_size"]
+        snap_size.restype = ct.c_int64
+        self._snap_size = int(snap_size())
+        #: the out-of-bounds counter only a bounds-checked build reads
+        self._oob_take = None
+        if bounds_checks:
+            self._oob_take = lib["wj_oob_count_take"]
+            self._oob_take.restype = ct.c_int64
         # no argtypes: every argument is already a ctypes object of the
         # right C type (_Frame.args), and skipping the per-call conversion
         # checks halves the native call
-        self._entry = self._lib.wj_entry
+        self._entry = lib["wj_entry"]
         self._entry.restype = None
         n_i = max(1, len(emit.ivals))
         n_d = max(1, len(emit.dvals))
@@ -322,6 +316,19 @@ class CCompiled(CompiledProgram):
         #: idle call frames; list.pop/append are atomic, so rank threads and
         #: concurrent invokes share it without a lock
         self._frames: list[_Frame] = []
+
+    @property
+    def omp_max_threads(self) -> int:
+        """``omp_get_max_threads()`` inside the loaded program, 0 when it
+        has no parallel loop.  Read on demand: only a program with a
+        parallel loop exports ``wj_omp_max_threads``, and a load probes no
+        symbol it may lack."""
+        try:
+            fn = self._lib["wj_omp_max_threads"]
+        except AttributeError:
+            return 0
+        fn.restype = ct.c_int64
+        return int(fn())
 
     def _new_frame(self) -> _Frame:
         ret_ty = self.emit_result.entry_ret
@@ -356,7 +363,7 @@ class CCompiled(CompiledProgram):
             self._entry(*frame.args)
             if phase:
                 phase.next("invoke.unmarshal")
-            oob = int(self._lib.wj_oob_count_take()) if self.bounds_checks else 0
+            oob = self._oob_take() if self._oob_take is not None else 0
             if cell.error is not None:
                 raise cell.error
             if oob:

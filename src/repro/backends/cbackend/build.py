@@ -129,7 +129,7 @@ def _probe(cc: str, source: str, extra: list[str]) -> bool:
     """Whether `source` compiles+links as a shared object with `extra`."""
     with tempfile.TemporaryDirectory(prefix="repro-cc-probe-") as td:
         c_path = os.path.join(td, "probe.c")
-        with open(c_path, "w") as fh:
+        with open(c_path, "w", encoding="utf-8") as fh:
             fh.write(source)
         proc = subprocess.run(
             [cc, c_path, "-o", os.path.join(td, "probe.so"),
@@ -224,7 +224,9 @@ def build_shared_object(
         # write each other's .c or half-linked .so
         build_dir = Path(tempfile.mkdtemp(dir=_build_root(), prefix="build-"))
         c_path = build_dir / "wj.c"
-        c_path.write_text(source)
+        # UTF-8 whatever the locale: the source carries non-ASCII comments
+        # and string literals
+        c_path.write_text(source, encoding="utf-8")
         so_path = build_dir / "wj.so"
         t_compile = time.perf_counter()
         with _span("cc.compile"):

@@ -56,6 +56,23 @@ def _st_checked(arr, idx, value):
     arr[i] = value
 
 
+#: what every artifact's globals start from, built once per process
+_GLOBALS = {
+    "__np": np,
+    "__inf": math.inf,
+    "__nan": math.nan,
+    **{f"__m_{name}": getattr(math, name) for name in _MATH_NAMES},
+    "__f32": lambda x: float(np.float32(x)),
+    "__i32": lambda x: int(np.int32(int(x))),
+    "__noop": lambda *a: None,
+    "__wj_lcg64": _lcg64_py,
+    "__wj_u01": _u01_py,
+    "__wj_dgemm": _dgemm_py,
+    "__wj_ld": _ld_checked,
+    "__wj_st": _st_checked,
+}
+
+
 class _PyCompiled(CompiledProgram):
     """Emitted Python, exec'd into its own globals.
 
@@ -68,21 +85,9 @@ class _PyCompiled(CompiledProgram):
         self.program = program
         self.source = source
         self.bounds_checks = bounds_checks
-        self._globals = {
-            "__np": np,
-            "__inf": math.inf,
-            "__nan": math.nan,
-            **{f"__m_{name}": getattr(math, name) for name in _MATH_NAMES},
-            "__f32": lambda x: float(np.float32(x)),
-            "__i32": lambda x: int(np.int32(int(x))),
-            "__noop": lambda *a: None,
-            "__wj_lcg64": _lcg64_py,
-            "__wj_u01": _u01_py,
-            "__wj_dgemm": _dgemm_py,
-            "__wj_ld": _ld_checked,
-            "__wj_st": _st_checked,
-            "__ffi": _ffi_table(),
-        }
+        # a @foreign function may be registered at any time: its table is
+        # read per artifact, the rest is copied
+        self._globals = {**_GLOBALS, "__ffi": _ffi_table()}
         if code is None:
             code = compile(source, "<repro-pybackend>", "exec")
         self.code = code

@@ -78,6 +78,7 @@ from repro import env as _env
 from repro.frontend.shapes import ObjShape, Shape
 from repro.jit.program import Program
 from repro.lang import types as _t
+from repro.obs.trace import span as _span
 
 __all__ = [
     "CacheHit",
@@ -348,14 +349,20 @@ def program_key(minfo, recv_shape: ObjShape, arg_shapes, *, backend: str,
 # disk tier
 # ---------------------------------------------------------------------------
 
-def cache_dir() -> Path:
-    """The disk-tier directory (``REPRO_CACHE_DIR`` override honored)."""
+def _cache_root() -> str:
+    """The disk-tier directory as a string: a hit joins file names to it
+    without building a ``Path``."""
     env = os.environ.get("REPRO_CACHE_DIR")
     if env:
-        return Path(env)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "repro-wootinj"
+        return env
+    base = (os.environ.get("XDG_CACHE_HOME")
+            or os.path.join(os.path.expanduser("~"), ".cache"))
+    return os.path.join(base, "repro-wootinj")
+
+
+def cache_dir() -> Path:
+    """The disk-tier directory (``REPRO_CACHE_DIR`` override honored)."""
+    return Path(_cache_root())
 
 
 def disk_enabled() -> bool:
@@ -369,25 +376,28 @@ def disk_cap_bytes() -> int:
     return int(mb * 1024 * 1024) if mb > 0 else 0
 
 
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
+def _read(path: str) -> bytes:
+    """One file's bytes: one open, one read.  A missing file raises."""
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return fh.read()
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    tmp.write_bytes(data)
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _atomic_write_bytes(path: str, data: bytes) -> None:
+    tmp = f"{path}.tmp{os.getpid()}"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
     os.replace(tmp, path)
 
 
-def _entry_paths(root: Path, digest: str) -> tuple[Path, Path, Path, Path]:
+def _entry_paths(root, digest: str) -> tuple[str, str, str, str]:
     """``.json`` (the commit marker), ``.src``, ``.so`` (C) and ``.pyc`` (py)
-    of one entry."""
-    return (root / f"{digest}.json", root / f"{digest}.src",
-            root / f"{digest}.so", root / f"{digest}.pyc")
+    of one entry, as strings."""
+    base = os.path.join(root, digest)
+    return base + ".json", base + ".src", base + ".so", base + ".pyc"
 
 
 def entry_lock(digest: str, root: Optional[Path] = None):
@@ -398,7 +408,7 @@ def entry_lock(digest: str, root: Optional[Path] = None):
     return FileLock((root or cache_dir()) / f"{digest}.lock")
 
 
-def _drop_entry(root: Path, digest: str, *, if_free: bool = False,
+def _drop_entry(root, digest: str, *, if_free: bool = False,
                 drop_lock: bool = False) -> bool:
     """Remove one entry's files; returns True iff *this caller* removed the
     ``.json`` commit marker (so concurrent droppers count each entry once).
@@ -409,23 +419,20 @@ def _drop_entry(root: Path, digest: str, *, if_free: bool = False,
     write lock (it is mid-rewrite: what looked torn is being replaced)."""
     lock = None
     if if_free or drop_lock:
-        lock = entry_lock(digest, root)
+        lock = entry_lock(digest, Path(root))
         if not lock.acquire(timeout=0):
             return False
     try:
         removed_json = False
         paths = _entry_paths(root, digest)
-        jpath = paths[0]
         # json first: readers treat its absence as "no entry", so payload
         # files never vanish under a reader that already committed to them
         for p in paths:
             try:
-                p.unlink()
-            except FileNotFoundError:
+                os.unlink(p)
+            except OSError:  # FileNotFoundError included
                 continue
-            except OSError:
-                continue
-            if p is jpath:
+            if p is paths[0]:
                 removed_json = True
         if drop_lock and lock is not None:
             try:
@@ -438,41 +445,35 @@ def _drop_entry(root: Path, digest: str, *, if_free: bool = False,
             lock.release()
 
 
-def _validate_entry(meta: dict, spath: Path, opath: Path,
-                    cpath: Path) -> tuple[str, Optional[str], Optional[bytes]]:
+def _validate_entry(meta: dict, spath: str, opath: str,
+                    cpath: str) -> tuple[str, Optional[str], bytes]:
     """Check one entry's completeness + content hashes; returns
-    ``(source, so_path, pyc)`` — the ``.so`` path of a C entry or the
-    verified ``.pyc`` bytes of a py one, None for the other — or raises
-    ValueError/OSError on a torn entry."""
-    if meta.get("v") != _FORMAT_VERSION:
+    ``(source, so_path, payload)`` — ``so_path`` is the ``.so`` path of a C
+    entry (None for py), ``payload`` the verified ``.so`` or ``.pyc`` bytes
+    — or raises KeyError/ValueError/OSError on a torn entry.  Each file is
+    opened once; a missing one raises ``FileNotFoundError``.  Damaged
+    marshal data can crash the interpreter and a damaged ``.so`` the
+    process, so nothing loads a payload before its hash matched."""
+    if meta["v"] != _FORMAT_VERSION:
         raise ValueError("format version mismatch")
-    if "kind" not in meta or "sha_src" not in meta:
-        raise ValueError("incomplete metadata")
-    if not spath.is_file():
-        raise ValueError("torn entry: source payload missing")
-    source = spath.read_text()
-    if hashlib.sha256(source.encode()).hexdigest() != meta["sha_src"]:
+    kind = meta["kind"]
+    raw = _read(spath)
+    if _sha256(raw) != meta["sha_src"]:
         raise ValueError("source hash mismatch")
-    if meta["kind"] == "c":
-        if "sha_so" not in meta:
-            raise ValueError("incomplete metadata: sha_so missing")
-        if not opath.is_file():
-            raise ValueError("torn entry: shared object missing")
-        if _sha256_file(opath) != meta["sha_so"]:
-            raise ValueError("shared-object hash mismatch")
-        return source, str(opath), None
-    if "sha_pyc" not in meta:
-        raise ValueError("incomplete metadata: sha_pyc missing")
-    # a missing .pyc raises FileNotFoundError: torn, like a missing .so.
-    # Damaged marshal data can crash the interpreter, so nothing loads it
-    # before its hash matched
-    pyc = cpath.read_bytes()
-    if hashlib.sha256(pyc).hexdigest() != meta["sha_pyc"]:
-        raise ValueError("bytecode hash mismatch")
-    return source, None, pyc
+    source = raw.decode("utf-8")
+    if kind == "c":
+        want, path = meta["sha_so"], opath
+    elif kind == "py":
+        want, path = meta["sha_pyc"], cpath
+    else:
+        raise ValueError(f"unknown entry kind {kind!r}")
+    payload = _read(path)
+    if _sha256(payload) != want:
+        raise ValueError(f"payload hash mismatch ({kind})")
+    return source, (opath if kind == "c" else None), payload
 
 
-def _record_hit(jpath: Path) -> None:
+def _record_hit(jpath: str) -> None:
     """Mark the entry as just used: bump the commit marker's mtime, which is
     what LRU eviction orders by.  The read path never writes file
     *contents* — a reader holding old metadata cannot overwrite the marker
@@ -484,28 +485,35 @@ def _record_hit(jpath: Path) -> None:
         pass
 
 
-def _disk_get(digest: str) -> Optional[dict]:
-    """Load and verify one disk entry; returns meta dict (with ``source``,
-    ``so_path`` and ``pyc`` attached) or None.  Corrupted/torn entries are
-    dropped (unless a concurrent writer holds the entry lock — then it is
-    simply being replaced and the miss is momentary)."""
-    root = cache_dir()
+def _disk_hit(digest: str, snapshot, recv_shape, arg_shapes):
+    """Serve one key from the disk tier: ``(program, compiled, meta)``, or
+    None.  No commit marker is a plain miss.  Any other failure — unreadable
+    or garbled marker, wrong format, missing or altered payload, an artifact
+    that will not load — drops the entry (unless a concurrent writer holds
+    its lock: then it is being replaced and the miss is momentary) and is a
+    miss too.  Called with ``_TIER_LOCK`` held."""
+    root = _cache_root()
     jpath, spath, opath, cpath = _entry_paths(root, digest)
-    if not jpath.exists():
-        return None
     try:
-        meta = json.loads(jpath.read_text())
-        source, so_path, pyc = _validate_entry(meta, spath, opath, cpath)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError):
-        if _drop_entry(root, digest, if_free=True):
-            with _TIER_LOCK:
-                _COUNTERS["torn_dropped"] += 1
+        fh = open(jpath, "rb")
+    except (FileNotFoundError, NotADirectoryError):
         return None
+    with _span("cache.hydrate") as sp:
+        try:
+            with fh:
+                meta = json.loads(fh.read().decode("utf-8"))
+            source, so_path, payload = _validate_entry(meta, spath, opath,
+                                                       cpath)
+            program, compiled = _hydrate(meta, source, so_path, payload,
+                                         snapshot, recv_shape, arg_shapes)
+        except Exception:  # noqa: BLE001 - recompile on any damage
+            sp.set(torn=True)
+            if _drop_entry(root, digest, if_free=True):
+                _COUNTERS["torn_dropped"] += 1
+            return None
+        sp.set(kind=meta["kind"], bytes=len(payload))
     _record_hit(jpath)
-    meta["source"] = source
-    meta["so_path"] = so_path
-    meta["pyc"] = pyc
-    return meta
+    return program, compiled, meta
 
 
 def _disk_put(digest: str, meta: dict, source: str,
@@ -518,39 +526,38 @@ def _disk_put(digest: str, meta: dict, source: str,
     so a crash mid-write leaves only sweepable ``*.tmp`` orphans or payloads
     without a marker, never a marker naming payloads that are missing or
     stale.  Each file individually goes through a ``.tmp<pid>`` sibling +
-    ``os.replace``."""
+    ``os.replace``.  Every file is written as bytes (the source as UTF-8),
+    so an entry does not depend on the locale."""
     try:
-        root = cache_dir()
-        root.mkdir(parents=True, exist_ok=True)
+        root = _cache_root()
+        os.makedirs(root, exist_ok=True)
         jpath, spath, opath, cpath = _entry_paths(root, digest)
         prev_compiles = 0
         try:  # carry the per-entry compile count across rebuilds
-            prev_compiles = int(json.loads(jpath.read_text())
+            prev_compiles = int(json.loads(_read(jpath).decode("utf-8"))
                                 .get("compile_count", 0))
-        except (OSError, ValueError, json.JSONDecodeError):
+        except (OSError, ValueError, AttributeError):
             pass
-        _atomic_write_bytes(spath, source.encode())
+        raw = source.encode("utf-8")
+        _atomic_write_bytes(spath, raw)
         meta = dict(meta)
         meta["v"] = _FORMAT_VERSION
-        meta["sha_src"] = hashlib.sha256(source.encode()).hexdigest()
+        meta["sha_src"] = _sha256(raw)
         meta["created"] = time.time()
         meta["builder_pid"] = os.getpid()
         meta["compile_count"] = prev_compiles + 1
         if so_path is not None:
-            import shutil  # 3 ms to import, and only a store copies
-
-            tmp = opath.with_name(f"{opath.name}.tmp{os.getpid()}")
-            shutil.copyfile(so_path, tmp)
-            os.replace(tmp, opath)
-            meta["sha_so"] = _sha256_file(opath)
+            so = _read(so_path)
+            _atomic_write_bytes(opath, so)
+            meta["sha_so"] = _sha256(so)
         if pyc is not None:
             _atomic_write_bytes(cpath, pyc)
-            meta["sha_pyc"] = hashlib.sha256(pyc).hexdigest()
+            meta["sha_pyc"] = _sha256(pyc)
         # the json is written last: its presence marks a complete entry
         _atomic_write_bytes(jpath, json.dumps(meta, sort_keys=True).encode())
     except OSError:
         return
-    _evict_if_needed(root)
+    _evict_if_needed()
 
 
 # ---------------------------------------------------------------------------
@@ -591,28 +598,29 @@ def _program_from_meta(meta: dict, snapshot, recv_shape, arg_shapes) -> Program:
     )
 
 
-def _hydrate(meta: dict, snapshot, recv_shape, arg_shapes):
-    """Rebuild (program, compiled) from a verified disk entry."""
-    pyc = meta.pop("pyc")  # loaded below, not kept in the memory tier
+def _hydrate(meta: dict, source: str, so_path: Optional[str],
+             payload: bytes, snapshot, recv_shape, arg_shapes):
+    """Rebuild (program, compiled) from a verified disk entry: dlopen its
+    ``.so`` or unmarshal its ``.pyc`` bytes."""
     program = _program_from_meta(meta, snapshot, recv_shape, arg_shapes)
-    if meta["kind"] == "c":
+    if so_path is not None:
         from repro.backends.cbackend.bridge import CCompiled, EmitResult
 
         emit = EmitResult(
-            meta["source"],
+            source,
             list(meta["ivals"]),
             [float(v) for v in meta["dvals"]],
             _RET_BY_NAME[meta["entry_ret"]],
             snapshot.array_slots,
         )
-        compiled = CCompiled(meta["so_path"], emit, meta["source"],
+        compiled = CCompiled(so_path, emit, source,
                              bounds_checks=meta["bounds_checks"])
     else:
         from repro.backends.pybackend.loader import _PyCompiled
 
-        compiled = _PyCompiled(program, meta["source"],
+        compiled = _PyCompiled(program, source,
                                bounds_checks=meta["bounds_checks"],
-                               code=marshal.loads(pyc))
+                               code=marshal.loads(payload))
     return program, compiled
 
 
@@ -640,17 +648,11 @@ def lookup(key: CacheKey, *, snapshot, recv_shape, arg_shapes) -> Optional[Cache
             _COUNTERS["memory_hits"] += 1
             return CacheHit("memory", rebound, compiled, meta)
         if key.persistable and disk_enabled():
-            meta = _disk_get(key.digest)
-            if meta is not None:
-                try:
-                    program, compiled = _hydrate(meta, snapshot, recv_shape, arg_shapes)
-                except Exception:  # noqa: BLE001 - recompile on any damage
-                    if _drop_entry(cache_dir(), key.digest, if_free=True):
-                        _COUNTERS["torn_dropped"] += 1
-                else:
-                    _MEMORY[key.digest] = (program, compiled, meta)
-                    _COUNTERS["disk_hits"] += 1
-                    return CacheHit("disk", program, compiled, meta)
+            got = _disk_hit(key.digest, snapshot, recv_shape, arg_shapes)
+            if got is not None:
+                _MEMORY[key.digest] = got
+                _COUNTERS["disk_hits"] += 1
+                return CacheHit("disk", *got)
         _COUNTERS["misses"] += 1
         return None
 
@@ -719,14 +721,14 @@ def _entry_infos(root: Path) -> list[dict]:
             continue
         digest = jpath.name[:-len(".json")]
         try:
-            meta = json.loads(jpath.read_text())
+            meta = json.loads(_read(jpath).decode("utf-8"))
             mtime = jpath.stat().st_mtime
-        except (OSError, ValueError, json.JSONDecodeError):
+        except (OSError, ValueError):
             continue
         n_bytes = 0
         for p in _entry_paths(root, digest):
             try:
-                n_bytes += p.stat().st_size
+                n_bytes += os.stat(p).st_size
             except OSError:
                 pass
         infos.append({
@@ -792,7 +794,7 @@ def evict(cap_bytes: Optional[int] = None) -> dict:
     }
 
 
-def _evict_if_needed(root: Path) -> None:
+def _evict_if_needed() -> None:
     """Post-store hook: enforce the byte cap when one is configured."""
     if disk_cap_bytes() > 0:
         try:

@@ -158,6 +158,161 @@ class TestCorruptionRecovery:
         assert again.invoke().value == cold.invoke().value
 
 
+def _flip(path: Path) -> None:
+    blob = path.read_bytes()
+    mid = len(blob) // 2
+    path.write_bytes(blob[:mid] + bytes([blob[mid] ^ 0x01]) + blob[mid + 1:])
+
+
+def _edit_marker(path: Path, **changes) -> None:
+    meta = json.loads(path.read_bytes())
+    for name, value in changes.items():
+        if value is None:
+            del meta[name]
+        else:
+            meta[name] = value
+    path.write_text(json.dumps(meta, sort_keys=True))
+
+
+def _unloadable_so(entry: dict) -> None:
+    """Junk in place of the ``.so``, its hash vouched for by the marker:
+    every check passes and dlopen fails."""
+    junk = b"not a shared object\n" * 64
+    entry[".so"].write_bytes(junk)
+    _edit_marker(entry[".json"], sha_so=hashlib.sha256(junk).hexdigest())
+
+
+#: damage -> what it does to one entry (``{suffix: path}``, ``payload`` the
+#: ``.so`` of a C entry or the ``.pyc`` of a py one); each must be a miss
+#: that drops the entry once
+_TORN = {
+    "garbage-json": lambda e: e[".json"].write_bytes(b"{not json"),
+    "wrong-version": lambda e: _edit_marker(e[".json"], v=-1),
+    "missing-kind": lambda e: _edit_marker(e[".json"], kind=None),
+    "missing-src": lambda e: e[".src"].unlink(),
+    "altered-src": lambda e: _flip(e[".src"]),
+    "missing-payload": lambda e: e["payload"].unlink(),
+    "truncated-payload": lambda e: e["payload"].write_bytes(
+        e["payload"].read_bytes()[:e["payload"].stat().st_size // 2]),
+    "altered-payload": lambda e: _flip(e["payload"]),
+    "unloadable-so": _unloadable_so,
+}
+
+
+class TestTornEntryMatrix:
+    """Every way a disk entry can be incomplete or damaged, on both
+    backends: a missing marker is a plain miss that drops nothing; any
+    other damage is a miss that drops the entry exactly once, and the
+    recompile computes the cold build's result bit for bit."""
+
+    @staticmethod
+    def _jit(backend):
+        return jit(Sweeper(ScaleAddSolver(0.5), 21), "run", 3,
+                   backend=backend)
+
+    @staticmethod
+    def _result(code):
+        res = code.invoke()
+        return (np.float64(res.value).tobytes(),
+                {label: out.tobytes() for label, out in res.outputs[0].items()})
+
+    @pytest.fixture()
+    def drops(self, monkeypatch):
+        """Every ``_drop_entry`` call's result, in order."""
+        calls = []
+        drop = code_cache._drop_entry
+
+        def counting(*args, **kwargs):
+            calls.append(drop(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(code_cache, "_drop_entry", counting)
+        return calls
+
+    def _cold_entry(self, backend, cache_dir):
+        cold = self._jit(backend)
+        digest = cold.report.key_digest
+        entry = {p.suffix: p for p in cache_dir.glob(f"{digest}.*")
+                 if p.suffix != ".lock"}
+        entry["payload"] = entry[".so" if backend == "c" else ".pyc"]
+        return cold, entry
+
+    def test_missing_marker_is_a_plain_miss(self, backend, cache_dir, drops):
+        cold, entry = self._cold_entry(backend, cache_dir)
+        want = self._result(cold)
+        entry[".json"].unlink()
+        torn = code_cache.stats()["torn_dropped"]
+        code_cache.clear_memory()
+        again = self._jit(backend)
+        assert not again.report.cache_hit
+        assert drops == []
+        assert code_cache.stats()["torn_dropped"] == torn
+        assert self._result(again) == want
+
+    @pytest.mark.parametrize("damage", sorted(_TORN))
+    def test_damage_is_a_miss_that_drops_once(self, backend, cache_dir,
+                                              drops, damage):
+        if damage == "unloadable-so" and backend != "c":
+            pytest.skip("a py entry has no shared object")
+        cold, entry = self._cold_entry(backend, cache_dir)
+        want = self._result(cold)
+        _TORN[damage](entry)
+        torn = code_cache.stats()["torn_dropped"]
+        code_cache.clear_memory()
+        again = self._jit(backend)
+        assert not again.report.cache_hit
+        assert drops == [True]
+        assert code_cache.stats()["torn_dropped"] == torn + 1
+        assert again.source == cold.source
+        assert self._result(again) == want
+        # the recompile published a fresh entry (the drop took the old
+        # marker and with it the compile count), and it serves
+        assert json.loads(entry[".json"].read_bytes())["compile_count"] == 1
+        code_cache.clear_memory()
+        disk = self._jit(backend)
+        assert disk.report.cache_tier == "disk"
+        assert self._result(disk) == want
+
+
+#: in a fresh interpreter (libgomp reads OMP_NUM_THREADS once per process):
+#: the OpenMP and the sequential build of one program, each cold and then
+#: from disk, and the thread count each artifact reads
+_OMP_CHILD = r"""
+import json, os
+from repro import jit
+from repro.jit import cache
+from tests import test_parallel as t
+
+got = {}
+for omp in ("1", "0"):
+    os.environ["REPRO_OMP"] = omp
+    cold = jit(t._matmul_app(), "start", *t._matmul_args(), backend="c")
+    cache.clear_memory()
+    disk = jit(t._matmul_app(), "start", *t._matmul_args(), backend="c")
+    assert disk.report.cache_tier == "disk", disk.report.cache_tier
+    got[omp] = [cold.compiled.omp_max_threads, disk.compiled.omp_max_threads]
+print(json.dumps(got))
+"""
+
+
+@requires_cc
+def test_disk_hit_reads_the_openmp_thread_count(tmp_path):
+    """``omp_max_threads`` is read on demand, not at load: an OpenMP build
+    reads ``OMP_NUM_THREADS`` cold and from disk, any other build 0."""
+    from tests.test_parallel import _expected_threads
+
+    env = dict(os.environ, OMP_NUM_THREADS="3",
+               REPRO_CACHE_DIR=str(tmp_path / "cache"))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC_ROOT, str(Path(SRC_ROOT).parent), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", _OMP_CHILD], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    n = _expected_threads("3")
+    assert got == {"1": [n, n], "0": [0, 0]}
+
+
 def test_hit_accounting_cannot_clobber_a_rebuild(cache_dir, monkeypatch):
     """A reader validates an entry; before its hit accounting runs,
     another process republishes the same digest (farm-lock timeout, or
@@ -360,8 +515,8 @@ print(json.dumps({{
 """
 
 
-def _run_worker(guest_dir, cache_root, backend="py"):
-    env = dict(os.environ)
+def _run_worker(guest_dir, cache_root, backend="py", **extra_env):
+    env = dict(os.environ, **extra_env)
     env["REPRO_CACHE_DIR"] = str(cache_root)
     env["PYTHONPATH"] = f"{SRC_ROOT}{os.pathsep}{env.get('PYTHONPATH', '')}"
     script = WORKER.format(guest_dir=str(guest_dir), backend=backend)
@@ -406,3 +561,32 @@ class TestAcrossProcesses:
         assert warm["value"] == cold["value"]
         # ... and is at least 10x cheaper end to end
         assert cold["total_s"] >= 10 * warm["total_s"]
+
+
+#: the guest of GUEST_MODULE, writing a non-ASCII output label
+LABELLED_MODULE = (GUEST_MODULE.format(factor="1.5")
+                   .replace("import f64,", "import f64, wj,")
+                   .replace("        return total", """\
+        out = wj.zeros(f64, 1)
+        out[0] = total
+        wj.output("\u00e9t\u00e9 \u2014 total", out)
+        return total"""))
+
+#: a locale whose preferred encoding is ASCII, with Python's UTF-8 mode and
+#: locale coercion both off
+ASCII_LOCALE = {"LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0",
+                "PYTHONCOERCECLOCALE": "0"}
+
+
+def test_entries_do_not_depend_on_the_locale(backend, tmp_path):
+    """Under an ASCII locale, a program with a non-ASCII output label (and
+    the C backend's em dash in its header comment) compiles in the first
+    process and is served from disk in the second."""
+    guest = tmp_path / "cache_guest.py"
+    guest.write_text(textwrap.dedent(LABELLED_MODULE), encoding="utf-8")
+    cache_root = tmp_path / "cache"
+    cold = _run_worker(tmp_path, cache_root, backend, **ASCII_LOCALE)
+    warm = _run_worker(tmp_path, cache_root, backend, **ASCII_LOCALE)
+    assert not cold["hit"]
+    assert warm["hit"] and warm["tier"] == "disk"
+    assert warm["value"] == cold["value"]

@@ -6,8 +6,9 @@ cost), span parent/child links are correct within a thread and across the
 own thread; exactly one ``jit.translate`` per unique key), the ring buffer
 is bounded, JSONL and Chrome exports round-trip, ``REPRO_TRACE``/
 ``REPRO_TRACE_FILE`` enable tracing in a fresh process, the service
-counters are exact under concurrent ``jit()`` calls, and ``service.stats()``
-keeps its historical shape (with ``repro jit stats --json`` for scripts).
+counters are exact under concurrent ``jit()`` calls, ``service.stats()``
+keeps its historical shape (with ``repro jit stats --json`` for scripts), and
+a disk hit's ``cache.hydrate`` span nests under its ``cache.probe``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro import jit
+from repro.jit import cache as code_cache
 from repro.jit import service
 from repro.jit.engine import clear_code_cache
 from repro.obs import export, trace
@@ -311,6 +313,62 @@ class TestPipelineSpans:
         assert (a.name, b.name, outer.name) == ("a", "b", "outer")
         assert a.parent_id == b.parent_id == outer.span_id
         assert a.attrs == {"n": 1}
+
+
+class TestHydrateSpan:
+    """``cache.hydrate``: the read, hash and dlopen/unmarshal of a disk hit,
+    under its ``cache.probe``."""
+
+    @staticmethod
+    def _jit(backend):
+        return jit(Sweeper(ScaleAddSolver(0.5), 23), "run", 2,
+                   backend=backend)
+
+    @pytest.fixture()
+    def cache_dir(self, tmp_path, monkeypatch):
+        root = tmp_path / "code-cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+        clear_code_cache()
+        yield root
+        clear_code_cache()
+
+    def test_disk_hit_nests_hydrate_under_probe(self, backend, cache_dir):
+        trace.enable()
+        digest = self._jit(backend).report.key_digest   # a miss
+        assert self._jit(backend).report.cache_tier == "memory"
+        assert [r for r in trace.spans() if r.name == "cache.hydrate"] == []
+
+        trace.clear()
+        code_cache.clear_memory()
+        assert self._jit(backend).report.cache_tier == "disk"
+        recs = trace.spans()
+        by_id = {r.span_id: r for r in recs}
+        (hydrate,) = [r for r in recs if r.name == "cache.hydrate"]
+        probe = by_id[hydrate.parent_id]
+        assert probe.name == "cache.probe" and probe.attrs["tier"] == "disk"
+        payload = cache_dir / f"{digest}.{'so' if backend == 'c' else 'pyc'}"
+        assert hydrate.attrs == {"kind": backend,
+                                 "bytes": payload.stat().st_size}
+        assert hydrate.t_start >= probe.t_start
+        assert hydrate.t_start + hydrate.dur_s <= probe.t_start + probe.dur_s
+
+    def test_off_the_site_is_one_shared_noop(self, cache_dir, monkeypatch):
+        """With tracing off the site is the one ``span()`` call every other
+        site makes: it returns the shared no-op and records nothing."""
+        self._jit("py")
+        sites = []
+        real = code_cache._span
+
+        def spy(name, **attrs):
+            sites.append((name, real(name, **attrs)))
+            return sites[-1][1]
+
+        monkeypatch.setattr(code_cache, "_span", spy)
+        code_cache.clear_memory()
+        assert self._jit("py").report.cache_tier == "disk"
+        assert [name for name, _ in sites] == ["cache.hydrate"]
+        assert sites[0][1] is trace.span("any other site")
+        assert trace.spans() == []
 
 
 class TestExports:

@@ -298,7 +298,7 @@ class TestDiskTier:
         code = jit(gs.make_mixed(), "run", 5, backend="py")
         want = code.invoke().value
         root, digest = code_cache.cache_dir(), code.report.key_digest
-        jpath, spath, *_ = code_cache._entry_paths(root, digest)
+        jpath, spath, *_ = map(Path, code_cache._entry_paths(root, digest))
         meta = json.loads(jpath.read_text())
         assert meta["v"] == code_cache._FORMAT_VERSION >= 3
         old = "\n".join(line for line in spath.read_text().splitlines()
