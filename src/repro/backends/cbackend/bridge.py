@@ -4,15 +4,17 @@ The translated program sees the host only through the ``WjEnv`` callback
 table (layout mirroring ``prelude.PRELUDE``'s ``WjEnv``).  What a native
 call needs and no call changes lives in a **call frame** (:class:`_Frame`):
 the callback table, one buffer per array slot (the rank's memory) with the
-pointer/length vectors naming them, the snapshot buffer, the typed return
-cell, and the ``wj_entry`` argument tuple pointing at all of them.  Each
-:class:`CCompiled` keeps its idle frames on a free list; ``run`` takes one
-(building it on a miss), binds the rank's ``RuntimeEnv`` to it, deep-copies
-the host arrays into the slot buffers (§3.1: they are never written), zeroes
-the snapshot buffer, calls, reads the return value back out and puts the
-frame back — so a warm call builds nothing and derives no pointer.  A frame
-serves one call at a time; rank threads and concurrent invokes each hold
-their own.
+pointer/length vectors naming them, one buffer per ``wj.output`` label whose
+length is known at translation (the output table ``WjEnv.h`` points to), the
+snapshot buffer, the typed return cell, and the ``wj_entry`` argument tuple
+pointing at all of them.  Each :class:`CCompiled` keeps its idle frames on a
+free list; ``run`` takes one (building it on a miss), binds the rank's
+``RuntimeEnv`` to it, deep-copies the host arrays into the slot buffers
+(§3.1: they are never written), zeroes the snapshot buffer, calls, publishes
+the output buffers the call wrote into ``env.outputs``, reads the return
+value back out and puts the frame back — so a warm call builds nothing and
+derives no pointer.  A frame serves one call at a time; rank threads and
+concurrent invokes each hold their own.
 
 MPI payloads cross as zero-copy NumPy views over the C memory, so the
 simulated communicator exchanges the *actual translated data* — this is what
@@ -32,7 +34,7 @@ from repro.errors import BackendError, GuestRuntimeError
 from repro.lang import types as _t
 from repro.obs import trace as _trace
 
-__all__ = ["CCompiled", "EmitResult", "WjEnvStruct"]
+__all__ = ["CCompiled", "EmitResult", "WjEnvStruct", "WjOutStruct"]
 
 _DT_NP = {1: np.float32, 2: np.float64, 3: np.int32, 4: np.int64, 5: np.uint8}
 
@@ -79,7 +81,24 @@ class WjEnvStruct(ct.Structure):
     ]
 
 
+class WjOutStruct(ct.Structure):
+    """ctypes mirror of the prelude's WjOut: a frame's output buffers and
+    their written flags, which ``WjEnv.h`` points to."""
+
+    _fields_ = [
+        ("p", ct.POINTER(ct.c_void_p)),
+        ("set", ct.POINTER(ct.c_int64)),
+    ]
+
+
 _EMPTY = {dt: np.empty(0, dtype=np_dt) for dt, np_dt in _DT_NP.items()}
+
+#: an output buffer up to this size is copied out when the call publishes
+#: it (cheaper than taking a fresh buffer's address); a larger one is handed
+#: over whole, so a large output is copied once, at its ``wj.output`` site,
+#: and the frame allocates a fresh one when its next call starts (by then
+#: the caller may have dropped an older output whose memory it can reuse)
+_HAND_OVER_BYTES = 1 << 16
 
 
 @lru_cache(maxsize=4096)
@@ -218,22 +237,36 @@ def _make_env(cell: _Cell) -> tuple[WjEnvStruct, list]:
 class _Frame:
     """What one native call needs and no call changes: the callback table
     and its cell, one buffer per array slot with the pointer/length vectors
-    naming them, the snapshot buffer, the return cell and the ``wj_entry``
-    argument tuple that points at all of them.
+    naming them, the output table (one buffer per ``wj.output`` label of
+    known length, their pointers and written flags), the snapshot buffer,
+    the return cell and the ``wj_entry`` argument tuple that points at all
+    of them.
 
     A frame serves one call at a time.  Between calls it sits on its
     artifact's free list holding neither an environment nor an error."""
 
-    __slots__ = ("cell", "struct", "thunks", "bufs", "ptrs", "lens", "snap",
-                 "ret", "args")
+    __slots__ = ("cell", "struct", "thunks", "bufs", "ptrs", "lens",
+                 "out_labels", "out_specs", "out_bufs", "out_ptrs", "out_set",
+                 "out", "out_missing", "snap", "ret", "args")
 
-    def __init__(self, slots, snap_size: int, ret_ctype, iv, dv):
+    def __init__(self, slots, outputs, snap_size: int, ret_ctype, iv, dv):
         self.cell = _Cell()
         self.struct, self.thunks = _make_env(self.cell)
         self.bufs = [np.empty(length, dtype) for length, dtype in slots]
         n = max(1, len(slots))
         self.ptrs = (ct.c_void_p * n)(*[b.ctypes.data for b in self.bufs])
         self.lens = (ct.c_int64 * n)(*[b.size for b in self.bufs])
+        #: (buffer index, label) per output buffer ``publish`` hands over
+        self.out_labels = tuple(enumerate([o[0] for o in outputs]))
+        self.out_specs = [(length, _DT_NP[dt]) for _, length, dt in outputs]
+        self.out_bufs: list = [None] * len(outputs)
+        n = max(1, len(outputs))
+        self.out_ptrs = (ct.c_void_p * n)()
+        self.out_set = (ct.c_int64 * n)()
+        self.out = WjOutStruct(self.out_ptrs, self.out_set)
+        self.struct.h = ct.addressof(self.out)
+        #: some output buffer is None: not yet allocated, or handed over
+        self.out_missing = bool(outputs)
         self.snap = ct.create_string_buffer(max(1, snap_size))
         self.ret = ret_ctype()
         self.args = (
@@ -245,6 +278,36 @@ class _Frame:
             dv,
             ct.c_void_p(ct.addressof(self.ret)),
         )
+
+    def fill_outputs(self) -> None:
+        """Allocate each output buffer the frame lacks (all of them on its
+        first call, then those a call handed over)."""
+        for k, (length, dtype) in enumerate(self.out_specs):
+            if self.out_bufs[k] is None:
+                buf = self.out_bufs[k] = np.empty(length, dtype)
+                self.out_ptrs[k] = buf.ctypes.data
+        self.out_missing = False
+
+    def publish(self, env) -> int:
+        """Hand each output buffer the call wrote to ``env``; returns how
+        many.  A small buffer goes through ``env.output``, which copies it,
+        like any other output; a large one is given away (``env.publish``)
+        and the next call allocates its replacement.  Either way the frame
+        never shares memory with a published array."""
+        written, bufs = self.out_set, self.out_bufs
+        published = 0
+        for k, label in self.out_labels:
+            if not written[k]:
+                continue
+            buf = bufs[k]
+            if buf.nbytes > _HAND_OVER_BYTES:
+                bufs[k] = None
+                self.out_missing = True
+                env.publish(label, buf)
+            else:
+                env.output(label, buf)
+            published += 1
+        return published
 
 
 # the C type of the cell wj_entry writes its return value to (VOID entries
@@ -267,13 +330,17 @@ class EmitResult:
 
     def __init__(self, source: str, ivals: list[int], dvals: list[float],
                  entry_ret: _t.Type, array_slots: list,
-                 uses_omp: bool = False, uses_dgemm: bool = False):
+                 uses_omp: bool = False, uses_dgemm: bool = False,
+                 outputs: Sequence = ()):
         self.source = source
         self.ivals = ivals
         self.dvals = dvals
         self.entry_ret = entry_ret
         #: captured (length, dtype) per array slot; both key the cache
         self.slots = [(s.array.size, s.array.dtype) for s in array_slots]
+        #: (label, length, dtype code) per frame-owned output buffer, in
+        #: the emitted code's buffer order
+        self.outputs = list(map(tuple, outputs))
         #: always None; read only by the benchmarks/ledger replay
         self.units = None
         #: the source contains `#pragma omp` loops / a wj_dgemm call site —
@@ -337,8 +404,8 @@ class CCompiled(CompiledProgram):
             raise BackendError(
                 f"entry return type {ret_ty!r} cannot cross the C boundary"
             )
-        return _Frame(self.emit_result.slots, self._snap_size, ret_ctype,
-                      self._iv, self._dv)
+        return _Frame(self.emit_result.slots, self.emit_result.outputs,
+                      self._snap_size, ret_ctype, self._iv, self._dv)
 
     def run(self, env, arrays: Sequence[np.ndarray]):
         try:
@@ -358,6 +425,8 @@ class CCompiled(CompiledProgram):
             # generated code materializes into a zeroed snapshot buffer
             frame.snap.raw = self._zeros
             frame.ret.value = 0
+            if frame.out_missing:
+                frame.fill_outputs()
             if phase:
                 phase.next("invoke.native")
             self._entry(*frame.args)
@@ -371,6 +440,10 @@ class CCompiled(CompiledProgram):
                     f"{oob} out-of-bounds array access(es) in translated "
                     f"code (debug bounds checking)"
                 )
+            if frame.out_labels:
+                published = frame.publish(env)
+                if phase:
+                    phase.set(outputs=published)
             ret_ty = self.emit_result.entry_ret
             if ret_ty is _t.VOID:
                 return None

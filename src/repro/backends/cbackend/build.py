@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.backends.base import OptLevel
+from repro.env import encoded_keys, raw_values
 from repro.errors import BackendError, CompilationUnavailable
 from repro.obs.trace import span as _span
 
@@ -54,11 +55,27 @@ FLAG_SETS: dict[OptLevel, list[str]] = {
 _COMMON = ["-std=c99", "-shared", "-fPIC", "-lm", "-w"]
 
 
+_CC_VARS = ("CC", "PATH")
+_CC_KEYS = encoded_keys(_CC_VARS)
+
+#: raw ($CC, $PATH) -> the compiler found under them (None: none).  Every
+#: default-backend ``jit()`` asks, and ``shutil.which`` walks $PATH.
+_FOUND_CC: dict = {}
+
+
 def _find_cc() -> str | None:
+    where = raw_values(_CC_VARS, _CC_KEYS)
+    try:
+        return _FOUND_CC[where]
+    except KeyError:
+        pass
+    found = None
     for cand in (os.environ.get("CC"), "cc", "gcc", "clang"):
         if cand and shutil.which(cand):
-            return cand
-    return None
+            found = cand
+            break
+    _FOUND_CC[where] = found
+    return found
 
 
 def compiler_available() -> bool:

@@ -43,6 +43,9 @@ __all__ = ["CProgramEmitter", "EmitResult"]
 
 _ARR_SUFFIX = {id(_t.F32): "F32", id(_t.F64): "F64", id(_t.I32): "I32", id(_t.I64): "I64"}
 
+#: the prelude's dtype codes (WJ_F32 ...), shared with the host bridge
+_DT_CODE = {"F32": 1, "F64": 2, "I32": 3, "I64": 4}
+
 _GEO_FIELD = {
     "tid_x": "tx", "tid_y": "ty", "tid_z": "tz",
     "bid_x": "bx", "bid_y": "by", "bid_z": "bz",
@@ -115,6 +118,13 @@ class CProgramEmitter:
         self._ffi: dict[str, object] = {}
         self._entry_arg_members: list[str] = []
         self._uses_sync = False
+        #: label -> (index, suffix, length) of its frame-owned output buffer
+        #: (``_plan_outputs``), and each buffer's (label, length, dt code)
+        self._out_entries: dict[str, tuple[int, str, int]] = {}
+        self.outputs: list[tuple[str, int, int]] = []
+        #: symbol -> {local: length} for locals only ever bound to a
+        #: constant-size ``wj.zeros``
+        self._zeros_lens: dict[str, dict[str, int]] = {}
 
     # ------------------------------------------------------------------
     # type mapping
@@ -292,6 +302,7 @@ class CProgramEmitter:
         bodies = _Writer()
         for spec in self.program.specializations:
             self.local_shapes[spec.symbol] = compute_local_shapes(spec.func_ir)
+        self._plan_outputs()
         for spec in self.program.specializations:
             ret, decls, _ = self.csig(spec)
             # static: only the wj_* entry points below leave the unit, so
@@ -361,7 +372,48 @@ class CProgramEmitter:
                 and self.parallel_plan.n_parallel > 0
             ),
             uses_dgemm=self._uses_dgemm,
+            outputs=self.outputs,
         )
+
+    # ------------------------------------------------------------------
+    # wj.output sites
+    # ------------------------------------------------------------------
+
+    def _plan_outputs(self) -> None:
+        """Give each label one frame-owned output buffer, shaped by the
+        first of its ``wj.output`` sites whose array length is known here.
+
+        A site of that shape copies into the buffer and ``CCompiled.run``
+        publishes it after the call; any other site of the label (length
+        known only at run time, or another dtype or length) calls the
+        ``output`` thunk and clears the buffer's written flag, so the last
+        write of the call wins either way."""
+        for spec in self.program.specializations:
+            f = spec.func_ir
+            for x in ir.walk_exprs(f.body):
+                if not (isinstance(x, ir.IntrinsicCall) and x.key == "wj.output"):
+                    continue
+                label = x.const_args[0]
+                n = self.output_length(f, x.args[0])
+                if n is None or label in self._out_entries:
+                    continue
+                suffix = arr_suffix(x.args[0].ty.elem)
+                self._out_entries[label] = (len(self.outputs), suffix, n)
+                self.outputs.append((label, n, _DT_CODE[suffix]))
+
+    def output_length(self, f: ir.FuncIR, arr: ir.Expr) -> Optional[int]:
+        """Element count of the array a ``wj.output`` site copies, when it
+        is known at translation: a captured slot, or a local only ever
+        bound to a constant-size ``wj.zeros``."""
+        shape = arr.shape
+        if isinstance(shape, ArrayShape) and shape.length is not None:
+            return shape.length
+        if isinstance(arr, ir.LocalRef):
+            lens = self._zeros_lens.get(f.symbol)
+            if lens is None:
+                lens = self._zeros_lens[f.symbol] = _zeros_locals(f)
+            return lens.get(arr.name)
+        return None
 
     def _emit_entry(self, out: _Writer, entry) -> None:
         f = entry.func_ir
@@ -372,6 +424,9 @@ class CProgramEmitter:
         out.depth += 1
         out.line("WjSnap* snap = (WjSnap*)snapbuf;")
         out.line("memset(snap, 0, sizeof(WjSnap));")
+        if self.outputs:
+            out.line(f"memset(((WjOut*)env->h)->set, 0, "
+                     f"sizeof(int64_t) * {len(self.outputs)});")
         # entry arguments: folded at NOVIRT/FULL, runtime snap loads otherwise
         call_args = ["env", "snap"]
         helper = _CFunc(self, entry)
@@ -722,7 +777,13 @@ class _CFunc:
             return f"wj_free_{self._suf(x.args[0])}({a[0]})"
         if key == "wj.output":
             label = x.const_args[0]
-            return f"wj_output_{self._suf(x.args[0])}(env, {c_str(label)}, {a[0]})"
+            suf = self._suf(x.args[0])
+            k, entry_suf, n = self.p._out_entries.get(label, (-1, None, -1))
+            if (entry_suf != suf
+                    or self.p.output_length(self.f, x.args[0]) != n):
+                n = -1
+            return (f"wj_output_{suf}(env, {c_str(label)}, {a[0]}, {k}, "
+                    f"INT64_C({n}))")
         if key == "wj.dgemm":
             self.p._uses_dgemm = True
             return (
@@ -1009,6 +1070,31 @@ class _CFunc:
         out.depth -= 1
         out.line("}")
         out.line("")
+
+
+def _zeros_locals(f: ir.FuncIR) -> dict[str, int]:
+    """``{local: n}`` for each local of ``f`` whose every binding is
+    ``wj.zeros(elem, n)`` with the same constant ``n >= 0``."""
+    lens: dict = {}
+    stack = list(f.body)
+    while stack:
+        s = stack.pop()
+        for block in ir.stmt_blocks(s):
+            stack.extend(block)
+        if not isinstance(s, (ir.LocalDecl, ir.Assign)):
+            continue
+        v = s.value
+        n = None
+        if isinstance(v, ir.IntrinsicCall) and v.key == "wj.zeros":
+            size = v.args[0].shape
+            if isinstance(size, PrimShape) and size.const is not None:
+                n = int(size.const)
+        if n is None or n < 0 or lens.get(s.name, n) != n:
+            n = -1  # bound to something else: never static
+        lens[s.name] = n
+    params = set(f.param_names)
+    return {name: n for name, n in lens.items()
+            if n >= 0 and name not in params}
 
 
 def _is_literal(text: str) -> bool:

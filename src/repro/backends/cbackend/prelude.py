@@ -49,6 +49,14 @@ typedef struct WjEnv {
                       int64_t count, int32_t dt);
 } WjEnv;
 
+/* the call frame's output table, which env->h points to (bridge.WjOutStruct):
+ * one buffer per wj.output label whose length is known at translation, and
+ * whether this call wrote it (wj_entry clears the flags) */
+typedef struct WjOut {
+    void**   p;
+    int64_t* set;
+} WjOut;
+
 /* ---- kernel geometry (one logical CUDA thread) ------------------------ */
 typedef struct {
     int64_t tx, ty, tz;     /* threadIdx */
@@ -192,8 +200,19 @@ int64_t wj_oob_count_take(void) {
     static inline void wj_mpi_allreduce_##NAME(WjEnv* env, WjArr##NAME a) {  \
         env->mpi_allreduce_sum_arr(env->h, a.p, a.n, DT);                    \
     }                                                                        \
+    /* a site shaped like its label's frame buffer k (n >= 0) copies into    \
+     * it; any other site calls the host and clears the buffer's flag, so    \
+     * the call's last write wins (k < 0: the label has no buffer) */        \
     static inline void wj_output_##NAME(WjEnv* env, const char* label,       \
-                                        WjArr##NAME a) {                     \
+                                        WjArr##NAME a, int64_t k,            \
+                                        int64_t n) {                         \
+        WjOut* out = (WjOut*)env->h;                                         \
+        if (n >= 0 && a.n == n) {                                            \
+            memcpy(out->p[k], a.p, sizeof(T) * (size_t)n);                   \
+            out->set[k] = 1;                                                 \
+            return;                                                          \
+        }                                                                    \
+        if (k >= 0) out->set[k] = 0;                                         \
         env->output(env->h, label, a.p, a.n, DT);                            \
     }
 

@@ -145,19 +145,32 @@ def passes_for(backend: str, bounds_checks: bool = False) -> tuple:
 _KEY_KNOBS = ("REPRO_OPT_PASSES", "REPRO_OMP", "REPRO_OMP_REDUCTIONS",
               "REPRO_BLAS", "REPRO_BOUNDS")
 
-#: ``os.environ`` keeps its variables in ``_data`` under ``encodekey``
-#: keys; one ``os.environ.get`` costs ~1.8 us on a 2-vCPU x86-64 VM, a read
-#: of ``_data`` a tenth of that, and a warm ``jit()`` reads all five
-_KNOB_KEYS = tuple(map(getattr(os.environ, "encodekey", str), _KEY_KNOBS))
+def encoded_keys(names: tuple) -> tuple:
+    """``names`` as the keys ``os.environ`` stores them under (see
+    :func:`raw_values`)."""
+    return tuple(map(getattr(os.environ, "encodekey", str), names))
+
+
+def raw_values(names: tuple, keys: tuple) -> tuple:
+    """The raw values of the variables ``names`` (None when unset), to
+    compare with an earlier read; ``keys`` is ``encoded_keys(names)``.
+
+    ``os.environ`` keeps its variables in ``_data`` under ``encodekey``
+    keys; one ``os.environ.get`` costs ~1.8 us on a 2-vCPU x86-64 VM, a read
+    of ``_data`` a tenth of that, and a warm ``jit()`` reads seven."""
+    data = getattr(os.environ, "_data", None)
+    if type(data) is dict:
+        return tuple(map(data.get, keys))
+    return tuple(map(os.environ.get, names))
+
+
+_KNOB_KEYS = encoded_keys(_KEY_KNOBS)
 
 
 def key_knobs() -> tuple:
     """The raw values of the knobs that key the cache (None when unset):
     a key computed under one tuple is reused only while it reads the same."""
-    data = getattr(os.environ, "_data", None)
-    if type(data) is dict:
-        return tuple(map(data.get, _KNOB_KEYS))
-    return tuple(map(os.environ.get, _KEY_KNOBS))
+    return raw_values(_KEY_KNOBS, _KNOB_KEYS)
 
 
 def pipeline_passes(opt, backend: str, bounds_checks: bool = False) -> tuple:

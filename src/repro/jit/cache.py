@@ -104,7 +104,9 @@ __all__ = [
 #: process whose flag table had changed)
 #: 5: a py entry carries its marshalled module code object (``.pyc``), so a
 #: hit compiles nothing; an older py entry has none and is never hydrated
-_FORMAT_VERSION = 5
+#: 6: a C entry's ``wj.output`` sites copy into call-frame buffers (the
+#: ``outputs`` meta field); an older ``.so`` expects the old WjEnv contract
+_FORMAT_VERSION = 6
 
 #: the interpreter token of the key.  Marshal data written under another
 #: bytecode format can crash the interpreter that loads it, so only the
@@ -582,6 +584,7 @@ def _meta_for(program: Program, compiled, report) -> dict:
         meta["ivals"] = list(emit.ivals)
         meta["dvals"] = list(emit.dvals)
         meta["entry_ret"] = _NAME_BY_RET[id(emit.entry_ret)]
+        meta["outputs"] = [list(o) for o in emit.outputs]
     return meta
 
 
@@ -612,6 +615,7 @@ def _hydrate(meta: dict, source: str, so_path: Optional[str],
             [float(v) for v in meta["dvals"]],
             _RET_BY_NAME[meta["entry_ret"]],
             snapshot.array_slots,
+            outputs=meta["outputs"],
         )
         compiled = CCompiled(so_path, emit, source,
                              bounds_checks=meta["bounds_checks"])

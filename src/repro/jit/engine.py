@@ -144,6 +144,9 @@ class JitCode:
         self.gpu_model: Optional[GpuModel] = None
         if program.uses_gpu:
             self.gpu_model = M2050_MODEL
+        #: the recorded host arrays, one per slot; every rank gets them and
+        #: ``run`` copies them, never writes (built by the first invoke)
+        self._arrays: Optional[list] = None
 
     # -- configuration ------------------------------------------------------
 
@@ -182,8 +185,10 @@ class JitCode:
         """
         nranks = self.nranks or 1
         program, compiled = self.program, self.compiled
-        # every rank gets the host arrays: ``run`` copies them, never writes
-        arrays = [s.array for s in program.snapshot.array_slots]
+        arrays = self._arrays
+        if arrays is None:
+            arrays = self._arrays = [s.array
+                                     for s in program.snapshot.array_slots]
         gpu_model = self.gpu_model
         alone = nranks == 1 and not (program.uses_mpi or program.uses_gpu)
         # a warm invoke is too short for a ``with`` block that does nothing:
@@ -277,13 +282,33 @@ def _translate(minfo, snapshot, recv_shape, arg_shapes, passes):
 def _compile(receiver, method: str, args, *, backend: str, opt: OptLevel,
              use_cache: bool) -> JitCode:
     """Compile via the concurrency-safe service layer (see jit/service.py:
-    lock-protected cache tiers, single-flight dedup)."""
+    lock-protected cache tiers, single-flight dedup).
+
+    With tracing on, the request is one ``jit.compile`` root span whose
+    ``tier`` attribute says what served it; with tracing off the site
+    costs one ``enabled()`` check."""
     minfo = _resolve_minfo(receiver, method)
     from repro.jit import service
 
-    return service.compile_program(
-        minfo, receiver, args, backend=backend, opt=opt, use_cache=use_cache,
-    )
+    if not _trace.enabled():
+        return service.compile_program(minfo, receiver, args, backend=backend,
+                                       opt=opt, use_cache=use_cache)
+    with _trace.span("jit.compile", method=method) as sp:
+        code = service.compile_program(minfo, receiver, args, backend=backend,
+                                       opt=opt, use_cache=use_cache)
+        sp.set(backend=code.report.backend, tier=_served_tier(code.report))
+    return code
+
+
+def _served_tier(report: JitReport) -> str:
+    """What served one request: ``memory``/``disk`` (a cache hit),
+    ``dedup`` (another thread's in-flight compile), ``farm`` (another
+    process's compile, read from disk) or ``miss`` (compiled here)."""
+    if report.farm_dedup:
+        return "farm"
+    if report.dedup_hit and report.cache_hit:
+        return "dedup"
+    return report.cache_tier or "miss"
 
 
 def jit(receiver, method: str, *args, backend: str = "auto",

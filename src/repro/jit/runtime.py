@@ -9,7 +9,9 @@ into the rank's virtual clock via the GPU timing model, and outputs are
 copied out by label.
 
 Both backends call the same methods (the C backend through ctypes callback
-thunks), so platform semantics live here exactly once.
+thunks, and after the native call for a ``wj.output`` whose length is known
+at translation, which it copies into its call frame), so platform semantics
+live here exactly once.
 
 Under ``mpirun`` the environment reads its rank's :class:`RankContext` and
 that context's clock.  Without one (``ctx=None``: a one-rank program with no
@@ -53,6 +55,13 @@ class RuntimeEnv:
 
     def output(self, label: str, arr) -> None:
         self.outputs[label] = np.array(arr, copy=True)
+
+    def publish(self, label: str, arr: np.ndarray) -> None:
+        """Record an output array the caller hands over and never writes
+        again, without a copy: the C bridge gives away a large output
+        buffer of its call frame this way (smaller ones go through
+        :meth:`output`)."""
+        self.outputs[label] = arr
 
     # -- MPI --------------------------------------------------------------
 

@@ -213,6 +213,10 @@ class phases:
         self.end()
         self._live = _LiveSpan(name, attrs).__enter__()
 
+    def set(self, **attrs) -> None:
+        """Attach attributes to the open phase."""
+        self._live.set(**attrs)
+
     def end(self) -> None:
         """Close the open phase; called while an exception propagates (from
         a ``finally``), the span records it like a ``with`` block would."""

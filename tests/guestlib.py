@@ -423,3 +423,80 @@ class Tally:
 
     def run(self, k: i64) -> f64:
         return float(self.n * k)
+
+
+@wootin
+class OutputLater:
+    """Outputs a recorded array and a constant-size local, then overwrites
+    both in the same call; ``dup`` is written by two sites, the recorded
+    array's last."""
+
+    data: Array(f64)
+    n: i64
+
+    def __init__(self, data: Array(f64), n: i64):
+        self.data = data
+        self.n = n
+
+    def run(self, scale: f64) -> f64:
+        buf = wj.zeros(f64, self.n)
+        for i in range(self.n):
+            buf[i] = float(i) + 0.5
+            self.data[i] = self.data[i] * scale
+        wj.output("slot", self.data)
+        wj.output("local", buf)
+        wj.output("dup", buf)
+        for i in range(self.n):
+            buf[i] = -1.0
+            self.data[i] = -2.0
+        wj.output("dup", self.data)
+        return buf[0] + self.data[0]
+
+
+@wootin
+class RuntimeLength:
+    """``dyn`` has a length known only at run time (an element of a
+    recorded array); ``mixed`` is written by a constant-size site and by
+    ``dyn``'s, in the order ``static_last`` picks."""
+
+    sizes: Array(i64)
+
+    def __init__(self, sizes: Array(i64)):
+        self.sizes = sizes
+
+    def run(self, static_last: i64) -> f64:
+        m = self.sizes[0]
+        dyn = wj.zeros(f64, m)
+        fixed = wj.zeros(f64, 3)
+        for i in range(m):
+            dyn[i] = float(i) * 0.25
+        for i in range(3):
+            fixed[i] = 7.0
+        wj.output("dyn", dyn)
+        if static_last > 0:
+            wj.output("mixed", dyn)
+            wj.output("mixed", fixed)
+        else:
+            wj.output("mixed", fixed)
+            wj.output("mixed", dyn)
+        return float(m)
+
+
+@wootin
+class RebindOutput:
+    """Outputs a recorded array, rebinds its field to a new array of
+    ``k`` elements and outputs it again: the field's recorded length no
+    longer holds at the second site."""
+
+    data: Array(f64)
+
+    def __init__(self, data: Array(f64)):
+        self.data = data
+
+    def run(self, k: i64) -> f64:
+        wj.output("before", self.data)
+        self.data = wj.zeros(f64, k)
+        for i in range(k):
+            self.data[i] = 1.5
+        wj.output("after", self.data)
+        return float(len(self.data))

@@ -202,7 +202,8 @@ def test_program_key_digest_is_the_parents(env, tokens, backend, monkeypatch):
     keys C artifacts with ``cse``, its own pass set, except under
     ``REPRO_OMP=1`` and ``REPRO_BOUNDS=1``.  Version 5's py entry carries
     marshalled bytecode, which another bytecode format could crash on, so
-    ``py`` names the interpreter's magic number too.)"""
+    ``py`` names the interpreter's magic number too.  Version 6's C entry
+    copies ``wj.output`` into call-frame buffers it lists in ``outputs``.)"""
     for name in ("REPRO_OPT_PASSES", "REPRO_OMP", "REPRO_OMP_REDUCTIONS",
                  "REPRO_BLAS", "REPRO_BOUNDS"):
         monkeypatch.delenv(name, raising=False)
@@ -221,7 +222,7 @@ def test_program_key_digest_is_the_parents(env, tokens, backend, monkeypatch):
     code_cache._shape_classes(recv_shape, roots)
     native = backend == "c"
     material = {
-        "v": 5,
+        "v": 6,
         "repro": repro.__version__,
         "py": f"{sys.version_info[0]}.{sys.version_info[1]}:"
               f"{importlib.util.MAGIC_NUMBER.hex()}",

@@ -8,7 +8,9 @@ invoke and never written, one memory space per rank, a zeroed snapshot
 buffer per call, the bounds-check report, no reference from an idle frame
 to the call that used it, a dropped artifact freeing its frames, a recorded
 array resized or re-typed in place refused, and a host-callback exception
-reaching the caller on both backends.
+reaching the caller on both backends.  A ``wj.output`` of known length
+copies into a buffer of the frame, which the call publishes after it
+returns: no host callback, the value at the call, the label's last write.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from repro.mpi.netmodel import LOCAL_NET
 
 from tests.conftest import requires_cc
 from tests.guestlib import (
-    RankStamp, RingExchanger, ScaleAddSolver, ShortRecv, SwapBuf, SwapPeek,
-    Sweeper,
+    OutputLater, RankStamp, RebindOutput, RingExchanger, RuntimeLength,
+    ScaleAddSolver, ShortRecv, SwapBuf, SwapPeek, Sweeper,
 )
 from tests.guestlib_bounds import OffByOne, SafeSum
 
@@ -388,3 +390,156 @@ class TestCallbackExceptions:
         with pytest.raises(_Boom, match="size"):
             code.compiled.run(FailsAtSize(None), _slot_copies(code))
         assert seen == ["callback", "callback"]  # rank(), then size()
+
+
+class _CountingEnv(RuntimeEnv):
+    """Records every native-to-host transition of the envs it serves."""
+
+    entries: list = []
+
+    def note_native_entry(self):
+        self.entries.append(self)
+        super().note_native_entry()
+
+
+@pytest.fixture()
+def counted(monkeypatch):
+    """Host callbacks of every rank of the next invokes, by env."""
+    entries: list = []
+    monkeypatch.setattr(_CountingEnv, "entries", entries)
+    monkeypatch.setattr(engine, "RuntimeEnv", _CountingEnv)
+    return entries
+
+
+def _interpreted(make, *args, nranks=1, method="run"):
+    """The guest run directly under CPython: per-rank returns and outputs."""
+    apps = [make() for _ in range(nranks)]
+    return mpirun(nranks, lambda ctx: getattr(apps[ctx.rank], method)(*args),
+                  net=LOCAL_NET)
+
+
+def _same_outputs(got, want):
+    assert [sorted(o) for o in got] == [sorted(o) for o in want]
+    for mine, ref in zip(got, want):
+        for label, arr in ref.items():
+            assert mine[label].dtype == arr.dtype
+            assert mine[label].tobytes() == arr.tobytes(), label
+
+
+@requires_cc
+class TestFrameOutputs:
+    """``wj.output`` of known length crosses back through the call frame."""
+
+    def test_lone_cgsolve_invoke_makes_no_host_callback(self, counted):
+        """The one-rank CG solve of a 4x4 Laplacian: its only host
+        crossing was ``wj.output("x", self.x)``, now none is left, and
+        ``x`` is the interpreter's, bit for bit."""
+        from repro.library.cgsolve.config import make_solver
+
+        code = jit(make_solver(4, 4, precond="jacobi"), "solve", 1,
+                   backend="c", use_cache=False)
+        assert code.compiled.emit_result.outputs == [("x", 16, 2)]
+        for _ in range(3):
+            got = code.invoke()
+        assert counted == []
+        want = _interpreted(lambda: make_solver(4, 4, precond="jacobi"), 1,
+                            method="solve")
+        assert got.value == want.returns[0]
+        _same_outputs(got.outputs, want.outputs)
+
+    def test_output_keeps_the_value_at_the_call(self, backend, counted):
+        """A recorded array and a constant-size local, both overwritten
+        after their ``wj.output``: each output holds the value at its call,
+        and ``dup`` the later of its two writes."""
+        def make():
+            return OutputLater(np.arange(5.0), 5)
+
+        code = jit(make(), "run", 3.0, backend=backend, use_cache=False)
+        want = _interpreted(make, 3.0)
+        for _ in range(2):
+            got = code.invoke()
+            assert got.value == want.returns[0] == -3.0
+            _same_outputs(got.outputs, want.outputs)
+        assert got.output("slot").tolist() == [0.0, 3.0, 6.0, 9.0, 12.0]
+        assert got.output("local").tolist() == [0.5, 1.5, 2.5, 3.5, 4.5]
+        assert got.output("dup").tolist() == [-2.0] * 5
+        if backend == "c":
+            assert counted == []
+            assert [o[0] for o in code.compiled.emit_result.outputs] == [
+                "slot", "local", "dup"]
+
+    @pytest.mark.parametrize("static_last", [0, 1])
+    def test_runtime_length_site_calls_back(self, backend, counted,
+                                            static_last):
+        """A length known only at run time goes through the ``output``
+        callback; a label written both ways keeps the call's last write."""
+        def make():
+            return RuntimeLength(np.array([6], dtype=np.int64))
+
+        code = jit(make(), "run", static_last, backend=backend,
+                   use_cache=False)
+        got = code.invoke()
+        want = _interpreted(make, static_last)
+        assert got.value == want.returns[0] == 6.0
+        _same_outputs(got.outputs, want.outputs)
+        assert len(got.output("mixed")) == (3 if static_last else 6)
+        if backend == "c":
+            # dyn, then mixed once through the callback
+            assert len(counted) == 2
+            assert code.compiled.emit_result.outputs == [("mixed", 3, 2)]
+
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_rebound_field_of_another_length_calls_back(self, backend, k):
+        """A recorded array field rebound to a new array of another length:
+        the site copies only when the length it was translated for holds,
+        and calls back otherwise."""
+        code = jit(RebindOutput(np.arange(5.0)), "run", k, backend=backend,
+                   use_cache=False)
+        got = code.invoke()
+        want = _interpreted(lambda: RebindOutput(np.arange(5.0)), k)
+        assert got.value == float(k)
+        _same_outputs(got.outputs, want.outputs)
+
+    def test_two_ranks_publish_their_own_outputs(self, backend):
+        """Two ranks of ``RingExchanger``: each rank's ``buf`` is its own
+        and the interpreter's."""
+        code = jit4mpi(RingExchanger(4), "run", 3, backend=backend)
+        code.set4mpi(2)
+        want = _interpreted(lambda: RingExchanger(4), 3, nranks=2)
+        for _ in range(3):
+            got = code.invoke()
+            assert got.returns == want.returns
+            _same_outputs(got.outputs, want.outputs)
+        assert not np.shares_memory(got.output("buf", 0),
+                                    got.output("buf", 1))
+
+    def test_bounds_checked_build_publishes_the_same(self, monkeypatch,
+                                                     counted):
+        monkeypatch.setenv("REPRO_BOUNDS", "1")
+        code = jit(OutputLater(np.arange(5.0), 5), "run", 3.0, backend="c",
+                   use_cache=False)
+        assert code.compiled.bounds_checks
+        got = code.invoke()
+        want = _interpreted(lambda: OutputLater(np.arange(5.0), 5), 3.0)
+        assert got.value == want.returns[0]
+        _same_outputs(got.outputs, want.outputs)
+        assert counted == []
+
+    def test_large_output_is_handed_over_not_shared(self):
+        """An output over the copy-out size leaves the frame as the
+        published array itself, and the next call allocates the frame a
+        fresh buffer: two invokes never share memory, and the first keeps
+        its values."""
+        n = bridge._HAND_OVER_BYTES // 8 + 1
+        code = jit(OutputLater(np.ones(n), n), "run", 2.0, backend="c",
+                   use_cache=False)
+        first = code.invoke()
+        (frame,) = code.compiled._frames
+        assert frame.out_bufs == [None] * 3 and frame.out_missing
+        second = code.invoke()
+        for label in ("slot", "local", "dup"):
+            assert not np.shares_memory(first.output(label),
+                                        second.output(label))
+        assert first.output("slot").tolist() == [2.0] * n
+        assert first.output("local")[-1] == n - 0.5
+        assert first.output("dup").tolist() == [-2.0] * n

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import os
 import struct
 import sys
 import threading
@@ -431,6 +432,35 @@ class TestCaptureMemo:
             gc.collect()
             # whatever address the next receiver gets, it starts unsealed
             assert seal.record(Scale(1.0)) is None
+
+
+@requires_cc
+class TestDefaultBackendLookup:
+    """``backend="auto"`` asks for a C compiler on every ``jit()``; the
+    answer is remembered per ``$CC`` and ``$PATH``."""
+
+    def test_warm_default_jit_walks_no_path(self, monkeypatch):
+        import shutil
+
+        from repro.backends.cbackend import build
+
+        app = Sweeper(ScaleAddSolver(0.5), 12)
+        assert jit(app, "run", 2).report.backend == "c"
+        calls = []
+        real = shutil.which
+        monkeypatch.setattr(build.shutil, "which",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        for _ in range(3):
+            code = jit(app, "run", 2)
+            assert code.report.cache_tier == "memory"
+        assert calls == []
+        # another $PATH is another lookup, remembered in turn
+        monkeypatch.setenv("PATH", "/nonexistent-dir:" + os.environ["PATH"])
+        assert jit(app, "run", 2).report.backend == "c"
+        assert len(calls) >= 1
+        del calls[:]
+        jit(app, "run", 2)
+        assert calls == []
 
 
 class TestCaptureMemoTrace:

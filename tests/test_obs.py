@@ -21,6 +21,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import jit
@@ -30,7 +31,9 @@ from repro.jit.engine import clear_code_cache
 from repro.obs import export, trace
 
 from tests.conftest import requires_cc
-from tests.guestlib import RingExchanger, ScaleAddSolver, Sweeper
+from tests.guestlib import (
+    RingExchanger, RuntimeLength, ScaleAddSolver, Sweeper,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -229,8 +232,10 @@ class TestPipelineSpans:
     @requires_cc
     def test_one_rank_without_mpi_has_no_launcher_spans(self):
         """A program with no MPI or GPU call at one rank: the four layers
-        are children of ``jit.invoke`` itself, the host callback sits under
-        ``invoke.native``, and no ``mpi.run`` or ``mpi.rank`` is opened."""
+        are children of ``jit.invoke`` itself, no ``mpi.run`` or
+        ``mpi.rank`` is opened, and its one output crosses back through the
+        call frame: no ``runtime.callback``, ``outputs=1`` on
+        ``invoke.unmarshal``."""
         trace.enable()
         code = jit(Sweeper(ScaleAddSolver(0.5), 8), "run", 2, backend="c")
         trace.clear()
@@ -242,14 +247,17 @@ class TestPipelineSpans:
         assert tree == sorted([
             ("jit.invoke", None), ("invoke.copy", "jit.invoke"),
             ("invoke.marshal", "jit.invoke"), ("invoke.native", "jit.invoke"),
-            ("runtime.callback", "invoke.native"),
             ("invoke.unmarshal", "jit.invoke")])
         (invoke,) = [r for r in recs if r.name == "jit.invoke"]
         assert invoke.attrs == {"backend": "c", "nranks": 1}
+        (unmarshal,) = [r for r in recs if r.name == "invoke.unmarshal"]
+        assert unmarshal.attrs == {"outputs": 1}
         assert trace.current_span() is None
 
     @requires_cc
     def test_failed_native_call_closes_its_phase(self):
+        """An output of a length known only at run time still calls back;
+        the callback raises."""
         from repro.jit.runtime import RuntimeEnv
 
         class Refusing(RuntimeEnv):
@@ -257,10 +265,11 @@ class TestPipelineSpans:
                 raise KeyError(label)
 
         trace.enable()
-        code = jit(Sweeper(ScaleAddSolver(0.5), 8), "run", 2, backend="c")
+        sizes = np.array([6], dtype=np.int64)
+        code = jit(RuntimeLength(sizes), "run", 0, backend="c")
         trace.clear()
-        with pytest.raises(KeyError, match="arr"):
-            code.compiled.run(Refusing(None), [])
+        with pytest.raises(KeyError, match="dyn"):
+            code.compiled.run(Refusing(None), [sizes.copy()])
         assert trace.current_span() is None
         recs = trace.spans()
         phases = [r for r in recs if r.name.startswith("invoke.")]
@@ -300,8 +309,11 @@ class TestPipelineSpans:
         calls = [r for r in recs if r.name == "runtime.callback"]
         assert len(calls) == len(entries) > 2
         assert {by_id[r.parent_id].name for r in calls} == {"invoke.native"}
-        assert {"mpi_rank", "mpi_size", "output"} <= {
-            r.attrs["callback"] for r in calls}
+        names = {r.attrs["callback"] for r in calls}
+        assert {"mpi_rank", "mpi_size", "mpi_barrier"} <= names
+        # ``buf`` has a length known at translation: it crosses back
+        # through the call frame
+        assert "output" not in names
 
     def test_phases_are_siblings(self):
         trace.enable()
@@ -313,6 +325,97 @@ class TestPipelineSpans:
         assert (a.name, b.name, outer.name) == ("a", "b", "outer")
         assert a.parent_id == b.parent_id == outer.span_id
         assert a.attrs == {"n": 1}
+
+
+class TestCompileRoot:
+    """``jit.compile``: one root span per ``jit()`` request, its ``tier``
+    saying what served it, every pipeline span of the request beneath."""
+
+    @staticmethod
+    def _jit(backend):
+        return jit(Sweeper(ScaleAddSolver(0.5), 29), "run", 2,
+                   backend=backend)
+
+    @pytest.fixture()
+    def cache_dir(self, tmp_path, monkeypatch):
+        root = tmp_path / "code-cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+        clear_code_cache()
+        yield root
+        clear_code_cache()
+
+    @staticmethod
+    def _root_of(rec, by_id):
+        while rec.parent_id is not None:
+            rec = by_id[rec.parent_id]
+        return rec
+
+    def test_every_span_nests_under_one_root_per_request(self, backend,
+                                                          cache_dir):
+        trace.enable()
+        self._jit(backend)                  # a miss
+        self._jit(backend)                  # memory
+        code_cache.clear_memory()
+        self._jit(backend)                  # disk
+        recs = trace.spans()
+        by_id = {r.span_id: r for r in recs}
+        roots = [r for r in recs if r.parent_id is None]
+        assert [r.name for r in roots] == ["jit.compile"] * 3
+        assert [r.attrs for r in roots] == [
+            {"method": "run", "backend": backend, "tier": tier}
+            for tier in ("miss", "memory", "disk")]
+        for rec in recs:
+            assert self._root_of(rec, by_id).name == "jit.compile"
+        snapshots = [r for r in recs if r.name == "jit.snapshot"]
+        assert [by_id[r.parent_id].name for r in snapshots] == [
+            "jit.compile"] * 3
+        for rec in recs:
+            root = self._root_of(rec, by_id)
+            assert root.t_start <= rec.t_start
+            assert rec.t_start + rec.dur_s <= root.t_start + root.dur_s
+
+    def test_a_joined_flight_is_a_dedup(self, monkeypatch, cache_dir):
+        """Two threads on one cold key: one compiles, the other waits on
+        its flight and is served from memory as ``dedup``."""
+        from repro.jit import engine
+
+        started, release = threading.Event(), threading.Event()
+        real = engine._translate
+
+        def slow(*args, **kwargs):
+            started.set()
+            release.wait(timeout=30)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_translate", slow)
+        trace.enable()
+        waits = service.stats()["inflight_waits"]
+        leader = threading.Thread(target=self._jit, args=("py",))
+        leader.start()
+        assert started.wait(timeout=30)
+        joiner = threading.Thread(target=self._jit, args=("py",))
+        joiner.start()
+        deadline = time.monotonic() + 30
+        while (service.stats()["inflight_waits"] == waits
+               and time.monotonic() < deadline):
+            time.sleep(0.001)
+        release.set()
+        leader.join(timeout=60)
+        joiner.join(timeout=60)
+        tiers = sorted(r.attrs["tier"] for r in trace.spans()
+                       if r.name == "jit.compile")
+        assert tiers == ["dedup", "miss"]
+
+    def test_off_the_root_costs_one_enabled_check(self, monkeypatch):
+        """With tracing off a ``jit()`` opens no span at all."""
+        from repro.jit import engine
+
+        self._jit("py")
+        opened = []
+        monkeypatch.setattr(engine._trace, "span",
+                            lambda *a, **k: opened.append(a))
+        self._jit("py")
+        assert opened == [] and trace.spans() == []
 
 
 class TestHydrateSpan:
