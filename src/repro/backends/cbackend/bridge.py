@@ -94,10 +94,12 @@ class WjOutStruct(ct.Structure):
 _EMPTY = {dt: np.empty(0, dtype=np_dt) for dt, np_dt in _DT_NP.items()}
 
 #: an output buffer up to this size is copied out when the call publishes
-#: it (cheaper than taking a fresh buffer's address); a larger one is handed
-#: over whole, so a large output is copied once, at its ``wj.output`` site,
-#: and the frame allocates a fresh one when its next call starts (by then
-#: the caller may have dropped an older output whose memory it can reuse)
+#: it; a larger one is handed over whole, so a large output is copied once,
+#: at its ``wj.output`` site, and the frame allocates a fresh one when its
+#: next call starts (by then the caller may have dropped an older output
+#: whose memory it can reuse).  Handing over costs a fixed ~2 us (a new
+#: buffer and its ``.ctypes.data``) against a copy's ~0.4 us plus its bytes;
+#: the two cross between 56 and 96 KiB (EXPERIMENTS.md "warm invoke").
 _HAND_OVER_BYTES = 1 << 16
 
 

@@ -118,13 +118,11 @@ class CProgramEmitter:
         self._ffi: dict[str, object] = {}
         self._entry_arg_members: list[str] = []
         self._uses_sync = False
-        #: label -> (index, suffix, length) of its frame-owned output buffer
-        #: (``_plan_outputs``), and each buffer's (label, length, dt code)
-        self._out_entries: dict[str, tuple[int, str, int]] = {}
+        #: (label, length, dt code) per frame-owned output buffer, and
+        #: id(site) -> (buffer index, length) per ``wj.output`` site
+        #: (``_plan_outputs``)
         self.outputs: list[tuple[str, int, int]] = []
-        #: symbol -> {local: length} for locals only ever bound to a
-        #: constant-size ``wj.zeros``
-        self._zeros_lens: dict[str, dict[str, int]] = {}
+        self._out_sites: dict[int, tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # type mapping
@@ -387,33 +385,35 @@ class CProgramEmitter:
         publishes it after the call; any other site of the label (length
         known only at run time, or another dtype or length) calls the
         ``output`` thunk and clears the buffer's written flag, so the last
-        write of the call wins either way."""
+        write of the call wins either way.  Each site's (buffer index,
+        length) goes to ``_out_sites``: (k, -1) calls the thunk, k = -1
+        when its label has no buffer."""
+        sites = []
+        buffers: dict[str, tuple[int, str, int]] = {}  # label -> (k, suffix, n)
         for spec in self.program.specializations:
             f = spec.func_ir
+            zeros = None
             for x in ir.walk_exprs(f.body):
                 if not (isinstance(x, ir.IntrinsicCall) and x.key == "wj.output"):
                     continue
-                label = x.const_args[0]
-                n = self.output_length(f, x.args[0])
-                if n is None or label in self._out_entries:
-                    continue
-                suffix = arr_suffix(x.args[0].ty.elem)
-                self._out_entries[label] = (len(self.outputs), suffix, n)
-                self.outputs.append((label, n, _DT_CODE[suffix]))
-
-    def output_length(self, f: ir.FuncIR, arr: ir.Expr) -> Optional[int]:
-        """Element count of the array a ``wj.output`` site copies, when it
-        is known at translation: a captured slot, or a local only ever
-        bound to a constant-size ``wj.zeros``."""
-        shape = arr.shape
-        if isinstance(shape, ArrayShape) and shape.length is not None:
-            return shape.length
-        if isinstance(arr, ir.LocalRef):
-            lens = self._zeros_lens.get(f.symbol)
-            if lens is None:
-                lens = self._zeros_lens[f.symbol] = _zeros_locals(f)
-            return lens.get(arr.name)
-        return None
+                arr = x.args[0]
+                n = None
+                if isinstance(arr.shape, ArrayShape):
+                    n = arr.shape.length  # a captured slot
+                if n is None and isinstance(arr, ir.LocalRef):
+                    if zeros is None:
+                        zeros = _zeros_locals(f)
+                    n = zeros.get(arr.name)
+                label, suffix = x.const_args[0], arr_suffix(arr.ty.elem)
+                if n is not None and label not in buffers:
+                    buffers[label] = (len(self.outputs), suffix, n)
+                    self.outputs.append((label, n, _DT_CODE[suffix]))
+                sites.append((id(x), label, suffix, n))
+        for site, label, suffix, n in sites:
+            k, buf_suffix, buf_n = buffers.get(label, (-1, None, -1))
+            if (suffix, n) != (buf_suffix, buf_n):
+                n = -1
+            self._out_sites[site] = (k, n)
 
     def _emit_entry(self, out: _Writer, entry) -> None:
         f = entry.func_ir
@@ -776,14 +776,10 @@ class _CFunc:
         if key in ("cuda.free_gpu", "wj.free"):
             return f"wj_free_{self._suf(x.args[0])}({a[0]})"
         if key == "wj.output":
-            label = x.const_args[0]
-            suf = self._suf(x.args[0])
-            k, entry_suf, n = self.p._out_entries.get(label, (-1, None, -1))
-            if (entry_suf != suf
-                    or self.p.output_length(self.f, x.args[0]) != n):
-                n = -1
-            return (f"wj_output_{suf}(env, {c_str(label)}, {a[0]}, {k}, "
-                    f"INT64_C({n}))")
+            label = c_str(x.const_args[0])
+            k, n = self.p._out_sites.get(id(x), (-1, -1))
+            return (f"wj_output_{self._suf(x.args[0])}(env, {label}, {a[0]}, "
+                    f"{k}, INT64_C({n}))")
         if key == "wj.dgemm":
             self.p._uses_dgemm = True
             return (
