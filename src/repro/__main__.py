@@ -216,17 +216,10 @@ def cmd_opt(args) -> int:
     return 0
 
 
-#: compile-pipeline span names whose durations sum to ``JitReport.total_s``
-#: (nested spans like frontend.lower / cc.compile are excluded — they are
-#: already inside jit.translate / backend.compile)
-_PIPELINE_PHASES = ("jit.snapshot", "cache.key", "cache.probe",
-                    "jit.translate", "backend.compile")
-
-
 def _trace_demo() -> list:
     """JIT + invoke the sample diffusion stencil under tracing; prints the
-    per-phase sum vs the ``JitReport`` wall-clock total and returns the
-    recorded spans (as dicts)."""
+    request's ``JitReport`` total and returns the recorded spans (as
+    dicts)."""
     from repro import jit
     from repro.library.stencil import (
         EmptyContext, SineGen, StencilCPU3D, ThreeDIndexer,
@@ -248,16 +241,10 @@ def _trace_demo() -> list:
         trace.disable()
 
     r = code.report
-    phase_sum = sum(s["dur_s"] for s in spans if s["name"] in _PIPELINE_PHASES)
-    delta_pct = (abs(phase_sum - r.total_s) / r.total_s * 100
-                 if r.total_s else 0.0)
     invoke_s = sum(s["dur_s"] for s in spans if s["name"] == "jit.invoke")
     print("== trace demo: diffusion stencil jit() + invoke() ==")
     print(f"cache        : {'hit (' + r.cache_tier + ' tier)' if r.cache_hit else 'miss (cold compile)'}")
-    print(f"phase sum    : {phase_sum:.6f} s "
-          f"({' + '.join(_PIPELINE_PHASES)})")
-    print(f"JitReport    : {r.total_s:.6f} s total "
-          f"(delta {delta_pct:.2f}%)")
+    print(f"JitReport    : {r.total_s:.6f} s total")
     print(f"invoke wall  : {invoke_s:.6f} s")
     print()
     return spans

@@ -13,6 +13,7 @@ from repro.backends.base import Backend, CompiledProgram, OptLevel
 from repro.backends.cbackend.build import build_shared_object
 from repro.backends.cbackend.bridge import CCompiled
 from repro.jit.program import Program
+from repro.obs.trace import span as _span
 
 __all__ = ["CBackend"]
 
@@ -32,29 +33,31 @@ class CBackend(Backend):
         self.bounds_checks = bounds_checks
 
     def compile(self, program: Program, opt: OptLevel) -> CompiledProgram:
-        from repro.backends.cbackend.emit import CProgramEmitter
-
         # loop parallelization only at FULL (the comparator modes measure
         # abstraction cost) and never under bounds checks (the shared
         # wj_oob_count counter is not thread-safe)
         plan = None
         wanted = _env.omp_enabled() and opt is OptLevel.FULL
-        if wanted and not self.bounds_checks:
-            from repro.opt.parallel import analyze_program
+        with _span("backend.emit"):
+            from repro.backends.cbackend.emit import CProgramEmitter
 
-            plan = analyze_program(program)
-        result = CProgramEmitter(
-            program, opt, bounds_checks=self.bounds_checks,
-            parallel_plan=plan,
-        ).emit()
+            if wanted and not self.bounds_checks:
+                from repro.opt.parallel import analyze_program
+
+                plan = analyze_program(program)
+            result = CProgramEmitter(
+                program, opt, bounds_checks=self.bounds_checks,
+                parallel_plan=plan,
+            ).emit()
         so_path, stats = build_shared_object(
             result.source, opt,
             openmp=result.uses_omp
             or (result.uses_dgemm and _env.omp_enabled()),
             blas=result.uses_dgemm and _env.blas_enabled(),
         )
-        compiled = CCompiled(so_path, result, result.source,
-                             bounds_checks=self.bounds_checks)
+        with _span("backend.load"):
+            compiled = CCompiled(so_path, result, result.source,
+                                 bounds_checks=self.bounds_checks)
         compiled.build_stats = stats.as_dict()
         if plan is not None:
             # the loop-parallelization decisions are an optimizer product:

@@ -24,14 +24,13 @@ import shutil
 import subprocess
 import tempfile
 import threading
-import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.backends.base import OptLevel
 from repro.env import encoded_keys, raw_values
 from repro.errors import BackendError, CompilationUnavailable
-from repro.obs.trace import span as _span
+from repro.obs.trace import phases as _phases
 
 __all__ = [
     "BuildStats",
@@ -127,8 +126,8 @@ class BuildStats:
 
     mode: str = "single"        # always; read only by the benchmarks/ledger replay
     units: int = 1              # always 1; read only by the benchmarks/ledger replay
-    compile_s: float = 0.0      # compiler process time
-    wall_s: float = 0.0         # end-to-end build wall clock
+    compile_s: float = 0.0      # compiler process (the cc.compile phase)
+    wall_s: float = 0.0         # the whole build (the cc.build phase)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -212,8 +211,10 @@ def build_shared_object(
     """Compile C source to a fresh .so; returns ``(path, BuildStats)``.
 
     ``units`` is accepted and unused; the benchmarks/ledger replay is its
-    only caller.  The build runs under a ``cc.build`` tracing span with one
-    ``cc.compile`` child around the compiler process.
+    only caller.  ``wall_s`` is the ``cc.build`` phase and ``compile_s``
+    its one ``cc.compile`` phase, the compiler process; with tracing on,
+    each phase is also a span of exactly those seconds
+    (:class:`repro.obs.trace.phases`).
     """
     cc = _find_cc()
     if cc is None:
@@ -221,8 +222,7 @@ def build_shared_object(
             "no C compiler found (set $CC or install gcc/clang), or use "
             "backend='py'"
         )
-    with _span("cc.build"):
-        t0 = time.perf_counter()
+    with _phases("cc.build") as build:
         flags = list(FLAG_SETS[opt]) + _COMMON
         if bounds_checks:
             flags.append("-DWJ_BOUNDS=1")
@@ -245,9 +245,7 @@ def build_shared_object(
         # and string literals
         c_path.write_text(source, encoding="utf-8")
         so_path = build_dir / "wj.so"
-        t_compile = time.perf_counter()
-        with _span("cc.compile"):
+        with _phases("cc.compile") as cc_run:
             _run_cc([cc, str(c_path), "-o", str(so_path), *flags])
-        compile_s = time.perf_counter() - t_compile
-        return so_path, BuildStats(compile_s=compile_s,
-                                   wall_s=time.perf_counter() - t0)
+        return so_path, BuildStats(compile_s=cc_run.end(),
+                                   wall_s=build.end())

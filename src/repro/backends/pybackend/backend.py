@@ -12,6 +12,7 @@ from repro.backends.base import Backend, CompiledProgram, OptLevel
 from repro.backends.pybackend.loader import _PyCompiled
 from repro.env import env_flag
 from repro.jit.program import Program
+from repro.obs.trace import span as _span
 
 __all__ = ["PyBackend"]
 
@@ -32,10 +33,12 @@ class PyBackend(Backend):
         self.bounds_checks = bounds_checks
 
     def compile(self, program: Program, opt: OptLevel) -> CompiledProgram:
-        from repro.backends.pybackend.emit import _ProgramEmitter
-
         # the Python backend always emits at FULL optimization (see base.py)
-        source = _ProgramEmitter(
-            program, bounds_checks=self.bounds_checks).emit()
-        return _PyCompiled(program, source,
-                           bounds_checks=self.bounds_checks)
+        with _span("backend.emit"):
+            from repro.backends.pybackend.emit import _ProgramEmitter
+
+            source = _ProgramEmitter(
+                program, bounds_checks=self.bounds_checks).emit()
+        with _span("backend.load"):
+            return _PyCompiled(program, source,
+                               bounds_checks=self.bounds_checks)

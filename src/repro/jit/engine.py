@@ -41,20 +41,15 @@ __all__ = ["jit", "jit4mpi", "jit4gpu", "JitCode", "JitReport", "InvokeResult"]
 class JitReport:
     """Compilation-time breakdown (the paper's Table 3 measures this).
 
-    On a cache hit ``translate_s`` and ``backend_compile_s`` are 0 — the
-    warm path runs neither the translator nor the external compiler — and
-    ``cached_lookup_s`` carries the real cost paid (snapshot capture, key
-    digest, tier probe, artifact rehydration, plus any time spent blocked
-    on another thread's in-flight compile).  ``cache_tier`` says which
-    tier served the hit (``"memory"`` or ``"disk"``).  On a cache *miss*
-    ``cached_lookup_s`` is the key-digest + failed-probe cost — it is kept
-    out of ``translate_s``, which means only snapshot + lowering + emit —
-    so warm and cold reports are field-for-field comparable.
+    One clock times the request in laps, which are also its spans under
+    ``REPRO_TRACE=1``, and each phase field sums some of them: the table is
+    docs/OBSERVABILITY.md, "Counters".  A cache hit translated nothing, so
+    every lap is its ``cached_lookup_s``; ``total_s`` is the whole request.
     """
 
-    translate_s: float = 0.0        # snapshot + rule check + lowering + emit
-    backend_compile_s: float = 0.0  # external compiler (gcc) time
-    cached_lookup_s: float = 0.0    # key digest + cache probe (hit or miss)
+    translate_s: float = 0.0        # backend.init+jit.snapshot+jit.translate
+    backend_compile_s: float = 0.0  # backend.compile
+    cached_lookup_s: float = 0.0    # every other lap
     n_specializations: int = 0
     n_call_sites: int = 0
     backend: str = ""
@@ -64,13 +59,14 @@ class JitReport:
     #: this request joined another thread's in-flight compile instead of
     #: running the translator itself (single-flight deduplication)
     dedup_hit: bool = False
-    #: seconds spent blocked on the in-flight compile (dedup hits only)
+    #: seconds spent blocked on another thread's in-flight compile
     inflight_wait_s: float = 0.0
     #: this request was served by another *process's* compile: it waited on
     #: the cross-process entry lock and then read the finished disk entry
     #: (compile-farm single-flight, docs/COMPILE_FARM.md)
     farm_dedup: bool = False
     #: seconds spent blocked on the cross-process entry lock
+    #: (``FileLock.waited_s``)
     farm_wait_s: float = 0.0
     #: the cache-key digest this request resolved to ("" when uncached)
     key_digest: str = ""
@@ -113,22 +109,21 @@ def clear_code_cache() -> int:
 
 
 def _make_backend(name: str) -> Backend:
-    if name == "py":
-        from repro.backends.pybackend import PyBackend
-
-        return PyBackend()
-    if name == "c":
-        from repro.backends.cbackend import CBackend
-
-        return CBackend()
+    # every jit() runs this (the ``backend.init`` lap): ``import a.b as m``
+    # skips importlib's fromlist handling, which ``from a.b import X`` pays
+    # on every call
     if name == "auto":
-        from repro.backends.cbackend import CBackend, compiler_available
+        import repro.backends.cbackend as cb
 
-        if compiler_available():
-            return CBackend()
-        from repro.backends.pybackend import PyBackend
+        name = "c" if cb.compiler_available() else "py"
+    if name == "c":
+        import repro.backends.cbackend as cb
 
-        return PyBackend()
+        return cb.CBackend()
+    if name == "py":
+        import repro.backends.pybackend as pb
+
+        return pb.PyBackend()
     raise JitError(f"unknown backend {name!r} (expected 'c', 'py', or 'auto')")
 
 
@@ -288,14 +283,12 @@ def _compile(receiver, method: str, args, *, backend: str, opt: OptLevel,
     ``tier`` attribute says what served it; with tracing off the site
     costs one ``enabled()`` check."""
     minfo = _resolve_minfo(receiver, method)
-    from repro.jit import service
-
     if not _trace.enabled():
-        return service.compile_program(minfo, receiver, args, backend=backend,
-                                       opt=opt, use_cache=use_cache)
+        return _service.compile_program(minfo, receiver, args, backend=backend,
+                                        opt=opt, use_cache=use_cache)
     with _trace.span("jit.compile", method=method) as sp:
-        code = service.compile_program(minfo, receiver, args, backend=backend,
-                                       opt=opt, use_cache=use_cache)
+        code = _service.compile_program(minfo, receiver, args, backend=backend,
+                                        opt=opt, use_cache=use_cache)
         sp.set(backend=code.report.backend, tier=_served_tier(code.report))
     return code
 
@@ -332,3 +325,8 @@ def jit4gpu(receiver, method: str, *args, backend: str = "auto",
                     use_cache=use_cache)
     code.set_gpu(M2050_MODEL)
     return code
+
+
+# bound last: the service imports this module (an import in _compile costs
+# every jit() ≈ 0.6 µs)
+from repro.jit import service as _service  # noqa: E402

@@ -66,6 +66,8 @@ class FileLock:
         self.path = Path(path)
         self.waited_s = 0.0
         self.contended = False  # another process held the lock first
+        self.owner = str(os.getpid())  # this holder's line in the file
+        self.last_owner = ""  # the holder's line, as read while waiting
         self._fd: Optional[int] = None
 
     @property
@@ -79,6 +81,11 @@ class FileLock:
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError:
+            try:  # empty while the holder is still writing its line
+                self.last_owner = (os.pread(fd, 64, 0).decode(errors="replace")
+                                   or self.last_owner)
+            except OSError:
+                pass
             os.close(fd)
             return False
         # Split-brain guard: between our open() and flock() the lock file
@@ -99,9 +106,9 @@ class FileLock:
             os.close(fd)
             return False
         self._fd = fd
-        try:  # holder pid is advisory (diagnostics only)
+        try:  # the owner line is advisory (diagnostics only)
             os.ftruncate(fd, 0)
-            os.write(fd, str(os.getpid()).encode())
+            os.write(fd, self.owner.encode())
         except OSError:
             pass
         return True

@@ -36,15 +36,15 @@ module is the layer in front of ``engine._compile`` that fixes both:
   counters (``requests``, ``compiles``, ``dedup_hits``,
   ``inflight_waits``, ``farm_*``) are one dict under the service lock;
   :func:`stats` returns a copy and backs ``python -m repro jit stats``
-  (``--json`` for scripts).  A request's phase times are its
-  ``JitReport`` fields (``translate_s``, ``backend_compile_s``,
-  ``cached_lookup_s``, ``inflight_wait_s``, ``farm_wait_s``).  Every
-  pipeline step also opens a tracing span (:mod:`repro.obs.trace` —
-  ``jit.snapshot`` and ``cache.key`` with ``memo="hit"|"miss"``,
-  ``cache.probe``, ``jit.translate``,
-  ``backend.compile``, ``cache.store``, ``jit.inflight_wait``,
-  ``jit.farm_lock``), so ``REPRO_TRACE=1`` yields a full flame graph of
-  a compile.
+  (``--json`` for scripts).  A request's phase times come from one clock
+  (:class:`repro.obs.trace.phases`) lapped at each step of the protocol —
+  ``backend.init``, ``jit.snapshot`` and ``cache.key`` (with
+  ``memo="hit"|"miss"``), ``cache.probe``, ``jit.farm_lock``,
+  ``jit.translate``, ``backend.compile``, ``jit.inflight_wait``,
+  ``cache.store`` — and the laps fill its ``JitReport`` (the table is in
+  docs/OBSERVABILITY.md, "Counters").  Under ``REPRO_TRACE=1`` each lap is
+  also a span of exactly those seconds beneath the request's
+  ``jit.compile`` root, so the trace and the report cannot disagree.
 
 A worker blocks at most ``_FARM_LOCK_TIMEOUT_S`` (600 s) on another
 process's compile before it gives up and compiles the key itself.
@@ -54,8 +54,8 @@ See docs/JIT_SERVICE.md and docs/COMPILE_FARM.md for the full protocol.
 
 from __future__ import annotations
 
+import os
 import threading
-import time
 import weakref
 from typing import Optional
 
@@ -69,7 +69,8 @@ from repro.jit import cache as code_cache
 from repro.jit import engine as _engine
 from repro.lang import seal as _seal
 from repro.lang import types as _t
-from repro.obs.trace import span as _span
+from repro.obs.trace import current_span as _current_span
+from repro.obs.trace import phases as _phases
 
 __all__ = [
     "compile_program",
@@ -114,26 +115,30 @@ _COUNTERS = dict.fromkeys((
 _FARM_LOCK_TIMEOUT_S = 600.0
 
 
-def _acquire_farm_lock(key):
+def _acquire_farm_lock(clock, key):
     """Acquire the key's cross-process entry lock, or None when the farm
     does not apply (non-persistable key, disk tier off), the lock file
-    cannot be opened, or the wait timed out.  Contended acquisitions feed
-    the ``farm_*`` counters; only a wait that ran out counts as a
-    timeout."""
+    cannot be opened, or the wait timed out.  The lock file names its
+    holder as ``pid:root-span-id`` (0 when untraced); a contended wait's
+    ``jit.farm_lock`` span says whose lock it waited on (``leader``).
+    Contended acquisitions feed the ``farm_*`` counters; only a wait that
+    ran out counts as a timeout."""
     if not (key.persistable and code_cache.disk_enabled()):
         return None
     lock = code_cache.entry_lock(key.digest)
-    with _span("jit.farm_lock", key=key.digest[:12]):
-        acquired = lock.acquire(timeout=_FARM_LOCK_TIMEOUT_S)
-    if not acquired:
-        if lock.contended:
-            _bump("farm_lock_timeouts")
-        return None
+    clock.next("jit.farm_lock", key=key.digest[:12])
+    sp = _current_span()
+    lock.owner = f"{os.getpid()}:{(sp and sp.parent_id) or 0}"
+    acquired = lock.acquire(timeout=_FARM_LOCK_TIMEOUT_S)
     if lock.contended:
+        clock.set(leader=lock.last_owner)
         with _LOCK:
-            _COUNTERS["farm_lock_waits"] += 1
-            _COUNTERS["farm_lock_wait_s"] += lock.waited_s
-    return lock
+            if acquired:
+                _COUNTERS["farm_lock_waits"] += 1
+                _COUNTERS["farm_lock_wait_s"] += lock.waited_s
+            else:
+                _COUNTERS["farm_lock_timeouts"] += 1
+    return lock if acquired else None
 
 
 def _bump(name: str, by=1) -> None:
@@ -172,47 +177,72 @@ def compile_program(minfo, receiver, args, *, backend: str = "auto",
     (:mod:`repro.lang.seal`) remembers its capture and key per request
     (:class:`_Capture`): a warm call whose fences all hold skips the
     object-graph walk and the digest and goes straight to the probe.
+    One clock times the request, lap by lap, and fills its ``JitReport``.
     """
-    # backend construction (and its import chain) is excluded from the
-    # timings, as before — it is process-lifetime cost, not per-program
-    backend_obj = _engine._make_backend(backend)
-    bounds = getattr(backend_obj, "bounds_checks", False)
-    _bump("requests")
-    t0 = time.perf_counter()
-    if not use_cache:
-        with _span("jit.snapshot", memo="miss"):
+    clock = _phases("backend.init")
+    try:
+        backend_obj = _engine._make_backend(backend)
+        bounds = getattr(backend_obj, "bounds_checks", False)
+        _bump("requests")
+        clock.next("jit.snapshot", memo="hit")
+        if not use_cache:
+            clock.set(memo="miss")
             snapshot, recv_shape, arg_shapes = snapshot_args(receiver, args)
-        passes = _env.pipeline_passes(opt, backend_obj.name, bounds)
-        return _build(minfo, snapshot, recv_shape, arg_shapes, backend_obj,
-                      opt, passes=passes, snap_s=time.perf_counter() - t0)
+            passes = _env.pipeline_passes(opt, backend_obj.name, bounds)
+            code = _build(clock, minfo, snapshot, recv_shape, arg_shapes,
+                          backend_obj, opt, passes)
+        else:
+            token, live = _args_token(args)
+            slot = (minfo, backend_obj.name, bounds, opt, token)
+            seal = _seal.record(receiver)
+            cap = seal.memo.get(slot) if seal is not None else None
+            if cap is not None and not cap.holds(live):
+                cap = None
+            if cap is None:
+                clock.set(memo="miss")
+                # both fences are read before the walk: a rebind during it
+                # leaves the entry stale, never a stale entry current
+                epoch, generation = _seal.epoch(), len(_t.WOOTIN_CLASSES)
+                captured = snapshot_args(receiver, args)
+            config = code_cache.key_config(backend_obj.name, opt)
+            if cap is not None and cap.config == config:
+                clock.next("cache.key", memo="hit")
+                key, captured = cap.key, cap.captured
+            else:
+                clock.next("cache.key", memo="miss")
+                if cap is not None:  # only the configuration moved: no walk
+                    epoch, generation = cap.epoch, cap.generation
+                    captured = cap.captured
+                key = _program_key(minfo, captured[1], captured[2],
+                                   backend_obj, opt)
+                if token is not None and captured[0].sealed:
+                    _remember(seal or _seal.record(receiver), slot,
+                              _Capture(epoch, generation, captured, live,
+                                       config, key))
+            code = _compile_sync(clock, minfo, *captured, backend_obj, opt,
+                                 key)
+    finally:
+        total = clock.end()
+    # fields sum laps (docs/OBSERVABILITY.md "Counters"); only joiners wait
+    report = code.report
+    if report.cache_hit and not report.dedup_hit:
+        report.cached_lookup_s = total
+        return code
+    for name, dt in clock.laps:
+        if name == "jit.inflight_wait":
+            report.inflight_wait_s += dt
+        if report.cache_hit or name not in _COMPILE_LAPS:
+            report.cached_lookup_s += dt
+        elif name == "backend.compile":
+            report.backend_compile_s += dt
+        else:
+            report.translate_s += dt
+    return code
 
-    token, live = _args_token(args)
-    slot = (minfo, backend_obj.name, bounds, opt, token)
-    seal = _seal.record(receiver)
-    cap = seal.memo.get(slot) if seal is not None else None
-    if cap is not None and not cap.holds(live):
-        cap = None
-    with _span("jit.snapshot", memo="miss" if cap is None else "hit"):
-        if cap is None:
-            # both fences are read before the walk: a rebind during it
-            # leaves the entry stale, never a stale entry current
-            epoch, generation = _seal.epoch(), len(_t.WOOTIN_CLASSES)
-            captured = snapshot_args(receiver, args)
-    p0 = time.perf_counter()
-    config = code_cache.key_config(backend_obj.name, opt)
-    if cap is not None and cap.config == config:
-        with _span("cache.key", memo="hit"):
-            key = cap.key
-        captured = cap.captured
-    else:
-        if cap is not None:  # only the configuration moved: no walk
-            epoch, generation, captured = cap.epoch, cap.generation, cap.captured
-        key = _program_key(minfo, captured[1], captured[2], backend_obj, opt)
-        if token is not None and captured[0].sealed:
-            _remember(seal or _seal.record(receiver), slot,
-                      _Capture(epoch, generation, captured, live, config, key))
-    return _compile_sync(minfo, *captured, backend_obj, opt, key,
-                         snap_s=p0 - t0, t_start=t0, p0=p0)
+
+#: a compile's translate_s and backend_compile_s laps; others are lookup
+_COMPILE_LAPS = frozenset(("backend.init", "jit.snapshot", "jit.translate",
+                           "backend.compile"))
 
 
 #: memoized captures per receiver; past it the receiver's memo restarts
@@ -295,41 +325,39 @@ def _args_token(args) -> tuple:
 
 
 def _program_key(minfo, recv_shape, arg_shapes, backend_obj, opt):
-    """The request's cache key, digested under a ``cache.key`` span."""
-    with _span("cache.key", memo="miss"):
-        return code_cache.program_key(
-            minfo, recv_shape, arg_shapes,
-            backend=backend_obj.name, opt=opt,
-            bounds_checks=getattr(backend_obj, "bounds_checks", False),
-        )
+    """The request's cache key."""
+    return code_cache.program_key(
+        minfo, recv_shape, arg_shapes,
+        backend=backend_obj.name, opt=opt,
+        bounds_checks=getattr(backend_obj, "bounds_checks", False),
+    )
 
 
-def _probe(key, snapshot, recv_shape, arg_shapes, *, join: bool = False):
+def _probe(clock, key, snapshot, recv_shape, arg_shapes, *,
+           join: bool = False):
     """One lock-protected probe of the cache tiers.
 
     Returns ``(hit, flight, leader)``.  With ``join``, a miss atomically
     (same ``_LOCK`` hold as the lookup) joins the key's in-flight compile,
     or registers a new flight and makes the caller its leader."""
     flight, leader = None, False
-    with _span("cache.probe") as sp:
-        with _LOCK:
-            hit = code_cache.lookup(key, snapshot=snapshot,
-                                    recv_shape=recv_shape,
-                                    arg_shapes=arg_shapes)
-            if hit is None and join:
-                flight = _FLIGHTS.get(key.digest)
-                leader = flight is None
-                if leader:
-                    flight = _FLIGHTS[key.digest] = _Flight()
-                else:
-                    _COUNTERS["inflight_waits"] += 1
-        sp.set(hit=hit is not None,
-               tier=hit.tier if hit is not None else "miss")
+    with _LOCK:
+        hit = code_cache.lookup(key, snapshot=snapshot, recv_shape=recv_shape,
+                                arg_shapes=arg_shapes)
+        if hit is None and join:
+            flight = _FLIGHTS.get(key.digest)
+            leader = flight is None
+            if leader:
+                flight = _FLIGHTS[key.digest] = _Flight()
+            else:
+                _COUNTERS["inflight_waits"] += 1
+    clock.set(hit=hit is not None,
+              tier=hit.tier if hit is not None else "miss")
     return hit, flight, leader
 
 
-def _served(hit, key, *, opt, t_start: float, deduped: bool = False,
-            wait_s: float = 0.0, farm_lock=None) -> "_engine.JitCode":
+def _served(hit, key, *, opt, deduped: bool = False,
+            farm_lock=None) -> "_engine.JitCode":
     """The one place a cached artifact is returned.
 
     The warm-path JitReport is field-for-field comparable with a cold one
@@ -337,16 +365,12 @@ def _served(hit, key, *, opt, t_start: float, deduped: bool = False,
     whichever tier served it).  ``farm_lock`` is the entry lock the caller
     won before this probe hit: another process compiled the key while we
     waited on it."""
-    elapsed_s = time.perf_counter() - t_start
     if deduped:
         _bump("dedup_hits")
     if farm_lock is not None:
         _bump("farm_dedup_hits")
     meta = hit.meta
     report = _engine.JitReport(
-        translate_s=0.0,
-        backend_compile_s=0.0,
-        cached_lookup_s=elapsed_s,
         n_specializations=int(meta.get("n_specializations", 0)),
         n_call_sites=int(meta.get("n_sites", 0)),
         backend=str(meta.get("backend", "")),
@@ -354,7 +378,6 @@ def _served(hit, key, *, opt, t_start: float, deduped: bool = False,
         cache_hit=True,
         cache_tier=hit.tier,
         dedup_hit=deduped,
-        inflight_wait_s=wait_s,
         farm_dedup=farm_lock is not None,
         farm_wait_s=farm_lock.waited_s if farm_lock is not None else 0.0,
         key_digest=key.digest,
@@ -364,22 +387,17 @@ def _served(hit, key, *, opt, t_start: float, deduped: bool = False,
     return _engine.JitCode(hit.program, hit.compiled, report)
 
 
-def _build(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt, *,
-           passes: tuple, snap_s: float) -> "_engine.JitCode":
-    """Translate + backend-compile, uncached (the leader's cold path).
-    ``passes`` are the mid-end passes the request's key was digested
-    under."""
+def _build(clock, minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt,
+           passes: tuple) -> "_engine.JitCode":
+    """Translate + backend-compile, uncached (the leader's cold path), in
+    the clock's ``jit.translate`` and ``backend.compile`` laps.  ``passes``
+    are the mid-end passes the request's key was digested under."""
     _bump("compiles")
-    t1 = time.perf_counter()
-    with _span("jit.translate"):
-        program, opt_stats = _engine._translate(minfo, snapshot, recv_shape,
-                                                arg_shapes, passes)
-    translate_s = snap_s + (time.perf_counter() - t1)
-
-    t2 = time.perf_counter()
-    with _span("backend.compile", backend=backend_obj.name, opt=opt.value):
-        compiled = backend_obj.compile(program, opt)
-    backend_s = time.perf_counter() - t2
+    clock.next("jit.translate")
+    program, opt_stats = _engine._translate(minfo, snapshot, recv_shape,
+                                            arg_shapes, passes)
+    clock.next("backend.compile", backend=backend_obj.name, opt=opt.value)
+    compiled = backend_obj.compile(program, opt)
 
     bstats = dict(getattr(compiled, "build_stats", None) or {})
     # decisions the backend took while emitting belong with the optimizer
@@ -387,8 +405,6 @@ def _build(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt, *,
     opt_stats = {**opt_stats, **(compiled.opt_stats or {})}
 
     report = _engine.JitReport(
-        translate_s=translate_s,
-        backend_compile_s=backend_s,
         n_specializations=len(program.specializations),
         n_call_sites=program.n_sites,
         backend=backend_obj.name,
@@ -399,36 +415,31 @@ def _build(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt, *,
     return _engine.JitCode(program, compiled, report)
 
 
-def _compile_sync(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt,
-                  key, *, snap_s: float, t_start: float,
-                  p0: float) -> "_engine.JitCode":
-    """The lock-protected probe / single-flight / store protocol; ``p0``
-    is when the key phase began (a leader's ``cached_lookup_s`` runs from
-    there)."""
+def _compile_sync(clock, minfo, snapshot, recv_shape, arg_shapes,
+                  backend_obj, opt, key) -> "_engine.JitCode":
+    """The lock-protected probe / single-flight / store protocol."""
     deduped = False
-    wait_s = 0.0
+    clock.next("cache.probe")
     for _ in range(1000):  # re-probe loop; each pass waits on one flight
-        hit, flight, leader = _probe(key, snapshot, recv_shape, arg_shapes,
-                                     join=True)
+        hit, flight, leader = _probe(clock, key, snapshot, recv_shape,
+                                     arg_shapes, join=True)
         farm_lock = None
         if leader:
-            probe_s = time.perf_counter() - p0
             try:
                 # cross-process single-flight: win the on-disk entry lock
                 # before building.  If another process held it, it was
                 # compiling this very key — so on acquisition re-probe the
                 # disk tier and serve its finished entry instead of
                 # compiling a second time.
-                farm_lock = _acquire_farm_lock(key)
+                farm_lock = _acquire_farm_lock(clock, key)
                 if farm_lock is not None:
-                    hit = _probe(key, snapshot, recv_shape, arg_shapes)[0]
+                    clock.next("cache.probe")
+                    hit = _probe(clock, key, snapshot, recv_shape,
+                                 arg_shapes)[0]
                 if hit is None:
-                    code = _build(minfo, snapshot, recv_shape, arg_shapes,
-                                  backend_obj, opt, passes=key.passes,
-                                  snap_s=snap_s)
-                    code.report.cached_lookup_s = probe_s
+                    code = _build(clock, minfo, snapshot, recv_shape,
+                                  arg_shapes, backend_obj, opt, key.passes)
                     code.report.dedup_hit = deduped
-                    code.report.inflight_wait_s = wait_s
                     code.report.key_digest = key.digest
                     if farm_lock is not None:
                         code.report.farm_wait_s = farm_lock.waited_s
@@ -438,9 +449,9 @@ def _compile_sync(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt,
                     # The farm lock is still held here, so a cross-process
                     # waiter can only re-probe after the entry is complete.
                     if hit is None:
-                        with _span("cache.store"):
-                            code_cache.store(key, code.program, code.compiled,
-                                             code.report)
+                        clock.next("cache.store")
+                        code_cache.store(key, code.program, code.compiled,
+                                         code.report)
                     _FLIGHTS.pop(key.digest, None)
             except BaseException as exc:
                 with _LOCK:
@@ -452,20 +463,15 @@ def _compile_sync(minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt,
                 if farm_lock is not None:
                     farm_lock.release()
         if hit is not None:
-            return _served(hit, key, opt=opt, t_start=t_start,
-                           deduped=deduped, wait_s=wait_s,
+            return _served(hit, key, opt=opt, deduped=deduped,
                            farm_lock=farm_lock)
         if leader:
             return code
         # joiner: wait for the leader, then re-probe (served from memory)
-        w0 = time.perf_counter()
-        with _span("jit.inflight_wait", key=key.digest[:12]):
-            flight.done.wait()
-        waited = time.perf_counter() - w0
-        wait_s += waited
-        _bump("inflight_wait_s", waited)
+        clock.next("jit.inflight_wait", key=key.digest[:12])
+        flight.done.wait()
+        _bump("inflight_wait_s", clock.next("cache.probe"))
         if flight.exc is not None:
             raise flight.exc
         deduped = True
     raise JitError("single-flight compilation did not converge")
-

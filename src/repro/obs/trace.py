@@ -19,7 +19,8 @@ one JSON line each.
 Tracing is **off by default**: ``span()`` then returns a shared no-op
 context manager — no allocation, no clock reads — so instrumentation can
 stay on hot paths permanently (the warm cache-hit path budget is <2%
-overhead).  Enable with:
+overhead).  The compile path times its phases with :class:`phases`,
+whose clock is the spans' clock.  Enable with:
 
 * ``REPRO_TRACE=1``          — record into the ring buffer;
 * ``REPRO_TRACE_FILE=PATH``  — also stream JSONL to ``PATH`` (implies
@@ -66,6 +67,8 @@ _RING: deque = deque(maxlen=RING_CAPACITY)
 _FILE = None  # open JSONL stream when REPRO_TRACE_FILE / enable(file=...)
 _FILE_LOCK = threading.Lock()
 
+_now = time.perf_counter
+
 
 @dataclass
 class Span:
@@ -103,124 +106,120 @@ def _stack() -> list:
     return st
 
 
-class _LiveSpan:
-    """Context manager backing one enabled span (internal)."""
-
-    __slots__ = ("_name", "_attrs", "record")
-
-    def __init__(self, name: str, attrs: dict):
-        self._name = name
-        self._attrs = attrs
-        self.record: Optional[Span] = None
-
-    def set(self, **attrs) -> "_LiveSpan":
-        """Attach attributes (before, during, or at the end of the span)."""
-        if self.record is not None:
-            self.record.attrs.update(attrs)
-        else:
-            self._attrs.update(attrs)
-        return self
-
-    def __enter__(self) -> "_LiveSpan":
-        stack = _stack()
-        t = threading.current_thread()
-        self.record = Span(
-            name=self._name,
-            span_id=next(_IDS),
-            parent_id=stack[-1].span_id if stack else None,
-            thread=t.name,
-            tid=t.ident or 0,
-            ts=time.time(),
-            t_start=time.perf_counter(),
-            attrs=self._attrs,
-        )
-        stack.append(self.record)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        rec = self.record
-        rec.dur_s = time.perf_counter() - rec.t_start
-        if exc_type is not None:
-            rec.attrs.setdefault("error", exc_type.__name__)
-        stack = _stack()
-        # defensive pop: enable()/disable() mid-span can skew the stack
-        if stack and stack[-1] is rec:
-            stack.pop()
-        elif rec in stack:
-            stack.remove(rec)
-        _RING.append(rec)
-        f = _FILE
-        if f is not None:
-            line = json.dumps(rec.as_dict(), default=repr)
-            with _FILE_LOCK:
-                if _FILE is f:  # disable() may have closed it meanwhile
-                    f.write(line + "\n")
-                    f.flush()
-        return False
+def _open(name: str, attrs: dict, t: float) -> Span:
+    stack = _stack()
+    th = threading.current_thread()
+    rec = Span(name=name, span_id=next(_IDS),
+               parent_id=stack[-1].span_id if stack else None,
+               thread=th.name, tid=th.ident or 0, ts=time.time(), t_start=t,
+               attrs=attrs)
+    stack.append(rec)
+    return rec
 
 
-class _NoopSpan:
-    """The shared disabled-mode span: enter/exit/set all do nothing."""
-
-    __slots__ = ()
-
-    def set(self, **attrs) -> "_NoopSpan":
-        return self
-
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NOOP = _NoopSpan()
+def _close(rec: Span, t: float, exc_type) -> None:
+    rec.dur_s = t - rec.t_start
+    if exc_type is not None:
+        rec.attrs.setdefault("error", exc_type.__name__)
+    stack = _stack()
+    # defensive pop: enable()/disable() mid-span can skew the stack
+    if stack and stack[-1] is rec:
+        stack.pop()
+    elif rec in stack:
+        stack.remove(rec)
+    _RING.append(rec)
+    f = _FILE
+    if f is not None:
+        line = json.dumps(rec.as_dict(), default=repr)
+        with _FILE_LOCK:
+            if _FILE is f:  # disable() may have closed it meanwhile
+                f.write(line + "\n")
+                f.flush()
 
 
 def span(name: str, **attrs):
     """Open a traced phase; use as ``with span("jit.translate") as sp:``.
 
-    When tracing is disabled this returns a shared no-op context manager —
-    the call costs one branch, so it is safe on the warmest paths."""
+    With tracing on this is a one-phase :class:`phases` clock.  When tracing
+    is disabled it returns a shared no-op context manager — the call costs
+    one branch, so it is safe on the warmest paths."""
     if not _ENABLED:
         return _NOOP
-    return _LiveSpan(name, attrs)
+    return phases(name, **attrs)
 
 
 class phases:
-    """Spans for a path too warm for ``with`` blocks: it checks
-    :func:`enabled` once and carries ``None`` when tracing is off.  One
-    phase at a time is open; ``next`` closes it and opens its sibling::
+    """One clock for a run of sibling phases; with tracing on, each phase
+    is also a span.  ``next`` closes the open phase and opens the next one,
+    ``end`` (or leaving a ``with`` block) closes the last one::
 
-        ph = phases("invoke.marshal") if enabled() else None
-        try:
+        with phases("cache.key") as clock:
             ...
-            if ph:
-                ph.next("invoke.native")
-            ...
-        finally:
-            if ph:
-                ph.end()
+            clock.next("cache.probe")
+        clock.laps  # [("cache.key", seconds), ("cache.probe", seconds)]
+
+    Each boundary is one ``perf_counter`` read, shared by the phase it
+    closes and the one it opens, and a span's ``t_start``/``dur_s`` are
+    those reads: a sum over ``laps`` taken in order is exactly that sum
+    over the spans.  ``next`` returns the closed phase's seconds, ``end``
+    the sum of all laps.  The invoke, too warm even for this, builds one
+    only when :func:`enabled`.
     """
 
-    __slots__ = ("_live",)
+    __slots__ = ("laps", "_total", "_name", "_t", "_live")
 
     def __init__(self, name: str, **attrs):
-        self._live = _LiveSpan(name, attrs).__enter__()
+        self.laps: list = []
+        self._total = 0.0
+        self._name = name
+        # the record is built first: its bookkeeping is not the span's time
+        self._live = rec = _open(name, attrs, 0.0) if _ENABLED else None
+        self._t = t = _now()
+        if rec is not None:
+            rec.t_start = t
 
-    def next(self, name: str, **attrs) -> None:
-        """Close the open phase and open the one that follows it."""
-        self.end()
-        self._live = _LiveSpan(name, attrs).__enter__()
+    def next(self, name: str, **attrs) -> float:
+        """Close the open phase, open the one that follows it, and return
+        the closed phase's seconds."""
+        t = _now()
+        dt = t - self._t
+        self.laps.append((self._name, dt))
+        self._total += dt
+        if self._live is not None:
+            _close(self._live, t, None)
+        self._t, self._name = t, name
+        self._live = _open(name, attrs, t) if _ENABLED else None
+        return dt
 
     def set(self, **attrs) -> None:
-        """Attach attributes to the open phase."""
-        self._live.set(**attrs)
+        """Attach attributes to the open phase's span."""
+        if self._live is not None:
+            self._live.attrs.update(attrs)
 
-    def end(self) -> None:
-        """Close the open phase; called while an exception propagates (from
-        a ``finally``), the span records it like a ``with`` block would."""
-        self._live.__exit__(*sys.exc_info())
+    def end(self) -> float:
+        """Close the open phase, once, and return the sum of the laps; from
+        a ``finally`` the span records the exception passing through."""
+        if self._name is not None:
+            t = _now()
+            dt = t - self._t
+            self.laps.append((self._name, dt))
+            self._total += dt
+            if self._live is not None:
+                _close(self._live, t, sys.exc_info()[0])
+            self._t, self._name = t, None
+        return self._total
+
+    def __enter__(self) -> "phases":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.end()  # sys.exc_info() is the exception leaving the block
+
+
+#: the shared disabled-mode span: a clock built untraced and already ended,
+#: so entering, leaving and ``set`` do nothing
+_NOOP = phases("noop")
+_NOOP.end()
 
 
 def current_span() -> Optional[Span]:

@@ -28,15 +28,13 @@ the pass and the function instead of miscompiling silently.
 
 from __future__ import annotations
 
-import time
-
 # the REPRO_OPT_PASSES readers key the cache, so they live where a cache
 # hit can reach them without importing a pass (repro.env); this module,
 # which acts on them, re-exports them
 from repro.env import PASS_ORDER, passes_for, pipeline_passes
 from repro.errors import BackendError
 from repro.frontend.verify import verify_func
-from repro.obs.trace import span as _span
+from repro.obs.trace import phases as _phases
 from repro.opt import passes as _p
 from repro.opt.cfg import inline as _cfg_inline
 from repro.opt.cfg import ranges as _cfg_ranges
@@ -81,8 +79,7 @@ class Pipeline:
         """Apply every configured pass to ``func_ir`` in place."""
         for name in self.passes:
             fn = _PASS_FNS[name]
-            t0 = time.perf_counter()
-            with _span(f"opt.{name}", symbol=func_ir.symbol) as sp:
+            with _phases(f"opt.{name}", symbol=func_ir.symbol) as clock:
                 n = fn(func_ir, self)
                 try:
                     verify_func(func_ir)
@@ -91,18 +88,19 @@ class Pipeline:
                         f"optimizer pass {name!r} produced invalid IR for "
                         f"{func_ir.symbol}: {exc}"
                     ) from exc
-                sp.set(rewrites=n)
+                clock.set(rewrites=n)
             st = self.stats[name]
             st["runs"] += 1
             st["rewrites"] += n
-            st["seconds"] += time.perf_counter() - t0
+            st["seconds"] += clock.end()
             if n:
                 per = self.func_stats.setdefault(name, {})
                 per[func_ir.symbol] = per.get(func_ir.symbol, 0) + n
 
     def stats_dict(self) -> dict:
         """Per-pass totals, JSON-serializable (lands in
-        ``JitReport.opt_stats['pipeline']``)."""
+        ``JitReport.opt_stats['pipeline']``); a pass's ``seconds`` are its
+        ``opt.<pass>`` phases (:class:`repro.obs.trace.phases`)."""
         return {
             name: dict(st) for name, st in self.stats.items()
         }

@@ -19,6 +19,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -110,6 +111,30 @@ def _race_workers(n: int, cache_root: Path, backend: str = "py",
     return results
 
 
+#: compiles the shared key with tracing on, holding its entry lock inside
+#: the translator until the parent writes GO; then prints its request's
+#: root span id
+_LEADER = r"""
+import json, sys
+from repro.jit import engine
+from repro.library.cgsolve.config import make_solver
+from repro.obs import trace
+
+real = engine._translate
+
+def held(*args, **kwargs):
+    print("HOLDING", flush=True)
+    sys.stdin.readline()
+    return real(*args, **kwargs)
+
+engine._translate = held
+trace.enable()
+engine.jit(make_solver(5, 5, precond="jacobi"), "solve", 20, backend="py")
+(root,) = [s for s in trace.spans() if s.name == "jit.compile"]
+print(json.dumps({"root": root.span_id}))
+"""
+
+
 class TestCrossProcessSingleFlight:
     @pytest.mark.parametrize(
         "backend", ["py", pytest.param("c", marks=requires_cc)])
@@ -146,6 +171,65 @@ class TestCrossProcessSingleFlight:
         assert sum(r["disk_hits"] for r in again) == 5
         assert {r["value"] for r in again} == {results[0]["value"]}
         assert json.loads(jpath.read_text()) == meta
+
+    def test_waiter_names_the_leader(self, farm_dir, monkeypatch):
+        """A process blocked on the entry lock reads its holder's
+        ``pid:root-span-id`` line into its ``jit.farm_lock`` span."""
+        from repro.library.cgsolve.config import make_solver
+        from repro.obs import trace
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = f"{SRC_ROOT}{os.pathsep}{env.get('PYTHONPATH', '')}"
+        env.pop("REPRO_TRACE_FILE", None)
+        leader = subprocess.Popen(
+            [sys.executable, "-c", _LEADER], stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env)
+        contended = threading.Event()
+        real_try = FileLock._try_once
+
+        def spying(self):
+            won = real_try(self)
+            if not won:
+                contended.set()
+            return won
+
+        monkeypatch.setattr(FileLock, "_try_once", spying)
+        was_enabled = trace.enabled()
+        codes = []
+        try:
+            assert leader.stdout.readline().strip() == "HOLDING"
+            trace.enable()
+            trace.clear()
+            waiter = threading.Thread(target=lambda: codes.append(jit(
+                make_solver(5, 5, precond="jacobi"), "solve", 20,
+                backend="py")))
+            waiter.start()
+            assert contended.wait(timeout=60)
+            leader.stdin.write("GO\n")
+            leader.stdin.flush()
+            out, err = leader.communicate(timeout=300)
+            waiter.join(timeout=300)
+            assert not waiter.is_alive()
+            recs = trace.spans()
+        finally:
+            if leader.poll() is None:
+                leader.kill()
+            if not was_enabled:
+                trace.disable()
+            trace.clear()
+        assert leader.returncode == 0, err[-4000:]
+        root_id = json.loads(out.strip().splitlines()[-1])["root"]
+        (code,) = codes
+        assert code.report.farm_dedup and code.report.cache_tier == "disk"
+        (lock,) = [r for r in recs if r.name == "jit.farm_lock"]
+        assert lock.attrs["leader"] == f"{leader.pid}:{root_id}"
+        # the wait is lookup time, like every lap of a hit
+        (root,) = [r for r in recs if r.name == "jit.compile"]
+        assert root.attrs["tier"] == "farm"
+        laps = [r for r in recs if r.parent_id == root.span_id]
+        assert code.report.cached_lookup_s == sum(r.dur_s for r in laps)
+        assert code.report.farm_wait_s <= lock.dur_s
 
     def test_farm_disabled_still_correct(self, tmp_path):
         """A farm-lock timeout of 0: every loser of the entry lock

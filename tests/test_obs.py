@@ -627,15 +627,14 @@ class TestServiceIntegration:
 
     def test_cli_trace_summarize_demo(self, capsys):
         """`repro trace summarize` (no file): runs the stencil demo under
-        tracing and prints the per-phase breakdown + JitReport delta."""
+        tracing and prints the per-phase breakdown and the JitReport
+        total."""
         from repro.__main__ import main
 
         assert main(["trace", "summarize"]) == 0
         out = capsys.readouterr().out
-        assert "phase sum" in out and "JitReport" in out
+        assert "JitReport" in out
         assert "jit.snapshot" in out and "mpi.run" in out
-        delta = float(out.split("delta ")[1].split("%")[0])
-        assert delta < 10.0
         assert not trace.enabled(), "demo must restore the disabled state"
 
     def test_cli_trace_export_and_summarize_file(self, tmp_path, capsys,
