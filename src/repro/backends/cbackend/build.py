@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.backends.base import OptLevel
-from repro.env import encoded_keys, raw_values
+from repro.env import CC_VARS, encoded_keys, raw_values
 from repro.errors import BackendError, CompilationUnavailable
 from repro.obs.trace import phases as _phases
 
@@ -54,16 +54,16 @@ FLAG_SETS: dict[OptLevel, list[str]] = {
 _COMMON = ["-std=c99", "-shared", "-fPIC", "-lm", "-w"]
 
 
-_CC_VARS = ("CC", "PATH")
-_CC_KEYS = encoded_keys(_CC_VARS)
+_CC_KEYS = encoded_keys(CC_VARS)
 
-#: raw ($CC, $PATH) -> the compiler found under them (None: none).  Every
-#: default-backend ``jit()`` asks, and ``shutil.which`` walks $PATH.
+#: raw ($CC, $PATH) -> the compiler found under them (None: none).  A
+#: default-backend ``jit()`` asks whenever it resolves its configuration
+#: (``repro.jit.service``), and ``shutil.which`` walks $PATH.
 _FOUND_CC: dict = {}
 
 
 def _find_cc() -> str | None:
-    where = raw_values(_CC_VARS, _CC_KEYS)
+    where = raw_values(CC_VARS, _CC_KEYS)
     try:
         return _FOUND_CC[where]
     except KeyError:

@@ -23,7 +23,9 @@ live here, in a module that imports nothing of the framework, so that
 ``repro.jit.cache.program_key`` can digest the configuration on a cache hit
 without importing a single optimizer pass; ``repro.opt.pipeline`` and
 ``repro.opt.parallel`` re-export them for the code that acts on them (see
-DESIGN.md, "Import layers").
+DESIGN.md, "Import layers").  :func:`request_env` reads them with
+``$CC``/``$PATH`` in one call: what a cached ``jit()`` resolves its
+configuration from.
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ __all__ = [
     "blas_token",
     "env_flag",
     "env_float",
-    "key_knobs",
     "omp_enabled",
     "omp_reductions_enabled",
     "omp_token",
     "passes_for",
     "pipeline_passes",
+    "request_env",
 ]
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
@@ -145,6 +147,11 @@ def passes_for(backend: str, bounds_checks: bool = False) -> tuple:
 _KEY_KNOBS = ("REPRO_OPT_PASSES", "REPRO_OMP", "REPRO_OMP_REDUCTIONS",
               "REPRO_BLAS", "REPRO_BOUNDS")
 
+#: the variables that pick the C compiler (``cbackend.build._find_cc``),
+#: whose ``--version`` keys a C entry
+CC_VARS = ("CC", "PATH")
+
+
 def encoded_keys(names: tuple) -> tuple:
     """``names`` as the keys ``os.environ`` stores them under (see
     :func:`raw_values`)."""
@@ -157,20 +164,25 @@ def raw_values(names: tuple, keys: tuple) -> tuple:
 
     ``os.environ`` keeps its variables in ``_data`` under ``encodekey``
     keys; one ``os.environ.get`` costs ~1.8 us on a 2-vCPU x86-64 VM, a read
-    of ``_data`` a tenth of that, and a warm ``jit()`` reads seven."""
+    of ``_data`` a tenth of that, and a warm ``jit()`` reads seven, in one
+    call (:func:`request_env`)."""
     data = getattr(os.environ, "_data", None)
     if type(data) is dict:
         return tuple(map(data.get, keys))
     return tuple(map(os.environ.get, names))
 
 
-_KNOB_KEYS = encoded_keys(_KEY_KNOBS)
+_REQUEST_VARS = _KEY_KNOBS + CC_VARS
+_REQUEST_KEYS = encoded_keys(_REQUEST_VARS)
 
 
-def key_knobs() -> tuple:
-    """The raw values of the knobs that key the cache (None when unset):
-    a key computed under one tuple is reused only while it reads the same."""
-    return raw_values(_KEY_KNOBS, _KNOB_KEYS)
+def request_env() -> tuple:
+    """The raw values (None when unset) of every variable a cached
+    ``jit()`` request's configuration depends on: the knobs that key the
+    cache, and ``$CC``/``$PATH``, which pick the compiler.  A backend and a
+    key configuration resolved under one tuple are reused while it reads
+    the same (``repro.jit.service``)."""
+    return raw_values(_REQUEST_VARS, _REQUEST_KEYS)
 
 
 def pipeline_passes(opt, backend: str, bounds_checks: bool = False) -> tuple:

@@ -80,7 +80,8 @@ class Lowerer:
     """Lowers one guest method for one concrete specialization."""
 
     def __init__(self, engine, minfo, self_shape: ObjShape, arg_shapes, *, device: bool):
-        self.engine = engine  # SpecializeCtx: .specialize(...), .new_site_id()
+        # SpecializeCtx: .specialize(...), .new_site_id(), .resized
+        self.engine = engine
         self.minfo = minfo
         self.self_shape = self_shape
         self.arg_shapes = list(arg_shapes)
@@ -335,6 +336,10 @@ class Lowerer:
                     f"{value.ty!r} into {fshape.ty!r}",
                     node,
                 )
+            if (fshape.length is not None
+                    and getattr(value.shape, "length", None) != fshape.length):
+                # after this store the captured length no longer holds
+                self.engine.resized.add((obj.shape.root_path, target.attr))
             return [ir.FieldStore(obj, target.attr, value)]
         raise self._err("unsupported assignment target", node)
 

@@ -28,7 +28,8 @@ from typing import Optional
 from repro.errors import TypeFlowError
 from repro.lang import types as _t
 
-__all__ = ["Shape", "PrimShape", "ArrayShape", "ObjShape", "merge_shapes", "shape_digest"]
+__all__ = ["Shape", "PrimShape", "ArrayShape", "ObjShape", "forget_lengths",
+           "merge_shapes", "shape_digest"]
 
 
 class Shape:
@@ -185,6 +186,24 @@ def merge_shapes(a: Shape, b: Shape, *, where: str = "") -> Shape:
     raise TypeFlowError(
         f"conflicting value kinds at merge: {a!r} vs {b!r} {where}"
     )
+
+
+def forget_lengths(shape: Shape, fields: frozenset) -> Shape:
+    """``shape`` with the length of each snapshot array field named in
+    ``fields`` (``(root_path, field)`` pairs) unknown.  Object shapes on the
+    way to such a field are copied; every other shape is returned as is."""
+    if not (fields and isinstance(shape, ObjShape)):
+        return shape
+    new = {}
+    for name, fshape in shape.fields.items():
+        if (isinstance(fshape, ArrayShape) and fshape.length is not None
+                and (shape.root_path, name) in fields):
+            new[name] = ArrayShape(fshape.ty, fshape.slot)
+        else:
+            new[name] = forget_lengths(fshape, fields)
+    if all(new[name] is f for name, f in shape.fields.items()):
+        return shape
+    return ObjShape(shape.cls, new, shape.root_path)
 
 
 def shapes_equal(a: Shape, b: Shape) -> bool:

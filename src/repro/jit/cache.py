@@ -82,6 +82,7 @@ from repro.obs.trace import span as _span
 
 __all__ = [
     "CacheHit",
+    "Entry",
     "cache_dir",
     "clear",
     "clear_memory",
@@ -92,6 +93,7 @@ __all__ = [
     "guest_source_digest",
     "key_config",
     "lookup",
+    "lookup_memory",
     "program_key",
     "py_slot_decisions",
     "stats",
@@ -135,8 +137,8 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 #: :func:`clear_memory`.
 _TIER_LOCK = threading.RLock()
 
-#: digest -> (program, compiled, meta)
-_MEMORY: dict[str, tuple] = {}
+#: digest -> the entry (:class:`Entry`)
+_MEMORY: dict[str, "Entry"] = {}
 
 #: in-process counters, reported by :func:`stats`
 _COUNTERS = {"memory_hits": 0, "disk_hits": 0, "misses": 0, "stores": 0,
@@ -263,16 +265,25 @@ def guest_source_digest(root_infos) -> tuple[str, bool]:
     return result
 
 
-_CC_VERSION_CACHE: Optional[str] = None
+_CC_KEYS = _env.encoded_keys(_env.CC_VARS)
+
+#: raw ($CC, $PATH) -> the ``cc`` token of the key under them: the memo is
+#: keyed like ``cbackend.build._find_cc``, which picks the compiler from the
+#: same two variables, so a process that moves ``$CC`` keys (and stores)
+#: the new compiler's artifacts under its own version
+_CC_VERSIONS: dict = {}
 
 
 def _cc_version() -> str:
-    global _CC_VERSION_CACHE
-    if _CC_VERSION_CACHE is None:
-        from repro.backends.cbackend.build import cc_version
+    where = _env.raw_values(_env.CC_VARS, _CC_KEYS)
+    try:
+        return _CC_VERSIONS[where]
+    except KeyError:
+        pass
+    from repro.backends.cbackend.build import cc_version
 
-        _CC_VERSION_CACHE = cc_version()
-    return _CC_VERSION_CACHE
+    version = _CC_VERSIONS[where] = cc_version()
+    return version
 
 
 _FLAG_SETS: Optional[dict] = None  # build.FLAG_SETS itself, the live table
@@ -297,13 +308,16 @@ class CacheKey:
     passes: tuple = ()
 
 
-def key_config(backend: str, opt) -> tuple:
+def key_config(backend: str, opt, raw: tuple) -> tuple:
     """The inputs of :func:`program_key` that live outside the object graph
-    and can change while a process runs: the raw cache-keying knobs and the
-    live flag string.  The rest (version, interpreter, machine, ``cc``) is
-    fixed for the process, and the guest digest moves only with the class
-    registry."""
-    return _env.key_knobs(), _cc_flags(opt) if backend == "c" else ""
+    and can change while a process runs: ``raw``, the request's
+    :func:`repro.env.request_env` (the cache-keying knobs, and ``$CC`` and
+    ``$PATH``, which pick the compiler whose version keys a C entry), and
+    the flag string of ``opt``.  The rest (version, interpreter, machine)
+    is fixed for the process, and the guest digest moves only with the
+    class registry.  ``repro.jit.service`` calls it once per configuration,
+    so the flag table is read when one is first resolved."""
+    return raw, _cc_flags(opt) if backend == "c" else ""
 
 
 def program_key(minfo, recv_shape: ObjShape, arg_shapes, *, backend: str,
@@ -488,9 +502,9 @@ def _record_hit(jpath: str) -> None:
 
 
 def _disk_hit(digest: str, snapshot, recv_shape, arg_shapes):
-    """Serve one key from the disk tier: ``(program, compiled, meta)``, or
-    None.  No commit marker is a plain miss.  Any other failure — unreadable
-    or garbled marker, wrong format, missing or altered payload, an artifact
+    """Serve one key from the disk tier: its :class:`Entry`, or None.  No
+    commit marker is a plain miss.  Any other failure — unreadable or
+    garbled marker, wrong format, missing or altered payload, an artifact
     that will not load — drops the entry (unless a concurrent writer holds
     its lock: then it is being replaced and the miss is momentary) and is a
     miss too.  Called with ``_TIER_LOCK`` held."""
@@ -506,8 +520,8 @@ def _disk_hit(digest: str, snapshot, recv_shape, arg_shapes):
                 meta = json.loads(fh.read().decode("utf-8"))
             source, so_path, payload = _validate_entry(meta, spath, opath,
                                                        cpath)
-            program, compiled = _hydrate(meta, source, so_path, payload,
-                                         snapshot, recv_shape, arg_shapes)
+            entry = Entry(*_hydrate(meta, source, so_path, payload,
+                                    snapshot, recv_shape, arg_shapes), meta)
         except Exception:  # noqa: BLE001 - recompile on any damage
             sp.set(torn=True)
             if _drop_entry(root, digest, if_free=True):
@@ -515,7 +529,7 @@ def _disk_hit(digest: str, snapshot, recv_shape, arg_shapes):
             return None
         sp.set(kind=meta["kind"], bytes=len(payload))
     _record_hit(jpath)
-    return program, compiled, meta
+    return entry
 
 
 def _disk_put(digest: str, meta: dict, source: str,
@@ -632,31 +646,60 @@ def _hydrate(meta: dict, source: str, so_path: Optional[str],
 # lookup / store
 # ---------------------------------------------------------------------------
 
+class Entry:
+    """One memory-tier entry: the artifact, its meta, and the ``JitReport``
+    fields the meta fixes (``report``: the inverse of :func:`_meta_for`),
+    converted once, when the entry enters the tier.  Never written after:
+    a hit shares it."""
+
+    __slots__ = ("program", "compiled", "meta", "report")
+
+    def __init__(self, program: Program, compiled, meta: dict):
+        self.program = program
+        self.compiled = compiled
+        self.meta = meta
+        self.report = {
+            "n_specializations": int(meta["n_specializations"]),
+            "n_call_sites": int(meta["n_sites"]),
+            "backend": str(meta["backend"]),
+            "opt": str(meta["opt"]),
+        }
+
+
 @dataclass
 class CacheHit:
-    """One cache hit: where it came from and the rebound artifacts."""
+    """One cache hit: where it came from, the program rebound to the
+    request's capture, and the entry."""
 
     tier: str                 # "memory" | "disk"
     program: Program
-    compiled: object
-    meta: dict
+    entry: Entry
+
+
+def lookup_memory(key: CacheKey) -> Optional[Entry]:
+    """The memory tier's entry for ``key``, or None, under the tier lock
+    alone.  A hit counts in ``memory_hits``; a miss counts nowhere: the
+    caller goes on to :func:`lookup`, which probes both tiers again."""
+    with _TIER_LOCK:
+        entry = _MEMORY.get(key.digest)
+        if entry is not None:
+            _COUNTERS["memory_hits"] += 1
+        return entry
 
 
 def lookup(key: CacheKey, *, snapshot, recv_shape, arg_shapes) -> Optional[CacheHit]:
     """Probe memory then disk; rebinds the program to the fresh snapshot."""
     with _TIER_LOCK:
-        got = _MEMORY.get(key.digest)
-        if got is not None:
-            program, compiled, meta = got
-            rebound = program.rebind(snapshot, recv_shape, arg_shapes)
-            _COUNTERS["memory_hits"] += 1
-            return CacheHit("memory", rebound, compiled, meta)
+        entry = lookup_memory(key)
+        if entry is not None:
+            return CacheHit("memory", entry.program.rebind(
+                snapshot, recv_shape, arg_shapes), entry)
         if key.persistable and disk_enabled():
-            got = _disk_hit(key.digest, snapshot, recv_shape, arg_shapes)
-            if got is not None:
-                _MEMORY[key.digest] = got
+            entry = _disk_hit(key.digest, snapshot, recv_shape, arg_shapes)
+            if entry is not None:
+                _MEMORY[key.digest] = entry
                 _COUNTERS["disk_hits"] += 1
-                return CacheHit("disk", *got)
+                return CacheHit("disk", entry.program, entry)
         _COUNTERS["misses"] += 1
         return None
 
@@ -664,8 +707,9 @@ def lookup(key: CacheKey, *, snapshot, recv_shape, arg_shapes) -> Optional[Cache
 def store(key: CacheKey, program: Program, compiled, report) -> None:
     """Record a freshly-compiled program in both tiers."""
     meta = _meta_for(program, compiled, report)
+    entry = Entry(program, compiled, meta)
     with _TIER_LOCK:
-        _MEMORY[key.digest] = (program, compiled, meta)
+        _MEMORY[key.digest] = entry
         _COUNTERS["stores"] += 1
     if key.persistable and disk_enabled():
         so_path = getattr(compiled, "so_path", None)

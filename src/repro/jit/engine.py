@@ -109,9 +109,10 @@ def clear_code_cache() -> int:
 
 
 def _make_backend(name: str) -> Backend:
-    # every jit() runs this (the ``backend.init`` lap): ``import a.b as m``
-    # skips importlib's fromlist handling, which ``from a.b import X`` pays
-    # on every call
+    # run in the ``backend.init`` lap by an uncached jit() and by the first
+    # of each request configuration (``service._configure``): ``import a.b
+    # as m`` skips importlib's fromlist handling, which ``from a.b import
+    # X`` pays on every call
     if name == "auto":
         import repro.backends.cbackend as cb
 
@@ -246,18 +247,30 @@ def _translate(minfo, snapshot, recv_shape, arg_shapes, passes):
     """
     # the compile stack (lowering, rules, IR, the mid-end passes) is first
     # imported here, by the first miss; a cache hit never loads it
+    from repro.frontend.shapes import forget_lengths
     from repro.frontend.verify import verify_program
     from repro.jit.specialize import Specializer
     from repro.opt import Pipeline
 
-    pipeline = Pipeline(passes) if passes else None
-    program = Program(snapshot=snapshot, recv_shape=recv_shape, arg_shapes=arg_shapes)
-    with _trace.span("frontend.lower") as sp:
-        specializer = Specializer(program, pipeline=pipeline)
-        entry_spec = specializer.specialize(minfo, recv_shape, arg_shapes,
-                                            device=False)
-        program.entry = entry_spec
-        sp.set(n_specializations=len(program.specializations))
+    # a snapshot array field keeps its captured length (which bce trusts)
+    # only if every store to it stores an array of that length: a store
+    # found otherwise lowers the program again with that length unknown
+    resized = frozenset()
+    while True:
+        pipeline = Pipeline(passes) if passes else None
+        program = Program(snapshot=snapshot, recv_shape=recv_shape,
+                          arg_shapes=arg_shapes)
+        with _trace.span("frontend.lower") as sp:
+            specializer = Specializer(program, pipeline=pipeline)
+            entry_spec = specializer.specialize(
+                minfo, forget_lengths(recv_shape, resized),
+                [forget_lengths(s, resized) for s in arg_shapes],
+                device=False)
+            program.entry = entry_spec
+            sp.set(n_specializations=len(program.specializations))
+        if not specializer.resized:
+            break
+        resized |= specializer.resized
     opt_stats = verify_program(program).as_dict()
     if pipeline is not None:
         opt_stats["pipeline"] = pipeline.stats_dict()

@@ -26,15 +26,19 @@ module is the layer in front of ``engine._compile`` that fixes both:
   would compile.  Lock waits surface as ``farm_*`` counters and on
   ``JitReport.farm_dedup``/``farm_wait_s``.  See docs/COMPILE_FARM.md.
 
-* **The warm path** — a successful capture seals the object graph
-  (:mod:`repro.lang.seal`), so a sealed receiver keeps its snapshot and
-  key per request (:class:`_Capture`) and a warm call whose fences hold
-  skips the graph walk and the digest.  See docs/JIT_SERVICE.md, "The
-  warm path".
+* **The warm path** — a lookup.  A cached request resolves its backend
+  and key configuration once per environment (:func:`_configure`: one
+  read of seven variables, then a dict).  A successful capture seals the
+  object graph (:mod:`repro.lang.seal`), so a sealed receiver keeps its
+  snapshot and key per request (:class:`_Capture`) and a warm call whose
+  fences hold skips the graph walk and the digest.  The probe looks at the
+  memory tier under the tier lock alone, and a hit serves the program the
+  capture was last served from that entry; only a miss takes the service
+  lock.  See docs/JIT_SERVICE.md, "The warm path".
 
 * **Observability** — each measurement is recorded once.  The service
-  counters (``requests``, ``compiles``, ``dedup_hits``,
-  ``inflight_waits``, ``farm_*``) are one dict under the service lock;
+  counters (``compiles``, ``dedup_hits``, ``inflight_waits``, ``farm_*``)
+  are one dict under the service lock, ``requests`` a lock-free count;
   :func:`stats` returns a copy and backs ``python -m repro jit stats``
   (``--json`` for scripts).  A request's phase times come from one clock
   (:class:`repro.obs.trace.phases`) lapped at each step of the protocol —
@@ -54,6 +58,7 @@ See docs/JIT_SERVICE.md and docs/COMPILE_FARM.md for the full protocol.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import weakref
@@ -92,14 +97,15 @@ class _Flight:
 
 #: guards _FLIGHTS and _COUNTERS.  Lock order is always
 #: service lock -> cache._TIER_LOCK (via lookup/store); never the reverse.
+#: A memory hit takes the tier lock alone (:func:`_compile_sync`).
 _LOCK = threading.Lock()
 
 #: cache-key digest -> in-flight compilation
 _FLIGHTS: dict[str, _Flight] = {}
 
 #: in-process counters, reported by :func:`stats` under these exact keys
+#: (and ``requests``)
 _COUNTERS = dict.fromkeys((
-    "requests",           # compile_program calls
     "compiles",           # leader translate+compile runs (cache misses)
     "dedup_hits",         # requests served by another thread's compile
     "inflight_waits",     # blocking waits on an in-flight build
@@ -109,6 +115,13 @@ _COUNTERS = dict.fromkeys((
     "farm_lock_timeouts", # gave up waiting and compiled uncoordinated
     "farm_dedup_hits",    # served by another process's compile
 ), 0)
+
+#: compile_program calls, counted without a lock: ``next()`` on a count is
+#: atomic.  :func:`stats` reads it by drawing one number itself;
+#: ``_UNCOUNTED`` (under ``_LOCK``) is how many drawn numbers counted no
+#: request: those reads, and every number before the last ``reset()``
+_REQUESTS = itertools.count()
+_UNCOUNTED = 0
 
 #: max seconds to block on another process's compile; past it the worker
 #: compiles uncoordinated — availability beats deduplication
@@ -153,15 +166,21 @@ def stats() -> dict:
     The dict shape is stable (scripts and the CLI consume it); the
     snapshot is taken under the service lock, so a concurrent ``reset()``
     cannot produce a torn half-old/half-new view."""
+    global _UNCOUNTED
     with _LOCK:
-        return dict(_COUNTERS)
+        drawn = next(_REQUESTS)
+        requests = drawn - _UNCOUNTED
+        _UNCOUNTED += 1
+        return {"requests": requests, **_COUNTERS}
 
 
 def reset() -> None:
     """Forget in-flight builds and zero the counters (test isolation)."""
+    global _UNCOUNTED
     with _LOCK:
         _FLIGHTS.clear()
         _COUNTERS.update(dict.fromkeys(_COUNTERS, 0))
+        _UNCOUNTED = next(_REQUESTS) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -173,27 +192,32 @@ def compile_program(minfo, receiver, args, *, backend: str = "auto",
                     use_cache: bool = True) -> "_engine.JitCode":
     """Compile ``receiver.<minfo>(*args)`` through the service layer.
 
-    This is what ``jit``/``jit4mpi``/``jit4gpu`` call.  A sealed receiver
-    (:mod:`repro.lang.seal`) remembers its capture and key per request
-    (:class:`_Capture`): a warm call whose fences all hold skips the
-    object-graph walk and the digest and goes straight to the probe.
-    One clock times the request, lap by lap, and fills its ``JitReport``.
+    This is what ``jit``/``jit4mpi``/``jit4gpu`` call.  A cached request
+    resolves its backend and key configuration once per environment
+    (:func:`_configure`), and a sealed receiver (:mod:`repro.lang.seal`)
+    remembers its capture and key per request (:class:`_Capture`): a warm
+    call whose fences all hold skips the object-graph walk and the digest
+    and goes straight to the probe.  One clock times the request, lap by
+    lap, and fills its ``JitReport``.
     """
     clock = _phases("backend.init")
     try:
-        backend_obj = _engine._make_backend(backend)
-        bounds = getattr(backend_obj, "bounds_checks", False)
-        _bump("requests")
-        clock.next("jit.snapshot", memo="hit")
+        next(_REQUESTS)
         if not use_cache:
-            clock.set(memo="miss")
+            # resolved afresh: an uncached build is cold anyway
+            backend_obj = _engine._make_backend(backend)
+            clock.next("jit.snapshot", memo="miss")
             snapshot, recv_shape, arg_shapes = snapshot_args(receiver, args)
-            passes = _env.pipeline_passes(opt, backend_obj.name, bounds)
+            passes = _env.pipeline_passes(opt, backend_obj.name,
+                                          backend_obj.bounds_checks)
             code = _build(clock, minfo, snapshot, recv_shape, arg_shapes,
                           backend_obj, opt, passes)
         else:
+            backend_obj, config = _configure(backend, opt)
+            clock.next("jit.snapshot", memo="hit")
             token, live = _args_token(args)
-            slot = (minfo, backend_obj.name, bounds, opt, token)
+            slot = (minfo, backend_obj.name, backend_obj.bounds_checks, opt,
+                    token)
             seal = _seal.record(receiver)
             cap = seal.memo.get(slot) if seal is not None else None
             if cap is not None and not cap.holds(live):
@@ -204,7 +228,6 @@ def compile_program(minfo, receiver, args, *, backend: str = "auto",
                 # leaves the entry stale, never a stale entry current
                 epoch, generation = _seal.epoch(), len(_t.WOOTIN_CLASSES)
                 captured = snapshot_args(receiver, args)
-            config = code_cache.key_config(backend_obj.name, opt)
             if cap is not None and cap.config == config:
                 clock.next("cache.key", memo="hit")
                 key, captured = cap.key, cap.captured
@@ -215,12 +238,13 @@ def compile_program(minfo, receiver, args, *, backend: str = "auto",
                     captured = cap.captured
                 key = _program_key(minfo, captured[1], captured[2],
                                    backend_obj, opt)
+                cap = None
                 if token is not None and captured[0].sealed:
-                    _remember(seal or _seal.record(receiver), slot,
-                              _Capture(epoch, generation, captured, live,
-                                       config, key))
+                    cap = _Capture(epoch, generation, captured, live, config,
+                                   key)
+                    _remember(seal or _seal.record(receiver), slot, cap)
             code = _compile_sync(clock, minfo, *captured, backend_obj, opt,
-                                 key)
+                                 key, cap)
     finally:
         total = clock.end()
     # fields sum laps (docs/OBSERVABILITY.md "Counters"); only joiners wait
@@ -245,6 +269,29 @@ _COMPILE_LAPS = frozenset(("backend.init", "jit.snapshot", "jit.translate",
                            "backend.compile"))
 
 
+#: (backend, opt, env.request_env()) -> (backend object, key config).
+#: Unbounded, like ``cbackend.build._FOUND_CC``: a process sees few
+#: environments.  A backend object is not written after ``__init__``, so
+#: every request of one configuration shares it.
+_CONFIGS: dict = {}
+
+
+def _configure(backend: str, opt):
+    """The request configuration: the backend ``backend`` resolves to and
+    :func:`repro.jit.cache.key_config`, both resolved once per environment
+    (one read of seven variables, :func:`repro.env.request_env`)."""
+    raw = _env.request_env()
+    try:
+        return _CONFIGS[backend, opt, raw]
+    except KeyError:
+        pass
+    # two threads may resolve one configuration at once: both results hold
+    backend_obj = _engine._make_backend(backend)
+    got = _CONFIGS[backend, opt, raw] = (
+        backend_obj, code_cache.key_config(backend_obj.name, opt, raw))
+    return got
+
+
 #: memoized captures per receiver; past it the receiver's memo restarts
 _MEMO_CAP = 16
 
@@ -259,10 +306,17 @@ class _Capture:
     and ``.dtype =`` leave identity alone), and the non-primitive arguments
     by identity.  ``config`` (:func:`repro.jit.cache.key_config`) is
     compared separately: when only it moved, the key is recomputed from the
-    stored shapes."""
+    stored shapes.
+
+    ``served`` is ``(entry, program)``: the memory-tier entry a hit of
+    this capture was last served from, and its program rebound to the
+    capture.  A later hit on the same entry serves that program again (the
+    snapshot is the same one, and a ``Program`` is not written after
+    translation); one stored in a single assignment, so a racing thread
+    reads a whole pair."""
 
     __slots__ = ("epoch", "generation", "captured", "slots", "refs",
-                 "config", "key")
+                 "config", "key", "served")
 
     def __init__(self, epoch, generation, captured, live, config, key):
         self.epoch = epoch
@@ -278,6 +332,7 @@ class _Capture:
                           else weakref.ref(a) for a in live)
         self.config = config
         self.key = key
+        self.served = None
 
     def holds(self, live) -> bool:
         if (self.epoch != _seal.epoch()
@@ -356,7 +411,7 @@ def _probe(clock, key, snapshot, recv_shape, arg_shapes, *,
     return hit, flight, leader
 
 
-def _served(hit, key, *, opt, deduped: bool = False,
+def _served(tier: str, entry, program, key, *, deduped: bool = False,
             farm_lock=None) -> "_engine.JitCode":
     """The one place a cached artifact is returned.
 
@@ -369,22 +424,19 @@ def _served(hit, key, *, opt, deduped: bool = False,
         _bump("dedup_hits")
     if farm_lock is not None:
         _bump("farm_dedup_hits")
-    meta = hit.meta
+    meta = entry.meta
     report = _engine.JitReport(
-        n_specializations=int(meta.get("n_specializations", 0)),
-        n_call_sites=int(meta.get("n_sites", 0)),
-        backend=str(meta.get("backend", "")),
-        opt=str(meta.get("opt", opt.value)),
+        **entry.report,
         cache_hit=True,
-        cache_tier=hit.tier,
+        cache_tier=tier,
         dedup_hit=deduped,
         farm_dedup=farm_lock is not None,
         farm_wait_s=farm_lock.waited_s if farm_lock is not None else 0.0,
         key_digest=key.digest,
-        opt_stats=dict(meta.get("opt_stats", {})),
-        build_stats=dict(meta.get("build_stats", {})),
+        opt_stats=dict(meta["opt_stats"]),
+        build_stats=dict(meta["build_stats"]),
     )
-    return _engine.JitCode(hit.program, hit.compiled, report)
+    return _engine.JitCode(program, entry.compiled, report)
 
 
 def _build(clock, minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt,
@@ -416,10 +468,27 @@ def _build(clock, minfo, snapshot, recv_shape, arg_shapes, backend_obj, opt,
 
 
 def _compile_sync(clock, minfo, snapshot, recv_shape, arg_shapes,
-                  backend_obj, opt, key) -> "_engine.JitCode":
-    """The lock-protected probe / single-flight / store protocol."""
-    deduped = False
+                  backend_obj, opt, key, cap) -> "_engine.JitCode":
+    """The probe / single-flight / store protocol.
+
+    The memory tier is looked at first under its own lock alone: a hit is
+    served from there (with ``cap``'s program when it came from the same
+    entry; ``cap`` is the request's :class:`_Capture`, or None).  Only a miss takes the service lock, probes both tiers again
+    and joins or leads the key's flight (double-checked: a store between
+    the two probes is found by the second)."""
     clock.next("cache.probe")
+    entry = code_cache.lookup_memory(key)
+    if entry is not None:
+        clock.set(hit=True, tier="memory")
+        served = cap.served if cap is not None else None
+        if served is not None and served[0] is entry:
+            program = served[1]
+        else:
+            program = entry.program.rebind(snapshot, recv_shape, arg_shapes)
+            if cap is not None:
+                cap.served = (entry, program)
+        return _served("memory", entry, program, key)
+    deduped = False
     for _ in range(1000):  # re-probe loop; each pass waits on one flight
         hit, flight, leader = _probe(clock, key, snapshot, recv_shape,
                                      arg_shapes, join=True)
@@ -463,8 +532,8 @@ def _compile_sync(clock, minfo, snapshot, recv_shape, arg_shapes,
                 if farm_lock is not None:
                     farm_lock.release()
         if hit is not None:
-            return _served(hit, key, opt=opt, deduped=deduped,
-                           farm_lock=farm_lock)
+            return _served(hit.tier, hit.entry, hit.program, key,
+                           deduped=deduped, farm_lock=farm_lock)
         if leader:
             return code
         # joiner: wait for the leader, then re-probe (served from memory)

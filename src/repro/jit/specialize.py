@@ -79,6 +79,10 @@ class Specializer:
         # different argument shapes (constant propagation can unroll a
         # recursion into ever-new specializations) — is recursion (rule 6)
         self._lowering_stack: list[int] = []
+        #: ``(root_path, field)`` of every snapshot array field a lowered
+        #: ``FieldStore`` rebinds to an array not known to have its
+        #: captured length (see ``repro.jit.engine._translate``)
+        self.resized: set = set()
 
     # -- protocol used by repro.frontend.lower ---------------------------
 

@@ -500,3 +500,41 @@ class RebindOutput:
             self.data[i] = 1.5
         wj.output("after", self.data)
         return float(len(self.data))
+
+
+@wootin
+class ShrinkThenRead:
+    """Rebinds its array field to a shorter array, then reads five
+    elements through the field: the length captured before the store must
+    not prove those reads in bounds."""
+
+    data: Array(f64)
+
+    def __init__(self, data: Array(f64)):
+        self.data = data
+
+    def run(self, k: i64) -> f64:
+        self.data = wj.zeros(f64, k)
+        s = 0.0
+        for i in range(5):
+            s = s + self.data[i]
+        return s
+
+
+@wootin
+class SwapThenSum:
+    """Swaps its double buffer, then reads eight elements of the front: in
+    bounds when both buffers hold eight, past the end when the back is
+    shorter."""
+
+    buf: SwapBuf
+
+    def __init__(self, buf: SwapBuf):
+        self.buf = buf
+
+    def run(self) -> f64:
+        self.buf.swap()
+        total = 0.0
+        for i in range(8):
+            total = total + self.buf.front[i]
+        return total

@@ -489,6 +489,52 @@ class TestBCEPipeline:
         assert not (code.report.opt_stats.get("inline") or {})
 
 
+class TestFieldRebindLength:
+    """A snapshot array field keeps its captured length only while every
+    store to it stores an array of that length: otherwise reads through it
+    are checked like any other (``REPRO_BOUNDS=1``), on every backend."""
+
+    @staticmethod
+    def _apps():
+        import numpy as np
+
+        from tests.guestlib import ShrinkThenRead, SwapBuf, SwapThenSum
+
+        def swap(back):
+            return SwapThenSum(SwapBuf(np.ones(8, np.float32),
+                                       np.ones(back, np.float32)))
+
+        return {"shrink": (lambda: ShrinkThenRead(np.ones(8)), (2,)),
+                "swap": (lambda: swap(4), ())}
+
+    @pytest.mark.parametrize("guest", ["shrink", "swap"])
+    def test_reads_past_the_new_end_raise(self, backend, monkeypatch, guest):
+        from repro.errors import GuestRuntimeError, MpiError
+
+        monkeypatch.setenv("REPRO_BOUNDS", "1")
+        monkeypatch.setenv("REPRO_OPT_PASSES", "1")  # bce runs
+        make, args = self._apps()[guest]
+        with pytest.raises(IndexError):
+            make().run(*args)
+        code = jit(make(), "run", *args, backend=backend, use_cache=False)
+        with pytest.raises(MpiError) as err:
+            code.invoke()
+        assert isinstance(err.value.__cause__, GuestRuntimeError)
+
+    def test_same_length_swap_keeps_its_elisions(self, backend, monkeypatch):
+        import numpy as np
+
+        from tests.guestlib import SwapBuf, SwapThenSum
+
+        monkeypatch.setenv("REPRO_BOUNDS", "1")
+        monkeypatch.setenv("REPRO_OPT_PASSES", "1")
+        app = SwapThenSum(SwapBuf(np.ones(8, np.float32),
+                                  np.full(8, 2.0, np.float32)))
+        code = jit(app, "run", backend=backend, use_cache=False)
+        assert sum(code.report.opt_stats["bce"].values()) >= 1
+        assert code.invoke().value == 16.0
+
+
 # ---------------------------------------------------------------------------
 # differential: the fuzzer's nested-loop block kind
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ from __future__ import annotations
 import copy
 import gc
 import os
+import shutil
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -463,6 +465,51 @@ class TestDefaultBackendLookup:
         assert calls == []
 
 
+@requires_cc
+class TestCompilerToken:
+    """The ``cc`` token of a C key follows ``$CC``: it is read per
+    ``($CC, $PATH)``, like the compiler choice itself."""
+
+    def test_moved_cc_keys_its_own_compiler(self, tmp_path, monkeypatch):
+        from repro.backends.cbackend import build
+        from tests.guestlib_cc import CompilerProbe
+
+        real = shutil.which(build._find_cc())
+        mycc = tmp_path / "mycc"
+        mycc.write_text('#!/bin/sh\n'
+                        'if [ "$1" = "--version" ]; then echo "mycc 1.0"; '
+                        'exit 0; fi\n'
+                        f'exec "{real}" "$@"\n')
+        mycc.chmod(0o755)
+        monkeypatch.delenv("CC", raising=False)
+        default = jit(CompilerProbe(0.5), "run", 1,
+                      backend="c").report.key_digest
+
+        monkeypatch.setenv("CC", str(mycc))
+        moved = jit(CompilerProbe(0.5), "run", 1, backend="c")
+        assert moved.report.key_digest != default
+        assert moved.invoke().value == 0.5
+        # a process that starts with this $CC computes the same key
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        script = ("from repro import jit\n"
+                  "from tests.guestlib_cc import CompilerProbe\n"
+                  "print(jit(CompilerProbe(0.5), 'run', 1, backend='c')"
+                  ".report.key_digest)\n")
+        env = {**os.environ, "REPRO_CACHE_DIR": str(tmp_path / "fresh"),
+               "PYTHONPATH": os.pathsep.join((os.path.join(root, "src"),
+                                              root))}
+        fresh = subprocess.run([sys.executable, "-c", script], env=env,
+                               cwd=root, capture_output=True, text=True,
+                               timeout=120)
+        assert fresh.returncode == 0, fresh.stderr
+        assert fresh.stdout.split()[-1] == moved.report.key_digest
+
+        monkeypatch.delenv("CC")
+        back = jit(CompilerProbe(0.5), "run", 1, backend="c")
+        assert back.report.key_digest == default
+        assert back.report.cache_tier == "memory"
+
+
 class TestCaptureMemoTrace:
     def test_spans_say_hit_or_miss(self, backend):
         from tests.guestlib import FrontSum, SwapBuf
@@ -572,3 +619,173 @@ class TestCaptureMemoRace:
         for code in codes[:: max(1, len(codes) // 16)]:
             arr = code.program.snapshot.array_slots[0].array
             assert code.invoke().value == float(arr.size)
+
+
+# ---------------------------------------------------------------------------
+# the warm path: one request configuration per environment, one lock per hit
+# ---------------------------------------------------------------------------
+
+class _CountingLock:
+    """A lock that counts its acquisitions."""
+
+    def __init__(self, lock):
+        self.lock, self.n = lock, 0
+
+    def acquire(self, *args, **kwargs):
+        self.n += 1
+        return self.lock.acquire(*args, **kwargs)
+
+    def release(self):
+        self.lock.release()
+
+    def __enter__(self):
+        self.acquire()
+        return self
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+def _counting(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so every call lands in the returned list."""
+    real, calls = getattr(owner, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestWarmPath:
+    def test_warm_calls_resolve_no_configuration(self, backend, monkeypatch):
+        """Three warm calls build no backend and compute no key
+        configuration: both are resolved once per environment."""
+        cls = _backend_cls(backend)
+        app = Sweeper(ScaleAddSolver(0.5), 12)
+        jit(app, "run", 2, backend=backend)
+        inits = _counting(monkeypatch, cls, "__init__")
+        configs = _counting(monkeypatch, code_cache, "key_config")
+        for _ in range(3):
+            assert jit(app, "run", 2, backend=backend).report.cache_tier \
+                == "memory"
+        assert inits == [] and configs == []
+
+    def test_memory_hit_takes_no_service_lock(self, backend, monkeypatch):
+        app = Sweeper(ScaleAddSolver(0.5), 12)
+        jit(app, "run", 2, backend=backend)
+        lock = _CountingLock(service._LOCK)
+        monkeypatch.setattr(service, "_LOCK", lock)
+        for _ in range(3):
+            assert jit(app, "run", 2, backend=backend).report.cache_tier \
+                == "memory"
+        assert lock.n == 0
+        code_cache.clear_memory()  # a miss of the memory tier takes it
+        assert jit(app, "run", 2, backend=backend).report.cache_tier == "disk"
+        assert lock.n >= 1
+
+    @pytest.mark.parametrize("name", [
+        "REPRO_OPT_PASSES", "REPRO_OMP", "REPRO_OMP_REDUCTIONS",
+        "REPRO_BLAS", "REPRO_BOUNDS", "CC", "PATH",
+    ])
+    def test_environment_change_resolves_again(self, monkeypatch, name):
+        """Each variable the configuration reads: moving it between warm
+        calls resolves the configuration again, and the served key is the
+        one a fresh capture computes."""
+        before = os.environ.get(name)
+        value = {"CC": "gcc" if before == "cc" else "cc",
+                 "PATH": f"/nonexistent-dir:{before}"}.get(
+            name, "0" if before == "1" else "1")
+        monkeypatch.setattr(service, "_CONFIGS", {})  # none seen yet
+        app = Sweeper(ScaleAddSolver(0.5), 12)
+        _served(app, "run", 2, backend="py")
+        configs = _counting(monkeypatch, code_cache, "key_config")
+        _served(app, "run", 2, backend="py")
+        assert configs == []
+        monkeypatch.setenv(name, value)
+        _served(app, "run", 2, backend="py")
+        assert len(configs) == 1
+        _served(app, "run", 2, backend="py")
+        # back to the first environment: resolved before, so not again
+        if before is None:
+            monkeypatch.delenv(name)
+        else:
+            monkeypatch.setenv(name, before)
+        _served(app, "run", 2, backend="py")
+        assert len(configs) == 1
+
+    def test_capture_reuses_its_served_program(self, backend):
+        """A sealed receiver's warm hits share one rebound program while
+        the tier keeps its entry; a re-hydrated entry rebinds afresh."""
+        app = Sweeper(ScaleAddSolver(0.5), 12)
+        jit(app, "run", 2, backend=backend)
+        first = jit(app, "run", 2, backend=backend)
+        again = jit(app, "run", 2, backend=backend)
+        assert again.program is first.program
+        code_cache.clear_memory()
+        disk = jit(app, "run", 2, backend=backend)
+        warm = jit(app, "run", 2, backend=backend)
+        assert disk.report.cache_tier == "disk"
+        assert warm.program is not first.program
+        assert warm.program.snapshot is first.program.snapshot
+        assert warm.invoke().value == first.invoke().value == app.run(2)
+
+
+class TestWarmHitRace:
+    def test_warm_hits_race_clear_memory(self, monkeypatch):
+        """8 threads of warm jit() on one key while a ninth empties the
+        memory tier in a loop (disk tier off, so each clear can cost a
+        compile): nothing raises, every code runs like the interpreter, and
+        single-flight compiles at most once per clear, plus the first."""
+        monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+        app = Sweeper(ScaleAddSolver(0.5), 12)
+        want = _bits(app.run(2))
+        jit(app, "run", 2, backend="py")
+        before = service.stats()["compiles"]
+
+        n_threads, calls = 8, 150
+        stop = threading.Event()
+        clears = [0]
+        codes: list = []
+        errors: list = []
+        barrier = threading.Barrier(n_threads + 1)
+
+        def clearer():
+            try:
+                barrier.wait(timeout=30)
+                while not stop.is_set():
+                    code_cache.clear_memory()
+                    clears[0] += 1
+                    time.sleep(0.001)
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        def worker():
+            try:
+                barrier.wait(timeout=30)
+                codes.extend(jit(app, "run", 2, backend="py")
+                             for _ in range(calls))
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker)
+                       for _ in range(n_threads)]
+            clear = threading.Thread(target=clearer)
+            for t in [clear, *threads]:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            stop.set()
+            clear.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not errors
+        assert len(codes) == n_threads * calls
+        assert clears[0] > 0
+        assert service.stats()["compiles"] - before <= clears[0] + 1
+        for code in codes:
+            assert _bits(code.invoke().value) == want
