@@ -78,8 +78,21 @@ class CompiledProgram:
     ``JitCode`` that hit the same cache key.
     """
 
-    #: generated source, for inspection / docs / tests
-    source: str = ""
+    #: the generated source, or until it is first read the verified UTF-8
+    #: bytes a disk hit served it from (:attr:`source` decodes them once)
+    _source: "str | bytes" = ""
+
+    @property
+    def source(self) -> str:
+        """The generated source, for inspection / docs / tests."""
+        src = self._source
+        if type(src) is bytes:
+            src = self._source = src.decode("utf-8")
+        return src
+
+    @source.setter
+    def source(self, value: "str | bytes") -> None:
+        self._source = value
 
     #: native-build breakdown (see cbackend.build.BuildStats), when any
     build_stats: "dict | None" = None

@@ -16,6 +16,17 @@ value back out and puts the frame back — so a warm call builds nothing and
 derives no pointer.  A frame serves one call at a time; rank threads and
 concurrent invokes each hold their own.
 
+A loaded shared object is a :class:`Library`: the ``CDLL`` and the symbols
+every artifact of it binds, bound once.  The process keeps one per verified
+``.so`` in a table keyed by the SHA-256 of its bytes (:func:`library`,
+:func:`register`), so a disk refill of an entry whose library is loaded
+re-binds instead of re-loading.  A library is only ever loaded from bytes
+that were hashed: a cold build from its private build directory, a disk hit
+from a copy named by the hash and written from the verified bytes into the
+process's build root — never from the cache directory, whose file the
+loader would read again after the hash, and whose name the dynamic loader
+would answer with whatever library it mapped under that name before.
+
 MPI payloads cross as zero-copy NumPy views over the C memory, so the
 simulated communicator exchanges the *actual translated data* — this is what
 lets tests bit-compare C-backend MPI runs against sequential references.
@@ -24,17 +35,21 @@ lets tests bit-compare C-backend MPI runs against sequential references.
 from __future__ import annotations
 
 import ctypes as ct
+import os
+import threading
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from repro.backends.base import CompiledProgram, check_slots, slot_guard
+from repro.backends.cbackend.build import _build_root
 from repro.errors import BackendError, GuestRuntimeError
 from repro.lang import types as _t
 from repro.obs import trace as _trace
 
-__all__ = ["CCompiled", "EmitResult", "WjEnvStruct", "WjOutStruct"]
+__all__ = ["CCompiled", "EmitResult", "Library", "WjEnvStruct", "WjOutStruct",
+           "libraries", "library", "register"]
 
 _DT_NP = {1: np.float32, 2: np.float64, 3: np.int32, 4: np.int64, 5: np.uint8}
 
@@ -328,10 +343,11 @@ class EmitResult:
     """Emitted source plus the runtime-initialization data the bridge needs
     (scalar tables, entry return type, array-slot layout).  Built by the
     emitter on a miss and from entry metadata on a disk hit, which is why
-    it lives here and ``emit.py`` re-exports it."""
+    it lives here and ``emit.py`` re-exports it.  A disk hit passes the
+    verified source bytes undecoded (``CompiledProgram.source`` decodes)."""
 
-    def __init__(self, source: str, ivals: list[int], dvals: list[float],
-                 entry_ret: _t.Type, array_slots: list,
+    def __init__(self, source: "str | bytes", ivals: list[int],
+                 dvals: list[float], entry_ret: _t.Type, array_slots: list,
                  uses_omp: bool = False, uses_dgemm: bool = False,
                  outputs: Sequence = ()):
         self.source = source
@@ -351,29 +367,87 @@ class EmitResult:
         self.uses_dgemm = uses_dgemm
 
 
-class CCompiled(CompiledProgram):
-    """A loaded, callable translated program."""
+class Library:
+    """One loaded shared object and what every artifact of it binds, each
+    bound once: ``wj_entry``, the value of ``wj_snap_size()`` with a zeroed
+    snapshot of that size, and ``wj_oob_count_take`` (every build exports
+    it; only a bounds-checked artifact reads it)."""
 
-    def __init__(self, so_path, emit: EmitResult, source: str, *,
-                 bounds_checks: bool = False):
-        self.so_path = str(so_path)
-        self.emit_result = emit
-        self.source = source
-        self.bounds_checks = bounds_checks
-        lib = self._lib = ct.CDLL(self.so_path)
+    __slots__ = ("path", "lib", "entry", "snap_size", "zeros", "oob_take")
+
+    def __init__(self, path: str):
+        self.path = path
+        lib = self.lib = ct.CDLL(path)
         snap_size = lib["wj_snap_size"]
         snap_size.restype = ct.c_int64
-        self._snap_size = int(snap_size())
-        #: the out-of-bounds counter only a bounds-checked build reads
-        self._oob_take = None
-        if bounds_checks:
-            self._oob_take = lib["wj_oob_count_take"]
-            self._oob_take.restype = ct.c_int64
+        self.snap_size = int(snap_size())
+        self.zeros = bytes(max(1, self.snap_size))
         # no argtypes: every argument is already a ctypes object of the
         # right C type (_Frame.args), and skipping the per-call conversion
         # checks halves the native call
-        self._entry = lib["wj_entry"]
-        self._entry.restype = None
+        self.entry = lib["wj_entry"]
+        self.entry.restype = None
+        self.oob_take = lib["wj_oob_count_take"]
+        self.oob_take.restype = ct.c_int64
+
+
+#: SHA-256 of a ``.so``'s bytes -> its loaded :class:`Library`.  Rows are
+#: never dropped: a library is never unloaded either
+_LIBRARIES: dict[str, Library] = {}
+_LIBRARIES_LOCK = threading.Lock()
+
+
+def library(sha: str, payload: bytes) -> Library:
+    """The loaded library whose bytes hash to ``sha``; ``payload`` are those
+    bytes, already verified by the caller.  On the first request for
+    ``sha`` the library is loaded from a copy of ``payload`` named by
+    ``sha`` in the process's private build root, so what the loader maps
+    is what was hashed."""
+    row = _LIBRARIES.get(sha)
+    if row is not None:
+        return row
+    with _LIBRARIES_LOCK:
+        row = _LIBRARIES.get(sha)
+        if row is None:
+            path = os.path.join(_build_root(), sha + ".so")
+            tmp = f"{path}.tmp"
+            with open(tmp, "wb") as fh:
+                fh.write(payload)
+            os.replace(tmp, path)
+            row = _LIBRARIES[sha] = Library(path)
+        return row
+
+
+def register(sha: str, lib: Library) -> None:
+    """File a library loaded from its build directory under ``sha``, the
+    hash of the bytes the code cache stored for it (a row already filed
+    under ``sha`` stays)."""
+    with _LIBRARIES_LOCK:
+        _LIBRARIES.setdefault(sha, lib)
+
+
+def libraries() -> int:
+    """How many verified libraries the table holds."""
+    return len(_LIBRARIES)
+
+
+class CCompiled(CompiledProgram):
+    """A callable translated program: a :class:`Library` and the scalar
+    tables and call frames of one emission."""
+
+    def __init__(self, lib, emit: EmitResult, source, *,
+                 bounds_checks: bool = False):
+        # ``lib``: a Library, or the path of a fresh build to load one from
+        if not isinstance(lib, Library):
+            lib = Library(str(lib))
+        self.library = lib
+        self.emit_result = emit
+        self.source = source
+        self.bounds_checks = bounds_checks
+        self._snap_size = lib.snap_size
+        self._entry = lib.entry
+        #: the out-of-bounds counter only a bounds-checked build reads
+        self._oob_take = lib.oob_take if bounds_checks else None
         n_i = max(1, len(emit.ivals))
         n_d = max(1, len(emit.dvals))
         self._iv = (ct.c_int64 * n_i)(*(emit.ivals or [0]))
@@ -381,10 +455,15 @@ class CCompiled(CompiledProgram):
         #: what every frame's slots and snapshot buffer start a call from:
         #: the (shape, dtype) an argument must have, and zeros
         self._guard = slot_guard(emit.slots)
-        self._zeros = bytes(max(1, self._snap_size))
+        self._zeros = lib.zeros
         #: idle call frames; list.pop/append are atomic, so rank threads and
         #: concurrent invokes share it without a lock
         self._frames: list[_Frame] = []
+
+    @property
+    def so_path(self) -> str:
+        """The file the library was loaded from."""
+        return self.library.path
 
     @property
     def omp_max_threads(self) -> int:
@@ -393,7 +472,7 @@ class CCompiled(CompiledProgram):
         parallel loop exports ``wj_omp_max_threads``, and a load probes no
         symbol it may lack."""
         try:
-            fn = self._lib["wj_omp_max_threads"]
+            fn = self.library.lib["wj_omp_max_threads"]
         except AttributeError:
             return 0
         fn.restype = ct.c_int64

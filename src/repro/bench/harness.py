@@ -99,10 +99,17 @@ def save_series(series: Series) -> Path:
 
 #: worker executed in a fresh interpreter: JIT the sample stencil program
 #: once on the backend named by its first argument (default ``c``) and report
-#: the JitReport timings as JSON on stdout
+#: the JitReport timings, and how many processes the ``jit()`` and the first
+#: ``invoke()`` started (``spawns``, from the audit events every spawn
+#: raises), as JSON on stdout
 _PROBE_WORKER = r"""
 import json
 import sys
+
+spawns = []
+sys.addaudithook(lambda event, args: event in (
+    "subprocess.Popen", "os.posix_spawn", "os.fork", "os.exec", "os.system")
+    and spawns.append(event))
 from repro import jit
 from repro.jit import service
 from repro.library.stencil import (
@@ -114,8 +121,10 @@ app = StencilCPU3D(
     make_dif3d_solver(), make_grid3d(8, 8, 6), ThreeDIndexer(8, 8, 6),
     SineGen(8, 8, 4, 1), EmptyContext(),
 )
+spawns.clear()
 code = jit(app, "run", 2, backend=sys.argv[1] if len(sys.argv) > 1 else "c")
 first_value = float(code.invoke().value)
+n_spawns = len(spawns)
 r = code.report
 print(json.dumps({
     "cache_hit": r.cache_hit,
@@ -128,6 +137,7 @@ print(json.dumps({
     "build_stats": r.build_stats,
     "service": service.stats(),
     "value": first_value,
+    "spawns": n_spawns,
 }))
 """
 
@@ -138,7 +148,8 @@ def compile_probe(cache_dir: str, *, backend: str = "c") -> dict:
     child's JitReport timings (and its cache key's ``key_digest``) as a
     dict.  Run twice against the same directory to measure a cold miss then
     a warm disk hit — the warm run must report ``backend_compile_s == 0``
-    (it never spawns the external compiler, and on py never compiles)."""
+    and ``spawns == 0`` (it starts no process, not even ``cc --version``,
+    and on py never compiles)."""
     env = dict(os.environ)
     env["REPRO_CACHE_DIR"] = cache_dir
     src_root = Path(__file__).resolve().parents[2]

@@ -4,8 +4,10 @@ The paper's Table 3 argues that WootinJ's 4–5 s JIT cost is acceptable
 because it is *amortized* across invocations.  A process-local cache only
 amortizes within one process; this module adds a second, on-disk tier so a
 fresh process with a warm cache skips the translator *and* the external C
-compiler entirely (the warm path never spawns gcc — it just reloads the
-compiled shared object and replays the recorded emission metadata).  It
+compiler entirely (the warm path spawns no process: it loads the verified
+shared object, or binds the one this process already loaded from the same
+bytes, and replays the recorded emission metadata; the compiler's version,
+which keys every C entry, is remembered in the cache directory).  It
 is the only artifact cache: the C build (:mod:`repro.backends.cbackend.build`)
 runs the compiler on every call and leaves its ``.so`` in a directory that
 lives as long as the process, so a C entry stores a copy of its own.
@@ -20,7 +22,8 @@ artifact:
 * the receiver and argument **shape digests** (these embed the recorded
   constant values the translator bakes in);
 * the backend name, optimization level, bounds-check mode;
-* the C compiler identification and the optimization level's compiler flags
+* the C compiler identification (``cc --version``, asked once per compiler
+  binary and cache directory) and the optimization level's compiler flags
   (for the C backend: an entry carries its own ``.so``), the host architecture,
   the Python ``major.minor`` with its bytecode magic (a py entry carries its
   own marshalled code object), and the framework version.
@@ -37,11 +40,12 @@ The disk tier is multi-process aware (it is the shared state of the
 compile farm, see docs/COMPILE_FARM.md): the tier is size-capped with LRU
 eviction (``REPRO_DISK_CACHE_MAX_MB``), writers can hold a per-entry
 cross-process file lock (:mod:`repro.jit.locks`), and maintenance tolerates
-concurrent workers evicting the same entry.  A disk *hit* is read-only: it
-verifies the payload hashes and bumps the mtime of the entry's ``.json``
-commit marker (``os.utime`` — that mtime is the entry's recency), but never
-writes file contents, so N ranks hitting one key never race each other or a
-concurrent rebuild of it.
+concurrent workers evicting the same entry.  The memory tier holds at most
+``_MEMORY_ENTRIES`` entries, least recently used out first.  A disk *hit*
+is read-only: it verifies the payload hashes and bumps the mtime of the
+entry's ``.json`` commit marker (``os.utime`` — that mtime is the entry's
+recency), but never writes file contents, so N ranks hitting one key never
+race each other or a concurrent rebuild of it.
 
 This module is on the cache-hit path of a fresh process: it imports nothing
 of the compile stack (IR, lowering, passes, emitters — DESIGN.md, "Import
@@ -70,6 +74,7 @@ import re
 import sys
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -137,8 +142,13 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 #: :func:`clear_memory`.
 _TIER_LOCK = threading.RLock()
 
-#: digest -> the entry (:class:`Entry`)
-_MEMORY: dict[str, "Entry"] = {}
+#: how many entries the memory tier holds; past it the least recently used
+#: one is dropped (a ``JitCode`` still holding it keeps it alive, and a
+#: later request for it refills from disk)
+_MEMORY_ENTRIES = 256
+
+#: digest -> the entry (:class:`Entry`), least recently used first
+_MEMORY: "OrderedDict[str, Entry]" = OrderedDict()
 
 #: in-process counters, reported by :func:`stats`
 _COUNTERS = {"memory_hits": 0, "disk_hits": 0, "misses": 0, "stores": 0,
@@ -280,9 +290,47 @@ def _cc_version() -> str:
         return _CC_VERSIONS[where]
     except KeyError:
         pass
-    from repro.backends.cbackend.build import cc_version
+    version = _CC_VERSIONS[where] = _remembered_cc_version()
+    return version
 
-    version = _CC_VERSIONS[where] = cc_version()
+
+def _remembered_cc_version() -> str:
+    """``build.cc_version()``, remembered in the cache directory (one
+    ``cc-<hash>.version`` file) under the compiler's resolved path and its
+    ``(st_dev, st_ino, st_size, st_mtime_ns)`` — ccache's
+    ``compiler_check=mtime``: a fresh process served from a warm directory
+    spawns no ``cc --version``, and a compiler replaced or re-pointed is
+    asked again.  With the disk tier off, or no compiler, it asks."""
+    import shutil
+
+    from repro.backends.cbackend.build import _find_cc, cc_version
+
+    cc = _find_cc()
+    found = shutil.which(cc) if cc is not None else None
+    if found is None or not disk_enabled():
+        return cc_version()
+    try:
+        path = os.path.realpath(found)
+        st = os.stat(path)
+    except OSError:
+        return cc_version()
+    stamp = "\0".join(map(str, (path, st.st_dev, st.st_ino, st.st_size,
+                                 st.st_mtime_ns)))
+    root = _cache_root()
+    memo = os.path.join(root,
+                        f"cc-{_sha256(os.fsencode(stamp))[:32]}.version")
+    try:
+        version = _read(memo).decode("utf-8")
+    except (OSError, UnicodeDecodeError):
+        version = ""
+    if version:
+        return version
+    version = cc_version()
+    try:
+        os.makedirs(root, exist_ok=True)
+        _atomic_write_bytes(memo, version.encode("utf-8"))
+    except OSError:
+        pass
     return version
 
 
@@ -394,8 +442,22 @@ def disk_cap_bytes() -> int:
 
 def _read(path: str) -> bytes:
     """One file's bytes: one open, one read.  A missing file raises."""
-    with open(path, "rb") as fh:
-        return fh.read()
+    return _read_fd(os.open(path, os.O_RDONLY))
+
+
+def _read_fd(fd: int) -> bytes:
+    """All the bytes of the file open at ``fd``, which it then closes: one
+    ``fstat`` and one ``read`` of its size plus one, and more reads only
+    when that one came back short or long (the file changed size)."""
+    try:
+        size = os.fstat(fd).st_size
+        data = os.read(fd, size + 1)
+        if len(data) != size:
+            while chunk := os.read(fd, 1 << 16):
+                data += chunk
+        return data
+    finally:
+        os.close(fd)
 
 
 def _sha256(data: bytes) -> str:
@@ -462,31 +524,31 @@ def _drop_entry(root, digest: str, *, if_free: bool = False,
 
 
 def _validate_entry(meta: dict, spath: str, opath: str,
-                    cpath: str) -> tuple[str, Optional[str], bytes]:
+                    cpath: str) -> tuple[bytes, bytes]:
     """Check one entry's completeness + content hashes; returns
-    ``(source, so_path, payload)`` — ``so_path`` is the ``.so`` path of a C
-    entry (None for py), ``payload`` the verified ``.so`` or ``.pyc`` bytes
-    — or raises KeyError/ValueError/OSError on a torn entry.  Each file is
-    opened once; a missing one raises ``FileNotFoundError``.  Damaged
-    marshal data can crash the interpreter and a damaged ``.so`` the
-    process, so nothing loads a payload before its hash matched."""
+    ``(source, payload)``, the verified ``.src`` bytes (UTF-8, decoded when
+    the artifact's ``source`` is first read) and the verified ``.so`` or
+    ``.pyc`` bytes — or raises KeyError/ValueError/OSError on a torn entry.
+    Each file is opened once; a missing one raises ``FileNotFoundError``.
+    Damaged marshal data can crash the interpreter and a damaged ``.so``
+    the process, so nothing loads a payload before its hash matched, and
+    a ``.so`` is loaded from these bytes, never from ``opath`` again."""
     if meta["v"] != _FORMAT_VERSION:
         raise ValueError("format version mismatch")
     kind = meta["kind"]
-    raw = _read(spath)
-    if _sha256(raw) != meta["sha_src"]:
-        raise ValueError("source hash mismatch")
-    source = raw.decode("utf-8")
     if kind == "c":
         want, path = meta["sha_so"], opath
     elif kind == "py":
         want, path = meta["sha_pyc"], cpath
     else:
         raise ValueError(f"unknown entry kind {kind!r}")
+    source = _read(spath)
+    if _sha256(source) != meta["sha_src"]:
+        raise ValueError("source hash mismatch")
     payload = _read(path)
     if _sha256(payload) != want:
         raise ValueError(f"payload hash mismatch ({kind})")
-    return source, (opath if kind == "c" else None), payload
+    return source, payload
 
 
 def _record_hit(jpath: str) -> None:
@@ -511,17 +573,15 @@ def _disk_hit(digest: str, snapshot, recv_shape, arg_shapes):
     root = _cache_root()
     jpath, spath, opath, cpath = _entry_paths(root, digest)
     try:
-        fh = open(jpath, "rb")
+        fd = os.open(jpath, os.O_RDONLY)
     except (FileNotFoundError, NotADirectoryError):
         return None
     with _span("cache.hydrate") as sp:
         try:
-            with fh:
-                meta = json.loads(fh.read().decode("utf-8"))
-            source, so_path, payload = _validate_entry(meta, spath, opath,
-                                                       cpath)
-            entry = Entry(*_hydrate(meta, source, so_path, payload,
-                                    snapshot, recv_shape, arg_shapes), meta)
+            meta = json.loads(_read_fd(fd).decode("utf-8"))
+            source, payload = _validate_entry(meta, spath, opath, cpath)
+            entry = Entry(*_hydrate(meta, source, payload, snapshot,
+                                    recv_shape, arg_shapes), meta)
         except Exception:  # noqa: BLE001 - recompile on any damage
             sp.set(torn=True)
             if _drop_entry(root, digest, if_free=True):
@@ -533,8 +593,10 @@ def _disk_hit(digest: str, snapshot, recv_shape, arg_shapes):
 
 
 def _disk_put(digest: str, meta: dict, source: str,
-              so_path: Optional[str], pyc: Optional[bytes]) -> None:
-    """Write one entry; best-effort (never fails compilation).
+              so_path: Optional[str], pyc: Optional[bytes]) -> Optional[str]:
+    """Write one entry; best-effort (never fails compilation).  Returns the
+    SHA-256 of the ``.so`` bytes it read (None for py, or when the read
+    failed).
 
     Write order is the commit protocol: payloads first (``.src``, then the
     ``.so`` copy of a C entry or the ``.pyc`` bytes of a py one), the
@@ -544,6 +606,7 @@ def _disk_put(digest: str, meta: dict, source: str,
     stale.  Each file individually goes through a ``.tmp<pid>`` sibling +
     ``os.replace``.  Every file is written as bytes (the source as UTF-8),
     so an entry does not depend on the locale."""
+    sha_so = None
     try:
         root = _cache_root()
         os.makedirs(root, exist_ok=True)
@@ -564,16 +627,17 @@ def _disk_put(digest: str, meta: dict, source: str,
         meta["compile_count"] = prev_compiles + 1
         if so_path is not None:
             so = _read(so_path)
+            sha_so = meta["sha_so"] = _sha256(so)
             _atomic_write_bytes(opath, so)
-            meta["sha_so"] = _sha256(so)
         if pyc is not None:
             _atomic_write_bytes(cpath, pyc)
             meta["sha_pyc"] = _sha256(pyc)
         # the json is written last: its presence marks a complete entry
         _atomic_write_bytes(jpath, json.dumps(meta, sort_keys=True).encode())
     except OSError:
-        return
+        return sha_so
     _evict_if_needed()
+    return sha_so
 
 
 # ---------------------------------------------------------------------------
@@ -615,15 +679,32 @@ def _program_from_meta(meta: dict, snapshot, recv_shape, arg_shapes) -> Program:
     )
 
 
-def _hydrate(meta: dict, source: str, so_path: Optional[str],
-             payload: bytes, snapshot, recv_shape, arg_shapes):
-    """Rebuild (program, compiled) from a verified disk entry: dlopen its
-    ``.so`` or unmarshal its ``.pyc`` bytes."""
-    program = _program_from_meta(meta, snapshot, recv_shape, arg_shapes)
-    if so_path is not None:
-        from repro.backends.cbackend.bridge import CCompiled, EmitResult
+#: the loaders a hit uses, imported by the first hit of each kind (a global
+#: read costs less than an import statement per hit): the C bridge module
+#: and the py artifact class
+_bridge = None
+_PyCompiled = None
 
-        emit = EmitResult(
+
+def _c_bridge():
+    global _bridge
+    if _bridge is None:
+        from repro.backends.cbackend import bridge
+
+        _bridge = bridge
+    return _bridge
+
+
+def _hydrate(meta: dict, source: bytes, payload: bytes, snapshot,
+             recv_shape, arg_shapes):
+    """Rebuild (program, compiled) from a verified disk entry: bind the
+    loaded library of its ``.so`` bytes (loading them on first use), or
+    unmarshal its ``.pyc`` bytes."""
+    global _PyCompiled
+    program = _program_from_meta(meta, snapshot, recv_shape, arg_shapes)
+    if meta["kind"] == "c":
+        bridge = _c_bridge()
+        emit = bridge.EmitResult(
             source,
             list(meta["ivals"]),
             [float(v) for v in meta["dvals"]],
@@ -631,11 +712,12 @@ def _hydrate(meta: dict, source: str, so_path: Optional[str],
             snapshot.array_slots,
             outputs=meta["outputs"],
         )
-        compiled = CCompiled(so_path, emit, source,
-                             bounds_checks=meta["bounds_checks"])
+        compiled = bridge.CCompiled(bridge.library(meta["sha_so"], payload),
+                                    emit, source,
+                                    bounds_checks=meta["bounds_checks"])
     else:
-        from repro.backends.pybackend.loader import _PyCompiled
-
+        if _PyCompiled is None:
+            from repro.backends.pybackend.loader import _PyCompiled
         compiled = _PyCompiled(program, source,
                                bounds_checks=meta["bounds_checks"],
                                code=marshal.loads(payload))
@@ -678,13 +760,26 @@ class CacheHit:
 
 def lookup_memory(key: CacheKey) -> Optional[Entry]:
     """The memory tier's entry for ``key``, or None, under the tier lock
-    alone.  A hit counts in ``memory_hits``; a miss counts nowhere: the
-    caller goes on to :func:`lookup`, which probes both tiers again."""
+    alone.  A hit makes the entry the most recently used and counts in
+    ``memory_hits``; a miss counts nowhere: the caller goes on to
+    :func:`lookup`, which probes both tiers again."""
+    digest = key.digest
     with _TIER_LOCK:
-        entry = _MEMORY.get(key.digest)
+        entry = _MEMORY.get(digest)
         if entry is not None:
+            _MEMORY.move_to_end(digest)
             _COUNTERS["memory_hits"] += 1
         return entry
+
+
+def _remember(digest: str, entry: "Entry") -> None:
+    """Put ``entry`` in the memory tier as its most recently used one, and
+    drop the least recently used past ``_MEMORY_ENTRIES``.  Called with
+    ``_TIER_LOCK`` held."""
+    _MEMORY[digest] = entry
+    _MEMORY.move_to_end(digest)
+    if len(_MEMORY) > _MEMORY_ENTRIES:
+        _MEMORY.popitem(last=False)
 
 
 def lookup(key: CacheKey, *, snapshot, recv_shape, arg_shapes) -> Optional[CacheHit]:
@@ -697,7 +792,7 @@ def lookup(key: CacheKey, *, snapshot, recv_shape, arg_shapes) -> Optional[Cache
         if key.persistable and disk_enabled():
             entry = _disk_hit(key.digest, snapshot, recv_shape, arg_shapes)
             if entry is not None:
-                _MEMORY[key.digest] = entry
+                _remember(key.digest, entry)
                 _COUNTERS["disk_hits"] += 1
                 return CacheHit("disk", entry.program, entry)
         _COUNTERS["misses"] += 1
@@ -705,16 +800,21 @@ def lookup(key: CacheKey, *, snapshot, recv_shape, arg_shapes) -> Optional[Cache
 
 
 def store(key: CacheKey, program: Program, compiled, report) -> None:
-    """Record a freshly-compiled program in both tiers."""
+    """Record a freshly-compiled program in both tiers.  A C artifact's
+    library is filed in the bridge's table under the hash of the ``.so``
+    bytes stored, so a later disk hit of the entry binds it again."""
     meta = _meta_for(program, compiled, report)
     entry = Entry(program, compiled, meta)
     with _TIER_LOCK:
-        _MEMORY[key.digest] = entry
+        _remember(key.digest, entry)
         _COUNTERS["stores"] += 1
     if key.persistable and disk_enabled():
-        so_path = getattr(compiled, "so_path", None)
-        pyc = marshal.dumps(compiled.code) if meta["kind"] == "py" else None
-        _disk_put(key.digest, meta, compiled.source, so_path, pyc)
+        c = meta["kind"] == "c"
+        pyc = None if c else marshal.dumps(compiled.code)
+        sha_so = _disk_put(key.digest, meta, compiled.source,
+                           compiled.so_path if c else None, pyc)
+        if sha_so is not None:
+            _c_bridge().register(sha_so, compiled.library)
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +823,7 @@ def store(key: CacheKey, program: Program, compiled, report) -> None:
 
 _ENTRY_FILE_RE = re.compile(r"^[0-9a-f]{32,}\.(json|src|so|pyc)$")
 _LOCK_FILE_RE = re.compile(r"^[0-9a-f]{32,}\.lock$")
+_CC_MEMO_RE = re.compile(r"^cc-[0-9a-f]{32}\.version$")
 
 #: age past which an orphaned ``*.tmp<pid>`` file is a crashed writer's
 #: debris rather than a live writer mid-copy
@@ -863,7 +964,8 @@ def clear() -> int:
     The count is exact under concurrency: an entry only counts when *this*
     process unlinked its ``.json`` commit marker, so two workers clearing
     at once report counts that sum to the number of entries that existed.
-    Lock files and ``*.tmp`` orphans (any age) are removed as well."""
+    Lock files, remembered compiler versions and ``*.tmp`` orphans (any
+    age) are removed as well."""
     clear_memory()
     removed = 0
     root = cache_dir()
@@ -871,7 +973,7 @@ def clear() -> int:
         for p in root.iterdir():
             entry = bool(_ENTRY_FILE_RE.match(p.name))
             if not (entry or _LOCK_FILE_RE.match(p.name)
-                    or ".tmp" in p.name):
+                    or _CC_MEMO_RE.match(p.name) or ".tmp" in p.name):
                 continue
             try:
                 p.unlink()
@@ -883,7 +985,9 @@ def clear() -> int:
 
 
 def stats() -> dict:
-    """Both tiers' state: counters, entry counts, footprint, cap, hit-age."""
+    """Both tiers' state: counters, entry counts, footprint, cap, hit-age,
+    and how many verified C libraries this process has loaded
+    (``libraries``: one per distinct ``.so``, however often it is served)."""
     root = cache_dir()
     infos = _entry_infos(root)
     n_bytes = 0
@@ -904,12 +1008,15 @@ def stats() -> dict:
         by_kind[i["kind"]] = by_kind.get(i["kind"], 0) + 1
     now = time.time()
     ages = [max(0.0, now - i["last_used"]) for i in infos]
+    # a process that never loaded a C artifact has no library table
+    bridge = sys.modules.get("repro.backends.cbackend.bridge")
     with _TIER_LOCK:
         return {
             "dir": str(root),
             "disk_enabled": disk_enabled(),
             "disk_cap_bytes": disk_cap_bytes(),
             "memory_entries": len(_MEMORY),
+            "libraries": bridge.libraries() if bridge is not None else 0,
             "disk_entries": len(infos),
             "disk_bytes": n_bytes,
             "disk_by_kind": by_kind,

@@ -293,17 +293,18 @@ def _compile(receiver, method: str, args, *, backend: str, opt: OptLevel,
     lock-protected cache tiers, single-flight dedup).
 
     With tracing on, the request is one ``jit.compile`` root span whose
-    ``tier`` attribute says what served it; with tracing off the site
-    costs one ``enabled()`` check."""
+    ``tier`` attribute says what served it, and which starts at the request
+    clock's first read and lasts the report's ``total_s``; with tracing off
+    the site costs one ``enabled()`` check."""
     minfo = _resolve_minfo(receiver, method)
     if not _trace.enabled():
         return _service.compile_program(minfo, receiver, args, backend=backend,
                                         opt=opt, use_cache=use_cache)
-    with _trace.span("jit.compile", method=method) as sp:
-        code = _service.compile_program(minfo, receiver, args, backend=backend,
-                                        opt=opt, use_cache=use_cache)
-        sp.set(backend=code.report.backend, tier=_served_tier(code.report))
-    return code
+    # the service closes the root over its own clock's reads
+    with _trace.span("jit.compile", method=method) as root:
+        return _service.compile_program(minfo, receiver, args,
+                                        backend=backend, opt=opt,
+                                        use_cache=use_cache, root=root)
 
 
 def _served_tier(report: JitReport) -> str:

@@ -188,8 +188,8 @@ def reset() -> None:
 # ---------------------------------------------------------------------------
 
 def compile_program(minfo, receiver, args, *, backend: str = "auto",
-                    opt: OptLevel = OptLevel.FULL,
-                    use_cache: bool = True) -> "_engine.JitCode":
+                    opt: OptLevel = OptLevel.FULL, use_cache: bool = True,
+                    root=None) -> "_engine.JitCode":
     """Compile ``receiver.<minfo>(*args)`` through the service layer.
 
     This is what ``jit``/``jit4mpi``/``jit4gpu`` call.  A cached request
@@ -198,7 +198,10 @@ def compile_program(minfo, receiver, args, *, backend: str = "auto",
     remembers its capture and key per request (:class:`_Capture`): a warm
     call whose fences all hold skips the object-graph walk and the digest
     and goes straight to the probe.  One clock times the request, lap by
-    lap, and fills its ``JitReport``.
+    lap, and fills its ``JitReport``.  ``root`` is a traced request's
+    ``jit.compile`` root (a :class:`repro.obs.trace.phases`): it is closed
+    here, from the clock's first read and ``total_s`` long, so the root
+    and the report cannot disagree.
     """
     clock = _phases("backend.init")
     try:
@@ -251,16 +254,19 @@ def compile_program(minfo, receiver, args, *, backend: str = "auto",
     report = code.report
     if report.cache_hit and not report.dedup_hit:
         report.cached_lookup_s = total
-        return code
-    for name, dt in clock.laps:
-        if name == "jit.inflight_wait":
-            report.inflight_wait_s += dt
-        if report.cache_hit or name not in _COMPILE_LAPS:
-            report.cached_lookup_s += dt
-        elif name == "backend.compile":
-            report.backend_compile_s += dt
-        else:
-            report.translate_s += dt
+    else:
+        for name, dt in clock.laps:
+            if name == "jit.inflight_wait":
+                report.inflight_wait_s += dt
+            if report.cache_hit or name not in _COMPILE_LAPS:
+                report.cached_lookup_s += dt
+            elif name == "backend.compile":
+                report.backend_compile_s += dt
+            else:
+                report.translate_s += dt
+    if root is not None:
+        root.set(backend=report.backend, tier=_engine._served_tier(report))
+        root.end_as(clock.t0, report.total_s)
     return code
 
 

@@ -255,11 +255,14 @@ class Communicator:
         ctx.clock.exclude()
 
     def allreduce_sum(self, ctx: "RankContext", value: float) -> float:
+        """Sum ``value`` over the ranks, in rank order whatever order they
+        arrived in: the same bits on every run."""
         result = self._collective(
             ctx,
             "allreduce",
             float(value),
-            lambda arrived: float(sum(v for _, v in arrived.values())),
+            lambda arrived: float(sum(v for _, (_, v) in sorted(
+                arrived.items()))),
         )
         ctx.clock.advance(self.net.allreduce_time(8, self.size))
         ctx.clock.exclude()

@@ -117,8 +117,8 @@ def _open(name: str, attrs: dict, t: float) -> Span:
     return rec
 
 
-def _close(rec: Span, t: float, exc_type) -> None:
-    rec.dur_s = t - rec.t_start
+def _close(rec: Span, dur_s: float, exc_type) -> None:
+    rec.dur_s = dur_s
     if exc_type is not None:
         rec.attrs.setdefault("error", exc_type.__name__)
     stack = _stack()
@@ -166,7 +166,7 @@ class phases:
     only when :func:`enabled`.
     """
 
-    __slots__ = ("laps", "_total", "_name", "_t", "_live")
+    __slots__ = ("laps", "t0", "_total", "_name", "_t", "_live")
 
     def __init__(self, name: str, **attrs):
         self.laps: list = []
@@ -174,7 +174,8 @@ class phases:
         self._name = name
         # the record is built first: its bookkeeping is not the span's time
         self._live = rec = _open(name, attrs, 0.0) if _ENABLED else None
-        self._t = t = _now()
+        #: the clock's first read
+        self.t0 = self._t = t = _now()
         if rec is not None:
             rec.t_start = t
 
@@ -186,7 +187,7 @@ class phases:
         self.laps.append((self._name, dt))
         self._total += dt
         if self._live is not None:
-            _close(self._live, t, None)
+            _close(self._live, dt, None)
         self._t, self._name = t, name
         self._live = _open(name, attrs, t) if _ENABLED else None
         return dt
@@ -205,8 +206,22 @@ class phases:
             self.laps.append((self._name, dt))
             self._total += dt
             if self._live is not None:
-                _close(self._live, t, sys.exc_info()[0])
+                _close(self._live, dt, sys.exc_info()[0])
             self._t, self._name = t, None
+        return self._total
+
+    def end_as(self, t_start: float, dur_s: float) -> float:
+        """Close the open phase, once, as the stretch that starts at the
+        read ``t_start`` and lasts ``dur_s``, not at a read of its own: a
+        root then spans exactly what the clock under it timed (the
+        request's ``jit.compile`` root, :mod:`repro.jit.service`)."""
+        if self._name is not None:
+            self.laps.append((self._name, dur_s))
+            self._total += dur_s
+            if self._live is not None:
+                self._live.t_start = t_start
+                _close(self._live, dur_s, None)
+            self._t, self._name = t_start + dur_s, None
         return self._total
 
     def __enter__(self) -> "phases":

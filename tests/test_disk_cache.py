@@ -274,6 +274,275 @@ class TestTornEntryMatrix:
         assert self._result(disk) == want
 
 
+def _entry_files(cache_dir, code) -> dict:
+    """``{suffix: path}`` of one C entry's files."""
+    return {p.suffix: p for p in cache_dir.glob(f"{code.report.key_digest}.*")
+            if p.suffix != ".lock"}
+
+
+@pytest.fixture()
+def table(monkeypatch):
+    """The bridge's library table, empty for this test; ``clear()`` it to
+    forget what was filed, as a fresh process would not have it."""
+    from repro.backends.cbackend import bridge
+
+    monkeypatch.setattr(bridge, "_LIBRARIES", {})
+    return bridge._LIBRARIES
+
+
+@requires_cc
+class TestLibraryTable:
+    """A C disk hit binds the process's one loaded library per verified
+    ``.so`` (``bridge.library``), loaded from a copy of the hashed bytes,
+    never from the cache directory's file."""
+
+    @staticmethod
+    def _jit(a):
+        return jit(Sweeper(ScaleAddSolver(a), 11), "run", 3, backend="c")
+
+    @pytest.fixture()
+    def loads(self, monkeypatch):
+        """Every ``CDLL`` construction's path, in order."""
+        import ctypes
+
+        paths, cdll = [], ctypes.CDLL
+
+        def counting(path, *args, **kwargs):
+            paths.append(path)
+            return cdll(path, *args, **kwargs)
+
+        monkeypatch.setattr(ctypes, "CDLL", counting)
+        return paths
+
+    def test_in_place_rebuild_runs_the_new_code(self, cache_dir, table):
+        """Entry A is rebuilt in place with entry B's ``.src``, ``.so`` and
+        a marker whose hashes match them: the next disk hit in the same
+        process runs B's code, not the library it loaded for A before."""
+        a, b = self._jit(0.5), self._jit(0.25)
+        want_a, want_b = a.invoke().value, b.invoke().value
+        assert want_a != want_b
+        table.clear()
+        code_cache.clear_memory()
+        assert self._jit(0.5).invoke().value == want_a  # A's copy is loaded
+        files_a = _entry_files(cache_dir, a)
+        files_b = _entry_files(cache_dir, b)
+        for suffix in (".src", ".so", ".json"):  # the marker last
+            tmp = files_a[suffix].with_name("rebuild.tmp")
+            tmp.write_bytes(files_b[suffix].read_bytes())
+            os.replace(tmp, files_a[suffix])
+        code_cache.clear_memory()
+        again = self._jit(0.5)
+        assert again.report.cache_tier == "disk"
+        assert again.source == b.source
+        assert again.invoke().value == want_b
+
+    def test_so_swapped_after_validation_never_runs(self, cache_dir, table,
+                                                    monkeypatch):
+        """Between the hash check and the load, the entry's ``.so`` is
+        replaced by another valid library: the hit runs the bytes it
+        hashed, loaded from a copy named by their hash."""
+        from repro.backends.cbackend.build import _build_root
+
+        a, b = self._jit(0.5), self._jit(0.25)
+        want_a = a.invoke().value
+        assert b.invoke().value != want_a
+        so_a, so_b = _entry_files(cache_dir, a)[".so"], _entry_files(
+            cache_dir, b)[".so"]
+        validate = code_cache._validate_entry
+
+        def validate_then_swap(*args):
+            verified = validate(*args)
+            so_a.write_bytes(so_b.read_bytes())
+            return verified
+
+        monkeypatch.setattr(code_cache, "_validate_entry", validate_then_swap)
+        table.clear()
+        code_cache.clear_memory()
+        disk = self._jit(0.5)
+        assert disk.report.cache_tier == "disk"
+        assert disk.invoke().value == want_a
+        sha = json.loads(_entry_files(cache_dir, a)[".json"].read_bytes())[
+            "sha_so"]
+        assert disk.compiled.so_path == os.path.join(_build_root(),
+                                                     sha + ".so")
+
+    def test_refills_load_one_library(self, cache_dir, table, loads):
+        """The cold build's library is filed under the hash the store
+        computed: 1 000 disk refills of the entry load nothing."""
+        cold = self._jit(0.5)
+        want = cold.invoke().value
+        assert len(loads) == 1 and code_cache.stats()["libraries"] == 1
+        for _ in range(1000):
+            code_cache.clear_memory()
+            disk = self._jit(0.5)
+            assert disk.report.cache_tier == "disk"
+        assert len(loads) == 1
+        assert disk.compiled.library is cold.compiled.library
+        assert code_cache.stats()["libraries"] == 1
+        assert disk.invoke().value == want
+
+    def test_fresh_process_refills_load_one_copy(self, cache_dir, table,
+                                                 loads):
+        """With no library filed, the first hit loads one copy and every
+        later refill binds it."""
+        want = self._jit(0.5).invoke().value
+        table.clear()
+        del loads[:]
+        for _ in range(20):
+            code_cache.clear_memory()
+            assert self._jit(0.5).invoke().value == want
+        assert len(loads) == 1
+        assert code_cache.stats()["libraries"] == 1
+
+
+class TestMemoryTierBound:
+    """The memory tier keeps the ``_MEMORY_ENTRIES`` most recently used
+    entries; a dropped one lives on in the ``JitCode`` that holds it."""
+
+    @staticmethod
+    def _store_distinct(code, n, start=0):
+        for i in range(start, start + n):
+            key = code_cache.CacheKey(f"{i:064x}", persistable=False)
+            code_cache.store(key, code.program, code.compiled, code.report)
+
+    def test_entries_plateau(self, cache_dir):
+        code = jit(Sweeper(ScaleAddSolver(0.5), 11), "run", 3, backend="py")
+        cap = code_cache._MEMORY_ENTRIES
+        seen = []
+        for start in range(0, 1000, 100):
+            self._store_distinct(code, 100, start)
+            seen.append(code_cache.stats()["memory_entries"])
+        assert max(seen) == cap and seen[-1] == cap
+        # the 1 000 keys and the jit's own: the newest ``cap`` remain
+        assert list(code_cache._MEMORY)[-1] == f"{999:064x}"
+
+    def test_a_hit_refreshes_recency(self, cache_dir):
+        code = jit(Sweeper(ScaleAddSolver(0.5), 11), "run", 3, backend="py")
+        cap = code_cache._MEMORY_ENTRIES
+        self._store_distinct(code, cap - 1)
+        assert jit(Sweeper(ScaleAddSolver(0.5), 11), "run", 3,
+                   backend="py").report.cache_tier == "memory"
+        self._store_distinct(code, 1, start=cap)
+        assert code.report.key_digest in code_cache._MEMORY
+        assert f"{0:064x}" not in code_cache._MEMORY
+
+    @requires_cc
+    def test_evicted_entry_still_invokes_and_refills(self, cache_dir, table,
+                                                     monkeypatch):
+        import ctypes
+
+        code = jit(Sweeper(ScaleAddSolver(0.5), 11), "run", 3, backend="c")
+        want = code.invoke().value
+        self._store_distinct(code, code_cache._MEMORY_ENTRIES)
+        assert code.report.key_digest not in code_cache._MEMORY
+        assert code.invoke().value == want
+        with monkeypatch.context() as patch:
+            patch.setattr(ctypes, "CDLL", None)  # a load would raise
+            again = jit(Sweeper(ScaleAddSolver(0.5), 11), "run", 3,
+                        backend="c")
+        assert again.report.cache_tier == "disk"
+        assert again.compiled.library is code.compiled.library
+        assert code_cache.stats()["libraries"] == 1
+        assert again.invoke().value == want
+
+
+class TestCompilerVersionMemo:
+    """``cc --version`` is asked once per compiler and cache directory: the
+    answer is kept in the directory under the compiler's resolved path and
+    ``(st_dev, st_ino, st_size, st_mtime_ns)``."""
+
+    @pytest.fixture()
+    def fake_cc(self, tmp_path, cache_dir, monkeypatch):
+        """``$CC`` is a script answering ``--version``; returns the list of
+        the commands ``subprocess.run`` was asked to run."""
+        from repro.backends.cbackend import build
+
+        cc = tmp_path / "bin" / "fakecc"
+        cc.parent.mkdir()
+        cc.write_text("#!/bin/sh\necho 'fakecc 9.9'\n")
+        cc.chmod(0o755)
+        monkeypatch.setenv("CC", str(cc))
+        monkeypatch.setattr(build, "_FOUND_CC", {})
+        monkeypatch.setattr(code_cache, "_CC_VERSIONS", {})
+        runs, run = [], subprocess.run
+
+        def counting(cmd, *args, **kwargs):
+            runs.append(cmd)
+            return run(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting)
+        return cc, runs
+
+    @staticmethod
+    def _ask(monkeypatch):
+        """The version a fresh process would key under."""
+        monkeypatch.setattr(code_cache, "_CC_VERSIONS", {})
+        return code_cache._cc_version()
+
+    def test_asked_once_per_compiler(self, fake_cc, cache_dir, monkeypatch):
+        cc, runs = fake_cc
+        assert self._ask(monkeypatch) == "fakecc 9.9"
+        assert len(runs) == 1
+        (memo,) = cache_dir.glob("cc-*.version")
+        assert self._ask(monkeypatch) == "fakecc 9.9"
+        assert len(runs) == 1
+        # the compiler is replaced in place: a new mtime, asked again
+        st = cc.stat()
+        os.utime(cc, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        assert self._ask(monkeypatch) == "fakecc 9.9"
+        assert len(runs) == 2
+        assert len(list(cache_dir.glob("cc-*.version"))) == 2
+        assert code_cache.clear() == 0
+        assert not memo.exists() and list(cache_dir.iterdir()) == []
+
+    def test_disk_tier_off_asks_every_process(self, fake_cc, cache_dir,
+                                              monkeypatch):
+        _, runs = fake_cc
+        monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+        for n in (1, 2):
+            assert self._ask(monkeypatch) == "fakecc 9.9"
+            assert len(runs) == n
+        assert not cache_dir.exists() or not any(cache_dir.iterdir())
+
+
+#: in a fresh interpreter: jit the C program once and count the processes
+#: the request started (every spawn raises an audit event)
+_SPAWN_CHILD = r"""
+import json, sys
+sys.addaudithook(lambda event, args: event in (
+    "subprocess.Popen", "os.posix_spawn", "os.fork", "os.exec", "os.system")
+    and spawns.append(event))
+spawns = []
+from repro import jit
+from tests.guestlib import ScaleAddSolver, Sweeper
+code = jit(Sweeper(ScaleAddSolver(0.5), 23), "run", 2, backend="c")
+print(json.dumps({"tier": code.report.cache_tier, "spawns": len(spawns),
+                  "key": code.report.key_digest,
+                  "value": code.invoke().value}))
+"""
+
+
+@requires_cc
+def test_fresh_process_on_a_warm_directory_spawns_nothing(tmp_path):
+    """The second process is served from disk and starts no process: the
+    compiler's version, which keys every C entry, is read from the cache
+    directory.  The key is the one the first process computed."""
+    env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "cache"))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC_ROOT, str(Path(SRC_ROOT).parent), env.get("PYTHONPATH", "")])
+
+    def child():
+        proc = subprocess.run([sys.executable, "-c", _SPAWN_CHILD], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    cold, warm = child(), child()
+    assert cold["tier"] == "" and cold["spawns"] >= 2  # cc --version, cc
+    assert warm["tier"] == "disk" and warm["spawns"] == 0
+    assert warm["key"] == cold["key"] and warm["value"] == cold["value"]
+
+
 #: in a fresh interpreter (libgomp reads OMP_NUM_THREADS once per process):
 #: the OpenMP and the sequential build of one program, each cold and then
 #: from disk, and the thread count each artifact reads
@@ -326,13 +595,13 @@ def test_hit_accounting_cannot_clobber_a_rebuild(cache_dir, monkeypatch):
     torn_before = code_cache.stats()["torn_dropped"]
 
     def validate_then_lose_the_race(meta, spath, opath, cpath):
-        source, so_path, pyc = validate(meta, spath, opath, cpath)
+        source, pyc = validate(meta, spath, opath, cpath)
         monkeypatch.setattr(code_cache, "_validate_entry", validate)
-        rebuilt = source + "\n# rebuilt\n"
+        rebuilt = source.decode("utf-8") + "\n# rebuilt\n"
         code_cache._disk_put(
             cold.report.key_digest, meta, rebuilt, None,
             marshal.dumps(compile(rebuilt, "<repro-pybackend>", "exec")))
-        return source, so_path, pyc
+        return source, pyc
 
     monkeypatch.setattr(code_cache, "_validate_entry",
                         validate_then_lose_the_race)
@@ -555,8 +824,10 @@ class TestAcrossProcesses:
         warm = compile_probe(cache_root)
         assert not cold["cache_hit"]
         assert warm["cache_hit"] and warm["cache_tier"] == "disk"
-        # the warm path never spawns the external compiler ...
+        # the warm path never spawns the external compiler, nor any
+        # process at all ...
         assert warm["backend_compile_s"] == 0.0
+        assert warm["spawns"] == 0
         assert warm["translate_s"] == 0.0
         assert warm["value"] == cold["value"]
         # ... and is at least 10x cheaper end to end

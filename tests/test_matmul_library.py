@@ -84,6 +84,28 @@ class TestFox:
         assert np.allclose(got, c_ref)
         assert res.value == pytest.approx(float(c_ref.sum()))
 
+    def test_checksum_is_the_interpreted_bits(self, backend):
+        """Four ranks: every rank's checksum is, bit for bit, the one the
+        interpreted guest computes, on every invoke — the allreduce sums
+        the ranks' partials in rank order, whatever order they arrive in."""
+        import copy
+
+        from repro.mpi import mpirun
+
+        m = N // 2
+        c = make_matrix(m)
+        c.fill_seeded(3)
+        app = MPIThread(FoxAlgorithm(), OptimizedCalculator())
+        args = (make_matrix(m), make_matrix(m), c)
+        copies = [copy.deepcopy((app, args)) for _ in range(4)]
+        want = mpirun(4, lambda ctx: copies[ctx.rank][0].start_generated(
+            *copies[ctx.rank][1]), net=LOCAL_NET).returns
+        code = jit4mpi(app, "start_generated", *args, backend=backend,
+                       use_cache=False).set4mpi(4, net=LOCAL_NET)
+        for _ in range(3):
+            got = code.invoke().returns
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
     def test_mutual_reference_devirtualizes(self, backend):
         """Listing 6: FoxAlgorithm.run receives the MPIThread back and calls
         thread.calculator() — both directions of the cycle resolve to direct

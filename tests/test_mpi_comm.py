@@ -1,6 +1,7 @@
 """Simulated-MPI communicator: matching, collectives, virtual clocks."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -108,6 +109,26 @@ class TestCollectives:
         expected = sum(values)
         for got in res.returns:
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-9)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)])
+    def test_allreduce_sum_combines_in_rank_order(self, order):
+        """The ranks arrive in ``order``; the sum is ((0 + v0) + v1) + v2
+        either way.  In arrival order (2, 0, 1) it would be 1.0."""
+        values = (1e16, 1.0, -1e16)
+
+        def body(ctx):
+            at = order.index(ctx.rank)
+            ctx.release_token()  # the rank before this one must run
+            while at:
+                with ctx.comm._lock:
+                    slot = ctx.comm._coll.get(0)
+                    if slot is not None and order[at - 1] in slot.arrived:
+                        break
+                time.sleep(0.001)
+            return ctx.comm.allreduce_sum(ctx, values[ctx.rank])
+
+        res = run_ranks(3, body)
+        assert res.returns == [0.0, 0.0, 0.0]
 
     def test_allreduce_sum_array(self):
         def body(ctx):

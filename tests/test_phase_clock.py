@@ -149,6 +149,20 @@ class TestReportIsTheSpans:
         assert cold.report.total_s <= root.dur_s
         assert root.dur_s - cold.report.total_s < 0.01 * root.dur_s
 
+    def test_root_is_the_request_clock(self, backend, cache_dir):
+        """The ``jit.compile`` root starts at the request clock's first read
+        and lasts the report's ``total_s``, whatever served it."""
+        codes = [_jit(backend), _jit(backend)]
+        code_cache.clear_memory()
+        codes.append(_jit(backend))
+        recs = trace.spans()
+        for code, tier in zip(codes, ("miss", "memory", "disk")):
+            root = _root(recs, tier)
+            first = min(r.t_start for r in recs
+                        if r.parent_id == root.span_id)
+            assert root.t_start == first
+            assert root.dur_s == code.report.total_s
+
     def test_dedup(self, monkeypatch, cache_dir):
         started, release = threading.Event(), threading.Event()
         real = engine._translate
