@@ -35,6 +35,7 @@ lets tests bit-compare C-backend MPI runs against sequential references.
 from __future__ import annotations
 
 import ctypes as ct
+import errno
 import os
 import threading
 from functools import lru_cache
@@ -48,8 +49,8 @@ from repro.errors import BackendError, GuestRuntimeError
 from repro.lang import types as _t
 from repro.obs import trace as _trace
 
-__all__ = ["CCompiled", "EmitResult", "Library", "WjEnvStruct", "WjOutStruct",
-           "libraries", "library", "register"]
+__all__ = ["CCompiled", "CopyError", "EmitResult", "Library", "WjEnvStruct",
+           "WjOutStruct", "libraries", "library", "register"]
 
 _DT_NP = {1: np.float32, 2: np.float64, 3: np.int32, 4: np.int64, 5: np.uint8}
 
@@ -397,24 +398,50 @@ _LIBRARIES: dict[str, Library] = {}
 _LIBRARIES_LOCK = threading.Lock()
 
 
+class CopyError(OSError):
+    """The verified bytes of a ``.so`` could not be put where this process
+    loads libraries from: its build root is full, gone, or mounted
+    ``noexec``.  A fault of the process, not of the bytes."""
+
+
+def _copy(sha: str, payload: bytes) -> str:
+    """Write ``payload`` to ``<build root>/<sha>.so`` and return that path;
+    raises :class:`CopyError`, leaving no ``.tmp`` behind."""
+    try:
+        root = str(_build_root())
+        if os.statvfs(root).f_flag & os.ST_NOEXEC:
+            raise OSError(errno.EACCES, "build root is mounted noexec", root)
+        path = os.path.join(root, sha + ".so")
+        tmp = path + ".tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(payload)
+            os.replace(tmp, path)
+        except OSError:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise CopyError(str(exc)) from exc
+    return path
+
+
 def library(sha: str, payload: bytes) -> Library:
     """The loaded library whose bytes hash to ``sha``; ``payload`` are those
     bytes, already verified by the caller.  On the first request for
     ``sha`` the library is loaded from a copy of ``payload`` named by
-    ``sha`` in the process's private build root, so what the loader maps
-    is what was hashed."""
+    ``sha`` in the process's private build root (:func:`_copy`), so what
+    the loader maps is what was hashed; bytes that will not load raise
+    ``OSError`` from the load."""
     row = _LIBRARIES.get(sha)
     if row is not None:
         return row
     with _LIBRARIES_LOCK:
         row = _LIBRARIES.get(sha)
         if row is None:
-            path = os.path.join(_build_root(), sha + ".so")
-            tmp = f"{path}.tmp"
-            with open(tmp, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-            row = _LIBRARIES[sha] = Library(path)
+            row = _LIBRARIES[sha] = Library(_copy(sha, payload))
         return row
 
 

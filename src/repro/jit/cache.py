@@ -40,12 +40,11 @@ The disk tier is multi-process aware (it is the shared state of the
 compile farm, see docs/COMPILE_FARM.md): the tier is size-capped with LRU
 eviction (``REPRO_DISK_CACHE_MAX_MB``), writers can hold a per-entry
 cross-process file lock (:mod:`repro.jit.locks`), and maintenance tolerates
-concurrent workers evicting the same entry.  The memory tier holds at most
-``_MEMORY_ENTRIES`` entries, least recently used out first.  A disk *hit*
-is read-only: it verifies the payload hashes and bumps the mtime of the
-entry's ``.json`` commit marker (``os.utime`` — that mtime is the entry's
-recency), but never writes file contents, so N ranks hitting one key never
-race each other or a concurrent rebuild of it.
+concurrent workers evicting the same entry.  A disk *hit* is read-only: it
+verifies the payload hashes and bumps the mtime of the entry's ``.json``
+commit marker (``os.utime`` — that mtime is the entry's recency), but never
+writes file contents, so N ranks hitting one key never race each other or a
+concurrent rebuild of it.
 
 This module is on the cache-hit path of a fresh process: it imports nothing
 of the compile stack (IR, lowering, passes, emitters — DESIGN.md, "Import
@@ -74,7 +73,6 @@ import re
 import sys
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -142,13 +140,8 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 #: :func:`clear_memory`.
 _TIER_LOCK = threading.RLock()
 
-#: how many entries the memory tier holds; past it the least recently used
-#: one is dropped (a ``JitCode`` still holding it keeps it alive, and a
-#: later request for it refills from disk)
-_MEMORY_ENTRIES = 256
-
-#: digest -> the entry (:class:`Entry`), least recently used first
-_MEMORY: "OrderedDict[str, Entry]" = OrderedDict()
+#: digest -> the entry (:class:`Entry`)
+_MEMORY: dict[str, "Entry"] = {}
 
 #: in-process counters, reported by :func:`stats`
 _COUNTERS = {"memory_hits": 0, "disk_hits": 0, "misses": 0, "stores": 0,
@@ -294,13 +287,33 @@ def _cc_version() -> str:
     return version
 
 
+#: compiler wrappers: they hand ``--version`` to a compiler behind them,
+#: whose upgrade leaves the wrapper's own stat as it was
+_CC_WRAPPERS = frozenset({"ccache", "distcc", "icecc", "sccache"})
+
+
+def _is_wrapper(found: str, path: str) -> bool:
+    """Whether the compiler ``found`` on ``$PATH`` (``path`` resolved) is a
+    known wrapper, or lives in one's directory (``/usr/lib/ccache/cc``),
+    or is a script (``#!``)."""
+    if _CC_WRAPPERS.intersection(found.split(os.sep) + path.split(os.sep)):
+        return True
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return os.read(fd, 2) == b"#!"
+    finally:
+        os.close(fd)
+
+
 def _remembered_cc_version() -> str:
     """``build.cc_version()``, remembered in the cache directory (one
     ``cc-<hash>.version`` file) under the compiler's resolved path and its
     ``(st_dev, st_ino, st_size, st_mtime_ns)`` — ccache's
     ``compiler_check=mtime``: a fresh process served from a warm directory
     spawns no ``cc --version``, and a compiler replaced or re-pointed is
-    asked again.  With the disk tier off, or no compiler, it asks."""
+    asked again.  With the disk tier off, no compiler, or a compiler that
+    is a wrapper or a script (whose stat does not change with the compiler
+    behind it), it asks every process."""
     import shutil
 
     from repro.backends.cbackend.build import _find_cc, cc_version
@@ -312,6 +325,8 @@ def _remembered_cc_version() -> str:
     try:
         path = os.path.realpath(found)
         st = os.stat(path)
+        if _is_wrapper(found, path):
+            return cc_version()
     except OSError:
         return cc_version()
     stamp = "\0".join(map(str, (path, st.st_dev, st.st_ino, st.st_size,
@@ -529,6 +544,11 @@ def _validate_entry(meta: dict, spath: str, opath: str,
     ``(source, payload)``, the verified ``.src`` bytes (UTF-8, decoded when
     the artifact's ``source`` is first read) and the verified ``.so`` or
     ``.pyc`` bytes — or raises KeyError/ValueError/OSError on a torn entry.
+    The decode is left out of the hit because it is not a check: bytes
+    whose hash matched are the ones :func:`_disk_put` encoded from a
+    ``str``, and the first line's em dash sends all 19 KB of a C source
+    down the slow UTF-8 path (7–10 µs, against 1.3 µs for ASCII text;
+    EXPERIMENTS.md).
     Each file is opened once; a missing one raises ``FileNotFoundError``.
     Damaged marshal data can crash the interpreter and a damaged ``.so``
     the process, so nothing loads a payload before its hash matched, and
@@ -569,7 +589,9 @@ def _disk_hit(digest: str, snapshot, recv_shape, arg_shapes):
     garbled marker, wrong format, missing or altered payload, an artifact
     that will not load — drops the entry (unless a concurrent writer holds
     its lock: then it is being replaced and the miss is momentary) and is a
-    miss too.  Called with ``_TIER_LOCK`` held."""
+    miss too.  A verified ``.so`` this process cannot copy to where it loads
+    from (:class:`_NotLoadable`) is a plain miss: the entry stays.  Called
+    with ``_TIER_LOCK`` held."""
     root = _cache_root()
     jpath, spath, opath, cpath = _entry_paths(root, digest)
     try:
@@ -582,6 +604,10 @@ def _disk_hit(digest: str, snapshot, recv_shape, arg_shapes):
             source, payload = _validate_entry(meta, spath, opath, cpath)
             entry = Entry(*_hydrate(meta, source, payload, snapshot,
                                     recv_shape, arg_shapes), meta)
+        except _NotLoadable:
+            # the entry is sound: keep it for the processes that can load it
+            sp.set(unloadable=True)
+            return None
         except Exception:  # noqa: BLE001 - recompile on any damage
             sp.set(torn=True)
             if _drop_entry(root, digest, if_free=True):
@@ -695,6 +721,11 @@ def _c_bridge():
     return _bridge
 
 
+class _NotLoadable(Exception):
+    """A verified ``.so`` this process cannot copy into its build root
+    (``bridge.CopyError``): a fault of the process, not of the entry."""
+
+
 def _hydrate(meta: dict, source: bytes, payload: bytes, snapshot,
              recv_shape, arg_shapes):
     """Rebuild (program, compiled) from a verified disk entry: bind the
@@ -712,8 +743,11 @@ def _hydrate(meta: dict, source: bytes, payload: bytes, snapshot,
             snapshot.array_slots,
             outputs=meta["outputs"],
         )
-        compiled = bridge.CCompiled(bridge.library(meta["sha_so"], payload),
-                                    emit, source,
+        try:
+            lib = bridge.library(meta["sha_so"], payload)
+        except bridge.CopyError as exc:
+            raise _NotLoadable from exc
+        compiled = bridge.CCompiled(lib, emit, source,
                                     bounds_checks=meta["bounds_checks"])
     else:
         if _PyCompiled is None:
@@ -760,26 +794,13 @@ class CacheHit:
 
 def lookup_memory(key: CacheKey) -> Optional[Entry]:
     """The memory tier's entry for ``key``, or None, under the tier lock
-    alone.  A hit makes the entry the most recently used and counts in
-    ``memory_hits``; a miss counts nowhere: the caller goes on to
-    :func:`lookup`, which probes both tiers again."""
-    digest = key.digest
+    alone.  A hit counts in ``memory_hits``; a miss counts nowhere: the
+    caller goes on to :func:`lookup`, which probes both tiers again."""
     with _TIER_LOCK:
-        entry = _MEMORY.get(digest)
+        entry = _MEMORY.get(key.digest)
         if entry is not None:
-            _MEMORY.move_to_end(digest)
             _COUNTERS["memory_hits"] += 1
         return entry
-
-
-def _remember(digest: str, entry: "Entry") -> None:
-    """Put ``entry`` in the memory tier as its most recently used one, and
-    drop the least recently used past ``_MEMORY_ENTRIES``.  Called with
-    ``_TIER_LOCK`` held."""
-    _MEMORY[digest] = entry
-    _MEMORY.move_to_end(digest)
-    if len(_MEMORY) > _MEMORY_ENTRIES:
-        _MEMORY.popitem(last=False)
 
 
 def lookup(key: CacheKey, *, snapshot, recv_shape, arg_shapes) -> Optional[CacheHit]:
@@ -792,7 +813,7 @@ def lookup(key: CacheKey, *, snapshot, recv_shape, arg_shapes) -> Optional[Cache
         if key.persistable and disk_enabled():
             entry = _disk_hit(key.digest, snapshot, recv_shape, arg_shapes)
             if entry is not None:
-                _remember(key.digest, entry)
+                _MEMORY[key.digest] = entry
                 _COUNTERS["disk_hits"] += 1
                 return CacheHit("disk", entry.program, entry)
         _COUNTERS["misses"] += 1
@@ -806,7 +827,7 @@ def store(key: CacheKey, program: Program, compiled, report) -> None:
     meta = _meta_for(program, compiled, report)
     entry = Entry(program, compiled, meta)
     with _TIER_LOCK:
-        _remember(key.digest, entry)
+        _MEMORY[key.digest] = entry
         _COUNTERS["stores"] += 1
     if key.persistable and disk_enabled():
         c = meta["kind"] == "c"

@@ -380,6 +380,8 @@ class TestLibraryTable:
         assert disk.compiled.library is cold.compiled.library
         assert code_cache.stats()["libraries"] == 1
         assert disk.invoke().value == want
+        # the tier forgot the cold entry 1 000 times; its JitCode holds it
+        assert cold.invoke().value == want
 
     def test_fresh_process_refills_load_one_copy(self, cache_dir, table,
                                                  loads):
@@ -394,73 +396,88 @@ class TestLibraryTable:
         assert len(loads) == 1
         assert code_cache.stats()["libraries"] == 1
 
+    @pytest.mark.parametrize("fault", ["full", "noexec"])
+    def test_a_copy_this_process_cannot_make_keeps_the_entry(
+            self, cache_dir, table, monkeypatch, fault):
+        """The private copy of a verified ``.so`` cannot be written (the
+        build root is full) or loaded from there (it is mounted
+        ``noexec``): the hit is a plain miss, the sound entry is not
+        dropped, and no ``.tmp`` is left in the build root."""
+        import errno
 
-class TestMemoryTierBound:
-    """The memory tier keeps the ``_MEMORY_ENTRIES`` most recently used
-    entries; a dropped one lives on in the ``JitCode`` that holds it."""
+        from repro.backends.cbackend import bridge
+        from repro.backends.cbackend.build import _build_root
 
-    @staticmethod
-    def _store_distinct(code, n, start=0):
-        for i in range(start, start + n):
-            key = code_cache.CacheKey(f"{i:064x}", persistable=False)
-            code_cache.store(key, code.program, code.compiled, code.report)
+        want = self._jit(0.5).invoke().value
+        table.clear()
+        code_cache.clear_memory()
+        torn = code_cache.stats()["torn_dropped"]
+        root, drops = str(_build_root()), []
+        drop = code_cache._drop_entry
 
-    def test_entries_plateau(self, cache_dir):
-        code = jit(Sweeper(ScaleAddSolver(0.5), 11), "run", 3, backend="py")
-        cap = code_cache._MEMORY_ENTRIES
-        seen = []
-        for start in range(0, 1000, 100):
-            self._store_distinct(code, 100, start)
-            seen.append(code_cache.stats()["memory_entries"])
-        assert max(seen) == cap and seen[-1] == cap
-        # the 1 000 keys and the jit's own: the newest ``cap`` remain
-        assert list(code_cache._MEMORY)[-1] == f"{999:064x}"
+        def spy(*args, **kwargs):
+            drops.append(args)
+            return drop(*args, **kwargs)
 
-    def test_a_hit_refreshes_recency(self, cache_dir):
-        code = jit(Sweeper(ScaleAddSolver(0.5), 11), "run", 3, backend="py")
-        cap = code_cache._MEMORY_ENTRIES
-        self._store_distinct(code, cap - 1)
-        assert jit(Sweeper(ScaleAddSolver(0.5), 11), "run", 3,
-                   backend="py").report.cache_tier == "memory"
-        self._store_distinct(code, 1, start=cap)
-        assert code.report.key_digest in code_cache._MEMORY
-        assert f"{0:064x}" not in code_cache._MEMORY
+        def full(path, mode="r"):
+            Path(path).write_bytes(b"\x7fELF")  # a short write, then ENOSPC
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
 
-    @requires_cc
-    def test_evicted_entry_still_invokes_and_refills(self, cache_dir, table,
-                                                     monkeypatch):
-        import ctypes
+        statvfs = os.statvfs
 
-        code = jit(Sweeper(ScaleAddSolver(0.5), 11), "run", 3, backend="c")
-        want = code.invoke().value
-        self._store_distinct(code, code_cache._MEMORY_ENTRIES)
-        assert code.report.key_digest not in code_cache._MEMORY
-        assert code.invoke().value == want
+        def noexec(path):
+            st = statvfs(path)
+            return type("Flags", (), {"f_flag": st.f_flag | os.ST_NOEXEC})
+
         with monkeypatch.context() as patch:
-            patch.setattr(ctypes, "CDLL", None)  # a load would raise
-            again = jit(Sweeper(ScaleAddSolver(0.5), 11), "run", 3,
-                        backend="c")
-        assert again.report.cache_tier == "disk"
-        assert again.compiled.library is code.compiled.library
-        assert code_cache.stats()["libraries"] == 1
+            patch.setattr(code_cache, "_drop_entry", spy)
+            if fault == "full":
+                patch.setattr(bridge, "open", full, raising=False)
+            else:
+                patch.setattr(os, "statvfs", noexec)
+            again = self._jit(0.5)
+        assert again.report.cache_tier == ""  # recompiled, not served
         assert again.invoke().value == want
+        assert drops == [] and code_cache.stats()["torn_dropped"] == torn
+        assert not [n for n in os.listdir(root) if n.endswith(".tmp")]
+        table.clear()
+        code_cache.clear_memory()
+        disk = self._jit(0.5)
+        assert disk.report.cache_tier == "disk"
+        assert disk.invoke().value == want
 
 
+@requires_cc
 class TestCompilerVersionMemo:
     """``cc --version`` is asked once per compiler and cache directory: the
     answer is kept in the directory under the compiler's resolved path and
-    ``(st_dev, st_ino, st_size, st_mtime_ns)``."""
+    ``(st_dev, st_ino, st_size, st_mtime_ns)``.  A wrapper or a script is
+    asked every process: its stat does not change with the compiler behind
+    it."""
 
     @pytest.fixture()
     def fake_cc(self, tmp_path, cache_dir, monkeypatch):
-        """``$CC`` is a script answering ``--version``; returns the list of
-        the commands ``subprocess.run`` was asked to run."""
+        """``$CC`` is a binary printing the line in ``bin/version`` whatever
+        its arguments; returns ``(binary, version file, runs)``, ``runs``
+        the commands ``subprocess.run`` was asked to run from then on."""
         from repro.backends.cbackend import build
 
-        cc = tmp_path / "bin" / "fakecc"
-        cc.parent.mkdir()
-        cc.write_text("#!/bin/sh\necho 'fakecc 9.9'\n")
-        cc.chmod(0o755)
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        version = bin_dir / "version"
+        version.write_text("fakecc 9.9\n")
+        src, cc = bin_dir / "fakecc.c", bin_dir / "fakecc"
+        src.write_text(textwrap.dedent(f"""\
+            #include <stdio.h>
+            int main(void) {{
+                char line[64];
+                FILE *f = fopen({json.dumps(str(version))}, "r");
+                if (f && fgets(line, sizeof line, f)) fputs(line, stdout);
+                return 0;
+            }}
+            """))
+        subprocess.run([build._find_cc(), str(src), "-o", str(cc)],
+                       check=True)
         monkeypatch.setenv("CC", str(cc))
         monkeypatch.setattr(build, "_FOUND_CC", {})
         monkeypatch.setattr(code_cache, "_CC_VERSIONS", {})
@@ -471,7 +488,7 @@ class TestCompilerVersionMemo:
             return run(cmd, *args, **kwargs)
 
         monkeypatch.setattr(subprocess, "run", counting)
-        return cc, runs
+        return cc, version, runs
 
     @staticmethod
     def _ask(monkeypatch):
@@ -480,7 +497,7 @@ class TestCompilerVersionMemo:
         return code_cache._cc_version()
 
     def test_asked_once_per_compiler(self, fake_cc, cache_dir, monkeypatch):
-        cc, runs = fake_cc
+        cc, _, runs = fake_cc
         assert self._ask(monkeypatch) == "fakecc 9.9"
         assert len(runs) == 1
         (memo,) = cache_dir.glob("cc-*.version")
@@ -497,50 +514,34 @@ class TestCompilerVersionMemo:
 
     def test_disk_tier_off_asks_every_process(self, fake_cc, cache_dir,
                                               monkeypatch):
-        _, runs = fake_cc
+        _, _, runs = fake_cc
         monkeypatch.setenv("REPRO_DISK_CACHE", "0")
         for n in (1, 2):
             assert self._ask(monkeypatch) == "fakecc 9.9"
             assert len(runs) == n
         assert not cache_dir.exists() or not any(cache_dir.iterdir())
 
-
-#: in a fresh interpreter: jit the C program once and count the processes
-#: the request started (every spawn raises an audit event)
-_SPAWN_CHILD = r"""
-import json, sys
-sys.addaudithook(lambda event, args: event in (
-    "subprocess.Popen", "os.posix_spawn", "os.fork", "os.exec", "os.system")
-    and spawns.append(event))
-spawns = []
-from repro import jit
-from tests.guestlib import ScaleAddSolver, Sweeper
-code = jit(Sweeper(ScaleAddSolver(0.5), 23), "run", 2, backend="c")
-print(json.dumps({"tier": code.report.cache_tier, "spawns": len(spawns),
-                  "key": code.report.key_digest,
-                  "value": code.invoke().value}))
-"""
-
-
-@requires_cc
-def test_fresh_process_on_a_warm_directory_spawns_nothing(tmp_path):
-    """The second process is served from disk and starts no process: the
-    compiler's version, which keys every C entry, is read from the cache
-    directory.  The key is the one the first process computed."""
-    env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "cache"))
-    env["PYTHONPATH"] = os.pathsep.join(
-        [SRC_ROOT, str(Path(SRC_ROOT).parent), env.get("PYTHONPATH", "")])
-
-    def child():
-        proc = subprocess.run([sys.executable, "-c", _SPAWN_CHILD], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr[-4000:]
-        return json.loads(proc.stdout.strip().splitlines()[-1])
-
-    cold, warm = child(), child()
-    assert cold["tier"] == "" and cold["spawns"] >= 2  # cc --version, cc
-    assert warm["tier"] == "disk" and warm["spawns"] == 0
-    assert warm["key"] == cold["key"] and warm["value"] == cold["value"]
+    @pytest.mark.parametrize("wrapper", ["script", "ccache"])
+    def test_a_wrapper_is_asked_every_process(self, fake_cc, cache_dir,
+                                              monkeypatch, wrapper):
+        """``$CC`` is a wrapper script, or ``cc`` linked to a binary named
+        ``ccache``: the compiler behind it is upgraded while the wrapper
+        stays as it was, and the next process keys under the new version."""
+        cc, version, runs = fake_cc
+        if wrapper == "script":
+            front = cc.with_name("cc-wrapper")
+            front.write_text(f'#!/bin/sh\nexec "{cc}" "$@"\n')
+            front.chmod(0o755)
+        else:
+            os.replace(cc, cc.with_name("ccache"))
+            front = cc.with_name("cc")
+            front.symlink_to("ccache")
+        monkeypatch.setenv("CC", str(front))
+        assert self._ask(monkeypatch) == "fakecc 9.9"
+        version.write_text("fakecc 10.1\n")
+        assert self._ask(monkeypatch) == "fakecc 10.1"
+        assert len(runs) == 2
+        assert list(cache_dir.glob("cc-*.version")) == []
 
 
 #: in a fresh interpreter (libgomp reads OMP_NUM_THREADS once per process):
@@ -828,6 +829,7 @@ class TestAcrossProcesses:
         # process at all ...
         assert warm["backend_compile_s"] == 0.0
         assert warm["spawns"] == 0
+        assert warm["key_digest"] == cold["key_digest"]
         assert warm["translate_s"] == 0.0
         assert warm["value"] == cold["value"]
         # ... and is at least 10x cheaper end to end
